@@ -4,7 +4,6 @@
 pub mod ablation;
 pub mod algebra;
 pub mod batch;
-pub mod compress;
 pub mod containers;
 pub mod fig10;
 pub mod fig11;
@@ -56,7 +55,6 @@ pub fn run(id: &str, scale: Scale) -> Option<String> {
         "batch" => batch::run(scale),
         "plan" => plan::run(scale),
         "prune" => prune::run(scale),
-        "compress" => compress::run(scale),
         "containers" => containers::run(scale),
         "obs" => obs::run(scale),
         "memory" => memory::run(scale),
@@ -93,7 +91,6 @@ pub fn run_all(scale: Scale) -> String {
         "batch",
         "plan",
         "prune",
-        "compress",
         "containers",
         "algebra",
         "simjoin",

@@ -19,8 +19,8 @@
 use crate::harness::{f2, measure_cycles, Scale, Table};
 use fesia_core::intersect::SKEW_HASH_THRESHOLD;
 use fesia_core::{
-    batch_count_pairs_on, hash_probe_count, intersect_count_interleaved_with, pipeline_params,
-    set_pipeline_params, FesiaParams, KernelTable, PipelineParams, SegmentedSet,
+    batch_count_pairs_on, hash_probe_count, intersect_count_interleaved_with, FesiaParams,
+    KernelTable, SegmentedSet,
 };
 use fesia_datagen::{sorted_distinct, SplitMix64};
 use fesia_exec::Executor;
@@ -36,9 +36,9 @@ unsafe impl Send for DisjointOut {}
 unsafe impl Sync for DisjointOut {}
 
 /// An uninstrumented replica of the batch path: identical strategy
-/// selection and inner kernels, zero per-pair metric updates. Pipelining
-/// must be disabled by the caller so the instrumented side dispatches
-/// interleaved too (apples to apples).
+/// selection and inner kernels, zero per-pair metric updates. The
+/// workload's pairs are small and comparable, so the instrumented side's
+/// planner picks the same interleaved merge (apples to apples).
 fn uninstrumented_batch(
     exec: &Executor,
     sets: &[SegmentedSet],
@@ -122,12 +122,6 @@ pub fn run(scale: Scale) -> String {
     let table = KernelTable::auto();
     let reps = scale.reps() * 3;
 
-    // Interleaved dispatch on both sides: the replica has no pipelined
-    // form, and prefetch scheduling differences would swamp the counter
-    // cost being measured.
-    let saved = pipeline_params();
-    set_pipeline_params(PipelineParams::default().with_enabled(false));
-
     let mut t = Table::new(vec![
         "threads",
         "instrumented (pairs/s)",
@@ -161,7 +155,6 @@ pub fn run(scale: Scale) -> String {
             pairs.len() as f64 / bare,
         ));
     }
-    set_pipeline_params(saved);
 
     // Raw cost of the primitive itself: cycles per relaxed increment.
     let c = fesia_obs::Counter::new();

@@ -5,7 +5,7 @@
 //! * **sparse-2M** — two 2M-element sets at 1024 bits/element (16-bit
 //!   segments, 1% selectivity), where summary pruning should win;
 //! * **dense** — a balanced cache-resident pair under the default
-//!   geometry, where the plain/pipelined merge should win;
+//!   geometry, where the plain merge should win;
 //! * **skew-1:100** — a 1:100 length ratio, where the hash probe should
 //!   win.
 //!
@@ -60,11 +60,8 @@ fn build_workloads(scale: Scale, rng: &mut SplitMix64) -> Vec<Workload> {
         want: n_sparse / 100,
     };
 
-    // dense: balanced, cache-resident, default geometry, below the
-    // pipeline floor — the plain merge is the right call. (Sizes at the
-    // pipelined/plain crossover are deliberately avoided: the two forms
-    // measure within noise of each other there, which makes a 10% gate
-    // flaky without saying anything about planning quality.)
+    // dense: balanced, cache-resident, default geometry — the plain
+    // merge is the right call.
     let n_dense = match scale {
         Scale::Smoke => 1 << 12,
         Scale::Standard | Scale::Full => 1 << 14,
@@ -201,8 +198,10 @@ pub fn run(scale: Scale) -> String {
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"plan\",\n  \"counts_match\": {all_match},\n  \
-         \"auto_within_10pct\": {all_within},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"plan\",\n  \"scale\": \"{}\",\n  \
+         \"counts_match\": {all_match},\n  \"auto_within_10pct\": {all_within},\n  \
+         \"workloads\": [\n{}\n  ]\n}}\n",
+        format!("{scale:?}").to_lowercase(),
         json_rows.join(",\n"),
     );
     let json_path = "BENCH_plan.json";

@@ -164,15 +164,6 @@ fn cmd_build(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// the per-container range/cardinality histogram, machine-readable for
 /// corpus audits and the smoke gates.
 fn info_json(path: &str, set: &SegmentedSet, out: &mut dyn Write) -> Result<(), CliError> {
-    let packed = match set.packed() {
-        Some(tier) => format!(
-            "{{\"width\": {}, \"stream_bytes\": {}, \"ratio_vs_raw\": {:.2}}}",
-            tier.width(),
-            tier.stream_bytes(),
-            (4 * set.len()) as f64 / tier.stream_bytes().max(1) as f64
-        ),
-        None => "null".to_string(),
-    };
     let container = match (set.container(), set.container_stats()) {
         (Some(tier), Some(c)) => format!(
             "{{\"ranges\": {{\"array\": {}, \"bitmap\": {}, \"run\": {}}}, \
@@ -195,7 +186,7 @@ fn info_json(path: &str, set: &SegmentedSet, out: &mut dyn Write) -> Result<(), 
         out,
         "{{\n  \"file\": \"{path}\",\n  \"elements\": {},\n  \"bitmap_bits\": {},\n  \
          \"segment_bits\": {},\n  \"segments\": {},\n  \"memory_bytes\": {},\n  \
-         \"serialized_bytes\": {},\n  \"packed\": {packed},\n  \"container\": {container},\n  \
+         \"serialized_bytes\": {},\n  \"container\": {container},\n  \
          \"summary_blocks\": {},\n  \"summary_density\": {:.4},\n  \
          \"planner\": {{\"mode\": \"{}\", \"plan_vs_self\": \"{}\"}}\n}}",
         set.len(),
@@ -234,19 +225,6 @@ fn cmd_info(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "segments:        {}", set.num_segments())?;
     writeln!(out, "memory bytes:    {}", set.memory_bytes())?;
     writeln!(out, "serialized:      {} bytes", set.serialized_len())?;
-    match set.packed() {
-        Some(tier) => {
-            let raw = 4 * set.len();
-            writeln!(
-                out,
-                "packed tier:     width {} ({} bytes, {:.2}x vs raw elements)",
-                tier.width(),
-                tier.stream_bytes(),
-                raw as f64 / tier.stream_bytes() as f64
-            )?;
-        }
-        None => writeln!(out, "packed tier:     none")?,
-    }
     match set.container_stats() {
         Some(c) => writeln!(
             out,
@@ -609,8 +587,8 @@ fn cmd_tune(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     writeln!(
         out,
-        "pipeline: enabled={} prefetch_distance={} min_elements={}",
-        back.pipeline.enabled, back.pipeline.prefetch_distance, back.pipeline.min_elements
+        "pipeline: prefetch_distance={}",
+        back.pipeline.prefetch_distance
     )?;
     writeln!(
         out,
@@ -625,18 +603,6 @@ fn cmd_tune(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     )?;
     writeln!(
         out,
-        "compress: forced={} min_elements={} decode_mc={} bw_mc={}",
-        match back.compress.forced {
-            Some(true) => "on",
-            Some(false) => "off",
-            None => "auto",
-        },
-        back.compress.min_elements,
-        back.compress.decode_millicycles_per_elem,
-        back.compress.bandwidth_millicycles_per_byte
-    )?;
-    writeln!(
-        out,
         "container: forced={} min_elements={} dense_pct={}",
         match back.container.forced {
             Some(true) => "on",
@@ -646,7 +612,6 @@ fn cmd_tune(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         back.container.min_elements,
         back.container.min_dense_pct
     )?;
-    writeln!(out, "gallop_max_len: {}", back.gallop_max_len)?;
     writeln!(
         out,
         "profile written: {} (v{}, reload verified)",
@@ -748,8 +713,11 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("fesia-cli-test-{}", std::process::id()));
+    /// A fresh directory per test: tests run in parallel threads and
+    /// each removes its directory when done, so they must never share one.
+    fn tmpdir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("fesia-cli-test-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -764,7 +732,7 @@ mod tests {
 
     #[test]
     fn end_to_end_build_info_count_intersect() {
-        let dir = tmpdir();
+        let dir = tmpdir("end_to_end_build_info_count_intersect");
         let ta = dir.join("a.txt");
         let tb = dir.join("b.txt");
         std::fs::write(&ta, "1\n4\n15\n21\n32\n34\n").unwrap();
@@ -783,8 +751,6 @@ mod tests {
         assert!(info.contains("elements:        6"), "{info}");
         assert!(info.contains("summary blocks:  1"), "{info}");
         assert!(info.contains("serialized:      "), "{info}");
-        // Six elements are below the packing floor.
-        assert!(info.contains("packed tier:     none"), "{info}");
         // A 512-bit bitmap is far below the prune floor.
         assert!(info.contains("plain scan"), "{info}");
 
@@ -873,7 +839,7 @@ mod tests {
 
     #[test]
     fn simjoin_end_to_end() {
-        let dir = tmpdir();
+        let dir = tmpdir("simjoin_end_to_end");
         let f = dir.join("sets.txt");
         // Lines 0 and 2 share {1,2,3}; line 1 is disjoint; line 3 shares
         // {2,3} with 0 and 2. Unsorted input on line 2 must be accepted.
@@ -933,7 +899,7 @@ mod tests {
 
     #[test]
     fn build_flags_are_respected() {
-        let dir = tmpdir();
+        let dir = tmpdir("build_flags_are_respected");
         let t = dir.join("v.txt");
         std::fs::write(
             &t,
@@ -961,13 +927,11 @@ mod tests {
         let set = load_set(&f).unwrap();
         assert_eq!(set.lane().bits(), 16);
         assert_eq!(set.bitmap_bits(), 4096); // 1000 * 4 -> 4096
-                                             // 32 - log2(4096) + log2(16) = 24-bit residuals, right at the
-                                             // packing ceiling — info must report the tier and its ratio.
         let mut out = Vec::new();
         run(&s(&["info", &f]), &mut out).unwrap();
         let info = String::from_utf8_lossy(&out);
-        assert!(info.contains("packed tier:     width 24"), "{info}");
-        assert!(info.contains("x vs raw elements"), "{info}");
+        assert!(info.contains("segment bits:    16"), "{info}");
+        assert!(info.contains("bitmap bits (m): 4096"), "{info}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -991,14 +955,14 @@ mod tests {
 
     #[test]
     fn tune_writes_a_loadable_profile() {
-        let dir = tmpdir();
+        let dir = tmpdir("tune_writes_a_loadable_profile");
         let profile = dir.join("tune-profile.json").to_string_lossy().to_string();
         let mut out = Vec::new();
         run(&s(&["tune", "--quick", "--profile", &profile]), &mut out).unwrap();
         let text = String::from_utf8_lossy(&out);
         assert!(text.contains("reload verified"), "{text}");
-        assert!(text.contains("pipeline: enabled="), "{text}");
-        assert!(text.contains("compress: forced="), "{text}");
+        assert!(text.contains("pipeline: prefetch_distance="), "{text}");
+        assert!(text.contains("prune: forced="), "{text}");
         let back = fesia_core::MachineProfile::load(Path::new(&profile)).unwrap();
         assert_eq!(back.version, fesia_core::PROFILE_VERSION);
         // Bad flags are usage errors, not panics.
@@ -1015,7 +979,7 @@ mod tests {
 
     #[test]
     fn info_json_reports_tiers_and_histogram() {
-        let dir = tmpdir();
+        let dir = tmpdir("info_json_reports_tiers_and_histogram");
         // A run-heavy set past the container build floor: consecutive
         // values classify as one run range per 65536-value window.
         let t = dir.join("dense.txt");
@@ -1049,7 +1013,8 @@ mod tests {
         assert!(json.contains("\"dense_fraction\": 1.0000"), "{json}");
         assert!(json.contains("\"planner\""), "{json}");
 
-        // A tiny set carries neither tier: both report null.
+        // A tiny set carries no container tier, and no removed packed
+        // tier is reported at all.
         let t2 = dir.join("tiny.txt");
         std::fs::write(&t2, "1\n2\n3\n").unwrap();
         let f2 = dir.join("tiny.fsia").to_string_lossy().to_string();
@@ -1057,7 +1022,7 @@ mod tests {
         let mut out = Vec::new();
         run(&s(&["info", &f2, "--json"]), &mut out).unwrap();
         let json = String::from_utf8_lossy(&out);
-        assert!(json.contains("\"packed\": null"), "{json}");
+        assert!(!json.contains("\"packed\""), "{json}");
         assert!(json.contains("\"container\": null"), "{json}");
 
         // Flag typos are usage errors.
@@ -1070,7 +1035,7 @@ mod tests {
 
     #[test]
     fn info_reports_the_planner_line() {
-        let dir = tmpdir();
+        let dir = tmpdir("info_reports_the_planner_line");
         let t = dir.join("p.txt");
         std::fs::write(&t, "3\n9\n27\n").unwrap();
         let f = dir.join("p.fsia").to_string_lossy().to_string();
@@ -1085,7 +1050,7 @@ mod tests {
 
     #[test]
     fn decode_errors_surface() {
-        let dir = tmpdir();
+        let dir = tmpdir("decode_errors_surface");
         let bogus = dir.join("bogus.fsia");
         std::fs::write(&bogus, b"not a fesia file").unwrap();
         let mut out = Vec::new();
@@ -1097,7 +1062,7 @@ mod tests {
     #[cfg(feature = "serve")]
     #[test]
     fn serve_runs_a_scripted_session() {
-        let dir = tmpdir();
+        let dir = tmpdir("serve_runs_a_scripted_session");
         let script = dir.join("session.txt");
         std::fs::write(
             &script,

@@ -2,8 +2,8 @@
 //! `difference`, and `xor` over [`SegmentedSet`]s.
 //!
 //! Every operation asks [`IntersectPlanner::plan_materialize`] for an
-//! explicit plan — the same cost model the count path uses, extended
-//! with an output-size term — and executes it through the visitor
+//! explicit plan — the same cost model the count path uses, with pruning
+//! limited to intersection — and executes it through the visitor
 //! kernels of [`crate::kernels::visit`], so counting, materializing, and
 //! callback consumers share one body per operation.
 //!
@@ -36,21 +36,12 @@ use crate::kernels::visit::{
 };
 use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary};
 use crate::set::SegmentedSet;
-use fesia_simd::mask::{
-    for_each_nonzero_lane_folded_op, for_each_nonzero_lane_folded_pruned, for_each_nonzero_lane_op,
-    for_each_nonzero_lane_pruned, MaskOp,
-};
-use fesia_simd::SimdLevel;
+use fesia_simd::mask::{for_each_nonzero_lane_folded_op, for_each_nonzero_lane_op, MaskOp};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread survivor buffer for the buffered (pipelined) sweeps.
+    /// Per-thread survivor buffer for the pruned intersection's sweep.
     static SURVIVOR_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-
-    /// Per-thread sorted copies for the galloping fallback (one per side).
-    static SORT_SCRATCH: RefCell<(Vec<u32>, Vec<u32>)> = const {
-        RefCell::new((Vec::new(), Vec::new()))
-    };
 }
 
 /// Materialize `A ∩ B`, sorted ascending (planner-driven).
@@ -146,11 +137,8 @@ fn plan_and_record(
 /// feeding every output element (in segment order, unsorted) to `v`.
 ///
 /// Every plan form is handled for every op, so forced `FESIA_PLAN` modes
-/// work uniformly: the AND-only step-1 forms (pruned, compressed) degrade
-/// to the buffered Or-scan for the non-intersect ops, and the compressed
-/// plan's step 2 reads the raw segment runs (which every set retains —
-/// the packed tier stores hash-domain residuals that cannot be emitted
-/// as element values).
+/// work uniformly: the AND-only pruned step 1 falls back to the plain
+/// Or-scan for the non-intersect ops.
 pub fn execute_plan_op<V: SegmentVisitor>(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -163,25 +151,15 @@ pub fn execute_plan_op<V: SegmentVisitor>(
     match plan {
         IntersectPlan::Plain => {
             m.plan_plain.inc();
-            scan_materialize(a, b, op, None, v);
-        }
-        IntersectPlan::Pipelined { prefetch_distance } => {
-            m.plan_pipelined.inc();
-            scan_materialize(a, b, op, Some((prefetch_distance, false)), v);
+            scan_materialize(a, b, op, v);
         }
         IntersectPlan::Pruned { prefetch_distance } => {
             m.plan_pruned.inc();
-            scan_materialize(
-                a,
-                b,
-                op,
-                Some((prefetch_distance, op == SetOp::Intersect)),
-                v,
-            );
-        }
-        IntersectPlan::Compressed { prefetch_distance } => {
-            m.plan_compressed.inc();
-            scan_materialize(a, b, op, Some((prefetch_distance, false)), v);
+            if op == SetOp::Intersect {
+                pruned_intersect(a, b, prefetch_distance, v);
+            } else {
+                scan_materialize(a, b, op, v);
+            }
         }
         IntersectPlan::Container => {
             m.plan_container.inc();
@@ -194,102 +172,77 @@ pub fn execute_plan_op<V: SegmentVisitor>(
                     let level = crate::intersect::default_table().level();
                     crate::container::op_visit(op, ca, cb, level, v);
                 }
-                _ => scan_materialize(a, b, op, None, v),
+                _ => scan_materialize(a, b, op, v),
             }
         }
         IntersectPlan::HashProbe => {
             probe_materialize(a, b, op, v);
         }
-        IntersectPlan::GallopFallback => {
-            m.plan_gallop.inc();
-            gallop_materialize(a, b, op, v);
-        }
     }
 }
 
-/// The two-phase scan execution: step 1 is the op's sound bitmap scan
-/// (AND for intersection, OR otherwise), step 2 sweeps each visited
-/// segment pair through the op's visitor kernel. `buffered` carries the
-/// pipelined form's `(prefetch_distance, pruned)` — pruning only ever
-/// arrives combined with `op == Intersect` (the planner and executor
-/// degrade it otherwise).
-fn scan_materialize<V: SegmentVisitor>(
+/// The plain two-phase scan execution: step 1 is the op's sound bitmap
+/// scan (AND for intersection, OR otherwise), step 2 visits each
+/// surviving segment pair through the op's visitor kernel.
+fn scan_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, v: &mut V) {
+    let level = crate::intersect::default_table().level();
+    if a.bitmap_bits() == b.bitmap_bits() {
+        for_each_nonzero_lane_op(
+            level,
+            op.scan_op(),
+            a.lane(),
+            a.bitmap_bytes(),
+            b.bitmap_bytes(),
+            |i| segment_op_visit(level, op, a.segment(i), b.segment(i), v),
+        );
+    } else {
+        folded_materialize(a, b, op, v);
+    }
+}
+
+/// The summary-pruned intersection: the pruned AND-scan's survivors are
+/// buffered, then swept with each side's segment metadata prefetched
+/// `prefetch_distance` entries ahead. Folding needs no special case here:
+/// segment `i` of the larger side meets segment `i & mask` of the smaller
+/// one exactly as in the count path.
+fn pruned_intersect<V: SegmentVisitor>(
     a: &SegmentedSet,
     b: &SegmentedSet,
-    op: SetOp,
-    buffered: Option<(usize, bool)>,
+    prefetch_distance: usize,
     v: &mut V,
 ) {
     let level = crate::intersect::default_table().level();
     let m = fesia_obs::metrics();
-    if a.bitmap_bits() == b.bitmap_bits() {
-        let scan = op.scan_op();
-        match buffered {
-            None => {
-                for_each_nonzero_lane_op(
-                    level,
-                    scan,
-                    a.lane(),
-                    a.bitmap_bytes(),
-                    b.bitmap_bytes(),
-                    |i| segment_op_visit(level, op, a.segment(i), b.segment(i), v),
-                );
-            }
-            Some((dist, pruned)) => SURVIVOR_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                if scratch.capacity() != 0 {
-                    m.scratch_reused.inc();
-                }
-                scratch.clear();
-                if pruned {
-                    let stats = for_each_nonzero_lane_pruned(
-                        level,
-                        a.lane(),
-                        a.bitmap_bytes(),
-                        b.bitmap_bytes(),
-                        a.summary_words(),
-                        b.summary_words(),
-                        |i| scratch.push(i as u32),
-                    );
-                    m.summary_blocks_skipped.add(stats.skipped() as u64);
-                } else {
-                    for_each_nonzero_lane_op(
-                        level,
-                        scan,
-                        a.lane(),
-                        a.bitmap_bytes(),
-                        b.bitmap_bytes(),
-                        |i| scratch.push(i as u32),
-                    );
-                }
-                m.survivor_segments.add(scratch.len() as u64);
-                for (k, &i) in scratch.iter().enumerate() {
-                    if k + dist < scratch.len() {
-                        let ahead = scratch[k + dist] as usize;
-                        a.prefetch_seg_entry(ahead);
-                        b.prefetch_seg_entry(ahead);
-                    }
-                    let i = i as usize;
-                    segment_op_visit(level, op, a.segment(i), b.segment(i), v);
-                }
-            }),
+    let (x, y, folded) = crate::intersect::order_sides(a, b);
+    let seg_mask = y.num_segments() - 1;
+    SURVIVOR_SCRATCH.with(|s| {
+        let mut scratch = s.borrow_mut();
+        if scratch.capacity() != 0 {
+            m.scratch_reused.inc();
         }
-    } else {
-        folded_materialize(a, b, op, buffered, v);
-    }
+        scratch.clear();
+        let stats = crate::intersect::scan_survivors(level, x.lane(), x, y, folded, true, |i| {
+            scratch.push(i as u32)
+        })
+        .expect("pruned scan always reports stats");
+        m.summary_blocks_skipped.add(stats.skipped() as u64);
+        m.survivor_segments.add(scratch.len() as u64);
+        for (k, &i) in scratch.iter().enumerate() {
+            if k + prefetch_distance < scratch.len() {
+                let ahead = scratch[k + prefetch_distance] as usize;
+                x.prefetch_seg_entry(ahead);
+                y.prefetch_seg_entry(ahead & seg_mask);
+            }
+            let i = i as usize;
+            intersect_visit(level, x.segment(i), y.segment(i & seg_mask), v);
+        }
+    })
 }
 
 /// The asymmetric (folded-bitmap) execution, per op — see the module docs
 /// for why each side is driven the way it is.
-fn folded_materialize<V: SegmentVisitor>(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    op: SetOp,
-    buffered: Option<(usize, bool)>,
-    v: &mut V,
-) {
+fn folded_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, v: &mut V) {
     let level = crate::intersect::default_table().level();
-    let m = fesia_obs::metrics();
     let (large, small) = if a.bitmap_bits() > b.bitmap_bits() {
         (a, b)
     } else {
@@ -300,61 +253,20 @@ fn folded_materialize<V: SegmentVisitor>(
     // Large-driven per-segment sweep with the given scan op; exact for
     // And (intersection) and for the large side of a difference/xor.
     type SweepBody<'f, V> = &'f dyn Fn(&[u32], &[u32], &mut V);
-    let sweep = |scan: MaskOp, pruned: bool, v: &mut V, body: SweepBody<V>| match buffered {
-        None => {
-            for_each_nonzero_lane_folded_op(
-                level,
-                scan,
-                large.lane(),
-                large.bitmap_bytes(),
-                small.bitmap_bytes(),
-                |i| body(large.segment(i), small.segment(i & seg_mask), v),
-            );
-        }
-        Some((dist, _)) => SURVIVOR_SCRATCH.with(|s| {
-            let mut scratch = s.borrow_mut();
-            if scratch.capacity() != 0 {
-                m.scratch_reused.inc();
-            }
-            scratch.clear();
-            if pruned {
-                let stats = for_each_nonzero_lane_folded_pruned(
-                    level,
-                    large.lane(),
-                    large.bitmap_bytes(),
-                    small.bitmap_bytes(),
-                    large.summary_words(),
-                    small.summary_words(),
-                    |i| scratch.push(i as u32),
-                );
-                m.summary_blocks_skipped.add(stats.skipped() as u64);
-            } else {
-                for_each_nonzero_lane_folded_op(
-                    level,
-                    scan,
-                    large.lane(),
-                    large.bitmap_bytes(),
-                    small.bitmap_bytes(),
-                    |i| scratch.push(i as u32),
-                );
-            }
-            m.survivor_segments.add(scratch.len() as u64);
-            for (k, &i) in scratch.iter().enumerate() {
-                if k + dist < scratch.len() {
-                    let ahead = scratch[k + dist] as usize;
-                    large.prefetch_seg_entry(ahead);
-                    small.prefetch_seg_entry(ahead & seg_mask);
-                }
-                let i = i as usize;
-                body(large.segment(i), small.segment(i & seg_mask), v);
-            }
-        }),
+    let sweep = |scan: MaskOp, v: &mut V, body: SweepBody<V>| {
+        for_each_nonzero_lane_folded_op(
+            level,
+            scan,
+            large.lane(),
+            large.bitmap_bytes(),
+            small.bitmap_bytes(),
+            |i| body(large.segment(i), small.segment(i & seg_mask), v),
+        );
     };
 
     match op {
         SetOp::Intersect => {
-            let pruned = buffered.is_some_and(|(_, p)| p);
-            sweep(MaskOp::And, pruned, v, &|ls, ss, v| {
+            sweep(MaskOp::And, v, &|ls, ss, v| {
                 intersect_visit(level, ls, ss, v)
             });
         }
@@ -375,9 +287,7 @@ fn folded_materialize<V: SegmentVisitor>(
                 // A\B with A large: segment i of A meets exactly segment
                 // i & mask of B (folding keeps hash positions congruent),
                 // so the pairwise difference is exact.
-                sweep(MaskOp::Or, false, v, &|ls, ss, v| {
-                    difference_visit(ls, ss, v)
-                });
+                sweep(MaskOp::Or, v, &|ls, ss, v| difference_visit(ls, ss, v));
             } else {
                 // A small: its segments fold under many B segments, so
                 // probe element-wise.
@@ -391,9 +301,7 @@ fn folded_materialize<V: SegmentVisitor>(
         SetOp::Xor => {
             // large\small is pairwise-exact; small\large by probe. The
             // two parts are disjoint, so no dedup is needed.
-            sweep(MaskOp::Or, false, v, &|ls, ss, v| {
-                difference_visit(ls, ss, v)
-            });
+            sweep(MaskOp::Or, v, &|ls, ss, v| difference_visit(ls, ss, v));
             for &x in small.reordered_elements() {
                 if !large.contains(x) {
                     v.visit(x);
@@ -451,44 +359,6 @@ fn probe_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: 
             }
         }
     }
-}
-
-/// The galloping fallback: sorted copies in reusable per-thread scratch,
-/// then a galloping probe (intersection) or a linear merge (the rest) —
-/// this path's output is the only one already ascending, but callers
-/// sort regardless.
-fn gallop_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, v: &mut V) {
-    SORT_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        let (sa, sb) = &mut *scratch;
-        sa.clear();
-        sa.extend_from_slice(a.reordered_elements());
-        sa.sort_unstable();
-        sb.clear();
-        sb.extend_from_slice(b.reordered_elements());
-        sb.sort_unstable();
-        match op {
-            SetOp::Intersect => {
-                let (small, large): (&[u32], &[u32]) = if sa.len() <= sb.len() {
-                    (sa, sb)
-                } else {
-                    (sb, sa)
-                };
-                let mut lo = 0usize;
-                for &x in small {
-                    lo = crate::intersect::gallop_find(large, lo, x);
-                    if lo == large.len() {
-                        break;
-                    }
-                    if large[lo] == x {
-                        v.visit(x);
-                        lo += 1;
-                    }
-                }
-            }
-            _ => segment_op_visit(SimdLevel::Scalar, op, sa, sb, v),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -553,19 +423,12 @@ mod tests {
             let want = ref_op(op, &va, &vb);
             for plan in [
                 IntersectPlan::Plain,
-                IntersectPlan::Pipelined {
-                    prefetch_distance: 4,
-                },
                 IntersectPlan::Pruned {
-                    prefetch_distance: 4,
-                },
-                IntersectPlan::Compressed {
                     prefetch_distance: 4,
                 },
                 // Directory-less pair: exercises the container fallback.
                 IntersectPlan::Container,
                 IntersectPlan::HashProbe,
-                IntersectPlan::GallopFallback,
             ] {
                 let mut out = Vec::new();
                 execute_plan_op(&a, &b, op, plan, &mut EmitVisitor(&mut out));
@@ -593,22 +456,5 @@ mod tests {
         assert_eq!(xor(&s, &s), Vec::<u32>::new());
         assert_eq!(intersect(&s, &s), vec![5, 9, 1000]);
         assert_eq!(xor(&e, &s), vec![5, 9, 1000]);
-    }
-
-    #[test]
-    fn algebra_counters_record_ops_and_emissions() {
-        let _guard = test_knob_lock();
-        let a = build(&[1, 2, 3, 4]);
-        let b = build(&[3, 4, 5]);
-        let before = fesia_obs::metrics().snapshot();
-        let u = union(&a, &b);
-        let d = difference(&a, &b);
-        let x = xor(&a, &b);
-        let delta = fesia_obs::metrics().snapshot().delta(&before);
-        assert_eq!(delta.algebra_union, 1);
-        assert_eq!(delta.algebra_difference, 1);
-        assert_eq!(delta.algebra_xor, 1);
-        assert_eq!(delta.algebra_emitted, (u.len() + d.len() + x.len()) as u64);
-        assert_eq!(delta.strategy_hash + delta.strategy_merge, 3);
     }
 }

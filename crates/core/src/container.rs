@@ -41,7 +41,7 @@ pub const WORDS_PER_RANGE: usize = RANGE_VALUES / 64;
 /// Minimum set size for the tier to be built at all. Below this the whole
 /// set is cache-resident and the directory is pure overhead. Fixed (not a
 /// tunable) so that rebuild-and-compare decode validation is
-/// deterministic, like the packed-tier gates.
+/// deterministic.
 pub const CONTAINER_MIN_BUILD: usize = 4096;
 
 /// Largest cardinality stored as an array: above this, 2 bytes/element

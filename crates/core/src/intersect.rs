@@ -1,8 +1,8 @@
 //! The two-phase online intersection (paper §III-C, Algorithm 1) and the
 //! strategy selection for skewed inputs (§VI).
 
-use crate::kernels::{KernelTable, UnpackJob, OVERREAD};
-use crate::params::{CompressParams, ContainerParams, PipelineParams, PruneParams};
+use crate::kernels::KernelTable;
+use crate::params::{ContainerParams, PipelineParams, PruneParams};
 use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary, ThresholdPlan};
 use crate::set::SegmentedSet;
 use fesia_simd::mask::{
@@ -13,7 +13,7 @@ use fesia_simd::prefetch::prefetch_read;
 use fesia_simd::timer::CycleTimer;
 use fesia_simd::SimdLevel;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The process-wide default kernel table (widest ISA, full table).
@@ -22,33 +22,27 @@ pub(crate) fn default_table() -> &'static KernelTable {
     TABLE.get_or_init(KernelTable::auto)
 }
 
-static PIPE_ENABLED: AtomicBool = AtomicBool::new(true);
 static PIPE_DISTANCE: AtomicUsize = AtomicUsize::new(8);
-static PIPE_MIN_ELEMENTS: AtomicUsize = AtomicUsize::new(1 << 16);
 
-/// Raw store of the pipeline knobs, with no initialization check.
+/// Raw store of the prefetch knob, with no initialization check.
 /// `crate::plan::ensure_init` uses this from *inside* its `OnceLock`
 /// closure (the ensuring setters below would re-enter it and deadlock).
 pub(crate) fn store_pipeline(p: PipelineParams) {
-    PIPE_ENABLED.store(p.enabled, Ordering::Relaxed);
     PIPE_DISTANCE.store(p.prefetch_distance, Ordering::Relaxed);
-    PIPE_MIN_ELEMENTS.store(p.min_elements, Ordering::Relaxed);
 }
 
-/// The process-wide [`PipelineParams`] governing
-/// [`intersect_count_with`]'s dispatch form (profile + env layering done
-/// by the planner's one-shot initialization).
+/// The process-wide [`PipelineParams`]: the pruned plan's phase-2
+/// prefetch distance (profile + env layering done by the planner's
+/// one-shot initialization).
 pub fn pipeline_params() -> PipelineParams {
     crate::plan::ensure_init();
     PipelineParams {
-        enabled: PIPE_ENABLED.load(Ordering::Relaxed),
         prefetch_distance: PIPE_DISTANCE.load(Ordering::Relaxed),
-        min_elements: PIPE_MIN_ELEMENTS.load(Ordering::Relaxed),
     }
 }
 
-/// Replace the process-wide [`PipelineParams`] (e.g. with a tuned
-/// configuration from [`crate::tuning::tune_pipeline`]).
+/// Replace the process-wide [`PipelineParams`] (e.g. with a distance
+/// from [`crate::tuning::tune_prefetch_distance`]).
 pub fn set_pipeline_params(p: PipelineParams) {
     crate::plan::ensure_init();
     store_pipeline(p);
@@ -97,45 +91,6 @@ pub fn set_prune_params(p: PruneParams) {
     store_prune(p);
 }
 
-/// `CompressParams::forced` packed like [`PRUNE_MODE`]: 0 = auto, 1 = on,
-/// 2 = off.
-static COMPRESS_MODE: AtomicUsize = AtomicUsize::new(0);
-static COMPRESS_MIN_ELEMENTS: AtomicUsize = AtomicUsize::new(1 << 20);
-static COMPRESS_DECODE_MC: AtomicU64 = AtomicU64::new(1000);
-static COMPRESS_BW_MC: AtomicU64 = AtomicU64::new(600);
-
-/// Raw store of the compress knobs, with no initialization check (see
-/// [`store_pipeline`]).
-pub(crate) fn store_compress(p: CompressParams) {
-    COMPRESS_MODE.store(prune_mode_encode(p.forced), Ordering::Relaxed);
-    COMPRESS_MIN_ELEMENTS.store(p.min_elements, Ordering::Relaxed);
-    COMPRESS_DECODE_MC.store(p.decode_millicycles_per_elem, Ordering::Relaxed);
-    COMPRESS_BW_MC.store(p.bandwidth_millicycles_per_byte, Ordering::Relaxed);
-}
-
-/// The process-wide [`CompressParams`] governing the planner's choice of
-/// the compressed-tier step 2 (decode bitpacked residuals into
-/// cache-resident scratch instead of streaming the raw element array).
-pub fn compress_params() -> CompressParams {
-    crate::plan::ensure_init();
-    CompressParams {
-        forced: match COMPRESS_MODE.load(Ordering::Relaxed) {
-            1 => Some(true),
-            2 => Some(false),
-            _ => None,
-        },
-        min_elements: COMPRESS_MIN_ELEMENTS.load(Ordering::Relaxed),
-        decode_millicycles_per_elem: COMPRESS_DECODE_MC.load(Ordering::Relaxed),
-        bandwidth_millicycles_per_byte: COMPRESS_BW_MC.load(Ordering::Relaxed),
-    }
-}
-
-/// Replace the process-wide [`CompressParams`].
-pub fn set_compress_params(p: CompressParams) {
-    crate::plan::ensure_init();
-    store_compress(p);
-}
-
 /// `ContainerParams::forced` packed like [`PRUNE_MODE`]: 0 = auto,
 /// 1 = on, 2 = off.
 static CONTAINER_MODE: AtomicUsize = AtomicUsize::new(0);
@@ -173,60 +128,10 @@ pub fn set_container_params(p: ContainerParams) {
 }
 
 thread_local! {
-    /// Per-thread survivor buffer reused across every pipelined or pruned
-    /// intersection this thread runs — the batch layer gets cross-pair
-    /// reuse for free because a pool worker keeps its thread alive.
-    static PIPELINE_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-
-    /// Per-thread decode destinations for the compressed step 2, one per
-    /// operand side so a segment pair can be unpacked without aliasing.
-    /// Side A pads with `u32::MAX`, side B with `u32::MAX - 1`: both above
-    /// every decodable hash (the builder refuses to pack a set containing
-    /// `fmix32(x) >= u32::MAX - 1`), and distinct from each other, so the
-    /// kernels' over-read lanes can never manufacture a match.
-    static DECODE_SCRATCH: RefCell<(DecodeScratch, DecodeScratch)> = const {
-        RefCell::new((
-            DecodeScratch::new(u32::MAX),
-            DecodeScratch::new(u32::MAX - 1),
-        ))
-    };
-}
-
-/// One side's decode destination: a buffer whose tail past the last
-/// decoded element is always sentinel-filled, maintained with a
-/// high-water mark so steady-state reuse writes nothing but the decoded
-/// elements themselves.
-struct DecodeScratch {
-    buf: Vec<u32>,
-    /// Invariant: `buf[high..]` is entirely `sentinel`.
-    high: usize,
-    sentinel: u32,
-}
-
-impl DecodeScratch {
-    const fn new(sentinel: u32) -> Self {
-        DecodeScratch {
-            buf: Vec::new(),
-            high: 0,
-            sentinel,
-        }
-    }
-
-    /// Destination pointer for a `k`-element decode, writable for `k`
-    /// elements with [`OVERREAD`] sentinel slack behind them.
-    ///
-    /// Growing only sentinel-fills the new tail (the decode overwrites
-    /// `[0, k)`); shrinking refills the now-exposed `[k, high)` span.
-    #[inline]
-    fn prepare(&mut self, k: usize) -> *mut u32 {
-        if self.buf.len() < k + OVERREAD {
-            self.buf.resize(k + OVERREAD, self.sentinel);
-        } else if k < self.high {
-            self.buf[k..self.high].fill(self.sentinel);
-        }
-        self.high = k;
-        self.buf.as_mut_ptr()
-    }
+    /// Per-thread survivor buffer reused across every pruned intersection
+    /// this thread runs — the batch layer gets cross-pair reuse for free
+    /// because a pool worker keeps its thread alive.
+    static SURVIVOR_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 pub(crate) fn check_compatible(a: &SegmentedSet, b: &SegmentedSet) {
@@ -244,17 +149,14 @@ pub(crate) fn check_compatible(a: &SegmentedSet, b: &SegmentedSet) {
 /// specialized kernel. Bitmaps of different sizes fold onto one another
 /// (segment `i` of the larger pairs with `i mod N2` of the smaller).
 ///
-/// Whether the two phases run interleaved (kernel dispatched the moment a
-/// survivor is found) or pipelined (survivors buffered with software
-/// prefetch, then swept) is governed by the process-wide
-/// [`pipeline_params`] knob: pipelined when enabled *and* the combined
-/// input size reaches `min_elements` (below that the data is
-/// cache-resident and prefetch hints only cost issue slots). When the
-/// pair is large and sparse enough for [`crate::tuning::should_prune`]
-/// (under the process-wide [`prune_params`]), phase 1 instead runs the
+/// The two phases run interleaved: each surviving segment's kernel is
+/// dispatched the moment phase 1 finds it. When the pair is large and
+/// sparse enough for [`crate::tuning::should_prune`] (under the
+/// process-wide [`prune_params`]), phase 1 instead runs the
 /// summary-pruned scan ([`intersect_count_pruned_with`]), skipping
-/// full-bitmap blocks whose summary bits do not overlap. All forms count
-/// identically.
+/// full-bitmap blocks whose summary bits do not overlap; when both sides
+/// carry dense container directories, the container plan runs. All forms
+/// count identically.
 pub fn intersect_count_with(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTable) -> usize {
     let planner = IntersectPlanner::current();
     intersect_count_planned(a, b, table, &planner)
@@ -266,20 +168,17 @@ pub fn intersect_count_with(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTa
 /// pair, so the per-pair decision is a handful of compares with no
 /// atomic loads.
 ///
-/// Merge-family contract: only the plain / pipelined / pruned forms are
+/// Merge-family contract: only the plain / pruned / container forms are
 /// considered (the caller has already committed to the two-phase
-/// algorithm); a planner forced to hash or gallop falls back to auto
-/// selection here.
+/// algorithm); a planner forced to hash falls back to auto selection
+/// here.
 pub fn intersect_count_planned(
     a: &SegmentedSet,
     b: &SegmentedSet,
     table: &KernelTable,
     planner: &IntersectPlanner,
 ) -> usize {
-    if matches!(
-        planner.mode,
-        PlanMode::Plain | PlanMode::Pipelined | PlanMode::Pruned
-    ) {
+    if matches!(planner.mode, PlanMode::Plain | PlanMode::Pruned) {
         fesia_obs::metrics().plan_forced.inc();
     }
     let plan = planner.plan_merge(&SetSummary::of(a), &SetSummary::of(b));
@@ -299,7 +198,7 @@ pub fn execute_plan_count(
     match plan {
         IntersectPlan::Pruned { prefetch_distance } => {
             m.plan_pruned.inc();
-            PIPELINE_SCRATCH.with(|s| {
+            SURVIVOR_SCRATCH.with(|s| {
                 let mut scratch = s.borrow_mut();
                 if scratch.capacity() != 0 {
                     m.scratch_reused.inc();
@@ -310,50 +209,6 @@ pub fn execute_plan_count(
                     intersect_count_pruned_with(a, b, table, &mut scratch, prefetch_distance);
                 m.survivor_segments.add(scratch.len() as u64);
                 m.summary_blocks_skipped.add(stats.skipped() as u64);
-                if let Some(t) = timer {
-                    m.intersect_cycles.record(t.elapsed_cycles());
-                }
-                n
-            })
-        }
-        IntersectPlan::Pipelined { prefetch_distance } => {
-            m.plan_pipelined.inc();
-            PIPELINE_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                if scratch.capacity() != 0 {
-                    m.scratch_reused.inc();
-                }
-                let sampled = m.intersect_pipelined.inc() & fesia_obs::SAMPLE_MASK == 0;
-                let timer = sampled.then(CycleTimer::start);
-                let n =
-                    intersect_count_pipelined_with(a, b, table, &mut scratch, prefetch_distance);
-                m.survivor_segments.add(scratch.len() as u64);
-                if let Some(t) = timer {
-                    m.intersect_cycles.record(t.elapsed_cycles());
-                }
-                n
-            })
-        }
-        IntersectPlan::Compressed { prefetch_distance } => {
-            m.plan_compressed.inc();
-            // The planner only picks this plan when both sides report a
-            // packed tier; an explicit plan on tier-less sets falls back
-            // to the interleaved form rather than failing.
-            if a.packed().is_none() || b.packed().is_none() {
-                return intersect_count_interleaved_with(a, b, table);
-            }
-            PIPELINE_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                if scratch.capacity() != 0 {
-                    m.scratch_reused.inc();
-                }
-                let sampled = m.intersect_compressed.inc() & fesia_obs::SAMPLE_MASK == 0;
-                let timer = sampled.then(CycleTimer::start);
-                let (n, stats) =
-                    intersect_count_compressed_with(a, b, table, &mut scratch, prefetch_distance);
-                m.survivor_segments.add(scratch.len() as u64);
-                m.compressed_segments_decoded.add(stats.segments_decoded);
-                m.compressed_bytes_saved.add(stats.bytes_saved);
                 if let Some(t) = timer {
                     m.intersect_cycles.record(t.elapsed_cycles());
                 }
@@ -393,17 +248,13 @@ pub fn execute_plan_count(
             m.hash_probe_elements.add(small.len() as u64);
             hash_probe_count(small.reordered_elements(), large)
         }
-        IntersectPlan::GallopFallback => {
-            m.plan_gallop.inc();
-            gallop_count(a, b)
-        }
     }
 }
 
 /// [`intersect_count_with`] in the interleaved form: each surviving
 /// segment's kernel is dispatched the instant phase 1 finds it. This is
 /// the seed's fused loop; its phase-2 loads are dependent loads issued
-/// with no lookahead, which is what the pipelined form overlaps.
+/// with no lookahead, which the pruned form's buffered sweep overlaps.
 pub fn intersect_count_interleaved_with(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -453,123 +304,6 @@ pub fn intersect_count_interleaved_with(
     count as usize
 }
 
-/// [`intersect_count_with`] in the pipelined form, with an explicit
-/// survivor buffer the caller can reuse across pairs.
-///
-/// Phase 1 scans the bitmaps and pushes each surviving segment index into
-/// `scratch`, prefetching segment data for the first `prefetch_distance`
-/// survivors only — the window phase 2 touches before its own lookahead
-/// takes over. (Prefetching *every* survivor at push time costs two
-/// instructions per side per survivor and the lines are evicted again
-/// before a long sweep reaches them.) Phase 2 then sweeps the buffer with
-/// straight-line kernel dispatch, keeping both sides' segment data
-/// `prefetch_distance` entries ahead in flight, so the kernels' dependent
-/// loads overlap with compute instead of serializing on cache misses.
-///
-/// Counts are always identical to [`intersect_count_interleaved_with`].
-pub fn intersect_count_pipelined_with(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    scratch: &mut Vec<u32>,
-    prefetch_distance: usize,
-) -> usize {
-    check_compatible(a, b);
-    let level = table.level();
-    let lane = a.lane();
-    scratch.clear();
-    let mut count = 0u64;
-    if a.bitmap_bits() == b.bitmap_bits() {
-        for_each_nonzero_lane(level, lane, a.bitmap_bytes(), b.bitmap_bytes(), |i| {
-            if scratch.len() < prefetch_distance {
-                prefetch_read(a.seg_ptr(i));
-                prefetch_read(b.seg_ptr(i));
-            }
-            scratch.push(i as u32);
-        });
-        // Steady state: the lookahead index is in bounds, so the window
-        // check stays out of the loop. The tail runs with no prefetch —
-        // its lines are already in flight.
-        let steady = if prefetch_distance == 0 {
-            0
-        } else {
-            scratch.len().saturating_sub(prefetch_distance)
-        };
-        for k in 0..steady {
-            let ahead = scratch[k + prefetch_distance] as usize;
-            prefetch_read(a.seg_ptr(ahead));
-            prefetch_read(b.seg_ptr(ahead));
-            let i = scratch[k] as usize;
-            // SAFETY: as in the interleaved form.
-            count +=
-                unsafe { table.count(a.seg_ptr(i), a.seg_size(i), b.seg_ptr(i), b.seg_size(i)) }
-                    as u64;
-        }
-        for &si in &scratch[steady..] {
-            let i = si as usize;
-            // SAFETY: as in the interleaved form.
-            count +=
-                unsafe { table.count(a.seg_ptr(i), a.seg_size(i), b.seg_ptr(i), b.seg_size(i)) }
-                    as u64;
-        }
-    } else {
-        let (large, small) = if a.bitmap_bits() > b.bitmap_bits() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let seg_mask = small.num_segments() - 1;
-        for_each_nonzero_lane_folded(
-            level,
-            lane,
-            large.bitmap_bytes(),
-            small.bitmap_bytes(),
-            |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_read(large.seg_ptr(i));
-                    prefetch_read(small.seg_ptr(i & seg_mask));
-                }
-                scratch.push(i as u32);
-            },
-        );
-        let steady = if prefetch_distance == 0 {
-            0
-        } else {
-            scratch.len().saturating_sub(prefetch_distance)
-        };
-        for k in 0..steady {
-            let ahead = scratch[k + prefetch_distance] as usize;
-            prefetch_read(large.seg_ptr(ahead));
-            prefetch_read(small.seg_ptr(ahead & seg_mask));
-            let i = scratch[k] as usize;
-            let j = i & seg_mask;
-            // SAFETY: as in the interleaved form (folded contract).
-            count += unsafe {
-                table.count_folded(
-                    large.seg_ptr(i),
-                    large.seg_size(i),
-                    small.seg_ptr(j),
-                    small.seg_size(j),
-                )
-            } as u64;
-        }
-        for &si in &scratch[steady..] {
-            let i = si as usize;
-            let j = i & seg_mask;
-            // SAFETY: as in the interleaved form (folded contract).
-            count += unsafe {
-                table.count_folded(
-                    large.seg_ptr(i),
-                    large.seg_size(i),
-                    small.seg_ptr(j),
-                    small.seg_size(j),
-                )
-            } as u64;
-        }
-    }
-    count as usize
-}
-
 /// [`intersect_count_with`] in the summary-pruned form, with an explicit
 /// survivor buffer; returns the count and the block-level
 /// [`PruneStats`] (how many 512-bit bitmap blocks the summary AND let
@@ -578,11 +312,12 @@ pub fn intersect_count_pipelined_with(
 /// Phase 1 first ANDs the one-bit-per-block summaries and only scans the
 /// full-bitmap blocks whose summary bits overlap (prefetching upcoming
 /// survivor blocks, see `fesia_simd::mask`), pushing surviving segment
-/// indices into `scratch`; phase 2 is the same prefetched sweep as
-/// [`intersect_count_pipelined_with`]. On sparse pairs this never
-/// streams the dead majority of either bitmap; on dense pairs it
-/// degenerates to the plain scan plus the summary pass, which is why
-/// the dispatcher gates it behind [`crate::tuning::should_prune`].
+/// indices into `scratch`; phase 2 sweeps the buffer, keeping both
+/// sides' segment data `prefetch_distance` entries ahead in flight so the
+/// kernels' dependent loads overlap with compute. On sparse pairs this
+/// never streams the dead majority of either bitmap; on dense pairs it
+/// degenerates to the plain scan plus the summary pass, which is why the
+/// dispatcher gates it behind [`crate::tuning::should_prune`].
 ///
 /// Counts are always identical to [`intersect_count_interleaved_with`].
 pub fn intersect_count_pruned_with(
@@ -593,119 +328,36 @@ pub fn intersect_count_pruned_with(
     prefetch_distance: usize,
 ) -> (usize, PruneStats) {
     check_compatible(a, b);
-    let level = table.level();
-    let lane = a.lane();
+    let (x, y, folded) = order_sides(a, b);
+    let seg_mask = y.num_segments() - 1;
     scratch.clear();
-    let mut count = 0u64;
-    let stats;
-    if a.bitmap_bits() == b.bitmap_bits() {
-        stats = for_each_nonzero_lane_pruned(
-            level,
-            lane,
-            a.bitmap_bytes(),
-            b.bitmap_bytes(),
-            a.summary_words(),
-            b.summary_words(),
-            |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_read(a.seg_ptr(i));
-                    prefetch_read(b.seg_ptr(i));
-                }
-                scratch.push(i as u32);
-            },
-        );
-        let steady = if prefetch_distance == 0 {
-            0
-        } else {
-            scratch.len().saturating_sub(prefetch_distance)
-        };
-        for k in 0..steady {
-            let ahead = scratch[k + prefetch_distance] as usize;
-            prefetch_read(a.seg_ptr(ahead));
-            prefetch_read(b.seg_ptr(ahead));
-            let i = scratch[k] as usize;
-            // SAFETY: as in the interleaved form.
-            count +=
-                unsafe { table.count(a.seg_ptr(i), a.seg_size(i), b.seg_ptr(i), b.seg_size(i)) }
-                    as u64;
+    let stats = scan_survivors(table.level(), a.lane(), x, y, folded, true, |i| {
+        if scratch.len() < prefetch_distance {
+            prefetch_read(x.seg_ptr(i));
+            prefetch_read(y.seg_ptr(i & seg_mask));
         }
-        for &si in &scratch[steady..] {
-            let i = si as usize;
-            // SAFETY: as in the interleaved form.
-            count +=
-                unsafe { table.count(a.seg_ptr(i), a.seg_size(i), b.seg_ptr(i), b.seg_size(i)) }
-                    as u64;
-        }
+        scratch.push(i as u32);
+    })
+    .expect("pruned scan always reports stats");
+    let count = if folded {
+        sweep_survivors::<true>(x, y, table, scratch, prefetch_distance)
     } else {
-        let (large, small) = if a.bitmap_bits() > b.bitmap_bits() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let seg_mask = small.num_segments() - 1;
-        stats = for_each_nonzero_lane_folded_pruned(
-            level,
-            lane,
-            large.bitmap_bytes(),
-            small.bitmap_bytes(),
-            large.summary_words(),
-            small.summary_words(),
-            |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_read(large.seg_ptr(i));
-                    prefetch_read(small.seg_ptr(i & seg_mask));
-                }
-                scratch.push(i as u32);
-            },
-        );
-        let steady = if prefetch_distance == 0 {
-            0
-        } else {
-            scratch.len().saturating_sub(prefetch_distance)
-        };
-        for k in 0..steady {
-            let ahead = scratch[k + prefetch_distance] as usize;
-            prefetch_read(large.seg_ptr(ahead));
-            prefetch_read(small.seg_ptr(ahead & seg_mask));
-            let i = scratch[k] as usize;
-            let j = i & seg_mask;
-            // SAFETY: as in the interleaved form (folded contract).
-            count += unsafe {
-                table.count_folded(
-                    large.seg_ptr(i),
-                    large.seg_size(i),
-                    small.seg_ptr(j),
-                    small.seg_size(j),
-                )
-            } as u64;
-        }
-        for &si in &scratch[steady..] {
-            let i = si as usize;
-            let j = i & seg_mask;
-            // SAFETY: as in the interleaved form (folded contract).
-            count += unsafe {
-                table.count_folded(
-                    large.seg_ptr(i),
-                    large.seg_size(i),
-                    small.seg_ptr(j),
-                    small.seg_size(j),
-                )
-            } as u64;
-        }
-    }
+        sweep_survivors::<false>(x, y, table, scratch, prefetch_distance)
+    };
     (count as usize, stats)
 }
 
 // ---------------------------------------------------------------------------
-// Shared survivor-scan / sweep engine. The breakdown instrumentation and
-// the threshold (early-exit) forms all run phase 1 "collect survivors"
-// and phase 2 "sweep the list" explicitly; these helpers keep them to
-// one body per phase instead of a parallel copy per variant.
+// Shared survivor-scan / sweep engine. The pruned plan, the breakdown
+// instrumentation and the threshold (early-exit) forms all run phase 1
+// "collect survivors" and phase 2 "sweep the list" explicitly; these
+// helpers keep them to one body per phase instead of a parallel copy per
+// variant.
 // ---------------------------------------------------------------------------
 
 /// Order a pair for an explicit-survivor form: `(x, y, folded)` with `x`
 /// the larger-bitmap side when the pair folds.
-fn order_sides<'a>(
+pub(crate) fn order_sides<'a>(
     a: &'a SegmentedSet,
     b: &'a SegmentedSet,
 ) -> (&'a SegmentedSet, &'a SegmentedSet, bool) {
@@ -719,7 +371,7 @@ fn order_sides<'a>(
 
 /// Phase 1 of every explicit-survivor form: visit the surviving segment
 /// indices of `x ∩ y`, through the summary filter when `pruned`.
-fn scan_survivors<F: FnMut(usize)>(
+pub(crate) fn scan_survivors<F: FnMut(usize)>(
     level: SimdLevel,
     lane: LaneWidth,
     x: &SegmentedSet,
@@ -758,7 +410,7 @@ fn scan_survivors<F: FnMut(usize)>(
     }
 }
 
-/// Phase 2's per-pair kernel dispatch for raw (uncompressed) segments.
+/// Phase 2's per-pair kernel dispatch.
 #[inline(always)]
 fn count_raw_pair(
     x: &SegmentedSet,
@@ -779,196 +431,40 @@ fn count_raw_pair(
     }
 }
 
-/// Prefetch the packed word segment `i`'s residual run starts in.
-#[inline]
-fn prefetch_packed(s: &SegmentedSet, words: *const u64, width: u32, i: usize) {
-    let word = (s.seg_entry(i).0 as u64 * u64::from(width)) / 64;
-    // SAFETY: the run start is inside the stream, which `words` spans.
-    prefetch_read(unsafe { words.add(word as usize) });
-}
-
-/// Phase-2 sweep state for the compressed form, shared by the production
-/// path, the breakdown instrumentation, and the threshold sweep: one
-/// surviving pair in, one unpack + kernel count out, with the two-stage
-/// prefetch kept identical everywhere.
-struct CompressedSweep<'a> {
-    x: &'a SegmentedSet,
-    y: &'a SegmentedSet,
-    table: &'a KernelTable,
-    xw: *const u64,
-    yw: *const u64,
-    wx: u32,
-    wy: u32,
-    log2_s: u32,
-    seg_mask: usize,
-    dist: usize,
-    da: &'a mut DecodeScratch,
-    db: &'a mut DecodeScratch,
-    kx_total: u64,
-    ky_total: u64,
-}
-
-impl<'a> CompressedSweep<'a> {
-    /// Both sides must carry packed tiers ([`SegmentedSet::packed`]).
-    fn new(
-        x: &'a SegmentedSet,
-        y: &'a SegmentedSet,
-        table: &'a KernelTable,
-        scratch: (&'a mut DecodeScratch, &'a mut DecodeScratch),
-        dist: usize,
-    ) -> CompressedSweep<'a> {
-        let px = x.packed().expect("compressed form needs packed tiers");
-        let py = y.packed().expect("compressed form needs packed tiers");
-        CompressedSweep {
-            x,
-            y,
-            table,
-            xw: px.words().as_ptr(),
-            yw: py.words().as_ptr(),
-            wx: px.width(),
-            wy: py.width(),
-            log2_s: x.lane().bits().trailing_zeros(),
-            seg_mask: y.num_segments() - 1,
-            dist,
-            da: scratch.0,
-            db: scratch.1,
-            kx_total: 0,
-            ky_total: 0,
-        }
-    }
-
-    /// Count survivor `pairs[k]`, keeping the two-stage lookahead window
-    /// in flight: the packed-word address depends on the metadata entry,
-    /// so the entry itself is hinted a further `dist` out — by the time
-    /// it is read to compute the stream word, it is cache-resident and
-    /// the only in-flight misses are the asynchronous hints.
-    #[inline]
-    fn count_pair(&mut self, pairs: &[u32], k: usize) -> u32 {
-        if self.dist != 0 {
-            if k + 2 * self.dist < pairs.len() {
-                let far = pairs[k + 2 * self.dist] as usize;
-                self.x.prefetch_seg_entry(far);
-                self.y.prefetch_seg_entry(far & self.seg_mask);
-            }
-            if k + self.dist < pairs.len() {
-                let ahead = pairs[k + self.dist] as usize;
-                prefetch_packed(self.x, self.xw, self.wx, ahead);
-                prefetch_packed(self.y, self.yw, self.wy, ahead & self.seg_mask);
-            }
-        }
-        let i = pairs[k] as usize;
-        let j = i & self.seg_mask;
-        let (xo, kx) = self.x.seg_entry(i);
-        let (yo, ky) = self.y.seg_entry(j);
-        let dx = self.da.prepare(kx);
-        let dy = self.db.prepare(ky);
-        // SAFETY: the jobs describe real segments of streams packed at
-        // these parameters; the scratch destinations are writable for
-        // the decoded element counts (with OVERREAD sentinel slack
-        // behind them); both decoded runs are ascending, sentinel-padded
-        // with distinct above-range values, and OVERREAD-readable.
-        let c = unsafe {
-            self.table.unpack_segment(
-                self.xw,
-                UnpackJob {
-                    bit_base: xo as u64 * u64::from(self.wx),
-                    k: kx,
-                    width: self.wx,
-                    log2_m: self.x.log2_m(),
-                    log2_s: self.log2_s,
-                    seg_index: i as u32,
-                },
-                dx,
-            );
-            self.table.unpack_segment(
-                self.yw,
-                UnpackJob {
-                    bit_base: yo as u64 * u64::from(self.wy),
-                    k: ky,
-                    width: self.wy,
-                    log2_m: self.y.log2_m(),
-                    log2_s: self.log2_s,
-                    seg_index: j as u32,
-                },
-                dy,
-            );
-            self.table.count(dx as *const u32, kx, dy as *const u32, ky)
-        };
-        self.kx_total += kx as u64;
-        self.ky_total += ky as u64;
-        c
-    }
-
-    /// Decode statistics for the `pairs_swept` pairs counted so far.
-    fn stats(&self, pairs_swept: usize) -> CompressStats {
-        CompressStats {
-            segments_decoded: 2 * pairs_swept as u64,
-            bytes_saved: 4 * (self.kx_total + self.ky_total)
-                - (self.kx_total * u64::from(self.wx) + self.ky_total * u64::from(self.wy)) / 8,
-        }
-    }
-}
-
-/// What the compressed step 2 did: how many segments it unpacked and how
-/// much memory traffic the packed streams avoided versus reading the raw
-/// element arrays (`4*(ka+kb) - (ka*wa + kb*wb)/8` bytes per surviving
-/// pair).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompressStats {
-    /// Segments decoded from the packed streams (two per surviving pair).
-    pub segments_decoded: u64,
-    /// Bytes of raw-element traffic the packed streams replaced.
-    pub bytes_saved: u64,
-}
-
-/// [`intersect_count_with`] in the compressed form, with an explicit
-/// survivor buffer; returns the count and the decode [`CompressStats`].
-///
-/// Both sets must carry a packed tier ([`SegmentedSet::packed`]). Phase 1
-/// is the pipelined survivor scan, prefetching the packed *streams*
-/// rather than the raw element arrays. Phase 2 unpacks each surviving
-/// segment pair into per-thread sentinel-padded scratch (the SIMD decode
-/// prologue, [`KernelTable::unpack_segment`]) and runs the ordinary
-/// compare kernels on the decoded hashes. Because `fmix32` is a
-/// bijection and the decode reconstructs the full 32-bit hash, the
-/// per-segment hash-domain counts equal the element-domain counts — on
-/// folded pairs too, where both sides decode to the same `fmix32(x)`
-/// regardless of their different geometries — so every form counts
-/// identically while step 2 streams `width/32` of the raw bytes.
-pub fn intersect_count_compressed_with(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
+/// Phase 2 of the pruned plan: count every survivor pair, keeping both
+/// sides' segment data `prefetch_distance` entries ahead in flight. The
+/// fold shape is a type parameter, so each copy of the loop calls one
+/// kernel family and the unfolded copy indexes both sides with `i` as is.
+#[inline(always)]
+fn sweep_survivors<const FOLDED: bool>(
+    x: &SegmentedSet,
+    y: &SegmentedSet,
     table: &KernelTable,
-    scratch: &mut Vec<u32>,
+    survivors: &[u32],
     prefetch_distance: usize,
-) -> (usize, CompressStats) {
-    check_compatible(a, b);
-    scratch.clear();
-    let (x, y, folded) = order_sides(a, b);
-    let px = x.packed().expect("compressed form needs packed tiers");
-    let py = y.packed().expect("compressed form needs packed tiers");
-    let (wx, wy) = (px.width(), py.width());
-    let (xw, yw) = (px.words().as_ptr(), py.words().as_ptr());
-    let seg_mask = y.num_segments() - 1;
-
-    scan_survivors(table.level(), a.lane(), x, y, folded, false, |i| {
-        if scratch.len() < prefetch_distance {
-            prefetch_packed(x, xw, wx, i);
-            prefetch_packed(y, yw, wy, i & seg_mask);
+) -> u64 {
+    let seg_mask = if FOLDED {
+        y.num_segments() - 1
+    } else {
+        usize::MAX
+    };
+    // Past `steady` the lookahead would run off the end; those lines are
+    // already in flight.
+    let steady = match prefetch_distance {
+        0 => 0,
+        d => survivors.len().saturating_sub(d),
+    };
+    let mut count = 0u64;
+    for (k, &i) in survivors.iter().enumerate() {
+        if k < steady {
+            let ahead = survivors[k + prefetch_distance] as usize;
+            prefetch_read(x.seg_ptr(ahead));
+            prefetch_read(y.seg_ptr(ahead & seg_mask));
         }
-        scratch.push(i as u32);
-    });
-
-    DECODE_SCRATCH.with(|ds| {
-        let pair = &mut *ds.borrow_mut();
-        let mut sweep =
-            CompressedSweep::new(x, y, table, (&mut pair.0, &mut pair.1), prefetch_distance);
-        let mut count = 0u64;
-        for k in 0..scratch.len() {
-            count += u64::from(sweep.count_pair(scratch, k));
-        }
-        (count as usize, sweep.stats(scratch.len()))
-    })
+        let i = i as usize;
+        count += u64::from(count_raw_pair(x, y, table, FOLDED, i, i & seg_mask));
+    }
+    count
 }
 
 // ---------------------------------------------------------------------------
@@ -1091,7 +587,7 @@ pub fn intersect_count_at_least_planned(
 /// `>= threshold`); `None` means |A ∩ B| < `threshold`, established with
 /// as little of the sweep as the residual bound allowed. Every plan
 /// shape short-circuits: the merge family via the per-survivor budget,
-/// the container plan via per-range cardinalities, and the probe family
+/// the container plan via per-range cardinalities, and the hash probe
 /// via the remaining-element count.
 fn execute_plan_count_bounded(
     a: &SegmentedSet,
@@ -1107,18 +603,6 @@ fn execute_plan_count_bounded(
             m.plan_plain.inc();
             bounded_merge(a, b, table, false, 0, threshold, accept_early)
         }
-        IntersectPlan::Pipelined { prefetch_distance } => {
-            m.plan_pipelined.inc();
-            bounded_merge(
-                a,
-                b,
-                table,
-                false,
-                prefetch_distance,
-                threshold,
-                accept_early,
-            )
-        }
         IntersectPlan::Pruned { prefetch_distance } => {
             m.plan_pruned.inc();
             bounded_merge(
@@ -1130,23 +614,6 @@ fn execute_plan_count_bounded(
                 threshold,
                 accept_early,
             )
-        }
-        IntersectPlan::Compressed { prefetch_distance } => {
-            m.plan_compressed.inc();
-            // As in `execute_plan_count`: an explicit plan on tier-less
-            // sets falls back rather than failing.
-            if a.packed().is_none() || b.packed().is_none() {
-                return bounded_merge(
-                    a,
-                    b,
-                    table,
-                    false,
-                    prefetch_distance,
-                    threshold,
-                    accept_early,
-                );
-            }
-            bounded_compressed(a, b, table, prefetch_distance, threshold, accept_early)
         }
         IntersectPlan::Container => {
             m.plan_container.inc();
@@ -1165,10 +632,6 @@ fn execute_plan_count_bounded(
                 threshold,
                 accept_early,
             )
-        }
-        IntersectPlan::GallopFallback => {
-            m.plan_gallop.inc();
-            bounded_gallop(a, b, threshold, accept_early)
         }
     }
 }
@@ -1194,7 +657,7 @@ fn bounded_merge(
     let m = fesia_obs::metrics();
     let (x, y, folded) = order_sides(a, b);
     let seg_mask = y.num_segments() - 1;
-    PIPELINE_SCRATCH.with(|s| {
+    SURVIVOR_SCRATCH.with(|s| {
         let mut scratch = s.borrow_mut();
         if scratch.capacity() != 0 {
             m.scratch_reused.inc();
@@ -1241,70 +704,8 @@ fn bounded_merge(
     })
 }
 
-/// [`bounded_merge`] with the compressed phase 2: identical budget
-/// arithmetic, decode-and-count sweep.
-fn bounded_compressed(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    prefetch_distance: usize,
-    threshold: u64,
-    accept_early: bool,
-) -> Option<u64> {
-    check_compatible(a, b);
-    let m = fesia_obs::metrics();
-    let (x, y, folded) = order_sides(a, b);
-    let px = x.packed().expect("compressed form needs packed tiers");
-    let py = y.packed().expect("compressed form needs packed tiers");
-    let (wx, wy) = (px.width(), py.width());
-    let (xw, yw) = (px.words().as_ptr(), py.words().as_ptr());
-    let seg_mask = y.num_segments() - 1;
-    PIPELINE_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        if scratch.capacity() != 0 {
-            m.scratch_reused.inc();
-        }
-        scratch.clear();
-        let mut budget = 0u64;
-        {
-            let scratch = &mut *scratch;
-            scan_survivors(table.level(), a.lane(), x, y, folded, false, |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_packed(x, xw, wx, i);
-                    prefetch_packed(y, yw, wy, i & seg_mask);
-                }
-                budget += x.seg_size(i).min(y.seg_size(i & seg_mask)) as u64;
-                scratch.push(i as u32);
-            });
-        }
-        m.survivor_segments.add(scratch.len() as u64);
-        if budget < threshold {
-            return None;
-        }
-        DECODE_SCRATCH.with(|ds| {
-            let pair = &mut *ds.borrow_mut();
-            let mut sweep =
-                CompressedSweep::new(x, y, table, (&mut pair.0, &mut pair.1), prefetch_distance);
-            let mut count = 0u64;
-            for k in 0..scratch.len() {
-                let i = scratch[k] as usize;
-                let j = i & seg_mask;
-                budget -= x.seg_size(i).min(y.seg_size(j)) as u64;
-                count += u64::from(sweep.count_pair(&scratch, k));
-                if accept_early && count >= threshold {
-                    return Some(count);
-                }
-                if count + budget < threshold {
-                    return None;
-                }
-            }
-            Some(count)
-        })
-    })
-}
-
-/// Probe-style early exit shared by the hash and gallop plans: `n`
-/// candidate elements tested one at a time, with the residual bound
+/// Probe-style early exit for the hash plan: `n` candidate elements
+/// tested one at a time, with the residual bound
 /// `count + remaining`. Completion implies `count >= threshold` (the
 /// final iteration's bound is `count` itself).
 fn bounded_probe<I: Iterator<Item = u32>, F: FnMut(u32) -> bool>(
@@ -1332,34 +733,6 @@ fn bounded_probe<I: Iterator<Item = u32>, F: FnMut(u32) -> bool>(
     Some(count)
 }
 
-/// Galloping early exit: sorted small side in per-thread scratch (as
-/// [`gallop_count`]), large side probed through [`bounded_probe`].
-fn bounded_gallop(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    threshold: u64,
-    accept_early: bool,
-) -> Option<u64> {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    GALLOP_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        scratch.clear();
-        scratch.extend_from_slice(small.reordered_elements());
-        scratch.sort_unstable();
-        let hay = &*scratch;
-        bounded_probe(
-            large.reordered_elements().iter().copied(),
-            large.len(),
-            |x| {
-                let lo = gallop_find(hay, 0, x);
-                lo < hay.len() && hay[lo] == x
-            },
-            threshold,
-            accept_early,
-        )
-    })
-}
-
 /// |A ∩ B| with the process-default kernel table (widest available ISA).
 ///
 /// ```
@@ -1380,7 +753,7 @@ pub fn intersect_count(a: &SegmentedSet, b: &SegmentedSet) -> usize {
 /// planner that drives [`auto_count`]: the pair is costed by
 /// [`IntersectPlanner::plan_materialize`] and executed through the
 /// visitor kernels ([`crate::kernels::visit`]), so the pruned scan, the
-/// hash probe, and the galloping fallback all apply here too (the seed's
+/// hash probe, and the container plan all apply here too (the seed's
 /// version bypassed the planner entirely and always ran the plain scan).
 pub fn intersect(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
     crate::algebra::intersect(a, b)
@@ -1426,8 +799,8 @@ pub fn auto_count_with(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTable) 
 /// entry point every adaptive call site (pairwise, batch, parallel,
 /// dynamic, k-way two-set case, graph) routes through. Exactly one of
 /// `strategy_hash` / `strategy_merge` is recorded per call (hash for the
-/// probe plan, merge for everything else, including the gallop fallback),
-/// so the strategy counters keep summing to the pair count.
+/// probe plan, merge for everything else), so the strategy counters keep
+/// summing to the pair count.
 pub fn auto_count_planned(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -1444,62 +817,6 @@ pub fn auto_count_planned(
         _ => m.strategy_merge.inc(),
     };
     execute_plan_count(a, b, table, plan)
-}
-
-thread_local! {
-    /// Reusable sorted-probe target for [`gallop_count`]: the smaller
-    /// side's elements, sorted. Allocated once per thread and grown to
-    /// the largest small-side seen, so steady-state calls allocate
-    /// nothing.
-    static GALLOP_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Galloping sorted-merge fallback: `O(n_large · log n_small)` with no
-/// bitmap work at all — only profitable on tiny pairs, which is why auto
-/// mode gates it behind the calibrated `gallop_max_len` ceiling.
-///
-/// Only the search *target* needs to be sorted, and only the smaller
-/// side needs to be the target: the smaller list is copied sorted into
-/// reusable per-thread scratch, and the larger side's elements are
-/// probed as stored (hash order), each with an independent exponential
-/// search from the front. The seed's version cloned *and sorted both*
-/// full lists on every call; the probe side never needed either.
-pub fn gallop_count(a: &SegmentedSet, b: &SegmentedSet) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    GALLOP_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        if scratch.capacity() != 0 {
-            fesia_obs::metrics().scratch_reused.inc();
-        }
-        scratch.clear();
-        scratch.extend_from_slice(small.reordered_elements());
-        scratch.sort_unstable();
-        let mut count = 0usize;
-        for &x in large.reordered_elements() {
-            let lo = gallop_find(&scratch, 0, x);
-            if lo < scratch.len() && scratch[lo] == x {
-                count += 1;
-            }
-        }
-        count
-    })
-}
-
-/// First index `>= from` whose element is `>= x` (exponential search +
-/// binary finish), assuming `hay[from..]` is sorted.
-pub(crate) fn gallop_find(hay: &[u32], from: usize, x: u32) -> usize {
-    let n = hay.len();
-    if from >= n || hay[from] >= x {
-        return from;
-    }
-    let mut lo = from;
-    let mut step = 1usize;
-    while lo + step < n && hay[lo + step] < x {
-        lo += step;
-        step <<= 1;
-    }
-    let hi = (lo + step).min(n);
-    lo + hay[lo..hi].partition_point(|&v| v < x)
 }
 
 /// Per-phase timing of one intersection (paper Fig. 14's breakdown).
@@ -1585,56 +902,6 @@ pub fn intersect_count_breakdown_pruned(
             step2_cycles,
             matched_segments: pairs.len(),
             count: count as usize,
-        },
-        stats,
-    )
-}
-
-/// [`intersect_count_breakdown`] with the compressed step 2; also returns
-/// the decode [`CompressStats`]. Used by the `repro compress` experiment
-/// to time step 2 with and without the packed tier on the same pair.
-/// Both sets must carry a packed tier.
-///
-/// The sweep keeps the production form's software prefetch (the packed
-/// streams are read at random segment offsets, and overlapping those
-/// misses is part of the compressed design, exactly as the summary-pruned
-/// scan's block prefetch is part of its step 1) — so `step2_cycles` here
-/// is the cost of the compressed sweep as shipped, compared against the
-/// plain Algorithm-1 sweep of [`intersect_count_breakdown`].
-pub fn intersect_count_breakdown_compressed(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-) -> (Breakdown, CompressStats) {
-    check_compatible(a, b);
-    let (x, y, folded) = order_sides(a, b);
-
-    let t1 = CycleTimer::start();
-    let mut pairs: Vec<u32> = Vec::new();
-    scan_survivors(table.level(), a.lane(), x, y, folded, false, |i| {
-        pairs.push(i as u32)
-    });
-    let step1_cycles = t1.elapsed_cycles();
-
-    let dist = pipeline_params().prefetch_distance;
-    let t2 = CycleTimer::start();
-    let (count, stats) = DECODE_SCRATCH.with(|ds| {
-        let pair = &mut *ds.borrow_mut();
-        let mut sweep = CompressedSweep::new(x, y, table, (&mut pair.0, &mut pair.1), dist);
-        let mut count = 0u64;
-        for k in 0..pairs.len() {
-            count += u64::from(sweep.count_pair(&pairs, k));
-        }
-        (count as usize, sweep.stats(pairs.len()))
-    });
-    let step2_cycles = t2.elapsed_cycles();
-
-    (
-        Breakdown {
-            step1_cycles,
-            step2_cycles,
-            matched_segments: pairs.len(),
-            count,
         },
         stats,
     )
@@ -1730,32 +997,6 @@ mod tests {
         assert_eq!(hash_probe_count(&av, &b), want);
         assert_eq!(auto_count(&a, &b), want);
         assert_eq!(auto_count(&b, &a), want);
-    }
-
-    #[test]
-    fn gallop_fallback_matches_reference() {
-        let p = FesiaParams::auto();
-        let cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
-            (gen_sorted(200, 3, 5_000), gen_sorted(300, 17, 5_000)),
-            (gen_sorted(50, 7, 500_000), gen_sorted(5_000, 11, 500_000)),
-            (vec![], gen_sorted(100, 13, 1_000)),
-            (gen_sorted(64, 19, 1_000), gen_sorted(64, 19, 1_000)),
-            (
-                (0..100).map(|i| i * 2).collect(),
-                (0..100).map(|i| i * 2 + 1).collect(),
-            ),
-        ];
-        for (av, bv) in &cases {
-            let a = SegmentedSet::build(av, &p).unwrap();
-            let b = SegmentedSet::build(bv, &p).unwrap();
-            let want = reference(av, bv).len();
-            assert_eq!(gallop_count(&a, &b), want);
-            assert_eq!(gallop_count(&b, &a), want);
-            assert_eq!(
-                execute_plan_count(&a, &b, default_table(), IntersectPlan::GallopFallback),
-                want
-            );
-        }
     }
 
     #[test]
@@ -1868,192 +1109,24 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_equals_interleaved_on_random_folded_and_dense_inputs() {
-        let table = KernelTable::auto();
-        // (params, a, b) triples covering equal bitmaps, folded bitmaps,
-        // and dense collision-heavy segments.
-        let cases: Vec<(FesiaParams, Vec<u32>, Vec<u32>)> = vec![
-            (
-                FesiaParams::auto(),
-                gen_sorted(5_000, 42, 100_000),
-                gen_sorted(5_000, 99, 100_000),
-            ),
-            (
-                FesiaParams::auto(),
-                gen_sorted(100, 5, 1_000_000),
-                gen_sorted(50_000, 11, 1_000_000),
-            ),
-            (
-                FesiaParams::auto().with_bits_per_element(0.5),
-                gen_sorted(3_000, 51, 30_000),
-                gen_sorted(3_000, 53, 30_000),
-            ),
-            (FesiaParams::auto(), vec![], gen_sorted(500, 3, 10_000)),
-        ];
-        let mut scratch = Vec::new();
-        for (p, av, bv) in &cases {
-            let a = SegmentedSet::build(av, p).unwrap();
-            let b = SegmentedSet::build(bv, p).unwrap();
-            let want = intersect_count_interleaved_with(&a, &b, &table);
-            assert_eq!(want, reference(av, bv).len());
-            for dist in [0usize, 1, 4, 8, 64] {
-                assert_eq!(
-                    intersect_count_pipelined_with(&a, &b, &table, &mut scratch, dist),
-                    want,
-                    "dist={dist}"
-                );
-                assert_eq!(
-                    intersect_count_pipelined_with(&b, &a, &table, &mut scratch, dist),
-                    want,
-                    "dist={dist} swapped"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pipeline_knob_round_trips_and_dispatch_is_equivalent() {
+    fn prefetch_knob_round_trips_and_dispatch_is_equivalent() {
         let _guard = crate::plan::test_knob_lock();
-        let p = FesiaParams::auto();
+        let p = FesiaParams::auto().with_bits_per_element(64.0);
         let av = gen_sorted(2_000, 61, 40_000);
         let bv = gen_sorted(2_000, 67, 40_000);
         let a = SegmentedSet::build(&av, &p).unwrap();
         let b = SegmentedSet::build(&bv, &p).unwrap();
         let table = KernelTable::auto();
-        let saved = pipeline_params();
+        let saved = (pipeline_params(), prune_params());
         let want = intersect_count_interleaved_with(&a, &b, &table);
-        set_pipeline_params(PipelineParams::default().with_enabled(false));
-        assert!(!pipeline_params().enabled);
-        assert_eq!(intersect_count_with(&a, &b, &table), want);
-        set_pipeline_params(
-            PipelineParams::default()
-                .with_prefetch_distance(16)
-                .with_min_elements(0),
-        );
-        assert_eq!(pipeline_params().prefetch_distance, 16);
-        assert_eq!(pipeline_params().min_elements, 0);
-        assert!(pipeline_params().enabled);
-        assert_eq!(intersect_count_with(&a, &b, &table), want);
-        // Above the floor the dispatcher falls back to interleaved.
-        set_pipeline_params(PipelineParams::default().with_min_elements(usize::MAX));
-        assert_eq!(intersect_count_with(&a, &b, &table), want);
-        set_pipeline_params(saved);
-    }
-
-    /// The compressed step 2 must count identically to the raw kernels on
-    /// random, folded, dense-collision, sparse, disjoint, and identical
-    /// inputs — across every available SIMD level and both strides the
-    /// dense test exercises.
-    #[test]
-    fn compressed_equals_interleaved_across_shapes() {
-        let random_a = gen_sorted(5_000, 42, 100_000);
-        let random_b = gen_sorted(5_000, 99, 100_000);
-        let identical = gen_sorted(2_000, 7, 50_000);
-        let disjoint_a: Vec<u32> = (0..2_000u32).map(|i| i * 2).collect();
-        let disjoint_b: Vec<u32> = (0..2_000u32).map(|i| i * 2 + 1).collect();
-        // 300 elements keeps the residual width under the packing ceiling
-        // even at the scalar level's 8 bits/element (smaller sets round up
-        // to bitmaps too small for a <= 24-bit residual).
-        let folded_small = gen_sorted(300, 5, 1_000_000);
-        let folded_big = gen_sorted(50_000, 11, 1_000_000);
-        // (bits_per_element override, a, b); every set is above the
-        // packing floor so all of them carry a tier.
-        let cases: Vec<(Option<f64>, &[u32], &[u32])> = vec![
-            (None, &random_a, &random_b),
-            (None, &folded_small, &folded_big),
-            (Some(0.5), &random_a, &random_b),
-            (Some(64.0), &random_a, &random_b),
-            (None, &disjoint_a, &disjoint_b),
-            (None, &identical, &identical),
-        ];
-        let mut scratch = Vec::new();
-        for level in SimdLevel::available_levels() {
-            for (bits, av, bv) in &cases {
-                let mut p = FesiaParams::for_level(level);
-                if let Some(bits) = bits {
-                    p = p.with_bits_per_element(*bits);
-                }
-                let a = SegmentedSet::build(av, &p).unwrap();
-                let b = SegmentedSet::build(bv, &p).unwrap();
-                assert!(a.packed().is_some() && b.packed().is_some());
-                for stride in [1usize, 4] {
-                    let table = KernelTable::new(level, stride);
-                    let want = intersect_count_interleaved_with(&a, &b, &table);
-                    assert_eq!(want, reference(av, bv).len());
-                    for dist in [0usize, 8, 64] {
-                        let (got, stats) =
-                            intersect_count_compressed_with(&a, &b, &table, &mut scratch, dist);
-                        assert_eq!(got, want, "level={level} stride={stride} dist={dist}");
-                        assert_eq!(stats.segments_decoded, 2 * scratch.len() as u64);
-                        let (swapped, _) =
-                            intersect_count_compressed_with(&b, &a, &table, &mut scratch, dist);
-                        assert_eq!(swapped, want, "swapped");
-                    }
-                    let (bd, stats) = intersect_count_breakdown_compressed(&a, &b, &table);
-                    assert_eq!(bd.count, want);
-                    assert_eq!(stats.segments_decoded, 2 * bd.matched_segments as u64);
-                    if bd.matched_segments > 0 {
-                        assert!(stats.bytes_saved > 0, "width <= 24 always saves bytes");
-                    }
-                }
-            }
+        set_prune_params(PruneParams::default().with_forced(Some(true)));
+        for dist in [0usize, 1, 16] {
+            set_pipeline_params(PipelineParams::default().with_prefetch_distance(dist));
+            assert_eq!(pipeline_params().prefetch_distance, dist);
+            assert_eq!(intersect_count_with(&a, &b, &table), want, "dist={dist}");
         }
-    }
-
-    #[test]
-    fn compressed_plan_falls_back_without_tiers() {
-        // Below the packing floor no tier is built; an explicit Compressed
-        // plan must still count correctly via the interleaved fallback.
-        let p = FesiaParams::auto();
-        let a = SegmentedSet::build(&[1, 4, 15, 21, 32, 34], &p).unwrap();
-        let b = SegmentedSet::build(&[2, 6, 12, 16, 21, 23], &p).unwrap();
-        assert!(a.packed().is_none());
-        assert_eq!(
-            execute_plan_count(
-                &a,
-                &b,
-                default_table(),
-                IntersectPlan::Compressed {
-                    prefetch_distance: 8
-                }
-            ),
-            1
-        );
-    }
-
-    #[test]
-    fn compress_knob_round_trips_and_dispatch_is_equivalent() {
-        let _guard = crate::plan::test_knob_lock();
-        let p = FesiaParams::auto();
-        let av = gen_sorted(4_000, 81, 80_000);
-        let bv = gen_sorted(4_000, 83, 80_000);
-        let a = SegmentedSet::build(&av, &p).unwrap();
-        let b = SegmentedSet::build(&bv, &p).unwrap();
-        assert!(a.packed().is_some() && b.packed().is_some());
-        let table = KernelTable::auto();
-        let saved = compress_params();
-        let want = intersect_count_interleaved_with(&a, &b, &table);
-        let before = fesia_obs::metrics().snapshot();
-        set_compress_params(CompressParams::default().with_forced(Some(true)));
-        assert_eq!(compress_params().forced, Some(true));
-        assert_eq!(intersect_count_with(&a, &b, &table), want);
-        let delta = fesia_obs::metrics().snapshot().delta(&before);
-        assert!(delta.intersect_compressed >= 1);
-        assert!(delta.compressed_segments_decoded >= 2);
-        set_compress_params(CompressParams::default().with_forced(Some(false)));
-        assert_eq!(intersect_count_with(&a, &b, &table), want);
-        set_compress_params(
-            CompressParams::default()
-                .with_min_elements(9)
-                .with_decode_millicycles(1234)
-                .with_bandwidth_millicycles(567),
-        );
-        assert_eq!(compress_params().forced, None);
-        assert_eq!(compress_params().min_elements, 9);
-        assert_eq!(compress_params().decode_millicycles_per_elem, 1234);
-        assert_eq!(compress_params().bandwidth_millicycles_per_byte, 567);
-        assert_eq!(intersect_count_with(&a, &b, &table), want);
-        set_compress_params(saved);
+        set_pipeline_params(saved.0);
+        set_prune_params(saved.1);
     }
 
     #[test]
@@ -2250,44 +1323,15 @@ mod tests {
         set_plan_mode(saved);
     }
 
-    /// Same contract over the packed (compressed step 2) and container
-    /// tiers, forced on through their knobs so the bounded sweep runs the
-    /// tier paths rather than the raw segment kernels.
+    /// Same contract over the container tier, forced on through its knob
+    /// so the bounded sweep runs the tier path rather than the raw
+    /// segment kernels.
     #[test]
-    fn threshold_kernels_agree_on_forced_compress_and_container_tiers() {
+    fn threshold_kernels_agree_on_the_forced_container_tier() {
         use crate::plan::SetSummary;
         let _guard = crate::plan::test_knob_lock();
         let p = FesiaParams::auto();
         let table = KernelTable::auto();
-
-        // Packed tier: sets above the packing floor.
-        let av = gen_sorted(4_000, 81, 80_000);
-        let bv = gen_sorted(4_000, 83, 80_000);
-        let a = SegmentedSet::build(&av, &p).unwrap();
-        let b = SegmentedSet::build(&bv, &p).unwrap();
-        assert!(a.packed().is_some() && b.packed().is_some());
-        let saved_compress = compress_params();
-        set_compress_params(CompressParams::default().with_forced(Some(true)));
-        let planner = IntersectPlanner::current();
-        assert!(matches!(
-            planner.plan_pair(&SetSummary::of(&a), &SetSummary::of(&b)),
-            IntersectPlan::Compressed { .. }
-        ));
-        let want = reference(&av, &bv).len();
-        for t in [0, 1, want, want + 1, av.len() + 7] {
-            let expect = (t == 0 || want >= t).then_some(want);
-            assert_eq!(
-                intersect_count_bounded_planned(&a, &b, &table, &planner, t),
-                expect,
-                "compressed t={t}"
-            );
-            assert_eq!(
-                intersect_count_at_least_planned(&a, &b, &table, &planner, t),
-                want >= t,
-                "compressed t={t}"
-            );
-        }
-        set_compress_params(saved_compress);
 
         // Container tier: run-heavy value domains.
         let run_a: Vec<u32> = (0..6_000u32).collect();

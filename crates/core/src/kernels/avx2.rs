@@ -104,74 +104,6 @@ pub(crate) unsafe fn kernel<const SA: usize, const SB: usize, const EXACT: bool>
     }
 }
 
-/// AVX2 decode of one compressed segment (see [`super::scalar::unpack_h`]).
-///
-/// Eight residuals decode per iteration: a scale-1 `i32` gather pulls each
-/// lane's 32-bit window starting at the byte holding its field, a variable
-/// right shift drops the sub-byte bit offset, and a mask isolates the
-/// field. The per-lane bit offset relative to the block's byte base is at
-/// most `7 + 7 * width <= 175` bits, and after the `>> 3` byte split the
-/// residual shift is `<= 7`, so `shift + width <= 31` always fits the
-/// gathered window. The packed stream's trailing pad word covers the
-/// gather's over-read past the last field.
-///
-/// # Safety
-/// As [`super::scalar::unpack_h`], plus: the segment's absolute bit range
-/// must start below `2^33` so byte offsets fit the gather's `i32` lanes
-/// (the builder's pack gates guarantee this).
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn unpack_h(words: *const u64, job: super::UnpackJob, out: *mut u32) {
-    let super::UnpackJob {
-        bit_base,
-        k,
-        width,
-        log2_s,
-        log2_m,
-        seg_index,
-    } = job;
-    let bytes = words as *const i32; // scale-1 gather: byte-addressed
-    let field_mask = _mm256_set1_epi32(((1u32 << width) - 1) as i32);
-    let s_mask = _mm256_set1_epi32(((1u32 << log2_s) - 1) as i32);
-    let seg_bits = _mm256_set1_epi32((seg_index << log2_s) as i32);
-    let c_s = _mm_cvtsi32_si128(log2_s as i32);
-    let c_m = _mm_cvtsi32_si128(log2_m as i32); // count 32 shifts lanes to 0
-    let lane_bits = _mm256_mullo_epi32(
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        _mm256_set1_epi32(width as i32),
-    );
-    let seven = _mm256_set1_epi32(7);
-    let blocks = k / V;
-    for blk in 0..blocks {
-        let base = blk * V;
-        let base_bit = bit_base + base as u64 * u64::from(width);
-        let rel = _mm256_add_epi32(_mm256_set1_epi32((base_bit & 7) as i32), lane_bits);
-        let byte_off = _mm256_add_epi32(
-            _mm256_set1_epi32((base_bit >> 3) as i32),
-            _mm256_srli_epi32::<3>(rel),
-        );
-        let gathered = _mm256_i32gather_epi32::<1>(bytes, byte_off);
-        let f = _mm256_and_si256(
-            _mm256_srlv_epi32(gathered, _mm256_and_si256(rel, seven)),
-            field_mask,
-        );
-        let high = _mm256_sll_epi32(_mm256_srl_epi32(f, c_s), c_m);
-        let h = _mm256_or_si256(high, _mm256_or_si256(seg_bits, _mm256_and_si256(f, s_mask)));
-        _mm256_storeu_si256(out.add(base) as *mut __m256i, h);
-    }
-    let done = blocks * V;
-    if done < k {
-        super::scalar::unpack_h(
-            words,
-            super::UnpackJob {
-                bit_base: bit_base + done as u64 * u64::from(width),
-                k: k - done,
-                ..job
-            },
-            out.add(done),
-        );
-    }
-}
-
 /// General (unspecialized) AVX2 kernel with both trip counts rounded to `V`.
 ///
 /// # Safety

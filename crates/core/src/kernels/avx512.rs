@@ -106,66 +106,6 @@ pub(crate) unsafe fn kernel<const SA: usize, const SB: usize, const EXACT: bool>
     }
 }
 
-/// AVX-512 decode of one compressed segment: sixteen residuals per
-/// iteration, same gather/shift/mask scheme as [`super::avx2::unpack_h`]
-/// (per-lane relative bit offset `<= 15 * 24 + 7 = 367`, post-split shift
-/// `<= 7`, so every field fits its gathered 32-bit window).
-///
-/// # Safety
-/// As [`super::avx2::unpack_h`].
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn unpack_h(words: *const u64, job: super::UnpackJob, out: *mut u32) {
-    let super::UnpackJob {
-        bit_base,
-        k,
-        width,
-        log2_s,
-        log2_m,
-        seg_index,
-    } = job;
-    let bytes = words as *const i32; // scale-1 gather: byte-addressed
-    let field_mask = _mm512_set1_epi32(((1u32 << width) - 1) as i32);
-    let s_mask = _mm512_set1_epi32(((1u32 << log2_s) - 1) as i32);
-    let seg_bits = _mm512_set1_epi32((seg_index << log2_s) as i32);
-    let c_s = _mm_cvtsi32_si128(log2_s as i32);
-    let c_m = _mm_cvtsi32_si128(log2_m as i32); // count 32 shifts lanes to 0
-    let lane_bits = _mm512_mullo_epi32(
-        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-        _mm512_set1_epi32(width as i32),
-    );
-    let seven = _mm512_set1_epi32(7);
-    let blocks = k / V;
-    for blk in 0..blocks {
-        let base = blk * V;
-        let base_bit = bit_base + base as u64 * u64::from(width);
-        let rel = _mm512_add_epi32(_mm512_set1_epi32((base_bit & 7) as i32), lane_bits);
-        let byte_off = _mm512_add_epi32(
-            _mm512_set1_epi32((base_bit >> 3) as i32),
-            _mm512_srli_epi32::<3>(rel),
-        );
-        let gathered = _mm512_i32gather_epi32::<1>(byte_off, bytes);
-        let f = _mm512_and_si512(
-            _mm512_srlv_epi32(gathered, _mm512_and_si512(rel, seven)),
-            field_mask,
-        );
-        let high = _mm512_sll_epi32(_mm512_srl_epi32(f, c_s), c_m);
-        let h = _mm512_or_si512(high, _mm512_or_si512(seg_bits, _mm512_and_si512(f, s_mask)));
-        _mm512_storeu_si512(out.add(base) as *mut _, h);
-    }
-    let done = blocks * V;
-    if done < k {
-        super::scalar::unpack_h(
-            words,
-            super::UnpackJob {
-                bit_base: bit_base + done as u64 * u64::from(width),
-                k: k - done,
-                ..job
-            },
-            out.add(done),
-        );
-    }
-}
-
 /// General (unspecialized) AVX-512 kernel with both trip counts rounded.
 ///
 /// # Safety

@@ -58,29 +58,6 @@ pub type CountKernel = unsafe fn(*const u32, *const u32, usize, usize) -> u32;
 /// population. Matches the padding appended by the segmented-set builder.
 pub const OVERREAD: usize = 32;
 
-/// Geometry of one compressed-segment decode (the unpack prologue run by
-/// [`KernelTable::unpack_segment`] before the compare kernels).
-///
-/// A packed stream stores every segment's residuals back to back at a
-/// single fixed `width`, so a segment is fully located by its starting bit
-/// and population; the remaining fields are the set parameters needed to
-/// reverse the residual transform (`crate::layout::pack_residuals`).
-#[derive(Debug, Clone, Copy)]
-pub struct UnpackJob {
-    /// Absolute bit offset of the segment's first residual.
-    pub bit_base: u64,
-    /// Number of residuals (the segment's population).
-    pub k: usize,
-    /// Residual width in bits.
-    pub width: u32,
-    /// `log2` of the set's bitmap size in bits.
-    pub log2_m: u32,
-    /// `log2` of the segment size in bits.
-    pub log2_s: u32,
-    /// The segment's index within its own set.
-    pub seg_index: u32,
-}
-
 /// Largest specialized segment size for an ISA (`2V - 1`, except scalar).
 pub const fn table_max(level: SimdLevel) -> usize {
     match level {
@@ -448,39 +425,6 @@ impl KernelTable {
         k(a, b, sa, sb)
     }
 
-    /// Decode one compressed segment into `out` as full 32-bit hash
-    /// values, using the widest unpack prologue of this table's kernel
-    /// ISA. Decoded values come out sorted ascending (residual order
-    /// preserves hash order within a segment), ready for the compare
-    /// kernels.
-    ///
-    /// # Safety
-    /// `words` must be readable through the packed payload plus its
-    /// trailing pad word, `out` writable for `job.k` elements, and `job`
-    /// must describe a segment of a stream packed at these parameters
-    /// (which bounds byte offsets to the SIMD gathers' `i32` lanes).
-    #[inline]
-    pub unsafe fn unpack_segment(&self, words: *const u64, job: UnpackJob, out: *mut u32) {
-        // Tiny segments — the common case on sparse sets, where mean
-        // population is ~1 — would spend more cycles on the SIMD paths'
-        // vector-constant setup than on decoding; take the (inlinable)
-        // scalar loop straight away.
-        if job.k < 8 {
-            return scalar::unpack_h(words, job, out);
-        }
-        match self.kernel_level {
-            SimdLevel::Scalar => scalar::unpack_h(words, job, out),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse => sse::unpack_h(words, job, out),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => avx2::unpack_h(words, job, out),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512 => avx512::unpack_h(words, job, out),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => scalar::unpack_h(words, job, out),
-        }
-    }
-
     /// Safe wrapper over [`KernelTable::count`] for standalone operands.
     pub fn count_operands(&self, a: &PaddedOperand, b: &PaddedOperand) -> u32 {
         // SAFETY: PaddedOperand guarantees OVERREAD slack, sentinel-padded
@@ -779,61 +723,6 @@ mod tests {
         let a = PaddedOperand::side_a(&[2, 4]);
         let b = PaddedOperand::side_b(&[4, 6]);
         assert_eq!(t.count_operands(&a, &b), 1);
-    }
-
-    #[test]
-    fn unpack_matches_reference_across_levels() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rand = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        // Geometries spanning narrow and maximal widths, incl. log2_m = 32
-        // (where the high-restore shift count hits the lane width).
-        for (log2_m, log2_s) in [(12u32, 3u32), (20, 4), (26, 3), (32, 4)] {
-            let width = 32 - log2_m + log2_s;
-            let sizes = [0usize, 1, 3, 17, 40, 65];
-            let residuals: Vec<Vec<u32>> = sizes
-                .iter()
-                .map(|&n| {
-                    (0..n)
-                        .map(|_| (rand() & ((1u64 << width) - 1)) as u32)
-                        .collect()
-                })
-                .collect();
-            let flat: Vec<u32> = residuals.iter().flatten().copied().collect();
-            let words = fesia_simd::bitpack::pack(&flat, width);
-            for level in SimdLevel::available_levels() {
-                let table = KernelTable::new(level, 1);
-                let mut bit = 0u64;
-                for (i, seg) in residuals.iter().enumerate() {
-                    let mut out = vec![0u32; seg.len()];
-                    let job = UnpackJob {
-                        bit_base: bit,
-                        k: seg.len(),
-                        width,
-                        log2_m,
-                        log2_s,
-                        seg_index: i as u32,
-                    };
-                    // SAFETY: `words` has bitpack's pad word; `out` holds k.
-                    unsafe { table.unpack_segment(words.as_ptr(), job, out.as_mut_ptr()) };
-                    for (j, &f) in seg.iter().enumerate() {
-                        let want = (((u64::from(f) >> log2_s) << log2_m)
-                            | (u64::from(i as u32) << log2_s)
-                            | (u64::from(f) & u64::from((1u32 << log2_s) - 1)))
-                            as u32;
-                        assert_eq!(
-                            out[j], want,
-                            "level={level} log2_m={log2_m} log2_s={log2_s} seg={i} j={j}"
-                        );
-                    }
-                    bit += seg.len() as u64 * u64::from(width);
-                }
-            }
-        }
     }
 
     #[test]

@@ -71,46 +71,6 @@ pub(crate) unsafe fn general_merge(a: *const u32, b: *const u32, sa: usize, sb: 
     count
 }
 
-/// Scalar decode of one compressed segment: read `job.k` packed residuals
-/// starting at bit `job.bit_base` and reconstruct the full 32-bit hash
-/// value of each element (see `crate::layout::pack_residuals` for the
-/// residual transform). The reference implementation the SIMD backends'
-/// unpack prologues are differentially tested against, and the tail
-/// handler they all delegate to.
-///
-/// # Safety
-/// `words` must be readable through the packed payload plus the trailing
-/// pad word (`fesia_simd::bitpack::required_words` reserves it); `out`
-/// must be writable for `job.k` elements; `job` must describe a segment
-/// actually packed at these parameters.
-pub(crate) unsafe fn unpack_h(words: *const u64, job: super::UnpackJob, out: *mut u32) {
-    let super::UnpackJob {
-        bit_base,
-        k,
-        width,
-        log2_m,
-        log2_s,
-        seg_index,
-    } = job;
-    let mask = (1u64 << width) - 1;
-    let s_mask = (1u64 << log2_s) - 1;
-    let seg_bits = u64::from(seg_index) << log2_s;
-    for j in 0..k {
-        let bit = bit_base + j as u64 * u64::from(width);
-        let (w, sh) = ((bit >> 6) as usize, (bit & 63) as u32);
-        let mut v = *words.add(w) >> sh;
-        if sh + width > 64 {
-            // sh > 64 - width >= 40 here, so 64 - sh stays in 1..=23.
-            v |= *words.add(w + 1) << (64 - sh);
-        }
-        let f = v & mask;
-        // h = high bits restored above the bitmap, segment bits, low bits.
-        // u64 arithmetic keeps the `<< log2_m` shift defined at log2_m = 32.
-        let h = ((f >> log2_s) << log2_m) | seg_bits | (f & s_mask);
-        *out.add(j) = h as u32;
-    }
-}
-
 /// "General" scalar kernel with word-rounded trip counts: the scalar
 /// analogue of the general SIMD kernel of Fig. 2 (left), used only for the
 /// specialized-vs-general comparison of Figs. 4-6.

@@ -115,68 +115,6 @@ pub(crate) unsafe fn kernel<const SA: usize, const SB: usize, const EXACT: bool>
     }
 }
 
-/// SSE decode of one compressed segment (see [`super::scalar::unpack_h`]).
-///
-/// SSE has no gather, so field extraction stays scalar (two-word reads per
-/// residual); the residual-to-hash transform — shift high bits above the
-/// bitmap, OR in segment and low bits — runs four lanes at a time.
-///
-/// # Safety
-/// As [`super::scalar::unpack_h`].
-#[target_feature(enable = "sse4.2")]
-pub(crate) unsafe fn unpack_h(words: *const u64, job: super::UnpackJob, out: *mut u32) {
-    let super::UnpackJob {
-        bit_base,
-        k,
-        width,
-        log2_s,
-        log2_m,
-        seg_index,
-    } = job;
-    let mask = (1u64 << width) - 1;
-    // SAFETY (closure): same packed-stream bounds as the enclosing fn.
-    let field = |j: usize| -> i32 {
-        let bit = bit_base + j as u64 * u64::from(width);
-        let (w, sh) = ((bit >> 6) as usize, (bit & 63) as u32);
-        unsafe {
-            let mut v = *words.add(w) >> sh;
-            if sh + width > 64 {
-                v |= *words.add(w + 1) << (64 - sh);
-            }
-            (v & mask) as i32
-        }
-    };
-    let s_mask = _mm_set1_epi32(((1u32 << log2_s) - 1) as i32);
-    let seg_bits = _mm_set1_epi32((seg_index << log2_s) as i32);
-    let c_s = _mm_cvtsi32_si128(log2_s as i32);
-    let c_m = _mm_cvtsi32_si128(log2_m as i32); // count 32 shifts lanes to 0
-    let blocks = k / V;
-    for blk in 0..blocks {
-        let base = blk * V;
-        let f = _mm_set_epi32(
-            field(base + 3),
-            field(base + 2),
-            field(base + 1),
-            field(base),
-        );
-        let high = _mm_sll_epi32(_mm_srl_epi32(f, c_s), c_m);
-        let h = _mm_or_si128(high, _mm_or_si128(seg_bits, _mm_and_si128(f, s_mask)));
-        _mm_storeu_si128(out.add(base) as *mut __m128i, h);
-    }
-    let done = blocks * V;
-    if done < k {
-        super::scalar::unpack_h(
-            words,
-            super::UnpackJob {
-                bit_base: bit_base + done as u64 * u64::from(width),
-                k: k - done,
-                ..job
-            },
-            out.add(done),
-        );
-    }
-}
-
 /// General (unspecialized) SSE kernel: both trip counts rounded up to `V`,
 /// every block pair compared — the baseline of Figs. 4-6 (Fig. 2, left).
 ///

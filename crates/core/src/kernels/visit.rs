@@ -54,17 +54,6 @@ impl SetOp {
             SetOp::Union | SetOp::Difference | SetOp::Xor => MaskOp::Or,
         }
     }
-
-    /// Upper bound on the output cardinality for inputs of the given
-    /// lengths — the planner's output-size cost term.
-    #[inline]
-    pub fn max_output(self, len_a: usize, len_b: usize) -> usize {
-        match self {
-            SetOp::Intersect => len_a.min(len_b),
-            SetOp::Union | SetOp::Xor => len_a + len_b,
-            SetOp::Difference => len_a,
-        }
-    }
 }
 
 /// Consumer of the elements a segment kernel produces.
@@ -439,14 +428,6 @@ mod tests {
         for op in [SetOp::Union, SetOp::Difference, SetOp::Xor] {
             assert_eq!(op.scan_op(), MaskOp::Or, "{op:?}");
         }
-    }
-
-    #[test]
-    fn max_output_bounds_hold() {
-        assert_eq!(SetOp::Intersect.max_output(3, 9), 3);
-        assert_eq!(SetOp::Union.max_output(3, 9), 12);
-        assert_eq!(SetOp::Difference.max_output(3, 9), 3);
-        assert_eq!(SetOp::Xor.max_output(3, 9), 12);
     }
 
     #[test]

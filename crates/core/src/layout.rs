@@ -6,18 +6,7 @@
 //! reproduce bit for bit.
 
 use crate::container;
-use crate::hash::fmix32;
-use fesia_simd::bitpack;
 use fesia_simd::mask::build_block_summary;
-
-/// Minimum set size before the compressed tier is built: below this the
-/// packed stream saves too few bytes to ever pay for its bookkeeping.
-pub const PACK_MIN_ELEMENTS: usize = 64;
-
-/// Upper bound on total packed bits, so every byte offset a SIMD unpack
-/// gather computes fits its signed 32-bit lanes (`2^33` bits = `2^30`
-/// bytes, with block-relative adjustments staying far below `i32::MAX`).
-const PACK_MAX_BITS: u64 = 1 << 33;
 
 /// The four arrays of Fig. 1, before SIMD padding is applied, plus the
 /// summary level of the two-level bitmap.
@@ -113,62 +102,6 @@ pub fn build_layout<H: Fn(u32) -> usize>(
     }
 }
 
-/// Build the compressed tier: every segment's elements re-encoded as
-/// fixed-width *hash residuals*, bitpacked into one contiguous stream.
-///
-/// Under the multiplicative hash, an element `x` in segment `i` has
-/// `h = fmix32(x) = (high << log2_m) | (i << log2_s) | low`: the middle
-/// bits are the segment index itself, so only the `32 - log2_m` high bits
-/// and `log2_s` low bits carry information. The residual
-/// `f = (high << log2_s) | low` is `width = 32 - log2_m + log2_s` bits,
-/// and the decode prologue reconstructs the full `h` from `(f, i)` alone —
-/// segment `i`'s run simply starts at bit `seg_offsets[i] * width`, no
-/// per-segment metadata needed. Residuals are stored ascending per segment
-/// (the map `h -> f` is monotone at fixed `i`, so this is hash order),
-/// which is what the compare kernels' large-by-large paths require.
-///
-/// `reordered` must hold exactly the `n` real elements (no SIMD padding).
-/// Returns `None` — no tier — when packing cannot help or cannot be done
-/// safely: fewer than [`PACK_MIN_ELEMENTS`] elements, residuals wider than
-/// [`bitpack::MAX_WIDTH`] (under one byte saved per element), a stream too
-/// long for the SIMD gathers' 32-bit offsets, or an element whose hash
-/// collides with a decode-scratch padding sentinel (`u32::MAX` or
-/// `u32::MAX - 1`). The gates depend only on the set's own contents, so a
-/// rebuilt set always reproduces the same tier decision.
-pub fn pack_residuals(
-    reordered: &[u32],
-    seg_offsets: &[u32],
-    log2_m: u32,
-    log2_s: u32,
-) -> Option<(Vec<u64>, u32)> {
-    let n = reordered.len();
-    let width = 32 - log2_m + log2_s;
-    if n < PACK_MIN_ELEMENTS || width > bitpack::MAX_WIDTH {
-        return None;
-    }
-    if n as u64 * u64::from(width) > PACK_MAX_BITS {
-        return None;
-    }
-    let s_mask = (1u32 << log2_s) - 1;
-    let mut flat = Vec::with_capacity(n);
-    for w in seg_offsets.windows(2) {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        let start = flat.len();
-        for &x in &reordered[lo..hi] {
-            let h = fmix32(x);
-            if h >= u32::MAX - 1 {
-                return None; // would collide with a scratch sentinel
-            }
-            // u64 keeps the high-extract shift defined at log2_m = 32.
-            let high = (u64::from(h) >> log2_m) as u32;
-            flat.push((high << log2_s) | (h & s_mask));
-        }
-        flat[start..].sort_unstable();
-    }
-    debug_assert_eq!(flat.len(), n);
-    Some((bitpack::pack(&flat, width), width))
-}
-
 /// Build the container tier from the sorted (strictly ascending) element
 /// array: partition the value domain into 65536-value ranges, classify
 /// each populated range by `container::classify` (smallest of sorted-`u16`
@@ -177,9 +110,9 @@ pub fn pack_residuals(
 ///
 /// Returns `None` — no tier — below
 /// [`container::CONTAINER_MIN_BUILD`] elements, where the whole set is
-/// cache-resident and the directory is pure overhead. Like the packed
-/// tier, the gate depends only on the set's contents, so every decode
-/// path reproduces the same tier decision deterministically.
+/// cache-resident and the directory is pure overhead. The gate depends
+/// only on the set's contents, so every decode path reproduces the same
+/// tier decision deterministically.
 pub fn build_container_tier(sorted: &[u32]) -> Option<container::ContainerTier> {
     use container::{classify, encode_dir_entry, encode_run, ContainerKind, WORDS_PER_RANGE};
     if sorted.len() < container::CONTAINER_MIN_BUILD {
@@ -383,42 +316,5 @@ mod tests {
     #[should_panic(expected = "out-of-range")]
     fn out_of_range_hash_panics() {
         build_layout(&[1], 64, 8, |_| 64usize);
-    }
-
-    #[test]
-    fn residual_pack_round_trips_in_hash_order() {
-        use crate::hash::position;
-        let elements: Vec<u32> = (0..500).map(|i| i * 97 + 13).collect();
-        let (log2_m, log2_s) = (12u32, 3u32);
-        let l = build_layout(&elements, 1 << log2_m, 1 << log2_s, |x| position(x, log2_m));
-        let (words, width) = pack_residuals(&l.reordered, &l.seg_offsets, log2_m, log2_s).unwrap();
-        assert_eq!(width, 32 - log2_m + log2_s);
-        // Decode every residual with the safe bitpack getter and check the
-        // reconstructed hashes are the segment's element hashes, ascending.
-        let mut idx = 0usize;
-        for i in 0..l.seg_sizes.len() {
-            let mut want: Vec<u32> = l.segment(i).iter().map(|&x| fmix32(x)).collect();
-            want.sort_unstable();
-            for &h_want in &want {
-                let f = bitpack::get(&words, width, idx);
-                let h = ((u64::from(f >> log2_s) << log2_m)
-                    | (u64::from(i as u32) << log2_s)
-                    | u64::from(f & ((1 << log2_s) - 1))) as u32;
-                assert_eq!(h, h_want, "segment {i}");
-                idx += 1;
-            }
-        }
-        assert_eq!(idx, elements.len());
-    }
-
-    #[test]
-    fn residual_pack_declines_small_or_wide() {
-        use crate::hash::position;
-        // Too few elements for a tier.
-        assert!(pack_residuals(&[1, 2, 3], &[0, 3], 12, 3).is_none());
-        // Width 32 - 9 + 3 = 26 exceeds MAX_WIDTH: under a byte saved.
-        let elements: Vec<u32> = (0..200).collect();
-        let l = build_layout(&elements, 1 << 9, 8, |x| position(x, 9));
-        assert!(pack_residuals(&l.reordered, &l.seg_offsets, 9, 3).is_none());
     }
 }

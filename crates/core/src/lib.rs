@@ -73,15 +73,13 @@ pub use dynamic::{
 };
 pub use error::{BuildError, MAX_ELEMENT};
 pub use intersect::{
-    auto_count, auto_count_planned, auto_count_with, compress_params, container_params,
-    execute_plan_count, gallop_count, hash_probe_count, intersect, intersect_count,
-    intersect_count_at_least, intersect_count_at_least_planned, intersect_count_bounded,
-    intersect_count_bounded_planned, intersect_count_breakdown,
-    intersect_count_breakdown_compressed, intersect_count_breakdown_pruned,
-    intersect_count_compressed_with, intersect_count_interleaved_with,
-    intersect_count_pipelined_with, intersect_count_planned, intersect_count_pruned_with,
-    intersect_count_with, pipeline_params, prune_params, set_compress_params, set_container_params,
-    set_pipeline_params, set_prune_params, summary_overlap_bound, Breakdown, CompressStats,
+    auto_count, auto_count_planned, auto_count_with, container_params, execute_plan_count,
+    hash_probe_count, intersect, intersect_count, intersect_count_at_least,
+    intersect_count_at_least_planned, intersect_count_bounded, intersect_count_bounded_planned,
+    intersect_count_breakdown, intersect_count_breakdown_pruned, intersect_count_interleaved_with,
+    intersect_count_planned, intersect_count_pruned_with, intersect_count_with, pipeline_params,
+    prune_params, set_container_params, set_pipeline_params, set_prune_params,
+    summary_overlap_bound, Breakdown,
 };
 pub use kernels::visit::{CountVisitor, EmitVisitor, FnVisitor, SegmentVisitor, SetOp};
 pub use kernels::KernelTable;
@@ -95,24 +93,22 @@ pub use parallel::{
     par_set_op_on,
 };
 pub use params::{
-    CompressParams, ContainerParams, DynamicParams, FesiaParams, PipelineParams, PruneParams,
-    SimjoinParams,
+    ContainerParams, DynamicParams, FesiaParams, PipelineParams, PruneParams, SimjoinParams,
 };
 pub use plan::{
-    default_profile_path, gallop_max_len, plan_mode, profile_status, set_gallop_max_len,
-    set_plan_mode, should_compress_summaries, should_container_summaries, should_prune_summaries,
-    IntersectPlan, IntersectPlanner, KwayPlan, MachineProfile, PlanMode, SetSummary, ThresholdPlan,
-    PROFILE_VERSION,
+    default_profile_path, plan_mode, profile_status, set_plan_mode, should_container_summaries,
+    should_prune_summaries, IntersectPlan, IntersectPlanner, KwayPlan, MachineProfile, PlanMode,
+    SetSummary, ThresholdPlan, PROFILE_VERSION,
 };
 pub use serialize::{deserialize_many, deserialize_many_mapped, serialize_many, DecodeError};
-pub use set::{PackedTier, SegmentedSet};
+pub use set::SegmentedSet;
 pub use simjoin::{
     candidate_pairs, candidate_pairs_self, join, join_with, self_join, self_join_with,
     set_simjoin_params, simjoin_params, SimjoinResult, SimjoinStats, Threshold,
 };
 pub use snapshot::{SetRef, SetStore, SetVersion, Snapshot, StoreState, EPOCH_SLOTS};
 pub use stats::{bit_collision_rate, filter_stats, survivor_segments, FilterStats, SegmentStats};
-pub use tuning::{calibrate, should_prune, tune, tune_grid, tune_pipeline, TuneResult};
+pub use tuning::{calibrate, should_prune, tune, tune_grid, tune_prefetch_distance, TuneResult};
 pub use u64set::{intersect_count64, intersect_count64_with, Fesia64Set};
 
 pub use fesia_simd::mask::{LaneWidth, MaskOp};

@@ -13,7 +13,7 @@ use fesia_simd::SimdLevel;
 /// line via the shared path and fall back to the default, and
 /// [`env::warn_unrecognized`] reports — once per process — any
 /// `FESIA_*` variable that no component recognizes (typo protection:
-/// `FESIA_PIPLINE=0` used to be silently ignored).
+/// `FESIA_PRUNNE=0` would otherwise be silently ignored).
 pub mod env {
     pub use fesia_obs::env::{parse_bool, parse_f64, parse_u32, parse_usize, raw, warn_malformed};
     use std::sync::OnceLock;
@@ -21,16 +21,12 @@ pub mod env {
     /// Every `FESIA_*` variable some component of this workspace reads.
     pub const KNOWN_VARS: &[&str] = &[
         "FESIA_THREADS",
-        "FESIA_PIPELINE",
         "FESIA_PREFETCH_DIST",
-        "FESIA_PIPELINE_MIN",
         "FESIA_PRUNE",
         "FESIA_PRUNE_MIN_BYTES",
         "FESIA_PRUNE_MAX_SURVIVOR",
         "FESIA_PLAN",
         "FESIA_PROFILE",
-        "FESIA_COMPRESS",
-        "FESIA_COMPRESS_MIN",
         "FESIA_CONTAINER",
         "FESIA_CONTAINER_MIN",
         "FESIA_CONTAINER_DENSE_PCT",
@@ -139,72 +135,45 @@ impl Default for FesiaParams {
     }
 }
 
-/// Tuning knob for the pipelined two-phase dispatch
-/// ([`crate::intersect_count_with`]).
+/// Software-prefetch knob for the summary-pruned plan's phase 2
+/// ([`crate::intersect_count_pruned_with`]).
 ///
-/// When enabled, phase 1 collects surviving segment indices into a
-/// reusable buffer — issuing software prefetches for both sides' segment
-/// data as each survivor is found — and phase 2 sweeps the buffer with
-/// straight-line kernel dispatch, prefetching `prefetch_distance`
-/// entries ahead. When disabled, kernels are dispatched inline as each
-/// survivor is discovered (the seed's interleaved form).
+/// The pruned scan buffers its surviving segment indices; the sweep over
+/// that buffer keeps both sides' segment data `prefetch_distance` entries
+/// ahead in flight, so the kernels' dependent loads overlap with compute
+/// instead of serializing on cache misses.
 ///
 /// The process-wide default is read once from the environment
-/// (`FESIA_PIPELINE=0|1`, `FESIA_PREFETCH_DIST=N`,
-/// `FESIA_PIPELINE_MIN=N`) and can be changed at runtime with
-/// [`crate::set_pipeline_params`]; the auto-tuner
-/// ([`crate::tuning::tune_pipeline`]) measures candidates on a sample
-/// workload.
+/// (`FESIA_PREFETCH_DIST=N`) and can be changed at runtime with
+/// [`crate::set_pipeline_params`]; `fesia tune` calibrates it
+/// ([`crate::tuning::tune_prefetch_distance`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineParams {
-    /// Use the two-phase pipelined dispatch in
-    /// [`crate::intersect_count_with`].
-    pub enabled: bool,
     /// How many survivor entries ahead phase 2 prefetches (0 disables
     /// the phase-2 prefetch entirely).
     pub prefetch_distance: usize,
-    /// Smallest combined element count (`|A| + |B|`) for which the
-    /// pipelined form is dispatched. Below this the inputs are
-    /// cache-resident, prefetch hints are pure instruction overhead, and
-    /// the interleaved form runs instead; above it the kernels' dependent
-    /// loads miss cache and the lookahead pays. Set to 0 to pipeline
-    /// unconditionally.
-    ///
-    /// The default sits at the crossover the `repro batch` sweep measures
-    /// (recorded in `BENCH_batch.json`): at 32K elements per side (64K
-    /// combined) the pipelined form starts beating the interleaved scan,
-    /// while at 8K per side it is still ~25% slower.
-    pub min_elements: usize,
 }
 
 impl Default for PipelineParams {
     fn default() -> Self {
         PipelineParams {
-            enabled: true,
             prefetch_distance: 8,
-            min_elements: 1 << 16,
         }
     }
 }
 
 impl PipelineParams {
-    /// The defaults, with `FESIA_PIPELINE` / `FESIA_PREFETCH_DIST` /
-    /// `FESIA_PIPELINE_MIN` environment overrides applied.
+    /// The defaults, with the `FESIA_PREFETCH_DIST` environment override
+    /// applied.
     pub fn from_env() -> Self {
         PipelineParams::default().with_env_overrides()
     }
 
-    /// Apply the environment overrides field-by-field on top of `self`
-    /// (the planner layers them over a loaded machine profile).
+    /// Apply the environment override on top of `self` (the planner
+    /// layers it over a loaded machine profile).
     pub fn with_env_overrides(mut self) -> Self {
-        if let Some(enabled) = env::parse_bool("FESIA_PIPELINE") {
-            self.enabled = enabled;
-        }
         if let Some(d) = env::parse_usize("FESIA_PREFETCH_DIST") {
             self.prefetch_distance = d;
-        }
-        if let Some(m) = env::parse_usize("FESIA_PIPELINE_MIN") {
-            self.min_elements = m;
         }
         self
     }
@@ -212,18 +181,6 @@ impl PipelineParams {
     /// Override the phase-2 prefetch distance.
     pub fn with_prefetch_distance(mut self, dist: usize) -> Self {
         self.prefetch_distance = dist;
-        self
-    }
-
-    /// Enable or disable the pipelined dispatch.
-    pub fn with_enabled(mut self, enabled: bool) -> Self {
-        self.enabled = enabled;
-        self
-    }
-
-    /// Override the combined-size floor for pipelined dispatch.
-    pub fn with_min_elements(mut self, min: usize) -> Self {
-        self.min_elements = min;
         self
     }
 }
@@ -236,7 +193,7 @@ impl PipelineParams {
 /// That wins exactly when the bitmaps are large (streaming them misses
 /// cache) *and* sparse (many blocks get skipped); on small dense pairs
 /// the survivor list is pure overhead, so [`crate::tuning::should_prune`]
-/// keeps those on the interleaved/pipelined fast path.
+/// keeps those on the plain interleaved scan.
 ///
 /// The process-wide default is read once from the environment
 /// (`FESIA_PRUNE=0|1|auto`, `FESIA_PRUNE_MIN_BYTES=N`,
@@ -316,105 +273,6 @@ impl PruneParams {
     /// Override the survivor-percentage ceiling for auto-selection.
     pub fn with_max_survivor_pct(mut self, pct: u32) -> Self {
         self.max_survivor_pct = pct.min(100);
-        self
-    }
-}
-
-/// Tuning knob for the compressed-tier step-2 dispatch
-/// ([`crate::intersect_count_with`]).
-///
-/// When both operands carry a packed residual tier
-/// ([`crate::PackedTier`]), step 2 can stream the bitpacked residuals
-/// instead of the raw `u32` elements, decoding each surviving segment
-/// into a cache-resident scratch buffer right before its compare kernel
-/// runs. That trades `(32 - B)` bits of memory traffic per element for a
-/// SIMD unpack, so it wins exactly when step 2 is bandwidth-bound: large
-/// sets whose reordered arrays stream from DRAM.
-///
-/// The process-wide default is read once from the environment
-/// (`FESIA_COMPRESS=0|1|auto`, `FESIA_COMPRESS_MIN=N`) and can be
-/// changed at runtime with [`crate::set_compress_params`]; the cost
-/// constants come from the machine profile (`fesia tune` measures them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompressParams {
-    /// `Some(true)` forces the compressed dispatch (when both sides have
-    /// a tier), `Some(false)` forces it off, `None` lets the planner's
-    /// cost model decide per pair.
-    pub forced: Option<bool>,
-    /// Auto mode: smallest combined element count (`|A| + |B|`) for
-    /// which the compressed path is considered. Below this the raw
-    /// elements are cache-resident and decoding is pure overhead.
-    pub min_elements: usize,
-    /// Estimated decode cost in millicycles per element (the SIMD unpack
-    /// plus the scratch round trip). Calibrated by `fesia tune`.
-    pub decode_millicycles_per_elem: u64,
-    /// Estimated cost of streaming one byte from DRAM, in millicycles —
-    /// what each saved byte is worth. Calibrated by `fesia tune`.
-    pub bandwidth_millicycles_per_byte: u64,
-}
-
-impl Default for CompressParams {
-    fn default() -> Self {
-        CompressParams {
-            forced: None,
-            // 1M combined elements (4 MiB of raw u32s): past L2 on every
-            // target we measure, where step 2 starts stalling on loads.
-            min_elements: 1 << 20,
-            decode_millicycles_per_elem: 1000,
-            bandwidth_millicycles_per_byte: 600,
-        }
-    }
-}
-
-impl CompressParams {
-    /// The defaults, with `FESIA_COMPRESS` / `FESIA_COMPRESS_MIN`
-    /// environment overrides applied.
-    pub fn from_env() -> Self {
-        CompressParams::default().with_env_overrides()
-    }
-
-    /// Apply the environment overrides field-by-field on top of `self`
-    /// (the planner layers them over a loaded machine profile).
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(v) = env::raw("FESIA_COMPRESS") {
-            self.forced = if v.eq_ignore_ascii_case("auto") {
-                None
-            } else {
-                // Tri-state knob: anything that isn't "auto" degrades to
-                // the shared boolean contract (0/off/false disable).
-                Some(
-                    !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")),
-                )
-            };
-        }
-        if let Some(m) = env::parse_usize("FESIA_COMPRESS_MIN") {
-            self.min_elements = m;
-        }
-        self
-    }
-
-    /// Force the compressed dispatch on or off, or restore
-    /// auto-selection with `None`.
-    pub fn with_forced(mut self, forced: Option<bool>) -> Self {
-        self.forced = forced;
-        self
-    }
-
-    /// Override the combined-size floor for auto-selection.
-    pub fn with_min_elements(mut self, min: usize) -> Self {
-        self.min_elements = min;
-        self
-    }
-
-    /// Override the decode-cost constant (millicycles per element).
-    pub fn with_decode_millicycles(mut self, mc: u64) -> Self {
-        self.decode_millicycles_per_elem = mc;
-        self
-    }
-
-    /// Override the bandwidth-cost constant (millicycles per byte).
-    pub fn with_bandwidth_millicycles(mut self, mc: u64) -> Self {
-        self.bandwidth_millicycles_per_byte = mc;
         self
     }
 }
@@ -731,24 +589,6 @@ mod tests {
         // Percentages clamp to 100.
         assert_eq!(q.max_survivor_pct, 100);
         assert_eq!(q.with_forced(None).forced, None);
-    }
-
-    #[test]
-    fn compress_params_builders() {
-        let p = CompressParams::default();
-        assert_eq!(p.forced, None);
-        assert_eq!(p.min_elements, 1 << 20);
-        assert!(p.decode_millicycles_per_elem > 0);
-        assert!(p.bandwidth_millicycles_per_byte > 0);
-        let q = p
-            .with_forced(Some(false))
-            .with_min_elements(4096)
-            .with_decode_millicycles(1500)
-            .with_bandwidth_millicycles(700);
-        assert_eq!(q.forced, Some(false));
-        assert_eq!(q.min_elements, 4096);
-        assert_eq!(q.decode_millicycles_per_elem, 1500);
-        assert_eq!(q.bandwidth_millicycles_per_byte, 700);
     }
 
     #[test]

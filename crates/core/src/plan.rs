@@ -4,18 +4,18 @@
 //! FESIA's value comes from picking the right execution shape per input
 //! (paper §IV–VI): the segmented-bitmap two-phase merge for comparable
 //! sizes, `FESIAhash` probing for heavy skew, the summary-pruned step 1
-//! for large sparse pairs, pipelined dispatch for out-of-cache inputs.
-//! Those choices used to be scattered across `PipelineParams`,
-//! `PruneParams`, `tuning.rs`, and ad-hoc call-site heuristics; this
-//! module centralizes them — Roaring-style container dispatch — so every
-//! caller (pairwise, batch, parallel, k-way, index, graph) requests an
-//! explicit [`IntersectPlan`] from the same selector, and every future
-//! strategy plugs in at exactly one seam.
+//! for large sparse pairs, and per-range containers for dense value
+//! domains. This module centralizes those choices — Roaring-style
+//! dispatch by a simple size and density rule — so every caller
+//! (pairwise, batch, parallel, k-way, index, graph) requests an explicit
+//! [`IntersectPlan`] from the same selector, and every strategy plugs in
+//! at exactly one seam.
 //!
 //! Selection layers, lowest priority first:
 //!
-//! 1. built-in defaults ([`crate::params::PipelineParams`],
-//!    [`crate::params::PruneParams`], gallop disabled);
+//! 1. built-in defaults ([`crate::params::PruneParams`],
+//!    [`crate::params::ContainerParams`], and the pruned sweep's
+//!    [`crate::params::PipelineParams`] prefetch distance);
 //! 2. a persisted [`MachineProfile`] (written by `fesia tune` /
 //!    [`crate::tuning::calibrate`], loaded from `FESIA_PROFILE` or
 //!    `~/.fesia/profile.json`);
@@ -27,9 +27,7 @@
 //! Every plan decision is recorded in the `fesia-obs` `plan_*` counters.
 
 use crate::kernels::visit::SetOp;
-use crate::params::{
-    self, CompressParams, ContainerParams, DynamicParams, PipelineParams, PruneParams,
-};
+use crate::params::{self, ContainerParams, DynamicParams, PipelineParams, PruneParams};
 use crate::set::SegmentedSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,26 +41,21 @@ pub enum PlanMode {
     Auto,
     /// Force the plain interleaved two-phase form.
     Plain,
-    /// Force the pipelined two-phase form.
-    Pipelined,
     /// Force the summary-pruned step-1 scan.
     Pruned,
     /// Force the hash-probe strategy (`FESIAhash`).
     HashProbe,
-    /// Force the galloping sorted-merge fallback.
-    Gallop,
 }
 
 impl PlanMode {
-    /// Parse a `FESIA_PLAN` value; `None` for unrecognized strings.
+    /// Parse a `FESIA_PLAN` value; `None` for unrecognized strings,
+    /// including the removed `pipelined` and `gallop` modes.
     pub fn parse(s: &str) -> Option<PlanMode> {
         Some(match s.to_ascii_lowercase().as_str() {
             "auto" => PlanMode::Auto,
             "plain" => PlanMode::Plain,
-            "pipelined" | "pipeline" => PlanMode::Pipelined,
             "pruned" | "prune" => PlanMode::Pruned,
             "hash" | "hashprobe" => PlanMode::HashProbe,
-            "gallop" | "gallopfallback" => PlanMode::Gallop,
             _ => return None,
         })
     }
@@ -72,47 +65,27 @@ impl PlanMode {
         match self {
             PlanMode::Auto => "auto",
             PlanMode::Plain => "plain",
-            PlanMode::Pipelined => "pipelined",
             PlanMode::Pruned => "pruned",
             PlanMode::HashProbe => "hash",
-            PlanMode::Gallop => "gallop",
         }
     }
 
     /// Every forced (non-auto) mode, for equivalence sweeps.
-    pub const FORCED: [PlanMode; 5] = [
-        PlanMode::Plain,
-        PlanMode::Pipelined,
-        PlanMode::Pruned,
-        PlanMode::HashProbe,
-        PlanMode::Gallop,
-    ];
+    pub const FORCED: [PlanMode; 3] = [PlanMode::Plain, PlanMode::Pruned, PlanMode::HashProbe];
 }
 
 /// The explicit execution shape the planner selects for one pair.
 ///
 /// All variants compute the identical count; they differ only in how the
-/// two phases are scheduled (and, for [`IntersectPlan::HashProbe`] /
-/// [`IntersectPlan::GallopFallback`], in skipping phase 1 entirely).
+/// two phases are scheduled (and, for [`IntersectPlan::HashProbe`], in
+/// skipping phase 1 entirely).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntersectPlan {
     /// Interleaved two-phase scan (kernel dispatched per survivor).
     Plain,
-    /// Two-phase with a buffered, software-prefetched survivor sweep.
-    Pipelined {
-        /// Phase-2 lookahead in survivor entries.
-        prefetch_distance: usize,
-    },
-    /// Two-phase with the summary-bitmap AND pruning step 1.
+    /// Two-phase with the summary-bitmap AND pruning step 1 and a
+    /// buffered, software-prefetched survivor sweep.
     Pruned {
-        /// Phase-2 lookahead in survivor entries.
-        prefetch_distance: usize,
-    },
-    /// Two-phase whose step 2 streams both sides' packed residual tiers,
-    /// decoding each surviving segment into cache-resident scratch before
-    /// its compare kernel (both operands must carry a
-    /// [`crate::PackedTier`]).
-    Compressed {
         /// Phase-2 lookahead in survivor entries.
         prefetch_distance: usize,
     },
@@ -124,10 +97,6 @@ pub enum IntersectPlan {
     Container,
     /// Probe the smaller set's elements against the larger set's bitmap.
     HashProbe,
-    /// Sort both element lists and run a galloping merge (Lemire-style
-    /// fallback for tiny pairs; auto mode only picks it when a calibrated
-    /// `gallop_max_len` admits the pair).
-    GallopFallback,
 }
 
 impl IntersectPlan {
@@ -135,12 +104,9 @@ impl IntersectPlan {
     pub fn name(&self) -> &'static str {
         match self {
             IntersectPlan::Plain => "plain",
-            IntersectPlan::Pipelined { .. } => "pipelined",
             IntersectPlan::Pruned { .. } => "pruned",
-            IntersectPlan::Compressed { .. } => "compressed",
             IntersectPlan::Container => "container",
             IntersectPlan::HashProbe => "hash",
-            IntersectPlan::GallopFallback => "gallop",
         }
     }
 }
@@ -179,10 +145,6 @@ pub struct SetSummary {
     pub bitmap_bytes: usize,
     /// Fraction of populated summary blocks (0.0–1.0).
     pub summary_density: f64,
-    /// Residual width of the packed tier, when the set carries one — the
-    /// compressed-dispatch signal (both how much traffic compression
-    /// saves and whether it is available at all).
-    pub packed_width: Option<u32>,
     /// Fraction of elements living in dense (word-bitmap or run) ranges
     /// of the container directory, when the set carries one — the
     /// container-dispatch signal (both whether the directory exists and
@@ -197,7 +159,6 @@ impl SetSummary {
             len: s.len(),
             bitmap_bytes: s.bitmap_bytes().len(),
             summary_density: s.summary_density(),
-            packed_width: s.packed_width(),
             container_dense: s.container_stats().map(|c| c.dense_fraction()),
         }
     }
@@ -233,30 +194,6 @@ pub fn should_prune_summaries(a: &SetSummary, b: &SetSummary, p: &PruneParams) -
     }
     let expected_survivor_pct = a.summary_density * b.summary_density * 100.0;
     expected_survivor_pct <= p.max_survivor_pct as f64
-}
-
-/// Whether the compressed step-2 dispatch should run for a pair with
-/// these summaries under `p`. Requires both sides to carry a packed tier
-/// (forcing cannot conjure one); beyond that, forced overrides
-/// short-circuit, and auto mode models the trade: decoding costs
-/// `decode_millicycles_per_elem` per element, and every byte the packed
-/// stream is smaller than the raw elements earns back
-/// `bandwidth_millicycles_per_byte`. Small pairs never qualify — their
-/// raw elements are cache-resident, so there is no bandwidth to save.
-pub fn should_compress_summaries(a: &SetSummary, b: &SetSummary, p: &CompressParams) -> bool {
-    let (wa, wb) = match (a.packed_width, b.packed_width) {
-        (Some(wa), Some(wb)) => (wa, wb),
-        _ => return false,
-    };
-    if let Some(forced) = p.forced {
-        return forced;
-    }
-    let combined = a.len + b.len;
-    if combined < p.min_elements {
-        return false;
-    }
-    let saved_bytes = (a.len as u64 * u64::from(32 - wa) + b.len as u64 * u64::from(32 - wb)) / 8;
-    saved_bytes * p.bandwidth_millicycles_per_byte > combined as u64 * p.decode_millicycles_per_elem
 }
 
 /// Whether the per-range container dispatch should run for a pair with
@@ -295,20 +232,14 @@ pub const PROFILE_VERSION: u32 = 1;
 pub struct MachineProfile {
     /// File format version ([`PROFILE_VERSION`]).
     pub version: u32,
-    /// Calibrated pipelined-dispatch knobs.
+    /// Calibrated phase-2 prefetch distance of the pruned sweep.
     pub pipeline: PipelineParams,
     /// Calibrated summary-pruning knobs.
     pub prune: PruneParams,
-    /// Calibrated compressed-tier dispatch knobs.
-    pub compress: CompressParams,
     /// Calibrated per-range container dispatch knobs.
     pub container: ContainerParams,
     /// Dynamic-set delta-folding knobs (rebuild fraction).
     pub dynamic: DynamicParams,
-    /// Largest combined element count for which auto mode picks the
-    /// galloping fallback; 0 disables it (the default — on every machine
-    /// measured so far the segmented merge wins even on tiny pairs).
-    pub gallop_max_len: usize,
 }
 
 impl Default for MachineProfile {
@@ -317,10 +248,8 @@ impl Default for MachineProfile {
             version: PROFILE_VERSION,
             pipeline: PipelineParams::default(),
             prune: PruneParams::default(),
-            compress: CompressParams::default(),
             container: ContainerParams::default(),
             dynamic: DynamicParams::default(),
-            gallop_max_len: 0,
         }
     }
 }
@@ -334,30 +263,20 @@ impl MachineProfile {
             Some(false) => "off",
         };
         format!(
-            "{{\n  \"version\": {},\n  \"pipeline_enabled\": {},\n  \
-             \"prefetch_distance\": {},\n  \"pipeline_min_elements\": {},\n  \
+            "{{\n  \"version\": {},\n  \"prefetch_distance\": {},\n  \
              \"prune_forced\": \"{}\",\n  \"prune_min_bitmap_bytes\": {},\n  \
-             \"prune_max_survivor_pct\": {},\n  \"compress_forced\": \"{}\",\n  \
-             \"compress_min_elements\": {},\n  \"compress_decode_mc\": {},\n  \
-             \"compress_bw_mc\": {},\n  \"container_forced\": \"{}\",\n  \
+             \"prune_max_survivor_pct\": {},\n  \"container_forced\": \"{}\",\n  \
              \"container_min_elements\": {},\n  \"container_dense_pct\": {},\n  \
-             \"rebuild_fraction\": {},\n  \"gallop_max_len\": {}\n}}\n",
+             \"rebuild_fraction\": {}\n}}\n",
             self.version,
-            self.pipeline.enabled,
             self.pipeline.prefetch_distance,
-            self.pipeline.min_elements,
             tri(self.prune.forced),
             self.prune.min_bitmap_bytes,
             self.prune.max_survivor_pct,
-            tri(self.compress.forced),
-            self.compress.min_elements,
-            self.compress.decode_millicycles_per_elem,
-            self.compress.bandwidth_millicycles_per_byte,
             tri(self.container.forced),
             self.container.min_elements,
             self.container.min_dense_pct,
             self.dynamic.rebuild_fraction,
-            self.gallop_max_len,
         )
     }
 
@@ -365,7 +284,10 @@ impl MachineProfile {
     ///
     /// The parser accepts exactly the flat shape this crate writes (one
     /// JSON object, scalar values); unknown keys are ignored so newer
-    /// writers stay loadable, and a version other than
+    /// writers stay loadable — as are the keys of removed knobs
+    /// (`pipeline_enabled`, `pipeline_min_elements`, `compress_*`,
+    /// `gallop_max_len`), so older profiles keep loading — and a version
+    /// other than
     /// [`PROFILE_VERSION`] is rejected so stale files cannot silently
     /// misconfigure the planner.
     pub fn from_json(text: &str) -> Result<MachineProfile, String> {
@@ -385,19 +307,10 @@ impl MachineProfile {
                     p.version = v;
                     saw_version = true;
                 }
-                "pipeline_enabled" => {
-                    p.pipeline.enabled = parse_json_bool(&value)
-                        .ok_or_else(|| format!("bad pipeline_enabled `{value}`"))?;
-                }
                 "prefetch_distance" => {
                     p.pipeline.prefetch_distance = value
                         .parse()
                         .map_err(|_| format!("bad prefetch_distance `{value}`"))?;
-                }
-                "pipeline_min_elements" => {
-                    p.pipeline.min_elements = value
-                        .parse()
-                        .map_err(|_| format!("bad pipeline_min_elements `{value}`"))?;
                 }
                 "prune_forced" => {
                     p.prune.forced = match value.as_str() {
@@ -417,29 +330,6 @@ impl MachineProfile {
                         .parse()
                         .map_err(|_| format!("bad prune_max_survivor_pct `{value}`"))?;
                     p.prune.max_survivor_pct = pct.min(100);
-                }
-                "compress_forced" => {
-                    p.compress.forced = match value.as_str() {
-                        "auto" => None,
-                        "on" => Some(true),
-                        "off" => Some(false),
-                        other => return Err(format!("bad compress_forced `{other}`")),
-                    };
-                }
-                "compress_min_elements" => {
-                    p.compress.min_elements = value
-                        .parse()
-                        .map_err(|_| format!("bad compress_min_elements `{value}`"))?;
-                }
-                "compress_decode_mc" => {
-                    p.compress.decode_millicycles_per_elem = value
-                        .parse()
-                        .map_err(|_| format!("bad compress_decode_mc `{value}`"))?;
-                }
-                "compress_bw_mc" => {
-                    p.compress.bandwidth_millicycles_per_byte = value
-                        .parse()
-                        .map_err(|_| format!("bad compress_bw_mc `{value}`"))?;
                 }
                 "container_forced" => {
                     p.container.forced = match value.as_str() {
@@ -468,11 +358,6 @@ impl MachineProfile {
                         return Err(format!("bad rebuild_fraction `{value}`"));
                     }
                     p.dynamic.rebuild_fraction = f;
-                }
-                "gallop_max_len" => {
-                    p.gallop_max_len = value
-                        .parse()
-                        .map_err(|_| format!("bad gallop_max_len `{value}`"))?;
                 }
                 _ => {} // forward compatibility: ignore unknown keys
             }
@@ -522,14 +407,6 @@ fn parse_flat_object(text: &str) -> Result<Vec<(String, String)>, String> {
     Ok(out)
 }
 
-fn parse_json_bool(s: &str) -> Option<bool> {
-    match s {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
 /// The profile path the planner will load: `FESIA_PROFILE` if set,
 /// otherwise `~/.fesia/profile.json` (`None` when `HOME` is unset).
 pub fn default_profile_path() -> Option<PathBuf> {
@@ -544,7 +421,6 @@ pub fn default_profile_path() -> Option<PathBuf> {
 // ---------------------------------------------------------------------------
 
 static PLAN_MODE: AtomicUsize = AtomicUsize::new(0);
-static GALLOP_MAX_LEN: AtomicUsize = AtomicUsize::new(0);
 static INIT: OnceLock<()> = OnceLock::new();
 static PROFILE_STATUS: OnceLock<String> = OnceLock::new();
 
@@ -552,20 +428,16 @@ fn mode_encode(m: PlanMode) -> usize {
     match m {
         PlanMode::Auto => 0,
         PlanMode::Plain => 1,
-        PlanMode::Pipelined => 2,
-        PlanMode::Pruned => 3,
-        PlanMode::HashProbe => 4,
-        PlanMode::Gallop => 5,
+        PlanMode::Pruned => 2,
+        PlanMode::HashProbe => 3,
     }
 }
 
 fn mode_decode(v: usize) -> PlanMode {
     match v {
         1 => PlanMode::Plain,
-        2 => PlanMode::Pipelined,
-        3 => PlanMode::Pruned,
-        4 => PlanMode::HashProbe,
-        5 => PlanMode::Gallop,
+        2 => PlanMode::Pruned,
+        3 => PlanMode::HashProbe,
         _ => PlanMode::Auto,
     }
 }
@@ -579,7 +451,6 @@ pub(crate) fn ensure_init() {
         params::env::warn_unrecognized();
         let mut pipeline = PipelineParams::default();
         let mut prune = PruneParams::default();
-        let mut compress = CompressParams::default();
         let mut container = ContainerParams::default();
         let mut dynamic = DynamicParams::default();
         let status = match default_profile_path() {
@@ -589,10 +460,8 @@ pub(crate) fn ensure_init() {
                 Ok(profile) => {
                     pipeline = profile.pipeline;
                     prune = profile.prune;
-                    compress = profile.compress;
                     container = profile.container;
                     dynamic = profile.dynamic;
-                    GALLOP_MAX_LEN.store(profile.gallop_max_len, Ordering::Relaxed);
                     fesia_obs::metrics().plan_profile_loads.inc();
                     format!("loaded v{} ({})", profile.version, path.display())
                 }
@@ -606,17 +475,12 @@ pub(crate) fn ensure_init() {
         // Environment knobs override the profile field-by-field.
         crate::intersect::store_pipeline(pipeline.with_env_overrides());
         crate::intersect::store_prune(prune.with_env_overrides());
-        crate::intersect::store_compress(compress.with_env_overrides());
         crate::intersect::store_container(container.with_env_overrides());
         crate::dynamic::store_dynamic(dynamic.with_env_overrides());
         if let Some(v) = params::env::raw("FESIA_PLAN") {
             match PlanMode::parse(&v) {
                 Some(m) => PLAN_MODE.store(mode_encode(m), Ordering::Relaxed),
-                None => params::env::warn_malformed(
-                    "FESIA_PLAN",
-                    &v,
-                    "auto|plain|pipelined|pruned|hash|gallop",
-                ),
+                None => params::env::warn_malformed("FESIA_PLAN", &v, "auto|plain|pruned|hash"),
             }
         }
     });
@@ -633,18 +497,6 @@ pub fn plan_mode() -> PlanMode {
 pub fn set_plan_mode(m: PlanMode) {
     ensure_init();
     PLAN_MODE.store(mode_encode(m), Ordering::Relaxed);
-}
-
-/// The process-wide gallop admission ceiling (combined elements).
-pub fn gallop_max_len() -> usize {
-    ensure_init();
-    GALLOP_MAX_LEN.load(Ordering::Relaxed)
-}
-
-/// Replace the gallop admission ceiling at runtime.
-pub fn set_gallop_max_len(n: usize) {
-    ensure_init();
-    GALLOP_MAX_LEN.store(n, Ordering::Relaxed);
 }
 
 /// Serializes tests that mutate the process-wide plan mode or knob
@@ -676,16 +528,12 @@ pub fn profile_status() -> String {
 pub struct IntersectPlanner {
     /// Forced mode, or `Auto`.
     pub mode: PlanMode,
-    /// Pipelined-dispatch knobs in effect.
+    /// The pruned sweep's prefetch distance in effect.
     pub pipeline: PipelineParams,
     /// Summary-pruning knobs in effect.
     pub prune: PruneParams,
-    /// Compressed-tier dispatch knobs in effect.
-    pub compress: CompressParams,
     /// Per-range container dispatch knobs in effect.
     pub container: ContainerParams,
-    /// Gallop admission ceiling (combined elements; 0 = never in auto).
-    pub gallop_max_len: usize,
 }
 
 impl IntersectPlanner {
@@ -697,82 +545,54 @@ impl IntersectPlanner {
             mode: plan_mode(),
             pipeline: crate::intersect::pipeline_params(),
             prune: crate::intersect::prune_params(),
-            compress: crate::intersect::compress_params(),
             container: crate::intersect::container_params(),
-            gallop_max_len: gallop_max_len(),
         }
     }
 
-    /// Plan a pair restricted to the merge family (plain / pipelined /
-    /// pruned) — the contract of [`crate::intersect_count_with`], whose
-    /// callers require the two-phase algorithm itself. Pair-level forced
-    /// modes (hash, gallop) fall back to auto selection here.
+    /// Plan a pair restricted to the merge family (plain / pruned /
+    /// container) — the contract of [`crate::intersect_count_with`],
+    /// whose callers require the two-phase algorithm itself. A forced
+    /// hash mode falls back to auto selection here.
     pub fn plan_merge(&self, a: &SetSummary, b: &SetSummary) -> IntersectPlan {
+        let pruned = IntersectPlan::Pruned {
+            prefetch_distance: self.pipeline.prefetch_distance,
+        };
         match self.mode {
             PlanMode::Plain => return IntersectPlan::Plain,
-            PlanMode::Pipelined => {
-                return IntersectPlan::Pipelined {
-                    prefetch_distance: self.pipeline.prefetch_distance,
-                }
-            }
-            PlanMode::Pruned => {
-                return IntersectPlan::Pruned {
-                    prefetch_distance: self.pipeline.prefetch_distance,
-                }
-            }
-            PlanMode::Auto | PlanMode::HashProbe | PlanMode::Gallop => {}
+            PlanMode::Pruned => return pruned,
+            PlanMode::Auto | PlanMode::HashProbe => {}
         }
         if should_container_summaries(a, b, &self.container) {
             // Containers outrank every hashed-bitmap shape: when most
             // elements sit in dense value-domain ranges, word kernels
             // replace both the step-1 scan and the per-segment compares,
-            // and (unlike compression/pruning) stay exact for all ops.
+            // and (unlike pruning) stay exact for all ops.
             IntersectPlan::Container
-        } else if should_compress_summaries(a, b, &self.compress) {
-            // Compression outranks pruning: both target the same
-            // out-of-cache regime, but the decode path keeps step 1's
-            // survivor collection (so pruning's win is mostly subsumed)
-            // while the traffic saving applies to step 2's larger share.
-            IntersectPlan::Compressed {
-                prefetch_distance: self.pipeline.prefetch_distance,
-            }
         } else if should_prune_summaries(a, b, &self.prune) {
-            IntersectPlan::Pruned {
-                prefetch_distance: self.pipeline.prefetch_distance,
-            }
-        } else if self.pipeline.enabled && a.len + b.len >= self.pipeline.min_elements {
-            IntersectPlan::Pipelined {
-                prefetch_distance: self.pipeline.prefetch_distance,
-            }
+            pruned
         } else {
             IntersectPlan::Plain
         }
     }
 
+    /// Whether auto mode sends this pair to the hash probe: heavy skew
+    /// (paper Fig. 11), or an empty side (the probe touches nothing, and
+    /// riding the hash plan keeps strategy counts summing to calls).
+    fn skewed(a: &SetSummary, b: &SetSummary) -> bool {
+        let (small, large) = if a.len <= b.len { (a, b) } else { (b, a) };
+        large.len == 0
+            || (small.len as f64) < crate::intersect::SKEW_HASH_THRESHOLD * large.len as f64
+    }
+
     /// Plan a pair with the full strategy family (the contract of
     /// [`crate::auto_count`] and every adaptive entry point): hash-probe
-    /// under heavy skew (paper Fig. 11), gallop for calibrated tiny
-    /// pairs, otherwise the merge family.
+    /// under heavy skew (paper Fig. 11), otherwise the merge family.
     pub fn plan_pair(&self, a: &SetSummary, b: &SetSummary) -> IntersectPlan {
         match self.mode {
-            PlanMode::HashProbe => return IntersectPlan::HashProbe,
-            PlanMode::Gallop => return IntersectPlan::GallopFallback,
-            PlanMode::Auto => {}
-            _ => return self.plan_merge(a, b),
+            PlanMode::HashProbe => IntersectPlan::HashProbe,
+            PlanMode::Auto if Self::skewed(a, b) => IntersectPlan::HashProbe,
+            _ => self.plan_merge(a, b),
         }
-        let (small, large) = if a.len <= b.len { (a, b) } else { (b, a) };
-        if large.len == 0 {
-            // Trivially-empty pairs ride the hash plan (they probe zero
-            // elements), keeping strategy counts summing to calls.
-            return IntersectPlan::HashProbe;
-        }
-        if (small.len as f64) < crate::intersect::SKEW_HASH_THRESHOLD * large.len as f64 {
-            return IntersectPlan::HashProbe;
-        }
-        if self.gallop_max_len > 0 && a.len + b.len <= self.gallop_max_len {
-            return IntersectPlan::GallopFallback;
-        }
-        self.plan_merge(a, b)
     }
 
     /// Plan a threshold query — [`IntersectPlanner::plan_pair`] with a
@@ -795,53 +615,17 @@ impl IntersectPlanner {
     }
 
     /// Plan a *materializing* pair for `op` — the same strategy family as
-    /// [`IntersectPlanner::plan_pair`] plus an output-size cost term:
-    /// materializing emits (and finally sorts) up to
-    /// [`SetOp::max_output`] elements on top of reading both inputs, so
-    /// gallop admission charges the pair for its output, and the AND-only
-    /// step-1 optimizations (summary pruning, the compressed hash-domain
-    /// compare) degrade to the pipelined Or-scan for the non-intersect
-    /// ops, which must visit every segment that is non-empty on either
-    /// side.
+    /// [`IntersectPlanner::plan_pair`], with the AND-only step-1
+    /// optimization adjusted for the op: summary pruning is sound only
+    /// under the AND combiner, so the Or-scan ops (union, difference,
+    /// xor), which must visit every segment that is non-empty on either
+    /// side, run the plain scan instead. The container plan is exempt —
+    /// its word bitmaps are exact value-domain bitmaps, not hashed
+    /// filters, so it survives for every op.
     pub fn plan_materialize(&self, a: &SetSummary, b: &SetSummary, op: SetOp) -> IntersectPlan {
-        match self.mode {
-            PlanMode::HashProbe => return IntersectPlan::HashProbe,
-            PlanMode::Gallop => return IntersectPlan::GallopFallback,
-            PlanMode::Auto => {}
-            _ => return self.merge_for_op(a, b, op),
-        }
-        let (small, large) = if a.len <= b.len { (a, b) } else { (b, a) };
-        if large.len == 0 {
-            return IntersectPlan::HashProbe;
-        }
-        if (small.len as f64) < crate::intersect::SKEW_HASH_THRESHOLD * large.len as f64 {
-            return IntersectPlan::HashProbe;
-        }
-        if self.gallop_max_len > 0
-            && a.len + b.len + op.max_output(a.len, b.len) <= self.gallop_max_len
-        {
-            return IntersectPlan::GallopFallback;
-        }
-        self.merge_for_op(a, b, op)
-    }
-
-    /// Merge-family plan adjusted for the op's step-1 scan: pruning and
-    /// compression are sound only under the AND combiner, so for the
-    /// Or-scan ops those plans fall back to the pipelined sweep (which
-    /// buffers exactly the segments the Or-scan visits). The container
-    /// plan is exempt — its word bitmaps are exact value-domain bitmaps,
-    /// not hashed filters, so it survives for every op.
-    fn merge_for_op(&self, a: &SetSummary, b: &SetSummary, op: SetOp) -> IntersectPlan {
-        let plan = self.plan_merge(a, b);
-        if op == SetOp::Intersect {
-            return plan;
-        }
-        match plan {
-            IntersectPlan::Pruned { prefetch_distance }
-            | IntersectPlan::Compressed { prefetch_distance } => {
-                IntersectPlan::Pipelined { prefetch_distance }
-            }
-            other => other,
+        match self.plan_pair(a, b) {
+            IntersectPlan::Pruned { .. } if op != SetOp::Intersect => IntersectPlan::Plain,
+            plan => plan,
         }
     }
 
@@ -864,7 +648,6 @@ mod tests {
             len,
             bitmap_bytes,
             summary_density: density,
-            packed_width: None,
             container_dense: None,
         }
     }
@@ -876,21 +659,12 @@ mod tests {
         }
     }
 
-    fn packed_summary(len: usize, bitmap_bytes: usize, density: f64, width: u32) -> SetSummary {
-        SetSummary {
-            packed_width: Some(width),
-            ..summary(len, bitmap_bytes, density)
-        }
-    }
-
     fn auto_planner() -> IntersectPlanner {
         IntersectPlanner {
             mode: PlanMode::Auto,
             pipeline: PipelineParams::default(),
             prune: PruneParams::default(),
-            compress: CompressParams::default(),
             container: ContainerParams::default(),
-            gallop_max_len: 0,
         }
     }
 
@@ -899,15 +673,18 @@ mod tests {
         for (s, m) in [
             ("auto", PlanMode::Auto),
             ("plain", PlanMode::Plain),
-            ("PIPELINED", PlanMode::Pipelined),
-            ("pruned", PlanMode::Pruned),
+            ("PRUNED", PlanMode::Pruned),
             ("hash", PlanMode::HashProbe),
-            ("gallop", PlanMode::Gallop),
         ] {
             assert_eq!(PlanMode::parse(s), Some(m), "{s}");
             assert_eq!(PlanMode::parse(m.name()), Some(m));
         }
         assert_eq!(PlanMode::parse("frobnicate"), None);
+        // The removed modes are unrecognized: `FESIA_PLAN` warns and
+        // stays on auto.
+        for removed in ["pipelined", "pipeline", "gallop", "gallopfallback"] {
+            assert_eq!(PlanMode::parse(removed), None, "{removed}");
+        }
     }
 
     #[test]
@@ -921,77 +698,16 @@ mod tests {
         // Empty pair -> hash probe (probes zero elements).
         let empty = summary(0, 64, 0.0);
         assert_eq!(p.plan_pair(&empty, &empty), IntersectPlan::HashProbe);
-        // Comparable small pair -> plain.
+        // Comparable pairs, small or large -> plain.
         let small = summary(1_000, 4096, 1.0);
         assert_eq!(p.plan_pair(&small, &small), IntersectPlan::Plain);
-        // Comparable large pair above the pipeline floor -> pipelined.
         let large = summary(1 << 16, 1 << 17, 1.0);
-        assert!(matches!(
-            p.plan_pair(&large, &large),
-            IntersectPlan::Pipelined { .. }
-        ));
+        assert_eq!(p.plan_pair(&large, &large), IntersectPlan::Plain);
         // Huge sparse pair past the prune floor -> pruned.
         let sparse = summary(1 << 20, 1 << 22, 0.3);
         assert!(matches!(
             p.plan_pair(&sparse, &sparse),
             IntersectPlan::Pruned { .. }
-        ));
-        // Gallop only when the ceiling admits the pair.
-        let mut g = p;
-        g.gallop_max_len = 4_000;
-        assert_eq!(p.plan_pair(&small, &small), IntersectPlan::Plain);
-        assert_eq!(g.plan_pair(&small, &small), IntersectPlan::GallopFallback);
-    }
-
-    #[test]
-    fn compressed_plan_follows_tiers_and_cost_model() {
-        let p = auto_planner();
-        // A big packed pair past the floor: decoding 2x2M elements saves
-        // 23 bits each — compression wins over pruning.
-        let big = packed_summary(1 << 21, 1 << 23, 0.5, 9);
-        assert!(matches!(
-            p.plan_pair(&big, &big),
-            IntersectPlan::Compressed { .. }
-        ));
-        // No tier on one side -> never compressed (pruned regime here).
-        let raw = summary(1 << 21, 1 << 23, 0.5);
-        assert!(matches!(
-            p.plan_pair(&big, &raw),
-            IntersectPlan::Pruned { .. }
-        ));
-        // Below the size floor the raw elements are cache-resident.
-        let small = packed_summary(10_000, 1 << 15, 1.0, 9);
-        assert!(!matches!(
-            p.plan_pair(&small, &small),
-            IntersectPlan::Compressed { .. }
-        ));
-        // A width-24 tier saves too little to pay for decoding under a
-        // deliberately expensive decode constant.
-        let wide = packed_summary(1 << 21, 1 << 23, 0.5, 24);
-        let mut expensive = p;
-        expensive.compress.decode_millicycles_per_elem = 2_000;
-        expensive.compress.bandwidth_millicycles_per_byte = 100;
-        assert!(!matches!(
-            expensive.plan_pair(&wide, &wide),
-            IntersectPlan::Compressed { .. }
-        ));
-        // Forcing overrides the model both ways — but cannot conjure a
-        // missing tier.
-        let mut forced_on = p;
-        forced_on.compress.forced = Some(true);
-        assert!(matches!(
-            forced_on.plan_merge(&small, &small),
-            IntersectPlan::Compressed { .. }
-        ));
-        assert!(!matches!(
-            forced_on.plan_merge(&small, &raw),
-            IntersectPlan::Compressed { .. }
-        ));
-        let mut forced_off = p;
-        forced_off.compress.forced = Some(false);
-        assert!(!matches!(
-            forced_off.plan_pair(&big, &big),
-            IntersectPlan::Compressed { .. }
         ));
     }
 
@@ -1061,8 +777,6 @@ mod tests {
         // A merge-only caller cannot honor a pair-level force; it falls
         // back to auto selection.
         assert_eq!(p.plan_merge(&a, &a), IntersectPlan::Plain);
-        p.mode = PlanMode::Gallop;
-        assert_eq!(p.plan_pair(&a, &b), IntersectPlan::GallopFallback);
         p.mode = PlanMode::Pruned;
         assert!(matches!(p.plan_pair(&a, &b), IntersectPlan::Pruned { .. }));
     }
@@ -1076,52 +790,39 @@ mod tests {
             SetOp::Difference,
             SetOp::Xor,
         ];
-        // AND-only step-1 forms survive for intersection but degrade to
-        // the pipelined Or-scan for the other ops.
+        // The AND-only pruned scan survives for intersection but falls
+        // back to the plain Or-scan for the other ops — auto or forced.
         let sparse = summary(1 << 20, 1 << 22, 0.3);
-        assert!(matches!(
-            p.plan_materialize(&sparse, &sparse, SetOp::Intersect),
-            IntersectPlan::Pruned { .. }
-        ));
-        for op in [SetOp::Union, SetOp::Difference, SetOp::Xor] {
-            assert!(
-                matches!(
-                    p.plan_materialize(&sparse, &sparse, op),
-                    IntersectPlan::Pipelined { .. }
-                ),
-                "{op:?}"
-            );
+        let mut forced = p;
+        forced.mode = PlanMode::Pruned;
+        for planner in [p, forced] {
+            assert!(matches!(
+                planner.plan_materialize(&sparse, &sparse, SetOp::Intersect),
+                IntersectPlan::Pruned { .. }
+            ));
+            for op in [SetOp::Union, SetOp::Difference, SetOp::Xor] {
+                assert_eq!(
+                    planner.plan_materialize(&sparse, &sparse, op),
+                    IntersectPlan::Plain,
+                    "{op:?}"
+                );
+            }
         }
-        // Heavy skew routes every op to the probe strategy.
+        // Heavy skew routes every op to the probe strategy, and a forced
+        // hash mode passes through for every op.
         let tiny = summary(100, 64, 1.0);
         let big = summary(100_000, 1 << 18, 1.0);
+        let small = summary(1_000, 4096, 1.0);
+        let mut f = p;
+        f.mode = PlanMode::HashProbe;
         for op in ALL {
             assert_eq!(
                 p.plan_materialize(&tiny, &big, op),
                 IntersectPlan::HashProbe
             );
-        }
-        // Gallop admission charges the pair for its output: a union's
-        // worst case is twice an intersection's, so the same ceiling
-        // admits the intersect but not the union.
-        let mut g = p;
-        g.gallop_max_len = 3_500;
-        let small = summary(1_000, 4096, 1.0);
-        assert_eq!(
-            g.plan_materialize(&small, &small, SetOp::Intersect),
-            IntersectPlan::GallopFallback
-        );
-        assert_eq!(
-            g.plan_materialize(&small, &small, SetOp::Union),
-            IntersectPlan::Plain
-        );
-        // Forced modes pass through for every op.
-        let mut f = p;
-        f.mode = PlanMode::Gallop;
-        for op in ALL {
             assert_eq!(
-                f.plan_materialize(&small, &big, op),
-                IntersectPlan::GallopFallback
+                f.plan_materialize(&small, &small, op),
+                IntersectPlan::HashProbe
             );
         }
     }
@@ -1137,25 +838,16 @@ mod tests {
     #[test]
     fn profile_round_trips_through_json() {
         let profile = MachineProfile {
-            pipeline: PipelineParams::default()
-                .with_enabled(true)
-                .with_prefetch_distance(16)
-                .with_min_elements(12_345),
+            pipeline: PipelineParams::default().with_prefetch_distance(16),
             prune: PruneParams::default()
                 .with_forced(Some(false))
                 .with_min_bitmap_bytes(1 << 20)
                 .with_max_survivor_pct(42),
-            compress: CompressParams::default()
-                .with_forced(Some(true))
-                .with_min_elements(777)
-                .with_decode_millicycles(1234)
-                .with_bandwidth_millicycles(567),
             container: ContainerParams::default()
                 .with_forced(Some(true))
                 .with_min_elements(2048)
                 .with_min_dense_pct(55),
             dynamic: DynamicParams::default().with_rebuild_fraction(0.125),
-            gallop_max_len: 99,
             ..MachineProfile::default()
         };
         let back = MachineProfile::from_json(&profile.to_json()).unwrap();
@@ -1175,10 +867,60 @@ mod tests {
         );
         // Unknown keys are ignored (forward compatibility).
         let p = MachineProfile::from_json(
-            "{\"version\": 1, \"future_knob\": 7, \"gallop_max_len\": 3}",
+            "{\"version\": 1, \"future_knob\": 7, \"prefetch_distance\": 3}",
         )
         .unwrap();
-        assert_eq!(p.gallop_max_len, 3);
+        assert_eq!(p.pipeline.prefetch_distance, 3);
+    }
+
+    /// A profile written before the pipelined, compressed and gallop plans
+    /// were removed still loads: the removed keys are ignored and every
+    /// surviving key still applies.
+    #[test]
+    fn profiles_with_removed_keys_still_load() {
+        let old = r#"{
+  "version": 1,
+  "pipeline_enabled": false,
+  "prefetch_distance": 16,
+  "pipeline_min_elements": 0,
+  "prune_forced": "on",
+  "prune_min_bitmap_bytes": 12345,
+  "prune_max_survivor_pct": 42,
+  "compress_forced": "on",
+  "compress_min_elements": 9,
+  "compress_decode_mc": 1234,
+  "compress_bw_mc": 567,
+  "container_forced": "off",
+  "container_min_elements": 2048,
+  "container_dense_pct": 55,
+  "rebuild_fraction": 0.125,
+  "gallop_max_len": 4000
+}"#;
+        let p = MachineProfile::from_json(old).unwrap();
+        let want = MachineProfile {
+            version: 1,
+            pipeline: PipelineParams::default().with_prefetch_distance(16),
+            prune: PruneParams::default()
+                .with_forced(Some(true))
+                .with_min_bitmap_bytes(12345)
+                .with_max_survivor_pct(42),
+            container: ContainerParams::default()
+                .with_forced(Some(false))
+                .with_min_elements(2048)
+                .with_min_dense_pct(55),
+            dynamic: DynamicParams::default().with_rebuild_fraction(0.125),
+        };
+        assert_eq!(p, want);
+        // The removed keys are not written back.
+        let json = p.to_json();
+        for key in [
+            "pipeline_enabled",
+            "pipeline_min_elements",
+            "compress_",
+            "gallop",
+        ] {
+            assert!(!json.contains(key), "{key} in {json}");
+        }
     }
 
     #[test]
@@ -1189,10 +931,8 @@ mod tests {
             version: PROFILE_VERSION,
             pipeline: PipelineParams::default().with_prefetch_distance(32),
             prune: PruneParams::default().with_min_bitmap_bytes(777),
-            compress: CompressParams::default().with_min_elements(31),
             container: ContainerParams::default().with_min_dense_pct(61),
             dynamic: DynamicParams::default().with_rebuild_fraction(0.5),
-            gallop_max_len: 12,
         };
         profile.save(&path).unwrap();
         assert_eq!(MachineProfile::load(&path).unwrap(), profile);
@@ -1207,7 +947,6 @@ mod tests {
         assert_eq!(sum.len, s.len());
         assert_eq!(sum.bitmap_bytes, s.bitmap_bytes().len());
         assert!((sum.summary_density - s.summary_density()).abs() < 1e-12);
-        assert_eq!(sum.packed_width, s.packed_width());
         assert_eq!(
             sum.container_dense,
             s.container_stats().map(|c| c.dense_fraction())
@@ -1226,9 +965,5 @@ mod tests {
             assert_eq!(plan_mode(), m);
         }
         set_plan_mode(saved);
-        let saved_g = gallop_max_len();
-        set_gallop_max_len(1234);
-        assert_eq!(gallop_max_len(), 1234);
-        set_gallop_max_len(saved_g);
     }
 }

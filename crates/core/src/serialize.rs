@@ -15,8 +15,8 @@
 //!   4   version      u8  (4)
 //!   5   lane         u8  (8 or 16)
 //!   6   log2_m       u8
-//!   7   flags        u8  (bit0 = has packed tier, bit1 = wide seg meta,
-//!                         bit2 = has container tier)
+//!   7   flags        u8  (bit0 = legacy packed section, bit1 = wide seg
+//!                         meta, bit2 = has container tier)
 //!   8   n            u64
 //!  16   summary_ones u64
 //!  24   total_len    u64 (whole block, multiple of 64)
@@ -25,7 +25,7 @@
 //!         [1] SUMMARY   one u64 word per 64 bitmap blocks
 //!         [2] SEGMETA   packed (offset,size) entries, 4 or 8 bytes each
 //!         [3] ELEMENTS  (n + PAD_LEN) x u32, sentinel tail included
-//!         [4] PACKED    bitpacked residual stream (len 0 when absent)
+//!         [4] PACKED    legacy residual stream (written empty)
 //!         [5] CDIR      container directory, 2 u64 words per range
 //!         [6] CVALUES   array-container payloads, sorted u16 values
 //!         [7] CWORDS    bitmap-container payloads, 1024 u64 words each
@@ -40,11 +40,18 @@
 //! decoder accept it. Versions 1 and 2 (the flat `header | bitmap |
 //! summary | sizes | elements` layout written by
 //! [`SegmentedSet::serialize_v2`]) still decode on the owned path. The
-//! compressed and container tiers are rebuilt from the decoded elements
-//! on every owned decode, so legacy corpora gain them for free. The
-//! mapped path is v3/v4- and little-endian-only: it reinterprets file
+//! container tier is rebuilt from the decoded elements on every owned
+//! decode, so legacy corpora gain it for free.
+//!
+//! Files written before the packed residual tier was removed may set
+//! `FLAG_PACKED` and carry a non-empty PACKED section. Both decoders
+//! still check that section's length against the header (it is outside
+//! input) and then ignore it; writers always leave it empty, so the
+//! format version did not change.
+//!
+//! The mapped path is v3/v4- and little-endian-only: it reinterprets file
 //! bytes in place and trusts section *content* (bitmap bits, element
-//! values, packed words) after structural checks — the container sections
+//! values) after structural checks — the container sections
 //! are the exception, fully validated by
 //! [`crate::container`]'s tier check so a hostile directory can never
 //! index a payload out of bounds — corruption elsewhere can only yield
@@ -56,8 +63,7 @@ use crate::container::{self, ContainerTier};
 use crate::error::BuildError;
 use crate::mmap::{MappedFile, Section};
 use crate::params::FesiaParams;
-use crate::set::{PackedTier, SegMeta, SegmentedSet, PAD_LEN, PAD_SENTINEL};
-use fesia_simd::bitpack;
+use crate::set::{SegMeta, SegmentedSet, PAD_LEN, PAD_SENTINEL};
 use fesia_simd::mask::{summary_len, LaneWidth};
 use fesia_simd::util::log2_pow2;
 
@@ -79,8 +85,12 @@ const V4_HEADER_LEN: usize = 192;
 /// pad, so the first set block starts 64-byte-aligned.
 const MANY_PROLOGUE: usize = 64;
 
-/// Set carries a packed residual tier (section 4 non-empty).
+/// Legacy: the block carries a packed residual section (section 4
+/// non-empty). Never written; accepted on decode and the section ignored.
 const FLAG_PACKED: u8 = 1;
+/// Widest residual a legacy packed section could hold; a `FLAG_PACKED`
+/// header implying a wider one was never written and is corrupt.
+const LEGACY_PACKED_MAX_WIDTH: u32 = 24;
 /// Segment metadata entries are 8-byte (`offset << 32 | size`) rather
 /// than the compact 4-byte (`offset << 8 | size`) form.
 const FLAG_WIDE_META: u8 = 2;
@@ -158,7 +168,7 @@ fn section_lens(set: &SegmentedSet, v4: bool) -> [u64; SEC_COUNT] {
             SegMeta::Wide(v) => v.len() as u64 * 8,
         },
         ((set.len() + PAD_LEN) * 4) as u64,
-        set.packed().map_or(0, |p| p.stream_bytes() as u64),
+        0,
         dlen,
         vlen,
         wlen,
@@ -212,9 +222,6 @@ impl SegmentedSet {
         out.push(self.lane().bits() as u8);
         out.push(self.log2_m() as u8);
         let mut flags = 0u8;
-        if self.packed().is_some() {
-            flags |= FLAG_PACKED;
-        }
         if matches!(self.seg_meta(), SegMeta::Wide(_)) {
             flags |= FLAG_WIDE_META;
         }
@@ -254,12 +261,6 @@ impl SegmentedSet {
         }
         for _ in 0..PAD_LEN {
             out.extend_from_slice(&PAD_SENTINEL.to_le_bytes());
-        }
-        if let Some(p) = self.packed() {
-            out.resize(start + offsets[SEC_PACKED] as usize, 0);
-            for &w in p.words() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
         }
         if v4 {
             if let Some(c) = self.container() {
@@ -460,16 +461,6 @@ impl SegmentedSet {
         let reordered = unsafe {
             Section::from_mapped(base.add(eoff) as *const u32, elen / 4, Arc::clone(file))
         };
-        let packed = if h.flags & FLAG_PACKED != 0 {
-            let (poff, plen) = h.sections[SEC_PACKED];
-            let width = 32 - h.log2_m + log2_pow2(h.lane.bits());
-            let words = unsafe {
-                Section::from_mapped(base.add(poff) as *const u64, plen / 8, Arc::clone(file))
-            };
-            Some(PackedTier::from_section(words, width))
-        } else {
-            None
-        };
         let container = if h.flags & FLAG_CONTAINER != 0 {
             let (doff, dlen) = h.sections[SEC_CDIR];
             let (voff, vlen) = h.sections[SEC_CVALUES];
@@ -509,7 +500,6 @@ impl SegmentedSet {
             h.summary_ones,
             seg_meta,
             reordered,
-            packed,
             container,
             h.n,
             h.log2_m,
@@ -579,24 +569,25 @@ fn parse_header(bytes: &[u8]) -> Result<Header, DecodeError> {
     let m_bytes = (1usize << log2_m) / 8;
     let segs = (1usize << log2_m) / lane.bits();
     let meta_entry: u128 = if flags & FLAG_WIDE_META != 0 { 8 } else { 4 };
-    let packed_len: u128 = if flags & FLAG_PACKED != 0 {
-        let width = 32 - log2_m + log2_pow2(lane.bits());
-        if width > bitpack::MAX_WIDTH {
-            // The builder's gates never pack such sets, so the flag lies.
-            return Err(DecodeError::Corrupt);
-        }
-        // required_words(n, width) * 8, in u128 because n is untrusted.
-        ((n as u128 * u128::from(width)).div_ceil(64) + 1) * 8
-    } else {
-        0
-    };
-    let expected: [u128; SEC_COUNT_V3] = [
+    let mut expected: [u128; SEC_COUNT_V3] = [
         m_bytes as u128,
         (summary_len(m_bytes) * 8) as u128,
         segs as u128 * meta_entry,
         (n as u128 + PAD_LEN as u128) * 4,
-        packed_len,
+        0,
     ];
+    if flags & FLAG_PACKED != 0 {
+        // A legacy packed section: ignored, but its length is outside
+        // input and must be exactly what the old writer produced.
+        let width = 32 - log2_m + log2_pow2(lane.bits());
+        if width > LEGACY_PACKED_MAX_WIDTH {
+            // The old builder never packed such sets, so the flag lies.
+            return Err(DecodeError::Corrupt);
+        }
+        // The old writer's word count (one trailing pad word), in bytes;
+        // u128 because n is untrusted.
+        expected[SEC_PACKED] = ((n as u128 * u128::from(width)).div_ceil(64) + 1) * 8;
+    }
     let sec_count = if v4 { SEC_COUNT } else { SEC_COUNT_V3 };
     let mut sections = [(0usize, 0usize); SEC_COUNT];
     for (i, slot) in sections.iter_mut().enumerate().take(sec_count) {
@@ -665,9 +656,9 @@ unsafe fn sec_slice<T>(bytes: &[u8], off: usize, len_bytes: usize) -> &[T] {
 }
 
 /// Owned decode of a v3/v4 block: full validation via
-/// `SegmentedSet::from_decoded_parts` (which also rebuilds the packed and
-/// container tiers from the decoded elements — stored tier bytes are
-/// never trusted on this path).
+/// `SegmentedSet::from_decoded_parts` (which also rebuilds the container
+/// tier from the decoded elements — stored tier bytes are never trusted
+/// on this path).
 fn deserialize_sectioned(bytes: &[u8]) -> Result<(SegmentedSet, usize), DecodeError> {
     let h = parse_header(bytes)?;
     let (boff, blen) = h.sections[SEC_BITMAP];
@@ -911,10 +902,6 @@ mod tests {
         assert_eq!(back.bitmap_bytes(), set.bitmap_bytes());
         assert_eq!(back.summary_words(), set.summary_words());
         assert_eq!(back.reordered_elements(), set.reordered_elements());
-        assert_eq!(back.packed_width(), set.packed_width());
-        if let (Some(a), Some(b)) = (back.packed(), set.packed()) {
-            assert_eq!(a.words(), b.words());
-        }
         if let (Some(a), Some(b)) = (back.container(), set.container()) {
             assert_eq!(a.sections().0, b.sections().0, "container directory");
             assert_eq!(a.stats(), b.stats());
@@ -938,9 +925,9 @@ mod tests {
     }
 
     #[test]
-    fn v2_buffers_decode_and_gain_the_packed_tier() {
-        // A legacy buffer never stored a tier; decoding must rebuild the
-        // exact tier a fresh build carries.
+    fn v2_buffers_decode_and_gain_the_container_tier() {
+        // A legacy buffer never stored a container tier; decoding must
+        // rebuild the exact tier a fresh build carries.
         for n in [0usize, 100, 5_000] {
             let set = sample_set(n, 77 + n as u64);
             let bytes = set.serialize_v2();

@@ -3,10 +3,9 @@
 use crate::container::{ContainerStats, ContainerTier};
 use crate::error::{validate_input, BuildError, MAX_ELEMENT};
 use crate::hash;
-use crate::layout::{build_container_tier, build_layout, pack_residuals};
+use crate::layout::{build_container_tier, build_layout};
 use crate::mmap::Section;
 use crate::params::FesiaParams;
-use fesia_simd::bitpack;
 use fesia_simd::mask::{build_block_summary, LaneWidth, SUMMARY_BLOCK_BYTES};
 use fesia_simd::util::log2_pow2;
 
@@ -79,43 +78,6 @@ impl SegMeta {
     }
 }
 
-/// The compressed storage tier: every segment's elements re-encoded as
-/// fixed-width hash residuals and bitpacked into one contiguous stream
-/// (see [`crate::layout::pack_residuals`] for the transform and the gates
-/// deciding when a set carries one). Segment `i`'s run starts at bit
-/// `seg_offset(i) * width`, so the existing segment metadata locates it
-/// with no extra bookkeeping.
-#[derive(Debug, Clone)]
-pub struct PackedTier {
-    words: Section<u64>,
-    width: u32,
-}
-
-impl PackedTier {
-    /// Wrap an existing (typically mapped) packed stream.
-    pub(crate) fn from_section(words: Section<u64>, width: u32) -> PackedTier {
-        PackedTier { words, width }
-    }
-
-    /// Residual width in bits.
-    #[inline]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// The packed words, including the trailing over-read pad word.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Size of the packed stream in bytes (including the pad word).
-    #[inline]
-    pub fn stream_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-}
-
 /// A set of `u32` values encoded as a segmented bitmap (paper §III-B).
 ///
 /// Built once offline, then intersected many times online. The encoding
@@ -142,9 +104,6 @@ pub struct SegmentedSet {
     summary_ones: u64,
     seg_meta: SegMeta,
     reordered: Section<u32>,
-    /// The compressed tier, when the set qualifies for one (see
-    /// [`PackedTier`]); the planner decides per pair whether to use it.
-    packed: Option<PackedTier>,
     /// The adaptive per-range container tier, when the set is large enough
     /// to carry one (see [`crate::container`]); the planner decides per
     /// pair whether to use it.
@@ -169,16 +128,6 @@ impl SegmentedSet {
             "bitmap floor guarantees 64B blocks"
         );
 
-        let packed = pack_residuals(
-            &layout.reordered,
-            &layout.seg_offsets,
-            log2_m,
-            log2_pow2(s_bits),
-        )
-        .map(|(words, width)| PackedTier {
-            words: words.into(),
-            width,
-        });
         let container = build_container_tier(sorted);
 
         let mut reordered = layout.reordered;
@@ -213,7 +162,6 @@ impl SegmentedSet {
             summary_ones,
             seg_meta,
             reordered: reordered.into(),
-            packed,
             container,
             n: sorted.len(),
             log2_m,
@@ -264,20 +212,10 @@ impl SegmentedSet {
         if acc != n as u64 {
             return None;
         }
-        // The compressed tier is always rebuilt from the decoded elements
-        // (never trusted from the buffer): the gates and residual order are
-        // deterministic functions of the set's own contents, so a decode
-        // carries exactly the tier a fresh build would — for v1/v2 buffers
-        // that never stored one just as much as for v3.
-        let packed = pack_residuals(&reordered, &seg_offsets, log2_m, log2_pow2(lane.bits())).map(
-            |(words, width)| PackedTier {
-                words: words.into(),
-                width,
-            },
-        );
-        // The container tier is likewise rebuilt, never trusted: its input
-        // is the value-sorted element list, which the segment-grouped
-        // `reordered` order does not provide, so sort a copy.
+        // The container tier is always rebuilt from the decoded elements,
+        // never trusted from the buffer: its input is the value-sorted
+        // element list, which the segment-grouped `reordered` order does
+        // not provide, so sort a copy.
         let container = {
             let mut sorted = reordered.clone();
             sorted.sort_unstable();
@@ -310,7 +248,6 @@ impl SegmentedSet {
             summary_ones,
             seg_meta,
             reordered: reordered.into(),
-            packed,
             container,
             n,
             log2_m,
@@ -336,7 +273,6 @@ impl SegmentedSet {
         summary_ones: u64,
         seg_meta: SegMeta,
         reordered: Section<u32>,
-        packed: Option<PackedTier>,
         container: Option<ContainerTier>,
         n: usize,
         log2_m: u32,
@@ -348,7 +284,6 @@ impl SegmentedSet {
             summary_ones,
             seg_meta,
             reordered,
-            packed,
             container,
             n,
             log2_m,
@@ -517,19 +452,6 @@ impl SegmentedSet {
         &self.reordered[..self.n]
     }
 
-    /// The compressed tier, when this set qualifies for one.
-    #[inline]
-    pub fn packed(&self) -> Option<&PackedTier> {
-        self.packed.as_ref()
-    }
-
-    /// Residual width of the compressed tier, if present — the planner's
-    /// per-set compression signal.
-    #[inline]
-    pub fn packed_width(&self) -> Option<u32> {
-        self.packed.as_ref().map(|p| p.width)
-    }
-
     /// The adaptive per-range container tier, when this set carries one.
     #[inline]
     pub fn container(&self) -> Option<&ContainerTier> {
@@ -564,7 +486,6 @@ impl SegmentedSet {
             + self.summary.len() * 8
             + self.seg_meta.heap_bytes()
             + self.reordered.len() * 4
-            + self.packed.as_ref().map_or(0, PackedTier::stream_bytes)
             + self
                 .container
                 .as_ref()
@@ -579,10 +500,6 @@ impl SegmentedSet {
             && self.bitmap.len() >= 64
             && self.bitmap_bits() == (1usize << self.log2_m)
             && self.summary[..] == build_block_summary(&self.bitmap)[..]
-            && self.packed.as_ref().is_none_or(|p| {
-                p.width == 32 - self.log2_m + log2_pow2(self.lane.bits())
-                    && p.words.len() == bitpack::required_words(self.n, p.width)
-            })
             && self.summary_ones
                 == self
                     .summary
@@ -748,29 +665,6 @@ mod tests {
         // And a normal set stays compact.
         let small = SegmentedSet::build(&(0..1000).collect::<Vec<_>>(), &params()).unwrap();
         assert!(matches!(small.seg_meta, SegMeta::Compact(_)));
-    }
-
-    #[test]
-    fn packed_tier_built_when_gates_pass() {
-        let elements: Vec<u32> = (0..2000u32).map(|i| i * 3 + 1).collect();
-        let set = SegmentedSet::build(&elements, &params()).unwrap();
-        let tier = set
-            .packed()
-            .expect("a 2000-element set should carry a tier");
-        assert_eq!(
-            tier.width(),
-            32 - set.log2_m() + log2_pow2(set.lane().bits())
-        );
-        assert_eq!(
-            tier.words().len(),
-            bitpack::required_words(set.len(), tier.width())
-        );
-        assert!(tier.stream_bytes() < set.len() * 4, "tier must be smaller");
-        assert!(set.validate());
-        // Tiny sets carry no tier.
-        let small = SegmentedSet::build(&[1, 2, 3], &params()).unwrap();
-        assert!(small.packed().is_none());
-        assert!(small.validate());
     }
 
     #[test]

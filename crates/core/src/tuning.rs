@@ -8,8 +8,8 @@
 //! segment width)` candidates on caller-supplied representative workloads
 //! and returns the fastest configuration.
 
-use crate::kernels::{KernelTable, UnpackJob, OVERREAD};
-use crate::params::{CompressParams, FesiaParams, PipelineParams, PruneParams};
+use crate::kernels::KernelTable;
+use crate::params::{FesiaParams, PipelineParams, PruneParams};
 use crate::set::SegmentedSet;
 use fesia_simd::mask::LaneWidth;
 use fesia_simd::timer::CycleTimer;
@@ -96,81 +96,46 @@ pub fn tune(samples: &[(Vec<u32>, Vec<u32>)]) -> FesiaParams {
     tune_grid(samples, &KernelTable::auto(), 3)[0].params
 }
 
-/// The phase-2 prefetch distances [`tune_pipeline`] measures (besides the
-/// interleaved form itself).
-pub const PIPELINE_DISTANCE_GRID: [usize; 4] = [4, 8, 16, 32];
+/// The phase-2 prefetch distances [`tune_prefetch_distance`] measures
+/// (0 turns the phase-2 prefetch off).
+pub const PREFETCH_DISTANCE_GRID: [usize; 5] = [0, 4, 8, 16, 32];
 
-/// Measure the pipelined dispatch against the interleaved form on the
-/// sample workload and return the fastest [`PipelineParams`]: either
-/// `enabled = false` (interleaved won) or the best prefetch distance from
-/// [`PIPELINE_DISTANCE_GRID`]. Counts are cross-checked between every
-/// candidate. Sets are built with the default [`FesiaParams`]; the result
-/// is *not* installed — pass it to [`crate::set_pipeline_params`] to
-/// adopt it.
+/// Time the summary-pruned plan's sweep at every distance of
+/// [`PREFETCH_DISTANCE_GRID`] on the sample pairs and return the fastest.
+/// Counts are cross-checked against the plain interleaved scan. The
+/// result is *not* installed — pass it to [`crate::set_pipeline_params`]
+/// to adopt it.
 ///
 /// # Panics
-/// Panics if `samples` is empty or any sample is not sorted/unique.
-pub fn tune_pipeline(
-    samples: &[(Vec<u32>, Vec<u32>)],
+/// Panics if `pairs` is empty.
+pub fn tune_prefetch_distance(
+    pairs: &[(SegmentedSet, SegmentedSet)],
     table: &KernelTable,
     reps: usize,
-) -> PipelineParams {
-    assert!(!samples.is_empty(), "need at least one sample pair");
-    let params = FesiaParams::auto();
-    let built: Vec<(SegmentedSet, SegmentedSet)> = samples
-        .iter()
-        .map(|(a, b)| {
-            (
-                SegmentedSet::build(a, &params).expect("valid sample"),
-                SegmentedSet::build(b, &params).expect("valid sample"),
-            )
-        })
-        .collect();
-    let reference: Vec<usize> = built
+) -> usize {
+    assert!(!pairs.is_empty(), "need at least one sample pair");
+    let reference: Vec<usize> = pairs
         .iter()
         .map(|(a, b)| crate::intersect::intersect_count_interleaved_with(a, b, table))
         .collect();
-    let measure = |f: &dyn Fn(&SegmentedSet, &SegmentedSet) -> usize| -> u64 {
-        let counts: Vec<usize> = built.iter().map(|(a, b)| f(a, b)).collect();
-        assert_eq!(counts, reference, "pipeline candidate disagreed");
-        let mut best = u64::MAX;
-        for _ in 0..reps.max(1) {
-            let t = CycleTimer::start();
-            let mut acc = 0usize;
-            for (a, b) in &built {
-                acc += f(a, b);
-            }
-            std::hint::black_box(acc);
-            best = best.min(t.elapsed_cycles());
-        }
-        best
-    };
-    let mut best = PipelineParams::default().with_enabled(false);
-    let mut best_cycles =
-        measure(&|a, b| crate::intersect::intersect_count_interleaved_with(a, b, table));
     let mut scratch = Vec::new();
-    for &dist in &PIPELINE_DISTANCE_GRID {
-        let scratch_cell = std::cell::RefCell::new(std::mem::take(&mut scratch));
-        let cycles = measure(&|a, b| {
-            crate::intersect::intersect_count_pipelined_with(
-                a,
-                b,
-                table,
-                &mut scratch_cell.borrow_mut(),
-                dist,
-            )
-        });
-        scratch = scratch_cell.into_inner();
-        if cycles < best_cycles {
-            best_cycles = cycles;
-            // Tuned on a representative sample, so the size heuristic is
-            // superseded: apply the winning distance unconditionally.
-            best = PipelineParams::default()
-                .with_prefetch_distance(dist)
-                .with_min_elements(0);
+    let mut best = (u64::MAX, PipelineParams::default().prefetch_distance);
+    for &dist in &PREFETCH_DISTANCE_GRID {
+        let mut run = || -> Vec<usize> {
+            pairs
+                .iter()
+                .map(|(a, b)| {
+                    crate::intersect::intersect_count_pruned_with(a, b, table, &mut scratch, dist).0
+                })
+                .collect()
+        };
+        assert_eq!(run(), reference, "prefetch distance {dist} disagreed");
+        let cycles = min_cycles(reps, || run().len());
+        if cycles < best.0 {
+            best = (cycles, dist);
         }
     }
-    best
+    best.1
 }
 
 /// Decide whether the summary-pruned step-1 scan should run for this
@@ -227,18 +192,13 @@ fn min_cycles(reps: usize, mut f: impl FnMut() -> usize) -> u64 {
 /// microbenchmarks on this machine (the measurement half of
 /// `fesia tune`):
 ///
-/// 1. **Pipeline** — [`tune_pipeline`] on comparable mid-size pairs
-///    picks the interleaved-vs-pipelined winner and its prefetch
-///    distance; the winning distance keeps the default `min_elements`
-///    crossover floor (the sweep in `repro batch` locates it; a quick
-///    calibration cannot beat that resolution).
-/// 2. **Prune** — a sparse oversized pair (where pruning should win) is
-///    timed pruned vs interleaved; if the pruned scan wins, the
-///    `min_bitmap_bytes` floor is lowered to half that pair's combined
-///    size, otherwise the defaults stand.
-/// 3. **Gallop** — tiny pairs are timed galloping vs interleaved; the
-///    ceiling is the largest combined size where galloping won (0 when
-///    it never does, which keeps auto mode on the segmented merge).
+/// 1. **Prefetch distance** — [`tune_prefetch_distance`] on sparse
+///    oversized pairs (the regime the pruned plan serves) picks the
+///    phase-2 lookahead.
+/// 2. **Prune** — the same pair is timed pruned (at that distance) vs
+///    interleaved; if the pruned scan wins, the `min_bitmap_bytes` floor
+///    is lowered to half that pair's combined size, otherwise the
+///    defaults stand.
 ///
 /// `quick` shrinks sizes and repetitions (~10x less work) for smoke
 /// runs. The result is *not* installed or persisted — callers pass it to
@@ -249,105 +209,34 @@ pub fn calibrate(quick: bool) -> crate::plan::MachineProfile {
     let reps = if quick { 2 } else { 5 };
     let mut profile = crate::plan::MachineProfile::default();
 
-    // 1. Pipeline crossover.
-    let n = if quick { 20_000 } else { 200_000 };
-    let samples: Vec<(Vec<u32>, Vec<u32>)> = (0..2u64)
+    // 1. Prefetch distance, on sparse oversized pairs.
+    let pn = if quick { 4_000 } else { 20_000 };
+    let sparse = FesiaParams::auto().with_bits_per_element(256.0);
+    let pairs: Vec<(SegmentedSet, SegmentedSet)> = (0..2u64)
         .map(|i| {
+            let a = calibration_sample(pn, 7 + i, u32::MAX);
+            let b = calibration_sample(pn, 13 + i, u32::MAX);
             (
-                calibration_sample(n, 1 + i, (n as u32) * 20),
-                calibration_sample(n, 100 + i, (n as u32) * 20),
+                SegmentedSet::build(&a, &sparse).unwrap(),
+                SegmentedSet::build(&b, &sparse).unwrap(),
             )
         })
         .collect();
-    let tuned = tune_pipeline(&samples, &table, reps);
-    profile.pipeline = if tuned.enabled {
-        PipelineParams::default().with_prefetch_distance(tuned.prefetch_distance)
-    } else {
-        PipelineParams::default().with_enabled(false)
-    };
+    let dist = tune_prefetch_distance(&pairs, &table, reps);
+    profile.pipeline = PipelineParams::default().with_prefetch_distance(dist);
 
-    // 2. Prune crossover on a sparse, oversized pair.
-    let pn = if quick { 4_000 } else { 20_000 };
-    let sparse = FesiaParams::auto().with_bits_per_element(256.0);
-    let pa = SegmentedSet::build(&calibration_sample(pn, 7, u32::MAX), &sparse).unwrap();
-    let pb = SegmentedSet::build(&calibration_sample(pn, 13, u32::MAX), &sparse).unwrap();
+    // 2. Prune crossover on the first of those pairs.
+    let (pa, pb) = &pairs[0];
     let mut scratch = Vec::new();
     let plain = min_cycles(reps, || {
-        crate::intersect::intersect_count_interleaved_with(&pa, &pb, &table)
+        crate::intersect::intersect_count_interleaved_with(pa, pb, &table)
     });
     let pruned = min_cycles(reps, || {
-        crate::intersect::intersect_count_pruned_with(&pa, &pb, &table, &mut scratch, 8).0
+        crate::intersect::intersect_count_pruned_with(pa, pb, &table, &mut scratch, dist).0
     });
     if pruned < plain {
         let combined = pa.bitmap_bytes().len() + pb.bitmap_bytes().len();
         profile.prune = PruneParams::default().with_min_bitmap_bytes(combined / 2);
-    }
-
-    // 3. Gallop admission ceiling.
-    let mut ceiling = 0usize;
-    for n in [64usize, 256, 1024] {
-        let ga = calibration_sample(n, 17, (n as u32) * 16);
-        let gb = calibration_sample(n, 23, (n as u32) * 16);
-        let params = FesiaParams::auto();
-        let sa = SegmentedSet::build(&ga, &params).unwrap();
-        let sb = SegmentedSet::build(&gb, &params).unwrap();
-        let merge = min_cycles(reps, || {
-            crate::intersect::intersect_count_interleaved_with(&sa, &sb, &table)
-        });
-        let gallop = min_cycles(reps, || crate::intersect::gallop_count(&sa, &sb));
-        if gallop < merge {
-            ceiling = 2 * n;
-        }
-    }
-    profile.gallop_max_len = ceiling;
-
-    // 4. Compressed-tier cost constants. Decode speed: unpack every
-    // segment of a dense built set (small bits/element keeps most
-    // segments populated, so the per-segment dispatch overhead is
-    // amortized the way real survivor sweeps amortize it). Bandwidth:
-    // stream an out-of-cache buffer — the traffic the packed tier saves.
-    let cn = if quick { 50_000 } else { 400_000 };
-    let dense = FesiaParams::auto().with_bits_per_element(2.0);
-    let cset = SegmentedSet::build(&calibration_sample(cn, 29, u32::MAX), &dense).unwrap();
-    if let Some(tier) = cset.packed() {
-        let words = tier.words().as_ptr();
-        let width = tier.width();
-        let log2_s = cset.lane().bits().trailing_zeros();
-        let mut out = vec![0u32; cn + OVERREAD];
-        let cycles = min_cycles(reps, || {
-            for i in 0..cset.num_segments() {
-                let (off, k) = cset.seg_entry(i);
-                if k == 0 {
-                    continue;
-                }
-                let job = UnpackJob {
-                    bit_base: off as u64 * u64::from(width),
-                    k,
-                    width,
-                    log2_m: cset.log2_m(),
-                    log2_s,
-                    seg_index: i as u32,
-                };
-                // SAFETY: the job describes a real segment of this set's
-                // stream; `out` holds the whole reordered array + slack.
-                unsafe { table.unpack_segment(words, job, out.as_mut_ptr().add(off)) };
-            }
-            out[0] as usize
-        });
-        let decode_mc = (cycles * 1000 / cn as u64).clamp(50, 20_000);
-        let bytes: usize = if quick { 8 << 20 } else { 32 << 20 };
-        let buf: Vec<u32> = (0..bytes / 4).map(|i| i as u32).collect();
-        let bw_cycles = min_cycles(reps, || {
-            let mut acc = 0u64;
-            for &v in &buf {
-                acc = acc.wrapping_add(u64::from(v));
-            }
-            acc as usize
-        });
-        let bw_mc = (bw_cycles * 1000 / bytes as u64).clamp(10, 5_000);
-        profile.compress = CompressParams::default()
-            .with_decode_millicycles(decode_mc)
-            .with_bandwidth_millicycles(bw_mc);
     }
 
     profile
@@ -410,17 +299,18 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_tuner_returns_a_measured_candidate() {
-        let samples = vec![(gen_sorted(2_000, 9, 60_000), gen_sorted(2_000, 10, 60_000))];
-        let p = tune_pipeline(&samples, &KernelTable::auto(), 2);
-        // Either interleaved won, or a grid distance won — nothing else.
-        assert!(!p.enabled || PIPELINE_DISTANCE_GRID.contains(&p.prefetch_distance));
+    fn prefetch_tuner_returns_a_grid_distance() {
+        let p = FesiaParams::auto().with_bits_per_element(64.0);
+        let a = SegmentedSet::build(&gen_sorted(2_000, 9, 60_000), &p).unwrap();
+        let b = SegmentedSet::build(&gen_sorted(2_000, 10, 60_000), &p).unwrap();
+        let d = tune_prefetch_distance(&[(a, b)], &KernelTable::auto(), 2);
+        assert!(PREFETCH_DISTANCE_GRID.contains(&d));
     }
 
     #[test]
     #[should_panic(expected = "at least one sample")]
-    fn pipeline_tuner_rejects_empty_samples() {
-        let _ = tune_pipeline(&[], &KernelTable::auto(), 1);
+    fn prefetch_tuner_rejects_empty_samples() {
+        let _ = tune_prefetch_distance(&[], &KernelTable::auto(), 1);
     }
 
     #[test]
@@ -429,9 +319,7 @@ mod tests {
         assert_eq!(p.version, crate::plan::PROFILE_VERSION);
         let back = crate::plan::MachineProfile::from_json(&p.to_json()).unwrap();
         assert_eq!(back, p);
-        // Phase 4 always measures on a packable calibration set.
-        assert!((50..=20_000).contains(&p.compress.decode_millicycles_per_elem));
-        assert!((10..=5_000).contains(&p.compress.bandwidth_millicycles_per_byte));
+        assert!(PREFETCH_DISTANCE_GRID.contains(&p.pipeline.prefetch_distance));
     }
 
     #[test]

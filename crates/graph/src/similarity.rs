@@ -134,6 +134,14 @@ mod tests {
     use super::*;
     use fesia_baselines::Method;
 
+    /// Serializes the tests that call [`neighborhood_union`] (directly or
+    /// through [`recommend`]): one of them asserts an exact delta of the
+    /// process-wide `graph_neighborhood_unions` counter.
+    fn union_counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Two triangles sharing an edge plus a pendant:
     /// 0-1, 0-2, 1-2, 1-3, 2-3, 3-4.
     fn sample() -> CsrGraph {
@@ -162,6 +170,7 @@ mod tests {
 
     #[test]
     fn recommendation_finds_the_missing_link() {
+        let _guard = union_counter_lock();
         let g = sample();
         let m = Method::Scalar;
         // 0 and 3 share two neighbors and are not adjacent: the top pick.
@@ -174,6 +183,7 @@ mod tests {
 
     #[test]
     fn all_methods_give_identical_recommendations() {
+        let _guard = union_counter_lock();
         let g = crate::generate::barabasi_albert(600, 4, 77);
         let want = recommend(&g, 5, 10, &Method::Scalar);
         for m in Method::all() {
@@ -188,6 +198,7 @@ mod tests {
 
     #[test]
     fn neighborhood_union_matches_flat_merge() {
+        let _guard = union_counter_lock();
         let g = crate::generate::barabasi_albert(400, 3, 11);
         let before = fesia_obs::metrics().graph_neighborhood_unions.get();
         for u in [0u32, 7, 133, 399] {
@@ -231,6 +242,7 @@ mod tests {
 
     #[test]
     fn isolated_vertices_are_harmless() {
+        let _guard = union_counter_lock();
         let g = CsrGraph::from_edges(3, &[(0, 1)]);
         let m = Method::Scalar;
         assert_eq!(jaccard(&g, 2, 0, &m), 0.0);

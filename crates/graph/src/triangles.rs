@@ -147,7 +147,7 @@ impl FesiaGraph {
                             // Strategy selection per pair (paper §VI):
                             // adjacency lists are mostly tiny and often
                             // skewed, so the planner's adaptive pair plan
-                            // (probe vs merge vs gallop) is the faithful way
+                            // (probe vs merge) is the faithful way
                             // to run FESIA on a graph workload. Delta-free
                             // neighborhoods run it on the bases directly.
                             let sv = snap.get(v).expect("vertex ids are dense").set();

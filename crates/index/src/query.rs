@@ -312,8 +312,8 @@ impl FesiaIndex {
         fesia_obs::metrics().index_boolean_queries.inc();
         let snap = self.store.pin();
         // A single must/must_not pair is exactly one set-level difference;
-        // hand it to the planner whole so it can pick hash-probe or gallop
-        // for skewed posting lengths.
+        // hand it to the planner whole so it can pick hash-probe for
+        // skewed posting lengths.
         if query.must.len() == 1 && query.should.is_empty() && query.must_not.len() == 1 {
             return snap
                 .set_op(

@@ -11,8 +11,7 @@
 //!   funnels through [`warn_malformed`], one `warning:` line on stderr,
 //!   and the default stands;
 //! * boolean knobs accept `0`/`off`/`false` (any case) as false and
-//!   anything else as true, matching the historical `FESIA_PIPELINE`
-//!   contract.
+//!   anything else as true.
 
 use std::str::FromStr;
 

@@ -365,26 +365,24 @@ define_metrics! {
     counters {
         intersect_interleaved:
             "Two-phase intersections dispatched in the interleaved form.",
-        intersect_pipelined:
-            "Two-phase intersections dispatched in the pipelined form.",
         intersect_pruned:
             "Two-phase intersections dispatched in the summary-pruned form.",
         summary_blocks_skipped:
             "Full-bitmap 512-bit blocks the pruned step 1 never loaded because the summary AND cleared them.",
         survivor_segments:
-            "Segment pairs surviving the phase-1 bitmap filter (pipelined dispatch only — the interleaved form never materializes its survivors).",
+            "Segment pairs surviving the phase-1 bitmap filter (pruned and threshold sweeps only — the interleaved form never materializes its survivors).",
         scratch_reused:
-            "Pipelined dispatches that reused an already-allocated thread-local survivor buffer.",
+            "Pruned or threshold sweeps that reused an already-allocated thread-local survivor buffer.",
         plan_plain:
             "Planner decisions that selected the plain (interleaved) two-phase form.",
         plan_pipelined:
-            "Planner decisions that selected the pipelined two-phase form.",
+            "Always zero: the pipelined plan was removed. Kept so readers of the plan census (perfbench) keep their schema.",
         plan_pruned:
             "Planner decisions that selected the summary-pruned two-phase form.",
         plan_hash:
             "Planner decisions that selected the hash-probe strategy.",
         plan_gallop:
-            "Planner decisions that selected the galloping sorted-merge fallback.",
+            "Always zero: the galloping fallback plan was removed. Kept so readers of the plan census (perfbench) keep their schema.",
         plan_forced:
             "Planner decisions overridden by a forced FESIA_PLAN mode.",
         plan_profile_loads:
@@ -424,13 +422,7 @@ define_metrics! {
         exec_worker_wakes:
             "Times a pool worker woke from the wake condvar.",
         plan_compressed:
-            "Planner decisions that selected the compressed-tier two-phase form.",
-        intersect_compressed:
-            "Two-phase intersections dispatched in the compressed form.",
-        compressed_segments_decoded:
-            "Segments unpacked from bitpacked residual streams by the compressed step 2.",
-        compressed_bytes_saved:
-            "Bytes of raw-element memory traffic the compressed step 2 avoided by reading packed streams instead.",
+            "Always zero: the compressed plan was removed. Kept so readers of the plan census (perfbench) keep their schema.",
         algebra_union:
             "Materializing union operations executed through the planner-driven set-algebra path.",
         algebra_difference:

@@ -11,8 +11,12 @@
 //! older than the window), and reads of unpublished state (newer than
 //! the window). The whole episode repeats under every forced plan mode,
 //! so each planner-driven execution shape crosses the dynamic read path.
+//!
+//! Overlap is enforced, not left to the scheduler: at a few checkpoints
+//! in the middle of the churn the writer waits until every reader has
+//! finished a read since the previous checkpoint.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use fesia_core::{KernelTable, PlanMode};
 use fesia_serve::{ServeConfig, ServeStore, WriteOp};
@@ -21,6 +25,19 @@ const DATA: u32 = 7;
 const PROBE: u32 = 8;
 const ROUNDS: u64 = 200;
 const READERS: usize = 3;
+/// Mid-churn checkpoints; each reader completes at least one read per
+/// checkpoint, plus its final read after the churn.
+const CHECKPOINTS: u64 = 5;
+
+/// Counts a reader thread's exit — on return or on a panicking assert —
+/// so the writer never waits at a checkpoint for a reader that is gone.
+struct ExitGuard<'a>(&'a AtomicUsize);
+
+impl Drop for ExitGuard<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+}
 
 /// One writer-vs-readers episode under the plan mode currently forced.
 fn episode(table: &KernelTable) {
@@ -36,13 +53,18 @@ fn episode(table: &KernelTable) {
     // assertion window below.
     let published = AtomicU64::new(0);
     let done = AtomicBool::new(false);
+    // Reads completed per reader, and readers that have exited.
+    let completed: Vec<AtomicU64> = (0..READERS).map(|_| AtomicU64::new(0)).collect();
+    let exited = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        for _ in 0..READERS {
+        for completed in &completed {
             let store = &store;
             let published = &published;
             let done = &done;
+            let exited = &exited;
             scope.spawn(move || {
+                let _exit = ExitGuard(exited);
                 let mut reads = 0u64;
                 loop {
                     let stop = done.load(Ordering::Acquire);
@@ -65,6 +87,7 @@ fn episode(table: &KernelTable) {
                         v1 + 1
                     );
                     reads += 1;
+                    completed.store(reads, Ordering::Release);
                     if stop {
                         break;
                     }
@@ -77,7 +100,21 @@ fn episode(table: &KernelTable) {
         // Writer: each batch deletes one remaining even and adds two
         // fresh odds — all inside the probe's range — so the count
         // advances by exactly one per published batch.
+        let mut marks = [0u64; READERS];
+        let step = ROUNDS / (CHECKPOINTS + 1);
         for v in 0..ROUNDS as u32 {
+            let at = u64::from(v);
+            if at > 0 && at % step == 0 && at / step <= CHECKPOINTS {
+                // Checkpoint: every reader finishes a read mid-churn.
+                for (mark, reader) in marks.iter_mut().zip(&completed) {
+                    while reader.load(Ordering::Acquire) <= *mark
+                        && exited.load(Ordering::Acquire) == 0
+                    {
+                        std::thread::yield_now();
+                    }
+                    *mark = reader.load(Ordering::Acquire);
+                }
+            }
             store.apply_batch(&[
                 WriteOp::Del {
                     set: DATA,
@@ -93,8 +130,6 @@ fn episode(table: &KernelTable) {
                 },
             ]);
             published.fetch_add(1, Ordering::Release);
-            // Give readers scheduler slots mid-churn, not just after it.
-            std::thread::yield_now();
         }
         done.store(true, Ordering::Release);
     });

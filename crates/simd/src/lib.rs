@@ -8,10 +8,8 @@
 //! * [`mask`] — the lane-mask primitives used by FESIA's bitmap-level
 //!   intersection: AND two byte (or 16-bit-lane) streams and report which
 //!   lanes are non-zero as a dense bitmask.
-//! * [`bitpack`] — fixed-width bit packing of `u32` values, the storage
-//!   substrate of the compressed segment tier.
 //! * [`prefetch`] — software prefetch hints (`prefetcht0`/`prefetcht1` on
-//!   x86-64, no-ops elsewhere) used by the pipelined two-phase dispatch.
+//!   x86-64, no-ops elsewhere) used by the summary-pruned two-phase sweep.
 //! * [`timer`] — cycle-accurate timing (`rdtsc` on x86-64, monotonic clock
 //!   elsewhere) used by the benchmark harness to report the paper's
 //!   "million cycles" figures.
@@ -21,7 +19,6 @@
 //! whose callers must have verified the corresponding [`SimdLevel`]; the safe
 //! wrappers in this crate perform that check.
 
-pub mod bitpack;
 pub mod features;
 pub mod mask;
 pub mod prefetch;

@@ -1,6 +1,6 @@
 //! Software prefetch hints, with a scalar no-op fallback.
 //!
-//! The pipelined intersection dispatch (fesia-core) discovers surviving
+//! The summary-pruned intersection sweep (fesia-core) discovers surviving
 //! segments in phase 1 and touches their element data in phase 2; the
 //! gap between discovery and use is exactly where a prefetch hides the
 //! dependent-load latency that dominates sparse intersections (Ding &

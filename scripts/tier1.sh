@@ -61,20 +61,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
     }
     echo "plan gates OK (counts match, auto within 10% of best forced)"
 
-    echo "== tier1: repro compress --scale smoke =="
-    ./target/release/repro compress --scale smoke
-    echo "== tier1: compress gates (BENCH_compress.json) =="
-    grep -q '"counts_match": true' BENCH_compress.json || {
-        echo "tier1: FAIL — compressed and raw step-2 counts disagree"
-        exit 1
-    }
-    overhead=$(sed -n 's/.*"auto_decline_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' BENCH_compress.json | head -1)
-    awk -v o="$overhead" 'BEGIN { exit !(o <= 2.0) }' || {
-        echo "tier1: FAIL — small-dense compress-dispatch overhead ${overhead}% > 2%"
-        exit 1
-    }
-    echo "compress gates OK (counts match, auto-decline overhead ${overhead}%)"
-
     echo "== tier1: repro containers --scale smoke =="
     ./target/release/repro containers --scale smoke
     echo "== tier1: container gates (BENCH_containers.json) =="

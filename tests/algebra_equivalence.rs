@@ -7,14 +7,15 @@
 //! pick, so forcing each strategy in turn must reproduce the oracle's
 //! exact output (not just its length) on randomized overlap, heavy skew,
 //! disjoint ranges, identical sets, and empty operands — including folded
-//! pairs (mismatched bitmap sizes) and packed-tier sets. Inputs come from
+//! pairs (mismatched bitmap sizes) and sets decoded from `.fsia` files
+//! that still carry the removed packed tier. Inputs come from
 //! a seeded [`SplitMix64`] stream, so a failure names the seed that
 //! replays it.
 
 use fesia_baselines::merge;
-use fesia_core::{ContainerParams, FesiaParams, PlanMode, SegmentedSet, SetOp};
+use fesia_core::{ContainerParams, FesiaParams, MappedFile, PlanMode, SegmentedSet, SetOp};
 use fesia_datagen::{clustered_pair, run_heavy_pair, SplitMix64};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// `set_plan_mode` is process-global; tests that flip it serialize here.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
@@ -258,36 +259,34 @@ fn folded_container_pairs_agree_with_the_oracle() {
     fesia_core::set_container_params(saved);
 }
 
+/// Sets decoded — owned and mapped — from the committed `.fsia` v3/v4
+/// fixtures, whose packed residual sections the decoders now ignore, are
+/// element-identical to the oracle under auto and every forced plan.
 #[test]
 fn packed_tier_sets_agree_with_the_oracle() {
     let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let params = FesiaParams::auto();
-    let mut rng = SplitMix64::new(0x9ACC);
-    for round in 0..4u64 {
-        // Large enough to clear the packed-tier admission gates.
-        let av = sorted_set(&mut rng, 12_000, 1 << 18);
-        let bv = sorted_set(&mut rng, 12_000, 1 << 18);
-        let a = SegmentedSet::build(&av, &params).unwrap();
-        let b = SegmentedSet::build(&bv, &params).unwrap();
-        assert!(
-            a.packed().is_some() && b.packed().is_some(),
-            "round={round}: inputs must carry a compressed tier"
-        );
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    let load = |name: &str| {
+        let path = fixtures.join(name);
+        let (owned, _) = SegmentedSet::deserialize(&std::fs::read(&path).unwrap()).unwrap();
+        let file = Arc::new(MappedFile::open(&path).unwrap());
+        let (mapped, _) = SegmentedSet::deserialize_mapped(&file, 0).unwrap();
+        [owned, mapped]
+    };
+    let av: Vec<u32> = (0..300u32).map(|i| i * 37 + 11).collect();
+    let bv: Vec<u32> = (0..500u32).map(|i| i * 13 + 5).collect();
+    let fresh = SegmentedSet::build(&bv, &FesiaParams::auto()).unwrap();
+    let [a, am] = load("packed_v3.fsia");
+    let [b, bm] = load("packed_v4.fsia");
+    for (x, y) in [(&a, &b), (&am, &bm), (&a, &bm), (&am, &fresh)] {
         for op in OPS {
             let want = oracle(op, &av, &bv);
-            fesia_core::set_plan_mode(PlanMode::Auto);
-            assert_eq!(
-                fesia_core::set_op(&a, &b, op),
-                want,
-                "round={round} op={} packed auto",
-                op.name()
-            );
-            for mode in PlanMode::FORCED {
+            for mode in [PlanMode::Auto].into_iter().chain(PlanMode::FORCED) {
                 fesia_core::set_plan_mode(mode);
                 assert_eq!(
-                    fesia_core::set_op(&a, &b, op),
+                    fesia_core::set_op(x, y, op),
                     want,
-                    "round={round} op={} packed mode={}",
+                    "op={} packed mode={}",
                     op.name(),
                     mode.name()
                 );

@@ -1,16 +1,16 @@
 //! Executor equivalence: every parallel entry point, on dedicated pools
 //! of 1, 2, and 8 threads, must count exactly what the serial two-phase
 //! algorithm counts — on random equal-bitmap inputs, on folded
-//! (different-bitmap-size) inputs, and under both dispatch forms of the
-//! pipelined knob.
+//! (different-bitmap-size) inputs, and under every forced plan.
 //!
 //! Dedicated `Executor::new(n)` pools are used instead of the global one
 //! so the worker count under test is pinned regardless of the host's
 //! core count.
 
 use fesia_core::{
-    batch_count_pairs_on, intersect_count_with, par_intersect_count_on, pipeline_params,
-    set_pipeline_params, FesiaParams, KernelTable, PipelineParams, SegmentedSet,
+    batch_count_pairs_on, intersect_count_interleaved_with, intersect_count_with,
+    par_intersect_count_on, plan_mode, set_plan_mode, FesiaParams, KernelTable, PlanMode,
+    SegmentedSet,
 };
 use fesia_datagen::SplitMix64;
 use fesia_exec::Executor;
@@ -83,31 +83,27 @@ fn batch_matches_serial_on_1_2_8_threads() {
 }
 
 #[test]
-fn parallel_paths_agree_under_both_pipeline_forms() {
+fn parallel_paths_agree_under_every_forced_plan() {
     let params = FesiaParams::auto();
     let table = KernelTable::auto();
-    let saved = pipeline_params();
+    let saved = plan_mode();
     let fx = fixture(&params);
-    let mut counts_per_form = Vec::new();
-    for enabled in [true, false] {
-        // min_elements = 0 so the enabled form really dispatches pipelined
-        // (the fixture sets are far below the default size floor).
-        set_pipeline_params(
-            PipelineParams::default()
-                .with_enabled(enabled)
-                .with_min_elements(0),
-        );
+    let want: Vec<usize> = fx
+        .iter()
+        .flat_map(|(a, b)| {
+            let n = intersect_count_interleaved_with(a, b, &table);
+            [n, n]
+        })
+        .collect();
+    let exec = Executor::new(8);
+    for mode in PlanMode::FORCED {
+        set_plan_mode(mode);
         let mut counts = Vec::new();
         for (a, b) in &fx {
             counts.push(intersect_count_with(a, b, &table));
-            let exec = Executor::new(8);
             counts.push(par_intersect_count_on(&exec, a, b, 8, &table));
         }
-        counts_per_form.push(counts);
+        assert_eq!(counts, want, "mode={mode:?}");
     }
-    set_pipeline_params(saved);
-    assert_eq!(
-        counts_per_form[0], counts_per_form[1],
-        "pipelined vs interleaved"
-    );
+    set_plan_mode(saved);
 }

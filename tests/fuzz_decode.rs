@@ -269,8 +269,8 @@ fn v3_hostile_section_tables_are_rejected() {
         (72, 8),                      // seg-meta length mismatching n
         (80, 64),                     // elements offset overlapping summary
         (88, 4),                      // elements length below n
-        (96, bytes.len() as u64 * 2), // packed offset past EOF
-        (104, u64::MAX / 2),          // packed length wraps
+        (96, bytes.len() as u64 * 2), // legacy packed offset past EOF
+        (104, u64::MAX / 2),          // legacy packed length wraps
     ];
     for &(pos, val) in forgeries {
         let mut m = bytes.clone();
@@ -356,8 +356,8 @@ fn misaligned_buffers_decode_on_the_owned_path() {
 
 /// A v2 buffer decoded and re-serialized must produce a current-version
 /// set that is indistinguishable in every intersection path — the
-/// compressed and container tiers the re-encode gains change
-/// representation, never answers.
+/// container tier the re-encode gains changes representation, never
+/// answers.
 #[test]
 fn v2_reencode_preserves_behavior() {
     let mut rng = SplitMix64::new(61);
@@ -656,4 +656,103 @@ fn decoded_sets_behave_identically_to_originals() {
         fesia_core::kway_count(&[&a, &b, &a0]),
         fesia_core::kway_count(&[&a0, &b0, &a0])
     );
+}
+
+/// A `.fsia` file written before the packed residual tier was removed:
+/// its bytes, and the sorted elements it was built from. The fixtures
+/// carry `FLAG_PACKED` and a non-empty packed section (v3: 300 elements,
+/// v4: 500 elements, both built at 16 bits per element).
+fn legacy_packed_fixture(version: u8) -> (std::path::PathBuf, Vec<u32>) {
+    let (name, source): (&str, Vec<u32>) = match version {
+        3 => ("packed_v3.fsia", (0..300u32).map(|i| i * 37 + 11).collect()),
+        4 => ("packed_v4.fsia", (0..500u32).map(|i| i * 13 + 5).collect()),
+        _ => unreachable!("fixtures exist for v3 and v4"),
+    };
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name);
+    (path, source)
+}
+
+/// Byte offset of the packed section's length in the section table.
+const PACKED_LEN_AT: usize = 32 + 4 * 16 + 8;
+
+/// Old files with a packed section still load on both decode paths, to
+/// sets holding exactly their source elements that count identically to
+/// a fresh build; re-encoding drops the section.
+#[test]
+fn legacy_packed_fixtures_load_on_both_paths() {
+    let mut decoded = Vec::new();
+    let mut fresh = Vec::new();
+    for version in [3u8, 4] {
+        let (path, source) = legacy_packed_fixture(version);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[4], version);
+        assert_eq!(bytes[7] & 1, 1, "fixture must carry FLAG_PACKED");
+        let packed_len = u64::from_le_bytes(bytes[PACKED_LEN_AT..][..8].try_into().unwrap());
+        assert!(packed_len > 0, "fixture must carry a packed section");
+        let built = SegmentedSet::build(&source, &FesiaParams::auto()).unwrap();
+
+        let (owned, used) = SegmentedSet::deserialize(&bytes).unwrap();
+        assert_eq!(used, bytes.len());
+        assert!(owned.validate());
+        let file = Arc::new(MappedFile::open(&path).unwrap());
+        let (mapped, used) = SegmentedSet::deserialize_mapped(&file, 0).unwrap();
+        assert_eq!(used, file.len());
+        assert!(mapped.validate());
+        for set in [&owned, &mapped] {
+            let mut elems = set.reordered_elements().to_vec();
+            elems.sort_unstable();
+            assert_eq!(elems, source, "v{version}");
+            assert_eq!(fesia_core::intersect_count(set, &built), source.len());
+        }
+        let again = owned.serialize();
+        assert_eq!(again[7] & 1, 0, "writers never set FLAG_PACKED");
+        assert_eq!(&again[PACKED_LEN_AT..][..8], &[0u8; 8]);
+        decoded.push((owned, mapped));
+        fresh.push(built);
+    }
+    let want = fesia_core::intersect_count(&fresh[0], &fresh[1]);
+    assert_eq!(want, 14, "the fixtures' source sets share 14 elements");
+    let ((a, am), (b, bm)) = (&decoded[0], &decoded[1]);
+    for (x, y) in [(a, b), (am, bm), (a, bm), (am, b)] {
+        assert_eq!(fesia_core::intersect_count(x, y), want);
+        assert_eq!(fesia_core::auto_count(x, y), want);
+    }
+}
+
+/// The packed section is ignored, but its length is outside input and
+/// still checked against the header on both decode paths.
+#[test]
+fn legacy_packed_section_length_is_still_checked() {
+    for version in [3u8, 4] {
+        let (path, _) = legacy_packed_fixture(version);
+        let bytes = std::fs::read(&path).unwrap();
+        let len = u64::from_le_bytes(bytes[PACKED_LEN_AT..][..8].try_into().unwrap());
+        let mut forgeries = Vec::new();
+        for bad in [0, len - 8, len + 8, len * 2] {
+            let mut m = bytes.clone();
+            m[PACKED_LEN_AT..][..8].copy_from_slice(&bad.to_le_bytes());
+            forgeries.push((format!("len={bad}"), m));
+        }
+        // A packed section without the flag is just as corrupt.
+        let mut m = bytes.clone();
+        m[7] &= !1;
+        forgeries.push(("flag cleared".to_string(), m));
+        for (what, m) in forgeries {
+            assert_eq!(
+                SegmentedSet::deserialize(&m).unwrap_err(),
+                fesia_core::DecodeError::Corrupt,
+                "owned v{version} {what}"
+            );
+            let file = Arc::new(MappedFile::from_bytes(m));
+            if (file.bytes().as_ptr() as usize).is_multiple_of(8) {
+                assert_eq!(
+                    SegmentedSet::deserialize_mapped(&file, 0).unwrap_err(),
+                    fesia_core::DecodeError::Corrupt,
+                    "mapped v{version} {what}"
+                );
+            }
+        }
+    }
 }

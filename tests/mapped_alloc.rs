@@ -43,12 +43,15 @@ fn allocs() -> u64 {
 
 #[test]
 fn mapped_decode_allocates_nothing_per_set() {
-    // Large enough that the builder attaches the packed tier, so the
-    // claim covers all five sections including the residual stream.
+    // Large enough that the builder attaches the container tier, so the
+    // claim covers the container sections and their validation too.
     let mut rng = SplitMix64::new(0xA110C);
     let v = sorted_distinct(200_000, 1 << 24, &mut rng);
     let set = SegmentedSet::build(&v, &FesiaParams::auto()).unwrap();
-    assert!(set.packed().is_some(), "tier must be present for the claim");
+    assert!(
+        set.container().is_some(),
+        "tier must be present for the claim"
+    );
 
     let path = std::env::temp_dir().join("fesia_mapped_alloc_test.fsia");
     std::fs::write(&path, set.serialize()).unwrap();
@@ -66,12 +69,12 @@ fn mapped_decode_allocates_nothing_per_set() {
     assert_eq!(
         after - before,
         0,
-        "mapped v3 decode must not touch the heap"
+        "mapped v4 decode must not touch the heap"
     );
     assert_eq!(used, file.len());
     assert_eq!(decoded.len(), 200_000);
     assert!(
-        decoded.packed().is_some(),
+        decoded.container().is_some(),
         "tier must survive the mmap path"
     );
 

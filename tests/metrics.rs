@@ -7,7 +7,7 @@
 //! with separate registries, so only this file needs the lock.)
 
 use fesia_core::{
-    batch_count, pipeline_params, set_pipeline_params, FesiaParams, PipelineParams, SegmentedSet,
+    batch_count, prune_params, set_prune_params, FesiaParams, PruneParams, SegmentedSet,
 };
 use fesia_exec::Executor;
 use fesia_obs::metrics;
@@ -33,7 +33,7 @@ fn gen_sorted(n: usize, seed: u64, universe: u32) -> Vec<u32> {
     set.into_iter().collect()
 }
 
-/// The survivor-segment counter (published by the pipelined dispatch)
+/// The survivor-segment counter (published by the pruned dispatch)
 /// must equal the offline diagnostic `stats::survivor_segments`, for
 /// both equal-size and folded bitmap pairs.
 #[test]
@@ -49,24 +49,26 @@ fn survivor_counter_matches_offline_diagnostic() {
             gen_sorted(40_000, 19, 800_000),
         ),
     ];
-    let saved = pipeline_params();
+    let saved = prune_params();
     for (av, bv) in &cases {
         let a = SegmentedSet::build(av, &p).unwrap();
         let b = SegmentedSet::build(bv, &p).unwrap();
         let want_survivors = fesia_core::survivor_segments(&a, &b);
-        // Force the pipelined dispatch (the interleaved form never
-        // materializes its survivor list, so it cannot count them).
-        set_pipeline_params(PipelineParams::default().with_min_elements(0));
+        // Force the pruned dispatch (the interleaved form never
+        // materializes its survivor list, so it cannot count them). A
+        // non-zero AND lane implies both summary blocks are populated, so
+        // pruning drops no survivor.
+        set_prune_params(PruneParams::default().with_forced(Some(true)));
         let before = metrics().snapshot();
         let count = fesia_core::intersect_count(&a, &b);
         let d = metrics().snapshot().delta(&before);
-        assert_eq!(d.intersect_pipelined, 1);
+        assert_eq!(d.intersect_pruned, 1);
         assert_eq!(d.intersect_interleaved, 0);
         assert_eq!(d.survivor_segments as usize, want_survivors);
         // True matches always survive the filter.
         assert!(want_survivors >= count, "{want_survivors} < {count}");
     }
-    set_pipeline_params(saved);
+    set_prune_params(saved);
 }
 
 /// Over a batch, every pair takes exactly one strategy: the two strategy
@@ -154,35 +156,35 @@ fn chunk_claims_match_chunks_executed() {
     assert_eq!(d.exec_chunks_claimed, 0);
 }
 
-/// The interleaved/pipelined dispatch counters track the process-wide
-/// pipeline knob.
+/// The interleaved/pruned dispatch counters track the process-wide
+/// prune knob.
 #[test]
-fn dispatch_counters_follow_pipeline_knob() {
+fn dispatch_counters_follow_prune_knob() {
     let _guard = serialize_tests();
     let p = FesiaParams::auto();
     let a = SegmentedSet::build(&gen_sorted(2_000, 31, 40_000), &p).unwrap();
     let b = SegmentedSet::build(&gen_sorted(2_000, 37, 40_000), &p).unwrap();
-    let saved = pipeline_params();
+    let saved = prune_params();
 
-    set_pipeline_params(PipelineParams::default().with_enabled(false));
+    set_prune_params(PruneParams::default().with_forced(Some(false)));
     let before = metrics().snapshot();
     let want = fesia_core::intersect_count(&a, &b);
     let d = metrics().snapshot().delta(&before);
     assert_eq!(d.intersect_interleaved, 1);
-    assert_eq!(d.intersect_pipelined, 0);
+    assert_eq!(d.intersect_pruned, 0);
 
-    set_pipeline_params(PipelineParams::default().with_min_elements(0));
+    set_prune_params(PruneParams::default().with_forced(Some(true)));
     let before = metrics().snapshot();
     assert_eq!(fesia_core::intersect_count(&a, &b), want);
     let d = metrics().snapshot().delta(&before);
-    assert_eq!(d.intersect_pipelined, 1);
+    assert_eq!(d.intersect_pruned, 1);
     assert_eq!(d.intersect_interleaved, 0);
-    // The pipelined dispatch reuses this thread's scratch buffer from
-    // the second call on.
+    // The pruned dispatch reuses this thread's scratch buffer from the
+    // second call on.
     let before = metrics().snapshot();
     assert_eq!(fesia_core::intersect_count(&a, &b), want);
     let d = metrics().snapshot().delta(&before);
     assert_eq!(d.scratch_reused, 1);
 
-    set_pipeline_params(saved);
+    set_prune_params(saved);
 }

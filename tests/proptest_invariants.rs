@@ -77,11 +77,11 @@ fn fesia_counts_the_reference() {
     }
 }
 
-/// Both dispatch forms of the two-phase algorithm agree on every input,
-/// at every prefetch distance (the pipelined path is the default, so this
-/// is the load-bearing equivalence for the whole suite).
+/// Both forms of the two-phase algorithm — the interleaved scan and the
+/// summary-pruned scan with its buffered, prefetched sweep — agree on
+/// every input, at every prefetch distance and in both operand orders.
 #[test]
-fn pipelined_and_interleaved_forms_agree() {
+fn pruned_and_interleaved_forms_agree() {
     let table = KernelTable::auto();
     let mut scratch = Vec::new();
     for seed in 0..CASES {
@@ -91,12 +91,13 @@ fn pipelined_and_interleaved_forms_agree() {
         let sa = SegmentedSet::build(&a, &params).unwrap();
         let sb = SegmentedSet::build(&b, &params).unwrap();
         let want = fesia_core::intersect_count_interleaved_with(&sa, &sb, &table);
+        assert_eq!(want, reference(&a, &b).len(), "seed={seed}");
         for dist in [0usize, 2, 8, 32] {
-            assert_eq!(
-                fesia_core::intersect_count_pipelined_with(&sa, &sb, &table, &mut scratch, dist),
-                want,
-                "seed={seed} dist={dist}"
-            );
+            for (x, y) in [(&sa, &sb), (&sb, &sa)] {
+                let (got, _) =
+                    fesia_core::intersect_count_pruned_with(x, y, &table, &mut scratch, dist);
+                assert_eq!(got, want, "seed={seed} dist={dist}");
+            }
         }
     }
 }
