@@ -4,10 +4,15 @@
 //! Paper shape: FESIA reaches up to 17.8x over scalar and up to 4.8x over
 //! the SIMD baselines, with the advantage largest at low density (small
 //! final intersection) because the bitmap AND prunes 3-way verification.
+//!
+//! FESIA runs the paper's form, the bitmap-fold scan, pinned with
+//! [`KwayStrategy::Scan`]: at the higher densities the planner would pick
+//! the container walk instead, which is not the algorithm the figure
+//! reproduces.
 
 use crate::harness::{measure_cycles, Scale, Table};
 use fesia_baselines::Method;
-use fesia_core::{FesiaParams, KernelTable, SegmentedSet, SimdLevel};
+use fesia_core::{FesiaParams, KernelTable, KwayStrategy, SegmentedSet, SimdLevel};
 use fesia_datagen::{ksets_with_density, SplitMix64};
 
 /// The density axis.
@@ -60,7 +65,9 @@ pub fn run(scale: Scale) -> String {
             .map(|s| SegmentedSet::build(s, &params).unwrap())
             .collect();
         let enc_refs: Vec<&SegmentedSet> = encoded.iter().collect();
-        let (c, got) = measure_cycles(reps, || fesia_core::kway_count_with(&enc_refs, &table));
+        let (c, got) = measure_cycles(reps, || {
+            fesia_core::execute_kway_count(&enc_refs, &table, KwayStrategy::Scan)
+        });
         assert_eq!(got, want, "FESIA density={density}");
         let last = rows.len() - 1;
         rows[last].push(format!(

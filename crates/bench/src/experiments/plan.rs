@@ -7,25 +7,33 @@
 //! * **dense** — a balanced cache-resident pair under the default
 //!   geometry, where the plain merge should win;
 //! * **skew-1:100** — a 1:100 length ratio, where the hash probe should
-//!   win.
+//!   win;
+//! * **kway-skew-1:100** — a 3-way count whose smallest set is 1/100 of
+//!   the other two, where the k-way probe should win;
+//! * **kway-dense** — a 3-way count of half-dense sets carrying bitmap
+//!   container tiers, where the k-way container walk should win.
 //!
-//! Each workload runs once per strategy (auto plus every forced
-//! `PlanMode`), round-robin with min-of-rounds timing so slow drift
-//! cannot bias one arm. Two gates, consumed by `scripts/tier1.sh
-//! --smoke` via `BENCH_plan.json`: every strategy returns the same count,
-//! and auto's cycles are within 10% of the best forced strategy on every
-//! workload.
+//! Each pair workload runs once per strategy (auto plus every forced
+//! `PlanMode`), and each 3-way workload once per [`KwayStrategy`],
+//! round-robin with min-of-rounds timing so slow drift cannot bias one
+//! arm. Two gates, consumed by `scripts/tier1.sh --smoke` via
+//! `BENCH_plan.json`: every strategy returns the same count, and auto's
+//! cycles are within 10% of the best forced strategy on every workload.
 
 use crate::harness::{f2, measure_cycles, Scale, Table};
 use fesia_core::{
-    auto_count_with, set_plan_mode, FesiaParams, KernelTable, LaneWidth, PlanMode, SegmentedSet,
+    auto_count_with, execute_kway_count, kway_count_with, set_plan_mode, FesiaParams, KernelTable,
+    KwayStrategy, LaneWidth, PlanMode, SegmentedSet, SetSummary,
 };
-use fesia_datagen::{pair_with_intersection, SplitMix64};
+use fesia_datagen::{
+    ksets_with_density, ksets_with_intersection, pair_with_intersection, SplitMix64,
+};
 
+/// A pair (two sets, raced over the forced `PlanMode`s) or a k-way
+/// workload (three sets, raced over the [`KwayStrategy`]s).
 struct Workload {
     name: &'static str,
-    a: SegmentedSet,
-    b: SegmentedSet,
+    sets: Vec<SegmentedSet>,
     want: usize,
 }
 
@@ -55,8 +63,7 @@ fn build_workloads(scale: Scale, rng: &mut SplitMix64) -> Vec<Workload> {
     let (av, bv) = pair_with_intersection(n_sparse, n_sparse, n_sparse / 100, rng);
     let sparse = Workload {
         name: "sparse-2M",
-        a: SegmentedSet::build(&av, &sparse_params).unwrap(),
-        b: SegmentedSet::build(&bv, &sparse_params).unwrap(),
+        sets: build_all(&[av, bv], &sparse_params),
         want: n_sparse / 100,
     };
 
@@ -70,8 +77,7 @@ fn build_workloads(scale: Scale, rng: &mut SplitMix64) -> Vec<Workload> {
     let p = FesiaParams::auto();
     let dense = Workload {
         name: "dense",
-        a: SegmentedSet::build(&dv, &p).unwrap(),
-        b: SegmentedSet::build(&ev, &p).unwrap(),
+        sets: build_all(&[dv, ev], &p),
         want: n_dense / 4,
     };
 
@@ -84,38 +90,90 @@ fn build_workloads(scale: Scale, rng: &mut SplitMix64) -> Vec<Workload> {
     let (sv, lv) = pair_with_intersection(small, big, small / 2, rng);
     let skew = Workload {
         name: "skew-1:100",
-        a: SegmentedSet::build(&sv, &p).unwrap(),
-        b: SegmentedSet::build(&lv, &p).unwrap(),
+        sets: build_all(&[sv, lv], &p),
         want: small / 2,
     };
 
-    vec![sparse, dense, skew]
+    // kway-skew-1:100: the same ratio between the smallest and the next
+    // of three sets.
+    let lists = ksets_with_intersection(&[small, big, big], small / 2, rng);
+    let kway_skew = Workload {
+        name: "kway-skew-1:100",
+        sets: build_all(&lists, &p),
+        want: small / 2,
+    };
+
+    // kway-dense: three half-dense sets, so every range is a bitmap.
+    let n_kway = match scale {
+        Scale::Smoke => 1 << 16,
+        Scale::Standard | Scale::Full => 1 << 18,
+    };
+    let lists = ksets_with_density(3, n_kway, 0.5, rng);
+    let want = lists[0]
+        .iter()
+        .filter(|x| lists[1].binary_search(x).is_ok() && lists[2].binary_search(x).is_ok())
+        .count();
+    let kway_dense = Workload {
+        name: "kway-dense",
+        sets: build_all(&lists, &p),
+        want,
+    };
+
+    vec![sparse, dense, skew, kway_skew, kway_dense]
+}
+
+fn build_all(lists: &[Vec<u32>], p: &FesiaParams) -> Vec<SegmentedSet> {
+    lists
+        .iter()
+        .map(|l| SegmentedSet::build(l, p).unwrap())
+        .collect()
 }
 
 fn measure(w: &Workload, table: &KernelTable, rounds: usize, reps: usize) -> Outcome {
     let planner = fesia_core::IntersectPlanner::current();
-    let auto_plan = planner
-        .plan_pair(
-            &fesia_core::SetSummary::of(&w.a),
-            &fesia_core::SetSummary::of(&w.b),
-        )
-        .name();
+    let refs: Vec<&SegmentedSet> = w.sets.iter().collect();
+    let sums: Vec<SetSummary> = w.sets.iter().map(SetSummary::of).collect();
+    let pair = refs.len() == 2;
+    let auto_plan = if pair {
+        planner.plan_pair(&sums[0], &sums[1]).name()
+    } else {
+        planner.plan_kway(&sums).strategy.name()
+    };
+    let auto = || {
+        if pair {
+            auto_count_with(refs[0], refs[1], table)
+        } else {
+            kway_count_with(&refs, table)
+        }
+    };
     let mut auto_cycles = u64::MAX;
-    let mut per_mode: Vec<(&'static str, u64)> = PlanMode::FORCED
-        .iter()
-        .map(|m| (m.name(), u64::MAX))
-        .collect();
+    let mut per_mode: Vec<(&'static str, u64)> = if pair {
+        PlanMode::FORCED
+            .iter()
+            .map(|m| (m.name(), u64::MAX))
+            .collect()
+    } else {
+        KwayStrategy::ALL
+            .iter()
+            .map(|s| (s.name(), u64::MAX))
+            .collect()
+    };
     let mut counts_match = true;
     // Round-robin: one timed sample per strategy per round, keep minima.
     for _ in 0..rounds {
         set_plan_mode(PlanMode::Auto);
-        let (c, got) = measure_cycles(reps, || auto_count_with(&w.a, &w.b, table));
+        let (c, got) = measure_cycles(reps, auto);
         auto_cycles = auto_cycles.min(c);
         counts_match &= got == w.want;
-        for (i, mode) in PlanMode::FORCED.iter().enumerate() {
-            set_plan_mode(*mode);
-            let (c, got) = measure_cycles(reps, || auto_count_with(&w.a, &w.b, table));
-            per_mode[i].1 = per_mode[i].1.min(c);
+        for (i, slot) in per_mode.iter_mut().enumerate() {
+            let (c, got) = if pair {
+                set_plan_mode(PlanMode::FORCED[i]);
+                measure_cycles(reps, auto)
+            } else {
+                let strategy = KwayStrategy::ALL[i];
+                measure_cycles(reps, || execute_kway_count(&refs, table, strategy))
+            };
+            slot.1 = slot.1.min(c);
             counts_match &= got == w.want;
         }
     }
@@ -211,8 +269,9 @@ pub fn run(scale: Scale) -> String {
 
     format!(
         "## IntersectPlanner — auto vs forced strategies\n\n\
-         Auto planning on three workloads against every forced `FESIA_PLAN`\n\
-         strategy (min-of-{rounds} rounds). Counts match: {all_match}.\n\
+         Auto planning on three pair workloads against every forced\n\
+         `FESIA_PLAN` strategy, and on two 3-way workloads against every\n\
+         k-way strategy (min-of-{rounds} rounds). Counts match: {all_match}.\n\
          Auto within 10% of the best forced plan everywhere: {all_within}.\n\n{}\n\
          Series written to {json_path}.\n",
         t_md.render(),

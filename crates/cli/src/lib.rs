@@ -15,6 +15,7 @@ usage:
                             [--threads N]
   fesia stats A.fsia B.fsia [--method fesia|auto|hash|scalar|shuffling|galloping]
                             [--threads N] [--json]
+  fesia stats A.fsia B.fsia C.fsia [...] [--json]
   fesia intersect A.fsia B.fsia
   fesia algebra and|or|andnot|xor A.fsia B.fsia
   fesia kway SET.fsia SET.fsia [SET.fsia ...]
@@ -274,15 +275,16 @@ fn cmd_info(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parsed `count`/`stats` argument shape: two set paths plus knobs.
+/// Parsed `count`/`stats` argument shape: set paths plus knobs.
 struct CountArgs {
-    pa: String,
-    pb: String,
+    paths: Vec<String>,
     method: String,
     threads: usize,
     json: bool,
 }
 
+/// Parse `count` (exactly two sets) or `stats` (`allow_json`; two or
+/// more sets, where more than two run the planned k-way count).
 fn parse_count_args(cmd: &str, args: &[String], allow_json: bool) -> Result<CountArgs, CliError> {
     let mut paths = Vec::new();
     let mut method = "fesia".to_string();
@@ -308,19 +310,24 @@ fn parse_count_args(cmd: &str, args: &[String], allow_json: bool) -> Result<Coun
             other => paths.push(other.to_string()),
         }
     }
-    let [pa, pb] = paths.as_slice() else {
+    if paths.len() < 2 || (paths.len() > 2 && !allow_json) {
+        let want = if allow_json { "at least" } else { "exactly" };
         return Err(CliError::Usage(format!(
-            "{cmd} needs exactly two .fsia files"
+            "{cmd} needs {want} two .fsia files"
         )));
-    };
+    }
     if threads > 1 && method != "fesia" {
         return Err(CliError::Usage(
             "--threads only applies to --method fesia".into(),
         ));
     }
+    if paths.len() > 2 && (method != "fesia" || threads > 1) {
+        return Err(CliError::Usage(format!(
+            "{cmd} of more than two sets runs the planned k-way count (no --method or --threads)"
+        )));
+    }
     Ok(CountArgs {
-        pa: pa.clone(),
-        pb: pb.clone(),
+        paths,
         method,
         threads,
         json,
@@ -366,8 +373,8 @@ fn count_by_method(
 
 fn cmd_count(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let p = parse_count_args("count", args, false)?;
-    let a = load_set(&p.pa)?;
-    let b = load_set(&p.pb)?;
+    let a = load_set(&p.paths[0])?;
+    let b = load_set(&p.paths[1])?;
     let count = count_by_method(&a, &b, &p.method, p.threads)?;
     writeln!(out, "{count}")?;
     Ok(())
@@ -375,19 +382,30 @@ fn cmd_count(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `fesia stats`: run a count workload and report the runtime-metrics
 /// delta it produced (the always-on `fesia-obs` counters and histograms).
+/// Two sets run the pair count; more run the planned k-way count, whose
+/// strategy counters are always printed.
 fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let p = parse_count_args("stats", args, true)?;
-    let a = load_set(&p.pa)?;
-    let b = load_set(&p.pb)?;
+    let sets: Vec<SegmentedSet> = p
+        .paths
+        .iter()
+        .map(|f| load_set(f))
+        .collect::<Result<_, _>>()?;
+    let sums: Vec<fesia_core::SetSummary> = sets.iter().map(fesia_core::SetSummary::of).collect();
     let planner = fesia_core::IntersectPlanner::current();
-    let plan = planner
-        .plan_pair(
-            &fesia_core::SetSummary::of(&a),
-            &fesia_core::SetSummary::of(&b),
-        )
-        .name();
+    let kway = sets.len() > 2;
+    let plan = if kway {
+        planner.plan_kway(&sums).strategy.name()
+    } else {
+        planner.plan_pair(&sums[0], &sums[1]).name()
+    };
     let before = fesia_obs::metrics().snapshot();
-    let count = count_by_method(&a, &b, &p.method, p.threads)?;
+    let count = if kway {
+        let refs: Vec<&SegmentedSet> = sets.iter().collect();
+        fesia_core::kway_count_with(&refs, &KernelTable::auto())
+    } else {
+        count_by_method(&sets[0], &sets[1], &p.method, p.threads)?
+    };
     let delta = fesia_obs::metrics().snapshot().delta(&before);
     if p.json {
         writeln!(
@@ -398,6 +416,13 @@ fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         writeln!(out, "count: {count}")?;
         writeln!(out, "plan: {plan} (mode={})", planner.mode.name())?;
+        if kway {
+            writeln!(
+                out,
+                "kway strategies: probe={} container={} scan={}",
+                delta.kway_probe, delta.kway_container, delta.kway_scan
+            )?;
+        }
         write!(out, "{}", delta.report())?;
     }
     Ok(())
@@ -823,6 +848,26 @@ mod tests {
         // Equal-sized inputs take the merge strategy, and the delta
         // isolates exactly this one adaptive intersection.
         assert!(text.contains("strategy_merge"), "{text}");
+
+        // stats over three sets: the planned k-way count and its
+        // strategy counters.
+        let mut out = Vec::new();
+        run(&s(&["stats", &fa, &fb, &fa]), &mut out).unwrap();
+        let text = String::from_utf8_lossy(&out);
+        assert!(text.contains("count: 1"), "{text}");
+        assert!(
+            text.contains("kway strategies: probe=0 container=0 scan=1"),
+            "{text}"
+        );
+        let mut out = Vec::new();
+        assert!(matches!(
+            run(&s(&["stats", &fa, &fb, &fa, "--method", "hash"]), &mut out),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            run(&s(&["count", &fa, &fb, &fa]), &mut out),
+            Err(CliError::Usage(_))
+        ));
 
         let mut out = Vec::new();
         run(&s(&["stats", &fa, &fb, "--json"]), &mut out).unwrap();

@@ -99,8 +99,28 @@ pub fn set_op_planned(
     fesia_obs::metrics().algebra_emitted.add(out.len() as u64);
     // Scan and probe strategies discover elements in segment (hash)
     // order; every public materializing entry point returns ascending.
-    out.sort_unstable();
+    if !emits_ascending(a, b, op, plan) {
+        out.sort_unstable();
+    }
     out
+}
+
+/// Whether [`execute_plan_op`] emits `op(A, B)` in ascending order: the
+/// container plan over two tiers walks the value domain, and so does a
+/// difference whose kept side carries a tier
+/// ([`crate::container::difference_visit_ordered`]).
+fn emits_ascending(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, plan: IntersectPlan) -> bool {
+    let tiered = a.container().is_some() && b.container().is_some();
+    (plan == IntersectPlan::Container && tiered) || ordered_difference(a, b, op, plan)
+}
+
+/// Whether a difference runs in the value domain of A's tier: A carries
+/// one, and the plan is not the container plan over two tiers (which
+/// already does).
+fn ordered_difference(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, plan: IntersectPlan) -> bool {
+    op == SetOp::Difference
+        && a.container().is_some()
+        && !(plan == IntersectPlan::Container && b.container().is_some())
 }
 
 fn plan_and_record(
@@ -138,7 +158,10 @@ fn plan_and_record(
 ///
 /// Every plan form is handled for every op, so forced `FESIA_PLAN` modes
 /// work uniformly: the AND-only pruned step 1 falls back to the plain
-/// Or-scan for the non-intersect ops.
+/// Or-scan for the non-intersect ops. A difference whose kept side A
+/// carries a container tier runs in A's value domain under every plan
+/// but the two-tier container plan, and arrives ascending (DESIGN.md
+/// §5h).
 pub fn execute_plan_op<V: SegmentVisitor>(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -148,6 +171,18 @@ pub fn execute_plan_op<V: SegmentVisitor>(
 ) {
     crate::intersect::check_compatible(a, b);
     let m = fesia_obs::metrics();
+    if ordered_difference(a, b, op, plan) {
+        match plan {
+            IntersectPlan::Plain => m.plan_plain.inc(),
+            IntersectPlan::Pruned { .. } => m.plan_pruned.inc(),
+            IntersectPlan::Container => m.plan_container.inc(),
+            IntersectPlan::HashProbe => m.plan_hash.inc(),
+        };
+        let ca = a.container().expect("checked by ordered_difference");
+        let level = crate::intersect::default_table().level();
+        crate::container::difference_visit_ordered(ca, b, level, v);
+        return;
+    }
     match plan {
         IntersectPlan::Plain => {
             m.plan_plain.inc();

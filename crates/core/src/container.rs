@@ -289,6 +289,26 @@ impl ContainerTier {
         }
     }
 
+    /// Exact membership in the value domain: a binary search over the
+    /// directory keys, then one word test (bitmap range) or a binary
+    /// search (array and run ranges).
+    #[inline]
+    pub(crate) fn contains(&self, x: u32) -> bool {
+        let key = x >> RANGE_SHIFT;
+        let (mut lo, mut hi) = (0usize, self.num_ranges());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match ((self.dir[2 * mid] & 0xffff) as u32).cmp(&key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => {
+                    return payload_contains(&self.payload(&self.entry(mid)), x as u16)
+                }
+            }
+        }
+        false
+    }
+
     /// Structural + content self-check (used by [`crate::SegmentedSet::validate`]).
     pub fn validate(&self, n: usize) -> bool {
         validate_tier(&self.dir, &self.values, &self.words, &self.runs, n).is_some()
@@ -614,20 +634,23 @@ pub fn and_total_bounded(
             Some(count)
         }
     };
-    record_metrics(a, b, word_ops);
+    record_metrics(&[a, b], word_ops);
     result
 }
 
 /// Publish the per-op container metrics once per executed operation.
-fn record_metrics(a: &ContainerTier, b: &ContainerTier, word_ops: u64) {
+fn record_metrics(tiers: &[&ContainerTier], word_ops: u64) {
     let m = fesia_obs::metrics();
-    let (sa, sb) = (a.stats(), b.stats());
-    m.container_ranges_array
-        .add(u64::from(sa.ranges_array) + u64::from(sb.ranges_array));
-    m.container_ranges_bitmap
-        .add(u64::from(sa.ranges_bitmap) + u64::from(sb.ranges_bitmap));
-    m.container_ranges_run
-        .add(u64::from(sa.ranges_run) + u64::from(sb.ranges_run));
+    let (mut array, mut bitmap, mut run) = (0u64, 0u64, 0u64);
+    for t in tiers {
+        let s = t.stats();
+        array += u64::from(s.ranges_array);
+        bitmap += u64::from(s.ranges_bitmap);
+        run += u64::from(s.ranges_run);
+    }
+    m.container_ranges_array.add(array);
+    m.container_ranges_bitmap.add(bitmap);
+    m.container_ranges_run.add(run);
     m.container_word_ops.add(word_ops);
 }
 
@@ -636,7 +659,7 @@ fn record_metrics(a: &ContainerTier, b: &ContainerTier, word_ops: u64) {
 /// `|A∪B| = |A|+|B|−|A∩B|`, `|A\B| = |A|−|A∩B|`, `|A⊕B| = |A|+|B|−2|A∩B|`.
 pub fn op_count(op: SetOp, a: &ContainerTier, b: &ContainerTier, level: SimdLevel) -> usize {
     let (and, word_ops) = and_total(a, b, level);
-    record_metrics(a, b, word_ops);
+    record_metrics(&[a, b], word_ops);
     let (ca, cb) = (a.stats().card(), b.stats().card());
     (match op {
         SetOp::Intersect => and,
@@ -919,7 +942,177 @@ pub fn op_visit<V: SegmentVisitor>(
             }
         }
     }
-    record_metrics(a, b, word_ops);
+    record_metrics(&[a, b], word_ops);
+}
+
+/// Emit the values of a sparse range (`card <= ARRAY_CARD_MAX`, array or
+/// run kind) that `keep` accepts, ascending.
+fn emit_filtered<V: SegmentVisitor>(
+    base: u32,
+    p: &Payload<'_>,
+    mut keep: impl FnMut(u32) -> bool,
+    v: &mut V,
+) {
+    match p {
+        Payload::Array(x) => {
+            for &val in *x {
+                let y = base + u32::from(val);
+                if keep(y) {
+                    v.visit(y);
+                }
+            }
+        }
+        Payload::Run(r) => {
+            for &e in *r {
+                for y in base + run_start(e)..=base + run_end(e) {
+                    if keep(y) {
+                        v.visit(y);
+                    }
+                }
+            }
+        }
+        Payload::Bitmap(_) => unreachable!("bitmap ranges hold more than ARRAY_CARD_MAX values"),
+    }
+}
+
+/// Materialize `A \ B` ascending, for an `a` with a container tier and
+/// any `b`. Each of A's ranges is answered in the value domain:
+///
+/// * B's tier holds the range → the matched-range difference kernel;
+/// * B's tier lacks it → the whole range, no conversion;
+/// * B has no tier (fewer than [`CONTAINER_MIN_BUILD`] elements) → a
+///   sparse range probes each value against B, a dense one copies its
+///   words and clears B's members in it. Only ranges above
+///   [`ARRAY_CARD_MAX`] take the words path, so the clearing passes
+///   over B cost at most `|A|` element visits in total.
+///
+/// The output comes out ascending, so callers need not sort it.
+pub(crate) fn difference_visit_ordered<V: SegmentVisitor>(
+    a: &ContainerTier,
+    b: &crate::SegmentedSet,
+    level: SimdLevel,
+    v: &mut V,
+) {
+    let bt = b.container();
+    let mut j = 0usize;
+    let mut word_ops = 0u64;
+    let mut scratch = RangeScratch {
+        a: Vec::new(),
+        b: Vec::new(),
+        out: Vec::new(),
+    };
+    for i in 0..a.num_ranges() {
+        let ea = a.entry(i);
+        let base = ea.key << RANGE_SHIFT;
+        let pa = a.payload(&ea);
+        match bt {
+            Some(t) => {
+                while j < t.num_ranges() && t.entry(j).key < ea.key {
+                    j += 1;
+                }
+                match (j < t.num_ranges()).then(|| t.entry(j)) {
+                    Some(eb) if eb.key == ea.key => range_op_visit(
+                        SetOp::Difference,
+                        base,
+                        &pa,
+                        &t.payload(&eb),
+                        level,
+                        &mut scratch,
+                        &mut word_ops,
+                        v,
+                    ),
+                    _ => emit_all(base, &pa, v),
+                }
+            }
+            None if ea.card as usize <= ARRAY_CARD_MAX => {
+                emit_filtered(base, &pa, |y| !b.contains(y), v)
+            }
+            None => {
+                let out = &mut scratch.out;
+                out.clear();
+                out.extend_from_slice(as_words(&pa, &mut scratch.a));
+                for &y in b.reordered_elements() {
+                    if y >> RANGE_SHIFT == ea.key {
+                        let lo = y & 0xffff;
+                        out[(lo >> 6) as usize] &= !(1u64 << (lo & 63));
+                    }
+                }
+                v.visit_words(base, out);
+            }
+        }
+    }
+    match bt {
+        Some(t) => record_metrics(&[a, t], word_ops),
+        None => record_metrics(&[a], word_ops),
+    }
+}
+
+/// Visit `T1 ∩ … ∩ Tk` ascending over k container tiers (`tiers[0]`
+/// should be the smallest: it drives the directory walk). Per range key
+/// present in every tier, the smallest-cardinality range anchors: a
+/// sparse anchor probes its values against the other ranges, a dense
+/// one (every range then holds more than [`ARRAY_CARD_MAX`] values, so
+/// all are bitmaps or runs) ANDs the ranges' words and emits the result
+/// through [`SegmentVisitor::visit_words`] — a popcount for counting
+/// consumers.
+pub(crate) fn kway_visit<V: SegmentVisitor>(tiers: &[&ContainerTier], v: &mut V) {
+    let (lead, rest) = tiers.split_first().expect("k-way over zero tiers");
+    let mut cursors = vec![0usize; rest.len()];
+    let mut payloads: Vec<(u32, Payload<'_>)> = Vec::with_capacity(tiers.len());
+    let mut acc: Vec<u64> = Vec::new();
+    let mut conv: Vec<u64> = Vec::new();
+    let mut word_ops = 0u64;
+    'ranges: for i in 0..lead.num_ranges() {
+        let e = lead.entry(i);
+        payloads.clear();
+        payloads.push((e.card, lead.payload(&e)));
+        for (t, c) in rest.iter().zip(cursors.iter_mut()) {
+            while *c < t.num_ranges() && t.entry(*c).key < e.key {
+                *c += 1;
+            }
+            if *c == t.num_ranges() {
+                break 'ranges; // this tier has no range at or past `e.key`
+            }
+            let f = t.entry(*c);
+            if f.key != e.key {
+                continue 'ranges;
+            }
+            payloads.push((f.card, t.payload(&f)));
+        }
+        let base = e.key << RANGE_SHIFT;
+        let anchor = (0..payloads.len())
+            .min_by_key(|&j| payloads[j].0)
+            .expect("non-empty");
+        let (card, pa) = payloads[anchor];
+        if card as usize <= ARRAY_CARD_MAX {
+            let others = &payloads;
+            emit_filtered(
+                base,
+                &pa,
+                |y| {
+                    others
+                        .iter()
+                        .enumerate()
+                        .all(|(j, (_, p))| j == anchor || payload_contains(p, y as u16))
+                },
+                v,
+            );
+        } else {
+            acc.clear();
+            acc.extend_from_slice(as_words(&pa, &mut conv));
+            for (j, (_, p)) in payloads.iter().enumerate() {
+                if j != anchor {
+                    let w = as_words(p, &mut conv);
+                    for (x, y) in acc.iter_mut().zip(w) {
+                        *x &= y;
+                    }
+                    word_ops += WORDS_PER_RANGE as u64;
+                }
+            }
+            v.visit_words(base, &acc);
+        }
+    }
+    record_metrics(tiers, word_ops);
 }
 
 #[cfg(test)]
@@ -1023,6 +1216,36 @@ mod tests {
                 // Emission is ascending and duplicate-free by construction.
                 assert!(got.windows(2).all(|w| w[0] < w[1]), "order op={op:?}");
             }
+        }
+    }
+
+    #[test]
+    fn tier_membership_matches_reference() {
+        // Keys 0..8 (arrays), 10 (bitmap), 20 (runs): a directory with gaps,
+        // probed inside and outside its key span.
+        let elems = mixed_set(11);
+        let tier = build_container_tier(&elems).unwrap();
+        let want: BTreeSet<u32> = elems.iter().copied().collect();
+        let mut state = 0x7u64;
+        let probes = elems.iter().copied().chain((0..20_000).map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 40) as u32 % (24 << 16)
+        }));
+        for x in probes.chain([u32::MAX - 16, 9 << 16, 25 << 16]) {
+            assert_eq!(tier.contains(x), want.contains(&x), "x={x}");
+        }
+        // A contiguous directory (keys 3..=5).
+        let dense: Vec<u32> = ((3 << 16)..(6 << 16)).step_by(7).collect();
+        let tier = build_container_tier(&dense).unwrap();
+        for x in [
+            0,
+            (3 << 16) - 1,
+            3 << 16,
+            (3 << 16) + 7,
+            (3 << 16) + 8,
+            6 << 16,
+        ] {
+            assert_eq!(tier.contains(x), dense.binary_search(&x).is_ok(), "x={x}");
         }
     }
 

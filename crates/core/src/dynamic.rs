@@ -314,13 +314,18 @@ pub fn dynamic_intersect_count(a: &DynamicSet, b: &DynamicSet, table: &KernelTab
 /// every op; the *other* side's deletions for a difference, both delete
 /// lists for a xor — deleting `x` from B while `x` stays in A moves `x`
 /// into `A \ B` and `A △ B`), and each candidate is settled with live
-/// membership probes against both sides.
+/// membership probes against both sides. With no pending deltas on
+/// either side the base answer is the live answer and returns as is.
 pub fn dynamic_set_op(
     a: &DynamicSet,
     b: &DynamicSet,
     op: crate::kernels::visit::SetOp,
 ) -> Vec<u32> {
     use crate::kernels::visit::SetOp;
+    let mut cand = crate::algebra::set_op(&a.base, &b.base, op);
+    if a.delta_len() == 0 && b.delta_len() == 0 {
+        return cand;
+    }
     let in_a = |x: u32| {
         (a.base.contains(x) && a.deleted.binary_search(&x).is_err())
             || a.added.binary_search(&x).is_ok()
@@ -329,7 +334,6 @@ pub fn dynamic_set_op(
         (b.base.contains(x) && b.deleted.binary_search(&x).is_err())
             || b.added.binary_search(&x).is_ok()
     };
-    let mut cand = crate::algebra::set_op(&a.base, &b.base, op);
     match op {
         SetOp::Intersect | SetOp::Union => {
             cand.extend_from_slice(&a.added);
@@ -369,14 +373,7 @@ pub fn dynamic_kway_intersect(sets: &[&DynamicSet], table: &KernelTable) -> Vec<
     assert!(!sets.is_empty(), "k-way intersection of zero sets");
     let bases: Vec<&SegmentedSet> = sets.iter().map(|s| s.base()).collect();
     let planner = IntersectPlanner::current();
-    let lens: Vec<usize> = bases.iter().map(|s| s.len()).collect();
-    let ordered: Vec<&SegmentedSet> = planner
-        .plan_kway(&lens)
-        .order
-        .iter()
-        .map(|&i| bases[i])
-        .collect();
-    let mut cand = crate::kway::kway_intersect_with(&ordered, table);
+    let mut cand = crate::kway::kway_intersect_planned(&bases, table, &planner);
     if sets.iter().all(|s| s.delta_len() == 0) {
         return cand;
     }

@@ -763,13 +763,18 @@ pub fn intersect(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
 /// probe each element of `probe` against `target`'s bitmap, comparing
 /// against the segment list only when the bit is set. `O(|probe|)`.
 ///
+/// This pair count keeps the hashed lookup even for targets whose
+/// container tier would answer [`SegmentedSet::contains`]: the graph
+/// workloads probe a few hot hub lists millions of times, and there the
+/// tier lookup measured 9–18% slower end to end (DESIGN.md §5h).
+///
 /// ```
 /// use fesia_core::{FesiaParams, SegmentedSet};
 /// let big = SegmentedSet::build(&(0..10_000).collect::<Vec<_>>(), &FesiaParams::auto()).unwrap();
 /// assert_eq!(fesia_core::hash_probe_count(&[3, 9_999, 50_000], &big), 2);
 /// ```
 pub fn hash_probe_count(probe: &[u32], target: &SegmentedSet) -> usize {
-    probe.iter().filter(|&&x| target.contains(x)).count()
+    probe.iter().filter(|&&x| target.contains_hashed(x)).count()
 }
 
 /// Ratio of set sizes below which [`auto_count`] switches from the merge

@@ -7,16 +7,177 @@
 //! false-positive segments drops geometrically (`n^k / m^(k-1)`), which is
 //! why Fig. 10's speedups grow with `k`.
 //!
+//! That fold is one of three strategies the planner chooses between
+//! ([`IntersectPlanner::plan_kway`], DESIGN.md §5e) with the pair rules:
+//! **probe** the smallest set's members against the others under the
+//! pair skew rule (the paper's §VI `FESIAhash`, generalized), **container**
+//! when every operand carries a dense container tier (the ranges' value
+//! words are ANDed and counted), and otherwise the **scan** above.
+//!
 //! Divergence note: the paper sketches specialized *k-way kernels* for
-//! phase 2; surviving segments hold ~1 element each, so this implementation
-//! verifies them with a scalar k-way merge (the asymptotics and the phase-1
-//! SIMD structure are unchanged — see DESIGN.md).
+//! phase 2; surviving segments hold ~1 element each, so the scan verifies
+//! them with a scalar k-way merge (the asymptotics and the phase-1 SIMD
+//! structure are unchanged — see DESIGN.md). The probe and container
+//! strategies are additions of this implementation: the paper's k-way
+//! evaluation uses similar-sized sets, where the scan is the right
+//! shape.
 
+use crate::container::ContainerTier;
 use crate::intersect::default_table;
+use crate::kernels::visit::{CountVisitor, EmitVisitor, SegmentVisitor, SetOp};
 use crate::kernels::KernelTable;
-use crate::plan::IntersectPlanner;
+use crate::plan::{IntersectPlanner, KwayStrategy, SetSummary};
 use crate::set::SegmentedSet;
 use fesia_simd::mask::for_each_nonzero_lane;
+use std::cell::RefCell;
+
+thread_local! {
+    /// Per-thread fold buffer of the scan strategy, reused across calls
+    /// (it is as large as the largest operand's bitmap).
+    static FOLD_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Count the call and check the operands share a segment width.
+fn enter(sets: &[&SegmentedSet]) {
+    assert!(!sets.is_empty(), "k-way intersection of zero sets");
+    fesia_obs::metrics().kway_calls.inc();
+    let lane = sets[0].lane();
+    assert!(
+        sets.iter().all(|s| s.lane() == lane),
+        "sets must be built with the same segment width"
+    );
+}
+
+/// The planner's order and strategy, with the sets in that order.
+fn order_and_strategy<'s>(
+    sets: &[&'s SegmentedSet],
+    planner: &IntersectPlanner,
+) -> (Vec<&'s SegmentedSet>, KwayStrategy) {
+    let sums: Vec<SetSummary> = sets.iter().map(|s| SetSummary::of(s)).collect();
+    let plan = planner.plan_kway(&sums);
+    (plan.order.iter().map(|&i| sets[i]).collect(), plan.strategy)
+}
+
+/// Run `strategy` over `sets` (ascending by length), feeding the common
+/// elements to `v`. Returns whether they arrived ascending (the container
+/// walk emits in value order; probe and scan in hash order). Exactly one
+/// `kway_*` strategy counter is recorded: the one that ran — a container
+/// strategy over an operand without a tier runs (and counts) the scan.
+fn run_strategy<V: SegmentVisitor>(
+    sets: &[&SegmentedSet],
+    strategy: KwayStrategy,
+    table: &KernelTable,
+    v: &mut V,
+) -> bool {
+    let m = fesia_obs::metrics();
+    match strategy {
+        KwayStrategy::Probe => {
+            m.kway_probe.inc();
+            let (lead, rest) = sets.split_first().expect("non-empty");
+            m.hash_probe_elements.add(lead.len() as u64);
+            for &x in lead.reordered_elements() {
+                if rest.iter().all(|s| s.contains(x)) {
+                    v.visit(x);
+                }
+            }
+            false
+        }
+        KwayStrategy::Container => {
+            let tiers: Option<Vec<&ContainerTier>> = sets.iter().map(|s| s.container()).collect();
+            match tiers {
+                Some(tiers) => {
+                    m.kway_container.inc();
+                    crate::container::kway_visit(&tiers, v);
+                    true
+                }
+                None => {
+                    m.kway_scan.inc();
+                    scan(sets, table, v);
+                    false
+                }
+            }
+        }
+        KwayStrategy::Scan => {
+            m.kway_scan.inc();
+            scan(sets, table, v);
+            false
+        }
+    }
+}
+
+/// The scan strategy. Phase 1 folds all k bitmaps into a scratch bitmap
+/// the size of the largest, ANDing 64-bit words (smaller bitmaps tile
+/// larger ones; every bitmap is a power of two of at least 64 bytes, so
+/// word indexing folds cleanly). The non-zero-lane scan then reuses the
+/// 2-way SIMD machinery by scanning scratch against itself, and phase 2
+/// verifies each surviving segment.
+fn scan<V: SegmentVisitor>(sets: &[&SegmentedSet], table: &KernelTable, v: &mut V) {
+    let largest = sets
+        .iter()
+        .map(|s| s.bitmap_bytes().len())
+        .max()
+        .expect("non-empty");
+    let read_word = |bytes: &[u8], wi: usize| {
+        let off = (wi * 8) & (bytes.len() - 1);
+        u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
+    };
+    FOLD_SCRATCH.with(|s| {
+        let mut scratch = s.borrow_mut();
+        if scratch.len() < largest {
+            scratch.resize(largest, 0);
+        }
+        let fold = &mut scratch[..largest];
+        let first = sets[0].bitmap_bytes();
+        for (wi, out) in fold.chunks_exact_mut(8).enumerate() {
+            let mut w = read_word(first, wi);
+            for s in &sets[1..] {
+                w &= read_word(s.bitmap_bytes(), wi);
+            }
+            out.copy_from_slice(&w.to_le_bytes());
+        }
+        let fold = &scratch[..largest];
+        for_each_nonzero_lane(table.level(), sets[0].lane(), fold, fold, |i| {
+            kway_verify_segment(sets, i, v)
+        });
+    })
+}
+
+/// Visit the elements common to all k sets within (folded) segment `i`.
+///
+/// Allocation-free: this runs once per surviving segment, so a heap
+/// allocation here would dominate the whole phase.
+fn kway_verify_segment<V: SegmentVisitor>(sets: &[&SegmentedSet], i: usize, v: &mut V) {
+    // Anchor on the smallest segment list to bound the scan.
+    let mut anchor_idx = 0usize;
+    let mut anchor_len = usize::MAX;
+    for (j, s) in sets.iter().enumerate() {
+        let len = s.seg_size(i & (s.num_segments() - 1));
+        if len < anchor_len {
+            anchor_len = len;
+            anchor_idx = j;
+        }
+    }
+    let anchor = sets[anchor_idx].segment(i & (sets[anchor_idx].num_segments() - 1));
+    for &x in anchor {
+        if sets.iter().enumerate().all(|(j, s)| {
+            j == anchor_idx || contains_sorted(s.segment(i & (s.num_segments() - 1)), x)
+        }) {
+            v.visit(x);
+        }
+    }
+}
+
+/// Membership in a short sorted run (linear scan with early exit; these
+/// runs hold ~1 element on average).
+#[inline]
+fn contains_sorted(s: &[u32], x: u32) -> bool {
+    for &v in s {
+        if v >= x {
+            return v == x;
+        }
+    }
+    false
+}
 
 /// |L1 ∩ … ∩ Lk| with an explicit kernel table.
 ///
@@ -31,9 +192,9 @@ pub fn kway_count_with(sets: &[&SegmentedSet], table: &KernelTable) -> usize {
 }
 
 /// [`kway_count_with`] against an explicit planner snapshot: the planner
-/// orders the operands ([`IntersectPlanner::plan_kway`], ascending by
-/// length so the most selective sets lead the fold), and the 2-way case
-/// gets the full strategy selection through the same snapshot.
+/// orders the operands and picks the strategy
+/// ([`IntersectPlanner::plan_kway`]), and the 2-way case gets the full
+/// pair strategy selection through the same snapshot.
 ///
 /// # Panics
 /// As [`kway_count_with`].
@@ -42,105 +203,39 @@ pub fn kway_count_planned(
     table: &KernelTable,
     planner: &IntersectPlanner,
 ) -> usize {
-    assert!(!sets.is_empty(), "k-way intersection of zero sets");
-    fesia_obs::metrics().kway_calls.inc();
-    let lane = sets[0].lane();
-    assert!(
-        sets.iter().all(|s| s.lane() == lane),
-        "sets must be built with the same segment width"
-    );
-    let lens: Vec<usize> = sets.iter().map(|s| s.len()).collect();
-    let ordered: Vec<&SegmentedSet> = planner
-        .plan_kway(&lens)
-        .order
-        .iter()
-        .map(|&i| sets[i])
-        .collect();
+    enter(sets);
+    let (ordered, strategy) = order_and_strategy(sets, planner);
     match ordered.len() {
-        1 => return ordered[0].len(),
+        1 => ordered[0].len(),
         // Two sets: delegate to the 2-way machinery with the paper's §VI
         // strategy selection (merge vs hash-probe by size ratio).
-        2 => return crate::intersect::auto_count_planned(ordered[0], ordered[1], table, planner),
-        _ => {}
-    }
-
-    // Phase 1: fold all k bitmaps into a scratch bitmap the size of the
-    // largest, ANDing 64-bit words (smaller bitmaps tile larger ones; every
-    // bitmap is a power of two of at least 64 bytes, so word indexing folds
-    // cleanly). The subsequent non-zero-lane scan reuses the 2-way SIMD
-    // machinery by scanning scratch against itself.
-    let largest = ordered
-        .iter()
-        .map(|s| s.bitmap_bytes().len())
-        .max()
-        .expect("non-empty");
-    let mut scratch = vec![0u8; largest];
-    {
-        let words = largest / 8;
-        let read_word = |bytes: &[u8], wi: usize| {
-            let off = (wi * 8) & (bytes.len() - 1);
-            u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
-        };
-        let first = ordered[0].bitmap_bytes();
-        for wi in 0..words {
-            let mut w = read_word(first, wi);
-            for s in &ordered[1..] {
-                w &= read_word(s.bitmap_bytes(), wi);
-            }
-            scratch[wi * 8..wi * 8 + 8].copy_from_slice(&w.to_le_bytes());
+        2 => crate::intersect::auto_count_planned(ordered[0], ordered[1], table, planner),
+        _ => {
+            let mut v = CountVisitor::default();
+            run_strategy(&ordered, strategy, table, &mut v);
+            v.0
         }
     }
-
-    // Phase 2: k-way verify each surviving segment.
-    let largest_set = ordered
-        .iter()
-        .max_by_key(|s| s.bitmap_bits())
-        .expect("non-empty");
-    let seg_count_large = largest_set.num_segments();
-    let mut count = 0usize;
-    for_each_nonzero_lane(table.level(), lane, &scratch, &scratch, |i| {
-        debug_assert!(i < seg_count_large);
-        count += kway_verify_segment(&ordered, i);
-    });
-    count
 }
 
-/// Count elements common to all k sets within (folded) segment `i`.
+/// |L1 ∩ … ∩ Lk| under an explicit [`KwayStrategy`] for any k ≥ 1 (the
+/// operands are still ordered ascending by length). All strategies
+/// return the identical count; a container strategy over an operand
+/// without a tier runs the scan. For equivalence sweeps and `repro plan`.
 ///
-/// Allocation-free: this runs once per surviving segment, so a heap
-/// allocation here would dominate the whole phase.
-fn kway_verify_segment(sets: &[&SegmentedSet], i: usize) -> usize {
-    // Anchor on the smallest segment list to bound the scan.
-    let mut anchor_idx = 0usize;
-    let mut anchor_len = usize::MAX;
-    for (j, s) in sets.iter().enumerate() {
-        let len = s.seg_size(i & (s.num_segments() - 1));
-        if len < anchor_len {
-            anchor_len = len;
-            anchor_idx = j;
-        }
-    }
-    let anchor = sets[anchor_idx].segment(i & (sets[anchor_idx].num_segments() - 1));
-    anchor
-        .iter()
-        .filter(|&&x| {
-            sets.iter().enumerate().all(|(j, s)| {
-                j == anchor_idx || contains_sorted(s.segment(i & (s.num_segments() - 1)), x)
-            })
-        })
-        .count()
-}
-
-/// Membership in a short sorted run (linear scan with early exit; these
-/// runs hold ~1 element on average).
-#[inline]
-fn contains_sorted(s: &[u32], x: u32) -> bool {
-    for &v in s {
-        if v >= x {
-            return v == x;
-        }
-    }
-    false
+/// # Panics
+/// As [`kway_count_with`].
+pub fn execute_kway_count(
+    sets: &[&SegmentedSet],
+    table: &KernelTable,
+    strategy: KwayStrategy,
+) -> usize {
+    enter(sets);
+    let mut ordered = sets.to_vec();
+    ordered.sort_by_key(|s| s.len());
+    let mut v = CountVisitor::default();
+    run_strategy(&ordered, strategy, table, &mut v);
+    v.0
 }
 
 /// |L1 ∩ … ∩ Lk| with the process-default kernel table.
@@ -157,75 +252,65 @@ pub fn kway_count(sets: &[&SegmentedSet]) -> usize {
     kway_count_with(sets, default_table())
 }
 
-/// Materialize `L1 ∩ … ∩ Lk`, sorted ascending, with an explicit table.
-///
-/// Same two phases as [`kway_count_with`]; surviving segments emit their
-/// common values instead of a count.
+/// Materialize `L1 ∩ … ∩ Lk`, sorted ascending, with an explicit table
+/// and the process-wide planner ([`kway_intersect_planned`]).
 ///
 /// # Panics
 /// As [`kway_count_with`].
 pub fn kway_intersect_with(sets: &[&SegmentedSet], table: &KernelTable) -> Vec<u32> {
-    assert!(!sets.is_empty(), "k-way intersection of zero sets");
-    fesia_obs::metrics().kway_calls.inc();
-    let lane = sets[0].lane();
-    assert!(
-        sets.iter().all(|s| s.lane() == lane),
-        "sets must be built with the same segment width"
-    );
-    match sets.len() {
-        1 => {
-            let mut v = sets[0].reordered_elements().to_vec();
-            v.sort_unstable();
-            return v;
-        }
-        2 => return crate::intersect::intersect(sets[0], sets[1]),
-        _ => {}
+    let planner = IntersectPlanner::current();
+    kway_intersect_planned(sets, table, &planner)
+}
+
+/// Materialize `L1 ∩ … ∩ Lk`, sorted ascending, against an explicit
+/// planner snapshot — the materializing twin of [`kway_count_planned`]:
+/// the same order and strategy, with two sets taking the planned pair
+/// algebra ([`crate::algebra::set_op_planned`]).
+///
+/// # Panics
+/// As [`kway_count_with`].
+pub fn kway_intersect_planned(
+    sets: &[&SegmentedSet],
+    table: &KernelTable,
+    planner: &IntersectPlanner,
+) -> Vec<u32> {
+    enter(sets);
+    let (ordered, strategy) = order_and_strategy(sets, planner);
+    match ordered.len() {
+        1 => sorted_elements(ordered[0]),
+        2 => crate::algebra::set_op_planned(ordered[0], ordered[1], SetOp::Intersect, planner),
+        _ => materialize(&ordered, strategy, table),
     }
-    let largest = sets
-        .iter()
-        .map(|s| s.bitmap_bytes().len())
-        .max()
-        .expect("non-empty");
-    let mut scratch = vec![0u8; largest];
-    {
-        let words = largest / 8;
-        let read_word = |bytes: &[u8], wi: usize| {
-            let off = (wi * 8) & (bytes.len() - 1);
-            u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
-        };
-        let first = sets[0].bitmap_bytes();
-        for wi in 0..words {
-            let mut w = read_word(first, wi);
-            for s in &sets[1..] {
-                w &= read_word(s.bitmap_bytes(), wi);
-            }
-            scratch[wi * 8..wi * 8 + 8].copy_from_slice(&w.to_le_bytes());
-        }
-    }
+}
+
+/// Materialize `L1 ∩ … ∩ Lk` under an explicit [`KwayStrategy`]; see
+/// [`execute_kway_count`].
+///
+/// # Panics
+/// As [`kway_count_with`].
+pub fn execute_kway_intersect(
+    sets: &[&SegmentedSet],
+    table: &KernelTable,
+    strategy: KwayStrategy,
+) -> Vec<u32> {
+    enter(sets);
+    let mut ordered = sets.to_vec();
+    ordered.sort_by_key(|s| s.len());
+    materialize(&ordered, strategy, table)
+}
+
+fn materialize(sets: &[&SegmentedSet], strategy: KwayStrategy, table: &KernelTable) -> Vec<u32> {
     let mut out = Vec::new();
-    for_each_nonzero_lane(table.level(), lane, &scratch, &scratch, |i| {
-        // Anchor on the smallest segment list, verify against the rest.
-        let mut anchor_idx = 0usize;
-        let mut anchor_len = usize::MAX;
-        for (j, s) in sets.iter().enumerate() {
-            let len = s.seg_size(i & (s.num_segments() - 1));
-            if len < anchor_len {
-                anchor_len = len;
-                anchor_idx = j;
-            }
-        }
-        let anchor = sets[anchor_idx].segment(i & (sets[anchor_idx].num_segments() - 1));
-        for &x in anchor {
-            let everywhere = sets.iter().enumerate().all(|(j, s)| {
-                j == anchor_idx || contains_sorted(s.segment(i & (s.num_segments() - 1)), x)
-            });
-            if everywhere {
-                out.push(x);
-            }
-        }
-    });
-    out.sort_unstable();
+    if !run_strategy(sets, strategy, table, &mut EmitVisitor(&mut out)) {
+        out.sort_unstable();
+    }
     out
+}
+
+fn sorted_elements(s: &SegmentedSet) -> Vec<u32> {
+    let mut v = s.reordered_elements().to_vec();
+    v.sort_unstable();
+    v
 }
 
 /// Materialize `L1 ∩ … ∩ Lk` with the process-default table.
@@ -271,11 +356,7 @@ pub fn kway_union(sets: &[&SegmentedSet]) -> Vec<u32> {
         "sets must be built with the same segment width"
     );
     let mut acc = match sets.len() {
-        1 => {
-            let mut v = sets[0].reordered_elements().to_vec();
-            v.sort_unstable();
-            return v;
-        }
+        1 => return sorted_elements(sets[0]),
         _ => crate::algebra::union(sets[0], sets[1]),
     };
     let mut sorted = Vec::new();

@@ -84,8 +84,8 @@ pub use intersect::{
 pub use kernels::visit::{CountVisitor, EmitVisitor, FnVisitor, SegmentVisitor, SetOp};
 pub use kernels::KernelTable;
 pub use kway::{
-    kway_count, kway_count_planned, kway_count_with, kway_intersect, kway_intersect_with,
-    kway_union,
+    execute_kway_count, execute_kway_intersect, kway_count, kway_count_planned, kway_count_with,
+    kway_intersect, kway_intersect_planned, kway_intersect_with, kway_union,
 };
 pub use mmap::{MappedFile, Section};
 pub use parallel::{
@@ -97,8 +97,8 @@ pub use params::{
 };
 pub use plan::{
     default_profile_path, plan_mode, profile_status, set_plan_mode, should_container_summaries,
-    should_prune_summaries, IntersectPlan, IntersectPlanner, KwayPlan, MachineProfile, PlanMode,
-    SetSummary, ThresholdPlan, PROFILE_VERSION,
+    should_prune_summaries, IntersectPlan, IntersectPlanner, KwayPlan, KwayStrategy,
+    MachineProfile, PlanMode, SetSummary, ThresholdPlan, PROFILE_VERSION,
 };
 pub use serialize::{deserialize_many, deserialize_many_mapped, serialize_many, DecodeError};
 pub use set::SegmentedSet;

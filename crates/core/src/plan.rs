@@ -126,13 +126,52 @@ pub enum ThresholdPlan {
     Run(IntersectPlan),
 }
 
-/// Multi-set plan: the evaluation order for a k-way intersection.
+/// How a k-way intersection (k ≥ 3) executes; chosen by
+/// [`IntersectPlanner::plan_kway`] with the pair rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KwayStrategy {
+    /// Check each member of the smallest set against the others
+    /// (`FESIAhash` generalized to k sets): the pair skew rule holds
+    /// between the smallest and the next set.
+    Probe,
+    /// AND the operands' container ranges in the value domain and count
+    /// the bits: every operand carries a tier and passes the pair
+    /// container gate against the smallest.
+    Container,
+    /// The paper's §VI form: fold all k hashed bitmaps, then verify the
+    /// surviving segments.
+    Scan,
+}
+
+impl KwayStrategy {
+    /// Short name for logs, reports, and `repro plan`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            KwayStrategy::Probe => "probe",
+            KwayStrategy::Container => "container",
+            KwayStrategy::Scan => "scan",
+        }
+    }
+
+    /// Every strategy, for equivalence sweeps and `repro plan` races.
+    pub const ALL: [KwayStrategy; 3] = [
+        KwayStrategy::Probe,
+        KwayStrategy::Container,
+        KwayStrategy::Scan,
+    ];
+}
+
+/// Multi-set plan: the evaluation order and strategy for a k-way
+/// intersection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KwayPlan {
     /// Indices into the caller's set list, ascending by length — the
     /// smallest set leads the bitmap fold and anchors verification, which
     /// bounds both phases by the most selective operand.
     pub order: Vec<usize>,
+    /// How the intersection runs (used for k ≥ 3; two sets take the pair
+    /// planner, one set is its own answer).
+    pub strategy: KwayStrategy,
 }
 
 /// The per-set features the cost model consumes — cheap to gather (all
@@ -629,12 +668,35 @@ impl IntersectPlanner {
         }
     }
 
-    /// Order a k-way intersection: ascending by length, so the most
-    /// selective operands lead the fold and anchor verification.
-    pub fn plan_kway(&self, lens: &[usize]) -> KwayPlan {
-        let mut order: Vec<usize> = (0..lens.len()).collect();
-        order.sort_by_key(|&i| lens[i]);
-        KwayPlan { order }
+    /// Plan a k-way intersection. The order is ascending by length, so
+    /// the most selective operands lead. The strategy reuses the pair
+    /// rules, with no k-way knob of its own: a forced hash mode probes and
+    /// the forced merge modes scan; in auto mode the pair skew rule
+    /// between the smallest and the next set picks [`KwayStrategy::Probe`],
+    /// else the pair container gate between the smallest and every other
+    /// set picks [`KwayStrategy::Container`], else
+    /// [`KwayStrategy::Scan`].
+    pub fn plan_kway(&self, sets: &[SetSummary]) -> KwayPlan {
+        let mut order: Vec<usize> = (0..sets.len()).collect();
+        order.sort_by_key(|&i| sets[i].len);
+        let strategy = match (self.mode, order.as_slice()) {
+            (PlanMode::HashProbe, _) => KwayStrategy::Probe,
+            (PlanMode::Plain | PlanMode::Pruned, _) | (_, [] | [_]) => KwayStrategy::Scan,
+            (PlanMode::Auto, [first, second, ..]) => {
+                let lead = &sets[*first];
+                if Self::skewed(lead, &sets[*second]) {
+                    KwayStrategy::Probe
+                } else if order[1..]
+                    .iter()
+                    .all(|&i| should_container_summaries(lead, &sets[i], &self.container))
+                {
+                    KwayStrategy::Container
+                } else {
+                    KwayStrategy::Scan
+                }
+            }
+        };
+        KwayPlan { order, strategy }
     }
 }
 
@@ -830,9 +892,55 @@ mod tests {
     #[test]
     fn kway_plan_orders_ascending_by_length() {
         let p = auto_planner();
-        let plan = p.plan_kway(&[500, 10, 200, 10_000]);
+        let sums: Vec<SetSummary> = [500, 10, 200, 10_000]
+            .iter()
+            .map(|&n| summary(n, 4096, 1.0))
+            .collect();
+        let plan = p.plan_kway(&sums);
         assert_eq!(plan.order, vec![1, 2, 0, 3]);
         assert_eq!(p.plan_kway(&[]).order, Vec::<usize>::new());
+    }
+
+    #[test]
+    fn kway_strategy_follows_the_pair_rules() {
+        let p = auto_planner();
+        // Smallest below 1/4 of the next -> probe, tiers or not.
+        let tiny = container_summary(5_000, 1 << 14, 0.9);
+        let big = container_summary(1 << 20, 1 << 22, 0.9);
+        assert_eq!(p.plan_kway(&[big, tiny, big]).strategy, KwayStrategy::Probe);
+        // Comparable, all dense tiers past the size floor -> container.
+        assert_eq!(
+            p.plan_kway(&[big, big, big]).strategy,
+            KwayStrategy::Container
+        );
+        // One operand without a tier, or a sparse one -> scan.
+        let raw = summary(1 << 20, 1 << 22, 1.0);
+        let sparse = container_summary(1 << 20, 1 << 22, 0.1);
+        assert_eq!(p.plan_kway(&[big, raw, big]).strategy, KwayStrategy::Scan);
+        assert_eq!(
+            p.plan_kway(&[big, sparse, big]).strategy,
+            KwayStrategy::Scan
+        );
+        // Forced modes: hash probes, the merge modes scan.
+        let mut f = p;
+        f.mode = PlanMode::HashProbe;
+        assert_eq!(f.plan_kway(&[big, big, big]).strategy, KwayStrategy::Probe);
+        for mode in [PlanMode::Plain, PlanMode::Pruned] {
+            f.mode = mode;
+            assert_eq!(f.plan_kway(&[big, tiny, big]).strategy, KwayStrategy::Scan);
+        }
+        // The container knob forces (or forbids) the container strategy
+        // for tiered operands, exactly as for pairs.
+        let mut on = p;
+        on.container.forced = Some(true);
+        assert_eq!(
+            on.plan_kway(&[sparse, sparse, sparse]).strategy,
+            KwayStrategy::Container
+        );
+        assert_eq!(on.plan_kway(&[big, raw, big]).strategy, KwayStrategy::Scan);
+        let mut off = p;
+        off.container.forced = Some(false);
+        assert_eq!(off.plan_kway(&[big, big, big]).strategy, KwayStrategy::Scan);
     }
 
     #[test]

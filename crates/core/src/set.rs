@@ -465,10 +465,33 @@ impl SegmentedSet {
         self.container.as_ref().map(ContainerTier::stats)
     }
 
-    /// Membership test via the bitmap filter plus a segment scan — the
-    /// per-element primitive behind the paper's skewed-input strategy
-    /// (§VI, "Input with dramatically different sizes").
+    /// Membership test — the per-element primitive behind the paper's
+    /// skewed-input strategy (§VI, "Input with dramatically different
+    /// sizes"). A set whose container tier is one bitmap or run range
+    /// answers exactly from the tier: a directory lookup plus one word
+    /// test. Every other set takes the bitmap filter plus a segment scan
+    /// (DESIGN.md §5h has the measurements behind the rule).
     pub fn contains(&self, x: u32) -> bool {
+        match self.dense_tier() {
+            Some(t) => t.contains(x),
+            None => self.contains_hashed(x),
+        }
+    }
+
+    /// The container tier when [`SegmentedSet::contains`] answers from it:
+    /// one range, not an array. A binary search over an array range's up
+    /// to 4096 values is 2–5× slower than the hashed lookup, and hot
+    /// multi-range bitmap tiers lose to it as well.
+    #[inline]
+    fn dense_tier(&self) -> Option<&ContainerTier> {
+        self.container
+            .as_ref()
+            .filter(|c| c.num_ranges() == 1 && c.stats().ranges_array == 0)
+    }
+
+    /// Membership via the bitmap filter plus a segment scan.
+    #[inline]
+    pub(crate) fn contains_hashed(&self, x: u32) -> bool {
         if x > MAX_ELEMENT {
             return false;
         }

@@ -304,10 +304,13 @@ impl FesiaIndex {
     }
 
     /// Answer a [`BooleanQuery`] with the matching document ids
-    /// (ascending). The AND clause runs through the planner-ordered k-way
-    /// intersection, the OR clause through [`fesia_core::kway_union`], and
-    /// exclusions are resolved by probing candidates against the encoded
-    /// posting-list filters — the NOT side is never materialized.
+    /// (ascending). A single must/must-not pair is one planned set-level
+    /// difference ([`Snapshot::set_op`]): a tiered must list produces it
+    /// in its value domain, already ascending. Otherwise the AND clause
+    /// runs through the planned k-way intersection, the OR clause through
+    /// [`fesia_core::kway_union`], and exclusions are resolved by probing
+    /// candidates against the encoded posting lists — the NOT side is
+    /// never materialized.
     pub fn run_boolean(&self, query: &BooleanQuery, table: &KernelTable) -> Vec<u32> {
         fesia_obs::metrics().index_boolean_queries.inc();
         let snap = self.store.pin();

@@ -395,6 +395,12 @@ define_metrics! {
             "Elements probed against a bitmap by the hash-probe strategy.",
         kway_calls:
             "k-way intersections (count or materialize), any arity.",
+        kway_probe:
+            "k-way intersections (k >= 3) that probed the smallest set's members against the others.",
+        kway_container:
+            "k-way intersections (k >= 3) that ANDed the operands' container ranges in the value domain.",
+        kway_scan:
+            "k-way intersections (k >= 3) that folded the hashed bitmaps and verified surviving segments.",
         batch_calls:
             "Batched-intersection region submissions.",
         batch_pairs:

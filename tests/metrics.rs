@@ -188,3 +188,57 @@ fn dispatch_counters_follow_prune_knob() {
 
     set_prune_params(saved);
 }
+
+/// Every k-way intersection of k >= 3 sets records exactly one strategy
+/// counter — the strategy that ran — and the planner picks each one on
+/// the shape built for it: a skewed triple probes, three dense tiered
+/// sets take the container walk, and comparable untiered sets scan.
+#[test]
+fn kway_strategy_counters_account_for_every_call() {
+    let _guard = serialize_tests();
+    let p = FesiaParams::auto();
+    let table = fesia_core::KernelTable::auto();
+    let build = |v: &[u32]| SegmentedSet::build(v, &p).unwrap();
+    let small = build(&gen_sorted(300, 41, 1 << 17));
+    let dense: Vec<SegmentedSet> = (0..3)
+        .map(|k| build(&gen_sorted(60_000, 43 + k, 1 << 17)))
+        .collect();
+    let plain: Vec<SegmentedSet> = (0..3)
+        .map(|k| build(&gen_sorted(2_000, 51 + k, 40_000)))
+        .collect();
+    let cases: [(&str, Vec<&SegmentedSet>); 3] = [
+        ("probe", vec![&dense[0], &small, &dense[1]]),
+        ("container", dense.iter().collect()),
+        ("scan", plain.iter().collect()),
+    ];
+    for (want, sets) in &cases {
+        let planner = fesia_core::IntersectPlanner::current();
+        let sums: Vec<fesia_core::SetSummary> =
+            sets.iter().map(|s| fesia_core::SetSummary::of(s)).collect();
+        assert_eq!(planner.plan_kway(&sums).strategy.name(), *want);
+        let before = metrics().snapshot();
+        let n = fesia_core::kway_count_with(sets, &table);
+        let got = fesia_core::kway_intersect_with(sets, &table);
+        let d = metrics().snapshot().delta(&before);
+        assert_eq!(got.len(), n, "{want}");
+        assert_eq!(d.kway_calls, 2, "{want}");
+        assert_eq!(
+            d.kway_probe + d.kway_container + d.kway_scan,
+            d.kway_calls,
+            "{want}: one strategy per k-way call"
+        );
+        let ran = match *want {
+            "probe" => d.kway_probe,
+            "container" => d.kway_container,
+            _ => d.kway_scan,
+        };
+        assert_eq!(ran, 2, "{want}");
+    }
+    // Two-set k-way calls take the pair planner and record no k-way
+    // strategy.
+    let before = metrics().snapshot();
+    fesia_core::kway_count_with(&[&plain[0], &plain[1]], &table);
+    let d = metrics().snapshot().delta(&before);
+    assert_eq!(d.kway_calls, 1);
+    assert_eq!(d.kway_probe + d.kway_container + d.kway_scan, 0);
+}

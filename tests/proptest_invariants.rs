@@ -172,6 +172,57 @@ fn kway_equals_iterated_pairwise() {
     }
 }
 
+/// Every k-way strategy (probe, container walk, bitmap-fold scan)
+/// returns the iterated-pairwise answer, materialized strictly
+/// ascending, on dense domains where operands randomly straddle the
+/// 4096-element tier build floor.
+#[test]
+fn kway_strategies_equal_iterated_pairwise() {
+    let table = KernelTable::auto();
+    let params = FesiaParams::auto();
+    for seed in 0..CASES / 4 {
+        let mut rng = SplitMix64::new(0x5A00 + seed);
+        let universe = 1u64 << (15 + rng.below(4));
+        let lists: Vec<Vec<u32>> = (0..3 + rng.below(2))
+            .map(|_| {
+                let n = rng.below(universe / 2).min(12_000) as usize;
+                let mut set = std::collections::BTreeSet::new();
+                while set.len() < n {
+                    set.insert(rng.below(universe) as u32);
+                }
+                set.into_iter().collect()
+            })
+            .collect();
+        let want = lists[1..]
+            .iter()
+            .fold(lists[0].clone(), |acc, l| reference(&acc, l));
+        let sets: Vec<SegmentedSet> = lists
+            .iter()
+            .map(|l| SegmentedSet::build(l, &params).unwrap())
+            .collect();
+        let refs: Vec<&SegmentedSet> = sets.iter().collect();
+        for strategy in fesia_core::KwayStrategy::ALL {
+            assert_eq!(
+                fesia_core::execute_kway_count(&refs, &table, strategy),
+                want.len(),
+                "seed={seed} strategy={}",
+                strategy.name()
+            );
+            assert_eq!(
+                fesia_core::execute_kway_intersect(&refs, &table, strategy),
+                want,
+                "seed={seed} strategy={}",
+                strategy.name()
+            );
+        }
+        assert_eq!(
+            fesia_core::kway_intersect_with(&refs, &table),
+            want,
+            "seed={seed}"
+        );
+    }
+}
+
 #[test]
 fn kernel_tables_agree_across_levels_on_tiny_runs() {
     use fesia_core::kernels::PaddedOperand;
