@@ -18,9 +18,13 @@
 //! [`DynamicSet::REBUILD_FRACTION`], env `FESIA_REBUILD_FRACTION`), the
 //! set is re-encoded.
 //!
-//! The base is held behind an [`Arc`], so cloning a `DynamicSet` — the
-//! copy-on-write step of the serving layer's publish path — copies only
-//! the delta vectors, never the encoded base.
+//! The base and the delta lists are each held behind an [`Arc`], so
+//! cloning a `DynamicSet` copies two refcounts and nothing else. A
+//! snapshot store keeps every set inline in its catalog slot and clones
+//! the whole catalog on each publish (DESIGN.md "Resolution latency"),
+//! so that clone must never copy delta buffers. The delta is copied on
+//! write instead: the first [`DynamicSet::insert`] or
+//! [`DynamicSet::remove`] on a shared delta copies it once.
 
 use crate::error::BuildError;
 use crate::intersect::auto_count_planned;
@@ -62,9 +66,19 @@ pub fn set_dynamic_params(p: DynamicParams) {
 #[derive(Debug, Clone)]
 pub struct DynamicSet {
     base: Arc<SegmentedSet>,
-    added: Vec<u32>,
-    deleted: Vec<u32>,
+    /// The pending deltas, shared between clones until one of them
+    /// mutates; `None` whenever both lists are empty.
+    delta: Option<Arc<Delta>>,
     params: FesiaParams,
+}
+
+/// The sorted add/delete lists of a [`DynamicSet`].
+#[derive(Debug, Clone, Default)]
+struct Delta {
+    /// Values present but not in the base (disjoint from it).
+    added: Vec<u32>,
+    /// Values in the base that have been removed.
+    deleted: Vec<u32>,
 }
 
 impl DynamicSet {
@@ -74,12 +88,10 @@ impl DynamicSet {
 
     /// Start from a sorted, duplicate-free slice.
     pub fn build(sorted: &[u32], params: &FesiaParams) -> Result<DynamicSet, BuildError> {
-        Ok(DynamicSet {
-            base: Arc::new(SegmentedSet::build(sorted, params)?),
-            added: Vec::new(),
-            deleted: Vec::new(),
-            params: *params,
-        })
+        Ok(DynamicSet::from_base(
+            Arc::new(SegmentedSet::build(sorted, params)?),
+            *params,
+        ))
     }
 
     /// Wrap an already-encoded base with empty deltas, sharing it
@@ -88,15 +100,14 @@ impl DynamicSet {
     pub fn from_base(base: Arc<SegmentedSet>, params: FesiaParams) -> DynamicSet {
         DynamicSet {
             base,
-            added: Vec::new(),
-            deleted: Vec::new(),
+            delta: None,
             params,
         }
     }
 
     /// Number of elements currently in the set.
     pub fn len(&self) -> usize {
-        self.base.len() - self.deleted.len() + self.added.len()
+        self.base.len() - self.deleted().len() + self.added().len()
     }
 
     /// Whether the set is empty.
@@ -106,15 +117,15 @@ impl DynamicSet {
 
     /// Current delta size (pending adds + deletes).
     pub fn delta_len(&self) -> usize {
-        self.added.len() + self.deleted.len()
+        self.added().len() + self.deleted().len()
     }
 
     /// Membership test.
     pub fn contains(&self, x: u32) -> bool {
-        if self.added.binary_search(&x).is_ok() {
+        if self.added().binary_search(&x).is_ok() {
             return true;
         }
-        self.base.contains(x) && self.deleted.binary_search(&x).is_err()
+        self.base.contains(x) && self.deleted().binary_search(&x).is_err()
     }
 
     /// Insert `x`; returns `true` if it was not already present.
@@ -143,31 +154,50 @@ impl DynamicSet {
         if x > crate::error::MAX_ELEMENT {
             return Err(BuildError::ReservedValue { index: 0 });
         }
-        if let Ok(pos) = self.deleted.binary_search(&x) {
-            self.deleted.remove(pos);
+        if let Ok(pos) = self.deleted().binary_search(&x) {
+            self.edit_delta(|d| d.deleted.remove(pos));
             return Ok(true);
         }
-        if self.base.contains(x) || self.added.binary_search(&x).is_ok() {
+        if self.base.contains(x) {
             return Ok(false);
         }
-        let pos = self.added.binary_search(&x).unwrap_err();
-        self.added.insert(pos, x);
-        Ok(true)
+        match self.added().binary_search(&x) {
+            Ok(_) => Ok(false),
+            Err(pos) => {
+                self.edit_delta(|d| d.added.insert(pos, x));
+                Ok(true)
+            }
+        }
     }
 
     /// [`DynamicSet::remove`] without the inline rebuild check (see
     /// [`DynamicSet::insert_deferred`]).
     pub fn remove_deferred(&mut self, x: u32) -> Result<bool, BuildError> {
-        if let Ok(pos) = self.added.binary_search(&x) {
-            self.added.remove(pos);
+        if let Ok(pos) = self.added().binary_search(&x) {
+            self.edit_delta(|d| d.added.remove(pos));
             return Ok(true);
         }
-        if self.base.contains(x) && self.deleted.binary_search(&x).is_err() {
-            let pos = self.deleted.binary_search(&x).unwrap_err();
-            self.deleted.insert(pos, x);
-            return Ok(true);
+        if !self.base.contains(x) {
+            return Ok(false);
         }
-        Ok(false)
+        match self.deleted().binary_search(&x) {
+            Ok(_) => Ok(false),
+            Err(pos) => {
+                self.edit_delta(|d| d.deleted.insert(pos, x));
+                Ok(true)
+            }
+        }
+    }
+
+    /// Mutate the delta, copying it first when another clone shares it,
+    /// and drop it once both lists are empty.
+    fn edit_delta<R>(&mut self, f: impl FnOnce(&mut Delta) -> R) -> R {
+        let delta = Arc::make_mut(self.delta.get_or_insert_with(Default::default));
+        let r = f(delta);
+        if delta.added.is_empty() && delta.deleted.is_empty() {
+            self.delta = None;
+        }
+        r
     }
 
     /// Fold the deltas into a fresh base encoding.
@@ -180,8 +210,7 @@ impl DynamicSet {
     pub fn rebuild(&mut self) -> Result<(), BuildError> {
         let snapshot = self.to_sorted_vec();
         self.base = Arc::new(SegmentedSet::build(&snapshot, &self.params)?);
-        self.added.clear();
-        self.deleted.clear();
+        self.delta = None;
         Ok(())
     }
 
@@ -216,19 +245,20 @@ impl DynamicSet {
 
     /// Snapshot the logical contents, sorted ascending.
     pub fn to_sorted_vec(&self) -> Vec<u32> {
+        let (added, deleted) = (self.added(), self.deleted());
         let mut base: Vec<u32> = self.base.reordered_elements().to_vec();
         base.sort_unstable();
-        base.retain(|x| self.deleted.binary_search(x).is_err());
-        let mut out = Vec::with_capacity(base.len() + self.added.len());
+        base.retain(|x| deleted.binary_search(x).is_err());
+        let mut out = Vec::with_capacity(base.len() + added.len());
         // Merge base (sorted) with added (sorted, disjoint).
         let (mut i, mut j) = (0usize, 0usize);
-        while i < base.len() || j < self.added.len() {
-            let take_base = j >= self.added.len() || (i < base.len() && base[i] < self.added[j]);
+        while i < base.len() || j < added.len() {
+            let take_base = j >= added.len() || (i < base.len() && base[i] < added[j]);
             if take_base {
                 out.push(base[i]);
                 i += 1;
             } else {
-                out.push(self.added[j]);
+                out.push(added[j]);
                 j += 1;
             }
         }
@@ -249,12 +279,12 @@ impl DynamicSet {
 
     /// The pending additions, sorted ascending (disjoint from the base).
     pub fn added(&self) -> &[u32] {
-        &self.added
+        self.delta.as_ref().map_or(&[], |d| &d.added)
     }
 
     /// The pending deletions, sorted ascending (all present in the base).
     pub fn deleted(&self) -> &[u32] {
-        &self.deleted
+        self.delta.as_ref().map_or(&[], |d| &d.deleted)
     }
 
     /// The build parameters this set encodes with.
@@ -275,17 +305,17 @@ pub fn dynamic_intersect_count(a: &DynamicSet, b: &DynamicSet, table: &KernelTab
     let planner = IntersectPlanner::current();
     // Live membership helpers.
     let in_a = |x: u32| {
-        (a.base.contains(x) && a.deleted.binary_search(&x).is_err())
-            || a.added.binary_search(&x).is_ok()
+        (a.base.contains(x) && a.deleted().binary_search(&x).is_err())
+            || a.added().binary_search(&x).is_ok()
     };
     let in_b = |x: u32| {
-        (b.base.contains(x) && b.deleted.binary_search(&x).is_err())
-            || b.added.binary_search(&x).is_ok()
+        (b.base.contains(x) && b.deleted().binary_search(&x).is_err())
+            || b.added().binary_search(&x).is_ok()
     };
 
     // Term 1: base ∩ base, minus pairs killed by either delete list.
     let mut count = auto_count_planned(&a.base, &b.base, table, &planner);
-    let mut dels: Vec<u32> = a.deleted.iter().chain(&b.deleted).copied().collect();
+    let mut dels: Vec<u32> = a.deleted().iter().chain(b.deleted()).copied().collect();
     dels.sort_unstable();
     dels.dedup();
     for &x in &dels {
@@ -294,13 +324,13 @@ pub fn dynamic_intersect_count(a: &DynamicSet, b: &DynamicSet, table: &KernelTab
         }
     }
     // Term 2: A's additions present in live B.
-    count += a.added.iter().filter(|&&x| in_b(x)).count();
+    count += a.added().iter().filter(|&&x| in_b(x)).count();
     // Term 3: B's additions present in live A, excluding pairs already
     // counted in term 2 (x in both add lists).
     count += b
-        .added
+        .added()
         .iter()
-        .filter(|&&x| in_a(x) && a.added.binary_search(&x).is_err())
+        .filter(|&&x| in_a(x) && a.added().binary_search(&x).is_err())
         .count();
     count
 }
@@ -327,27 +357,27 @@ pub fn dynamic_set_op(
         return cand;
     }
     let in_a = |x: u32| {
-        (a.base.contains(x) && a.deleted.binary_search(&x).is_err())
-            || a.added.binary_search(&x).is_ok()
+        (a.base.contains(x) && a.deleted().binary_search(&x).is_err())
+            || a.added().binary_search(&x).is_ok()
     };
     let in_b = |x: u32| {
-        (b.base.contains(x) && b.deleted.binary_search(&x).is_err())
-            || b.added.binary_search(&x).is_ok()
+        (b.base.contains(x) && b.deleted().binary_search(&x).is_err())
+            || b.added().binary_search(&x).is_ok()
     };
     match op {
         SetOp::Intersect | SetOp::Union => {
-            cand.extend_from_slice(&a.added);
-            cand.extend_from_slice(&b.added);
+            cand.extend_from_slice(a.added());
+            cand.extend_from_slice(b.added());
         }
         SetOp::Difference => {
-            cand.extend_from_slice(&a.added);
-            cand.extend_from_slice(&b.deleted);
+            cand.extend_from_slice(a.added());
+            cand.extend_from_slice(b.deleted());
         }
         SetOp::Xor => {
-            cand.extend_from_slice(&a.added);
-            cand.extend_from_slice(&b.added);
-            cand.extend_from_slice(&a.deleted);
-            cand.extend_from_slice(&b.deleted);
+            cand.extend_from_slice(a.added());
+            cand.extend_from_slice(b.added());
+            cand.extend_from_slice(a.deleted());
+            cand.extend_from_slice(b.deleted());
         }
     }
     cand.sort_unstable();
@@ -562,6 +592,26 @@ mod tests {
             std::ptr::eq(s.base(), c.base()),
             "clone must share the Arc'd base"
         );
+    }
+
+    #[test]
+    fn clone_shares_the_delta_until_a_write_copies_it() {
+        let mut s = DynamicSet::build(&[10, 20, 30], &params()).unwrap();
+        s.insert_deferred(5).unwrap();
+        s.remove_deferred(20).unwrap();
+        let mut c = s.clone();
+        assert!(std::ptr::eq(s.added().as_ptr(), c.added().as_ptr()));
+        assert!(std::ptr::eq(s.deleted().as_ptr(), c.deleted().as_ptr()));
+        c.insert_deferred(7).unwrap();
+        assert_eq!(c.to_sorted_vec(), vec![5, 7, 10, 30]);
+        assert_eq!(s.to_sorted_vec(), vec![5, 10, 30], "source untouched");
+        // Undoing every pending op leaves no delta behind.
+        for x in [5, 7] {
+            c.remove_deferred(x).unwrap();
+        }
+        c.insert_deferred(20).unwrap();
+        assert_eq!(c.delta_len(), 0);
+        assert_eq!(c.to_sorted_vec(), vec![10, 20, 30]);
     }
 
     #[test]

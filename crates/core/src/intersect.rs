@@ -774,7 +774,58 @@ pub fn intersect(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
 /// assert_eq!(fesia_core::hash_probe_count(&[3, 9_999, 50_000], &big), 2);
 /// ```
 pub fn hash_probe_count(probe: &[u32], target: &SegmentedSet) -> usize {
-    probe.iter().filter(|&&x| target.contains_hashed(x)).count()
+    if probe.len() < GROUPED_PROBE_MIN {
+        return probe.iter().filter(|&&x| target.contains_hashed(x)).count();
+    }
+    probe
+        .chunks(PROBE_GROUP)
+        .map(|group| probe_group(group, target))
+        .sum()
+}
+
+/// Probe lists at least this long run in prefetched groups; shorter
+/// ones keep the one-at-a-time loop, whose first miss a group could
+/// not hide anyway.
+const GROUPED_PROBE_MIN: usize = 8;
+
+/// Probes per group: enough independent bitmap misses in flight to
+/// overlap, few enough for the positions to stay in registers.
+const PROBE_GROUP: usize = 16;
+
+/// Count the members of one group of at most [`PROBE_GROUP`] probes in
+/// three passes, so each pass's loads are independent and their misses
+/// overlap: hash every probe and prefetch its bitmap byte; test the bits
+/// and prefetch the segment metadata of the hits; search the hit
+/// segments.
+fn probe_group(group: &[u32], target: &SegmentedSet) -> usize {
+    debug_assert!(group.len() <= PROBE_GROUP);
+    let bitmap = target.bitmap_bytes();
+    let log2_m = target.log2_m();
+    let seg_bits = target.lane().bits();
+    let mut pos = [0usize; PROBE_GROUP];
+    for (p, &x) in pos.iter_mut().zip(group) {
+        *p = crate::hash::position(x, log2_m);
+        prefetch_read(&bitmap[*p / 8]);
+    }
+    let mut hits = [0u8; PROBE_GROUP];
+    let mut n_hits = 0usize;
+    for (k, (&x, &p)) in group.iter().zip(&pos).enumerate() {
+        if x <= crate::error::MAX_ELEMENT && bitmap[p / 8] & (1 << (p % 8)) != 0 {
+            target.prefetch_seg_entry(p / seg_bits);
+            hits[n_hits] = k as u8;
+            n_hits += 1;
+        }
+    }
+    hits[..n_hits]
+        .iter()
+        .filter(|&&k| {
+            let k = k as usize;
+            target
+                .segment(pos[k] / seg_bits)
+                .binary_search(&group[k])
+                .is_ok()
+        })
+        .count()
 }
 
 /// Ratio of set sizes below which [`auto_count`] switches from the merge
@@ -1002,6 +1053,56 @@ mod tests {
         assert_eq!(hash_probe_count(&av, &b), want);
         assert_eq!(auto_count(&a, &b), want);
         assert_eq!(auto_count(&b, &a), want);
+    }
+
+    /// The grouped probe (8 or more probes) must agree with a set oracle
+    /// at every group edge, including probes above `MAX_ELEMENT`, which
+    /// are never members.
+    #[test]
+    fn grouped_hash_probe_matches_the_oracle_at_every_group_edge() {
+        use crate::error::MAX_ELEMENT;
+        let p = FesiaParams::auto();
+        let targets: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![3, 9, 27],
+            gen_sorted(300, 5, 4_000),
+            gen_sorted(20_000, 19, 1_000_000),
+            (0..5_000).collect(),
+            vec![0, 1, MAX_ELEMENT - 1, MAX_ELEMENT],
+        ];
+        let wide = FesiaParams {
+            segment: LaneWidth::U16,
+            ..p
+        };
+        let mut state = 0x9E37_79B9u32;
+        for (tv, params) in targets.iter().flat_map(|t| [(t, p), (t, wide)]) {
+            let t = SegmentedSet::build(tv, &params).unwrap();
+            let oracle: std::collections::HashSet<u32> = tv.iter().copied().collect();
+            for len in [0usize, 1, 7, 8, 15, 16, 17, 33] {
+                let probe: Vec<u32> = (0..len)
+                    .map(|i| {
+                        state ^= state << 13;
+                        state ^= state >> 17;
+                        state ^= state << 5;
+                        match i % 5 {
+                            // a member, when the target has any
+                            0 if !tv.is_empty() => tv[state as usize % tv.len()],
+                            // above the element domain
+                            1 => MAX_ELEMENT + 1 + state % 2,
+                            _ => state % 1_000_000,
+                        }
+                    })
+                    .collect();
+                let want = probe.iter().filter(|x| oracle.contains(x)).count();
+                assert_eq!(
+                    hash_probe_count(&probe, &t),
+                    want,
+                    "target len {} lane {:?} probe len {len}",
+                    tv.len(),
+                    params.segment
+                );
+            }
+        }
     }
 
     #[test]

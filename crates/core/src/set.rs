@@ -394,6 +394,34 @@ impl SegmentedSet {
         self.seg_meta.prefetch_entry(i)
     }
 
+    /// Hint that this set's struct will be read soon: one prefetch per
+    /// field the planner and the pair kernels read before touching any
+    /// array. The compiler places the fields, so this names them rather
+    /// than assuming an order; fields sharing a line cost a redundant
+    /// hint, not a second miss.
+    #[inline]
+    pub(crate) fn prefetch_fields(&self) {
+        use fesia_simd::prefetch::prefetch_read;
+        prefetch_read(&self.n);
+        prefetch_read(&self.bitmap);
+        prefetch_read(&self.summary_ones);
+        prefetch_read(&self.seg_meta);
+        prefetch_read(&self.reordered);
+        prefetch_read(&self.container);
+    }
+
+    /// Hint that an intersection will start on this set soon: prefetch
+    /// the first bitmap line and the first element line. Reading the
+    /// array pointers loads the struct, so call this some time after
+    /// the struct itself was hinted (`Snapshot::prefetch`). For a
+    /// one-block bitmap, the common case on graph neighbourhoods, these
+    /// two lines are most of what a pair intersection reads.
+    #[inline]
+    pub fn prefetch_head(&self) {
+        fesia_simd::prefetch::prefetch_read(self.bitmap.as_ptr());
+        fesia_simd::prefetch::prefetch_read(self.reordered.as_ptr());
+    }
+
     /// The packed per-segment metadata (the serializer persists it as-is).
     #[inline]
     pub(crate) fn seg_meta(&self) -> &SegMeta {

@@ -16,9 +16,11 @@
 //!   exhaustion (more than [`EPOCH_SLOTS`] concurrent snapshots), which
 //!   spin-yields and reports its worst case in the
 //!   `snapshot_pin_stall_max_cycles` gauge.
-//! - **Writers** build a new [`StoreState`] (cheap: the per-set
-//!   [`DynamicSet`] versions are `Arc`-shared, only touched entries are
-//!   replaced), publish it with one atomic pointer swap, and push the
+//! - **Writers** build a new [`StoreState`] (cheap: each catalog slot
+//!   holds its [`DynamicSet`] inline, but a set is two `Arc`s — base and
+//!   delta — so copying the catalog copies refcounts, never encodings
+//!   or delta buffers; only touched slots are replaced), publish it
+//!   with one atomic pointer swap, and push the
 //!   old state onto a limbo list stamped with the pre-bump epoch. A
 //!   retired state is freed only once every active slot has pinned past
 //!   that epoch, so a reader that resolved the old pointer can never
@@ -116,9 +118,13 @@ impl EpochDomain {
 // Store state and versions
 // ---------------------------------------------------------------------------
 
-/// One published version of one set. Shared (`Arc`) between successive
-/// store states that did not touch this id, so publishing a write to
-/// one set never copies the others.
+/// One published version of one set, held inline in its catalog slot so
+/// resolving an id costs one load before the set's own encoding
+/// (DESIGN.md "Resolution latency"). Successive store states that did
+/// not touch an id hold clones of its version, which share the base and
+/// delta storage, so publishing a write to one set never copies the
+/// others.
+#[derive(Clone)]
 pub struct SetVersion {
     set: DynamicSet,
     version: u64,
@@ -139,7 +145,19 @@ impl SetVersion {
 /// An immutable published catalog: every live set at one instant.
 pub struct StoreState {
     version: u64,
-    sets: Vec<Option<Arc<SetVersion>>>,
+    sets: Vec<Option<SetVersion>>,
+}
+
+impl Drop for StoreState {
+    /// Release the sets highest id first. Stores are mostly filled in id
+    /// order, so that frees the newest allocations first; the allocator
+    /// keeps the first few small blocks a thread frees cached, and
+    /// blocks cached at the top of the heap keep a dropped store's pages
+    /// mapped for the next build instead of returning them to the OS to
+    /// be faulted in again (DESIGN.md §5k measures the difference).
+    fn drop(&mut self) {
+        while self.sets.pop().is_some() {}
+    }
 }
 
 impl StoreState {
@@ -153,7 +171,8 @@ impl StoreState {
         self.sets.len()
     }
 
-    fn get_arc(&self, id: u32) -> Option<&Arc<SetVersion>> {
+    #[inline]
+    fn slot(&self, id: u32) -> Option<&SetVersion> {
         self.sets.get(id as usize).and_then(|s| s.as_ref())
     }
 
@@ -161,7 +180,7 @@ impl StoreState {
     /// this for read-modify-write: clone the current [`DynamicSet`],
     /// mutate the clone, publish it.
     pub fn get(&self, id: u32) -> Option<SetRef<'_>> {
-        self.get_arc(id).map(|v| SetRef { v })
+        self.slot(id).map(|v| SetRef { v })
     }
 }
 
@@ -298,13 +317,15 @@ impl SetStore {
         let mut txn: Vec<(u32, Option<DynamicSet>)> = Vec::new();
         f(cur, &mut txn);
         let version = cur.version + 1;
-        let mut sets = cur.sets.clone(); // Arc clones only
+        let len = txn
+            .iter()
+            .map(|&(id, _)| id as usize + 1)
+            .fold(cur.sets.len(), usize::max);
+        let mut sets = Vec::with_capacity(len);
+        sets.extend_from_slice(&cur.sets); // refcount copies only
+        sets.resize(len, None);
         for (id, set) in txn {
-            let idx = id as usize;
-            if idx >= sets.len() {
-                sets.resize(idx + 1, None);
-            }
-            sets[idx] = set.map(|s| Arc::new(SetVersion { set: s, version }));
+            sets[id as usize] = set.map(|s| SetVersion { set: s, version });
         }
         let next = Box::into_raw(Box::new(StoreState { version, sets }));
         let old = self.state.swap(next, Ordering::SeqCst);
@@ -401,12 +422,25 @@ impl<'a> Snapshot<'a> {
     }
 
     /// Resolve one set id; `None` for ids never published or deleted.
+    #[inline]
     pub fn get(&self, id: u32) -> Option<SetRef<'_>> {
         self.state.get(id)
     }
 
+    /// Hint that `id` will be resolved soon: loads its catalog slot and
+    /// prefetches the hot lines of its base set's struct. Follow it a
+    /// few resolutions later with [`SegmentedSet::prefetch_head`] to
+    /// hint the arrays too (the triangle loop's two-stage pipeline).
+    /// Unknown ids are no-ops.
+    #[inline]
+    pub fn prefetch(&self, id: u32) {
+        if let Some(v) = self.state.slot(id) {
+            v.set.base().prefetch_fields();
+        }
+    }
+
     fn resolve(&self, id: u32) -> Option<&DynamicSet> {
-        self.state.get_arc(id).map(|v| &v.set)
+        self.state.slot(id).map(|v| &v.set)
     }
 
     /// `|A ∩ B|` for two ids through the planner-driven dynamic path;
@@ -593,23 +627,84 @@ mod tests {
         assert_eq!(store.limbo_len(), 0); // no reader left, all collected
     }
 
+    /// Insert `x` into `id` as one publish.
+    fn publish_insert(store: &SetStore, id: u32, x: u32) {
+        store.update(|cur, txn| {
+            let mut s = cur.get(id).unwrap().set().clone();
+            s.insert_deferred(x).unwrap();
+            txn.push((id, Some(s)));
+        });
+    }
+
+    /// Whether two resolutions of one id share their base encoding and
+    /// their delta storage (slots hold sets inline, so the `DynamicSet`
+    /// addresses differ between states; the storage must not).
+    fn shares_storage(a: SetRef<'_>, b: SetRef<'_>) -> bool {
+        let (a, b) = (a.set(), b.set());
+        Arc::ptr_eq(&a.base_arc(), &b.base_arc())
+            && std::ptr::eq(a.added().as_ptr(), b.added().as_ptr())
+            && std::ptr::eq(a.deleted().as_ptr(), b.deleted().as_ptr())
+    }
+
     #[test]
     fn untouched_sets_share_their_version_across_publishes() {
         let store = store_with(&[&[1, 2, 3], &[2, 3, 4]]);
+        // Give id 0 a delta, so there is delta storage to share.
+        publish_insert(&store, 0, 50);
         let before = store.pin();
-        store.update(|cur, txn| {
-            let mut s = cur.get(1).unwrap().set().clone();
-            s.insert(99).unwrap();
-            txn.push((1, Some(s)));
-        });
+        publish_insert(&store, 1, 99);
         let after = store.pin();
-        assert_eq!(before.get(0).unwrap().version(), 1);
-        assert_eq!(after.get(0).unwrap().version(), 1); // untouched
-        assert_eq!(after.get(1).unwrap().version(), 2);
-        assert!(std::ptr::eq(
-            before.get(0).unwrap().set(),
-            after.get(0).unwrap().set()
+        assert_eq!(before.get(0).unwrap().version(), 2);
+        assert_eq!(after.get(0).unwrap().version(), 2); // untouched
+        assert_eq!(after.get(1).unwrap().version(), 3);
+        assert_eq!(after.get(0).unwrap().set().added(), &[50]);
+        assert!(shares_storage(
+            before.get(0).unwrap(),
+            after.get(0).unwrap()
         ));
+        assert!(!shares_storage(
+            before.get(1).unwrap(),
+            after.get(1).unwrap()
+        ));
+    }
+
+    #[test]
+    fn publishes_to_one_id_copy_no_other_storage() {
+        let lists: Vec<Vec<u32>> = (0..8u32)
+            .map(|i| (0..100).map(|x| x * 8 + i).collect())
+            .collect();
+        let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
+        let store = store_with(&refs);
+        // Every other id carries a delta too.
+        for id in 1..8u32 {
+            publish_insert(&store, id, 10_000 + id);
+        }
+        let before = store.pin();
+        for k in 0..100u32 {
+            publish_insert(&store, 0, 20_000 + k);
+        }
+        let after = store.pin();
+        assert_eq!(after.version(), before.version() + 100);
+        assert_eq!(after.get(0).unwrap().set().added().len(), 100);
+        for id in 1..8u32 {
+            let (b, a) = (before.get(id).unwrap(), after.get(id).unwrap());
+            assert_eq!(a.version(), b.version(), "id {id}");
+            assert!(shares_storage(b, a), "id {id} copied its storage");
+        }
+    }
+
+    #[test]
+    fn prefetch_hints_accept_any_id() {
+        let store = store_with(&[&[], &[1, 2, 3]]);
+        store.update(|_, txn| txn.push((3, None)));
+        let snap = store.pin();
+        for id in [0, 1, 2, 3, 1 << 20, u32::MAX] {
+            snap.prefetch(id);
+            if let Some(r) = snap.get(id) {
+                r.set().base().prefetch_head();
+            }
+        }
+        assert_eq!(snap.count(0, 1, table()), Some(0));
     }
 
     #[test]

@@ -80,6 +80,17 @@ impl CsrGraph {
         &self.neighbors[lo..hi]
     }
 
+    /// The adjacency lists of the consecutive vertices `vertices`,
+    /// concatenated in vertex order: one contiguous slice of the CSR
+    /// neighbour array, so an edge loop over a vertex range can look
+    /// ahead along its edges across vertex boundaries.
+    #[inline]
+    pub fn neighbors_in(&self, vertices: std::ops::Range<usize>) -> &[u32] {
+        let lo = self.offsets[vertices.start] as usize;
+        let hi = self.offsets[vertices.end] as usize;
+        &self.neighbors[lo..hi]
+    }
+
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
@@ -158,6 +169,17 @@ mod tests {
                 assert!((g.degree(u), u) < (g.degree(v), v));
             }
         }
+    }
+
+    #[test]
+    fn neighbors_in_concatenates_consecutive_lists() {
+        let g = diamond();
+        assert_eq!(g.neighbors_in(0..4).len(), g.num_directed_edges());
+        assert_eq!(g.neighbors_in(1..3), &[0, 2, 3, 0, 1, 3]);
+        assert_eq!(g.neighbors_in(2..2), &[] as &[u32]);
+        let iso = CsrGraph::from_edges(4, &[(1, 2)]);
+        assert_eq!(iso.neighbors_in(0..1), &[] as &[u32]);
+        assert_eq!(iso.neighbors_in(0..3), &[2, 1]);
     }
 
     #[test]

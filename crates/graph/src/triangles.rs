@@ -10,8 +10,9 @@
 
 use crate::csr::CsrGraph;
 use fesia_baselines::SliceIntersector;
-use fesia_core::{FesiaParams, KernelTable, SegmentedSet, SetStore, Snapshot};
+use fesia_core::{DynamicSet, FesiaParams, KernelTable, SegmentedSet, SetStore, Snapshot};
 use fesia_exec::Executor;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fewest vertices per executor chunk claim. Power-law degree
@@ -19,6 +20,19 @@ use std::time::{Duration, Instant};
 /// enough for hub vertices not to strand a claim's worth of work on one
 /// thread.
 const MIN_VERTICES_PER_CHUNK: usize = 16;
+
+/// How many edges ahead [`FesiaGraph::count_triangles`] resolves a
+/// neighbour's catalog slot and hints its set struct
+/// ([`Snapshot::prefetch`]).
+const STRUCT_LOOKAHEAD: usize = 8;
+
+/// How many edges ahead [`FesiaGraph::count_triangles`] hints a
+/// neighbour's first bitmap and element lines
+/// ([`SegmentedSet::prefetch_head`]). Half the struct distance, so the
+/// struct has arrived by the time its array pointers are read. Both
+/// distances were measured, not tuned per host (DESIGN.md "Resolution
+/// latency").
+const HEAD_LOOKAHEAD: usize = 4;
 
 /// Reference triangle count (hash-join per edge); the correctness oracle.
 pub fn count_reference(g: &CsrGraph) -> u64 {
@@ -82,15 +96,18 @@ impl FesiaGraph {
     /// Encode every out-neighborhood of the oriented graph.
     pub fn build(oriented: &CsrGraph, params: &FesiaParams) -> FesiaGraph {
         let start = Instant::now();
-        let sets: Vec<SegmentedSet> = (0..oriented.num_nodes() as u32)
+        // Each encoding goes straight behind its `Arc`: staging them in
+        // a `Vec<SegmentedSet>` first would copy every struct once more.
+        let sets: Vec<DynamicSet> = (0..oriented.num_nodes() as u32)
             .map(|v| {
-                SegmentedSet::build(oriented.neighbors(v), params)
-                    .expect("adjacency lists are sorted node ids")
+                let set = SegmentedSet::build(oriented.neighbors(v), params)
+                    .expect("adjacency lists are sorted node ids");
+                DynamicSet::from_base(Arc::new(set), *params)
             })
             .collect();
         let num_nodes = sets.len();
         FesiaGraph {
-            store: SetStore::from_segmented(sets, *params),
+            store: SetStore::from_dynamic(sets),
             num_nodes,
             construction_time: start.elapsed(),
         }
@@ -139,11 +156,28 @@ impl FesiaGraph {
                 MIN_VERTICES_PER_CHUNK,
                 threads,
                 |range| {
+                    // The chunk's edges as one stream: the prefetch
+                    // pipeline looks ahead along it across vertex
+                    // boundaries (out-degrees average ~5, so a
+                    // lookahead inside one list would miss most edges).
+                    let targets = oriented.neighbors_in(range.clone());
                     let mut acc = 0u64;
-                    let mut edges = 0u64;
+                    let mut e = 0usize;
                     for u in range {
+                        let deg = oriented.degree(u as u32);
+                        if deg == 0 {
+                            continue;
+                        }
                         let su = snap.get(u as u32).expect("vertex ids are dense").set();
-                        for &v in oriented.neighbors(u as u32) {
+                        for &v in &targets[e..e + deg] {
+                            if let Some(&w) = targets.get(e + STRUCT_LOOKAHEAD) {
+                                snap.prefetch(w);
+                            }
+                            if let Some(r) =
+                                targets.get(e + HEAD_LOOKAHEAD).and_then(|&w| snap.get(w))
+                            {
+                                r.set().base().prefetch_head();
+                            }
                             // Strategy selection per pair (paper §VI):
                             // adjacency lists are mostly tiny and often
                             // skewed, so the planner's adaptive pair plan
@@ -161,10 +195,12 @@ impl FesiaGraph {
                             } else {
                                 fesia_core::dynamic_intersect_count(su, sv, table)
                             } as u64;
-                            edges += 1;
+                            e += 1;
                         }
                     }
-                    fesia_obs::metrics().graph_edge_intersections.add(edges);
+                    fesia_obs::metrics()
+                        .graph_edge_intersections
+                        .add(targets.len() as u64);
                     acc
                 },
                 |x, y| x + y,
@@ -229,6 +265,99 @@ mod tests {
             assert_eq!(got, want, "threads={threads}");
         }
         assert!(fg.memory_bytes() > 0);
+    }
+
+    /// `count_triangles` on 1 and 2 threads against the reference.
+    fn assert_fesia_matches_reference(g: &CsrGraph, what: &str) {
+        let want = count_reference(g);
+        let oriented = g.orient_by_degree();
+        let fg = FesiaGraph::build(&oriented, &FesiaParams::auto());
+        let table = KernelTable::auto();
+        for threads in [1usize, 2] {
+            let (got, _) = fg.count_triangles(&oriented, &table, threads);
+            assert_eq!(got, want, "{what}, threads={threads}");
+        }
+    }
+
+    /// The clique on `vertices`.
+    fn clique(vertices: std::ops::Range<u32>) -> Vec<(u32, u32)> {
+        let mut edges = Vec::new();
+        for u in vertices.clone() {
+            for v in vertices.start..u {
+                edges.push((u, v));
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn isolated_vertices_and_tiny_out_degrees() {
+        assert_fesia_matches_reference(&CsrGraph::from_edges(10, &[]), "no edges");
+        // One triangle among isolated vertices, spread across chunks.
+        let g = CsrGraph::from_edges(40, &[(5, 17), (17, 33), (5, 33)]);
+        assert_fesia_matches_reference(&g, "lone triangle");
+        // A star: every leaf has out-degree 1 (towards the hub), the hub
+        // out-degree 0; a few leaf-leaf edges close triangles.
+        let mut edges: Vec<(u32, u32)> = (1..30).map(|v| (0, v)).collect();
+        edges.extend([(1, 2), (3, 4), (28, 29)]);
+        assert_fesia_matches_reference(&CsrGraph::from_edges(35, &edges), "star");
+    }
+
+    #[test]
+    fn lists_shorter_and_longer_than_the_lookahead() {
+        // Cliques of every size around both lookahead distances: a
+        // clique on k vertices orients to out-degrees 0..k-1.
+        let mut edges = Vec::new();
+        let mut next = 0u32;
+        for k in [2u32, 3, 4, 5, 8, 9, 12, 17] {
+            edges.extend(clique(next..next + k));
+            next += k + 1; // leave an isolated vertex between cliques
+        }
+        assert_fesia_matches_reference(&CsrGraph::from_edges(next as usize, &edges), "cliques");
+        // One clique wider than the struct lookahead on its own.
+        assert_fesia_matches_reference(&CsrGraph::from_edges(20, &clique(0..20)), "K20");
+    }
+
+    #[test]
+    fn vertex_counts_around_the_chunk_edges() {
+        let c = MIN_VERTICES_PER_CHUNK;
+        for n in [c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1, 3 * c + 1] {
+            let g = erdos_renyi(n, n * 3, n as u64);
+            assert_fesia_matches_reference(&g, &format!("G({n}, {})", n * 3));
+        }
+    }
+
+    #[test]
+    fn neighbourhoods_with_published_deltas_count_the_same() {
+        let g = barabasi_albert(600, 5, 41);
+        let want = count_reference(&g);
+        let oriented = g.orient_by_degree();
+        let params = FesiaParams::auto();
+        let fg = FesiaGraph::build(&oriented, &params);
+        // Republish every third neighbourhood as a different base plus a
+        // delta with the same live contents: the first neighbour moves
+        // into the add list, and an extra value into the delete list.
+        let extra = oriented.num_nodes() as u32 + 7;
+        fg.store().update(|_, txn| {
+            for u in (0..oriented.num_nodes() as u32).step_by(3) {
+                let live = oriented.neighbors(u);
+                let mut base: Vec<u32> = live.iter().skip(1).copied().collect();
+                base.push(extra);
+                let mut s = fesia_core::DynamicSet::build(&base, &params).unwrap();
+                if let Some(&first) = live.first() {
+                    s.insert_deferred(first).unwrap();
+                }
+                s.remove_deferred(extra).unwrap();
+                assert_eq!(s.to_sorted_vec(), live);
+                txn.push((u, Some(s)));
+            }
+        });
+        assert!(fg.snapshot().get(0).unwrap().set().delta_len() > 0);
+        let table = KernelTable::auto();
+        for threads in [1usize, 2] {
+            let (got, _) = fg.count_triangles(&oriented, &table, threads);
+            assert_eq!(got, want, "threads={threads}");
+        }
     }
 
     #[test]

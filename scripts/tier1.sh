@@ -2,8 +2,9 @@
 # Tier-1 verification: what CI (and the roadmap) require to stay green.
 #
 #   scripts/tier1.sh            # build + full test suite
-#   scripts/tier1.sh --smoke    # additionally run the smoke-scale batch
-#                               # experiment as an end-to-end probe
+#   scripts/tier1.sh --smoke    # additionally run the smoke-scale
+#                               # experiments and a 2 s perfbench
+#                               # triangles run as end-to-end probes
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -156,6 +157,19 @@ if [[ "${1:-}" == "--smoke" ]]; then
     }
     rm -f "$profile" "${profile%.json}.txt" "${profile%.json}.fsia"
     echo "tune smoke OK (profile written, reloaded by the planner)"
+
+    echo "== tier1: perfbench triangles (2 s, seed 1) =="
+    result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload triangles --seed 1 --seconds 2 --trace 0 | tail -1)
+    python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+' "$result" || {
+        echo "tier1: FAIL — perfbench triangles result not correct: $result"
+        exit 1
+    }
+    echo "perfbench triangles OK (correct, 0 failed)"
 fi
 
 echo "== tier1: OK =="
