@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The process-wide default kernel table (widest ISA, full table).
-pub(crate) fn default_table() -> &'static KernelTable {
+pub fn default_table() -> &'static KernelTable {
     static TABLE: OnceLock<KernelTable> = OnceLock::new();
     TABLE.get_or_init(KernelTable::auto)
 }

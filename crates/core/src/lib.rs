@@ -67,14 +67,11 @@ pub use batch::{
     batch_count, batch_count_pairs, batch_count_pairs_on, batch_op_pairs, batch_op_pairs_on,
 };
 pub use container::{ContainerKind, ContainerStats, ContainerTier};
-pub use dynamic::{
-    dynamic_boolean, dynamic_intersect_count, dynamic_kway_count, dynamic_kway_intersect,
-    dynamic_kway_union, dynamic_params, dynamic_set_op, set_dynamic_params, DynamicSet,
-};
+pub use dynamic::{dynamic_params, set_dynamic_params, DynamicSet, LiveQuery};
 pub use error::{BuildError, MAX_ELEMENT};
 pub use intersect::{
-    auto_count, auto_count_planned, auto_count_with, container_params, execute_plan_count,
-    hash_probe_count, intersect, intersect_count, intersect_count_at_least,
+    auto_count, auto_count_planned, auto_count_with, container_params, default_table,
+    execute_plan_count, hash_probe_count, intersect, intersect_count, intersect_count_at_least,
     intersect_count_at_least_planned, intersect_count_bounded, intersect_count_bounded_planned,
     intersect_count_breakdown, intersect_count_breakdown_pruned, intersect_count_interleaved_with,
     intersect_count_planned, intersect_count_pruned_with, intersect_count_with, pipeline_params,

@@ -458,9 +458,8 @@ impl SimjoinParams {
 /// A dynamic set re-encodes its base when the pending delta (adds +
 /// deletes) outgrows `rebuild_fraction` of the base length (with an
 /// absolute floor of 64 so tiny sets are not rebuilt per insert).
-/// Smaller fractions keep the delta-correction terms of
-/// [`crate::dynamic_intersect_count`] cheap at the price of more
-/// frequent rebuilds; the serving layer's write amplification is
+/// Smaller fractions keep the delta stage of [`crate::LiveQuery`]
+/// cheap at the price of more frequent rebuilds; the serving layer's write amplification is
 /// directly this knob.
 ///
 /// The process-wide default is read once from the environment

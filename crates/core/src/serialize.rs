@@ -35,13 +35,13 @@
 //! ```
 //!
 //! Version 3 is the same layout with a 5-entry table (no container
-//! sections) and a 128-byte header; [`SegmentedSet::serialize_v3`] still
-//! writes it for migration corpora, and both the owned and the mapped
+//! sections) and a 128-byte header; both the owned and the mapped
 //! decoder accept it. Versions 1 and 2 (the flat `header | bitmap |
-//! summary | sizes | elements` layout written by
-//! [`SegmentedSet::serialize_v2`]) still decode on the owned path. The
-//! container tier is rebuilt from the decoded elements on every owned
-//! decode, so legacy corpora gain it for free.
+//! summary | sizes | elements` layout) still decode on the owned path.
+//! Only the current version is written; `tests/fixtures/v2.fsia` and
+//! `v3.fsia` pin the older layouts. The container tier is rebuilt from
+//! the decoded elements on every owned decode, so legacy corpora gain it
+//! for free.
 //!
 //! Files written before the packed residual tier was removed may set
 //! `FLAG_PACKED` and carry a non-empty PACKED section. Both decoders
@@ -145,11 +145,10 @@ fn align64(x: u64) -> u64 {
 }
 
 /// Byte length of each section for `set`, indexed by `SEC_*`. The
-/// container lens are zero when the set carries no tier or when writing
-/// the v3 layout (which has no container sections).
-fn section_lens(set: &SegmentedSet, v4: bool) -> [u64; SEC_COUNT] {
+/// container lens are zero when the set carries no tier.
+fn section_lens(set: &SegmentedSet) -> [u64; SEC_COUNT] {
     let (dlen, vlen, wlen, rlen) = match set.container() {
-        Some(c) if v4 => {
+        Some(c) => {
             let (dir, values, words, runs) = c.sections();
             (
                 dir.len() as u64 * 8,
@@ -176,14 +175,12 @@ fn section_lens(set: &SegmentedSet, v4: bool) -> [u64; SEC_COUNT] {
     ]
 }
 
-/// Place the sections: each 64-byte-aligned, in table order, starting at
-/// the version's header length. Returns the offsets and the (64-aligned)
-/// total. v3 places (and writes) only the first [`SEC_COUNT_V3`] slots.
-fn block_layout(lens: &[u64; SEC_COUNT], v4: bool) -> ([u64; SEC_COUNT], u64) {
+/// Place the sections: each 64-byte-aligned, in table order, after the
+/// header. Returns the offsets and the (64-aligned) total.
+fn block_layout(lens: &[u64; SEC_COUNT]) -> ([u64; SEC_COUNT], u64) {
     let mut offsets = [0u64; SEC_COUNT];
-    let count = if v4 { SEC_COUNT } else { SEC_COUNT_V3 };
-    let mut off = if v4 { V4_HEADER_LEN } else { V3_HEADER_LEN } as u64;
-    for (slot, &len) in offsets.iter_mut().zip(lens).take(count) {
+    let mut off = V4_HEADER_LEN as u64;
+    for (slot, &len) in offsets.iter_mut().zip(lens) {
         *slot = off;
         off = align64(off + len);
     }
@@ -193,46 +190,26 @@ fn block_layout(lens: &[u64; SEC_COUNT], v4: bool) -> ([u64; SEC_COUNT], u64) {
 impl SegmentedSet {
     /// Append the binary encoding of this set (current version) to `out`.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        self.serialize_versioned(out, true)
-    }
-
-    /// Append the previous (v3) sectioned encoding to `out` — kept for
-    /// producing corpora older readers accept; it simply has no container
-    /// sections, so the tier is rebuilt on owned decode and absent on
-    /// mapped decode.
-    pub fn serialize_v3_into(&self, out: &mut Vec<u8>) {
-        self.serialize_versioned(out, false)
-    }
-
-    /// The previous (v3) sectioned encoding as a fresh buffer.
-    pub fn serialize_v3(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.serialize_v3_into(&mut out);
-        out
-    }
-
-    fn serialize_versioned(&self, out: &mut Vec<u8>, v4: bool) {
         let start = out.len();
-        let lens = section_lens(self, v4);
-        let (offsets, total) = block_layout(&lens, v4);
-        let count = if v4 { SEC_COUNT } else { SEC_COUNT_V3 };
+        let lens = section_lens(self);
+        let (offsets, total) = block_layout(&lens);
         out.reserve(total as usize);
         out.extend_from_slice(&MAGIC);
-        out.push(if v4 { VERSION } else { VERSION_V3 });
+        out.push(VERSION);
         out.push(self.lane().bits() as u8);
         out.push(self.log2_m() as u8);
         let mut flags = 0u8;
         if matches!(self.seg_meta(), SegMeta::Wide(_)) {
             flags |= FLAG_WIDE_META;
         }
-        if v4 && self.container().is_some() {
+        if self.container().is_some() {
             flags |= FLAG_CONTAINER;
         }
         out.push(flags);
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.summary_ones().to_le_bytes());
         out.extend_from_slice(&total.to_le_bytes());
-        for (off, len) in offsets.iter().zip(&lens).take(count) {
+        for (off, len) in offsets.iter().zip(&lens) {
             out.extend_from_slice(&off.to_le_bytes());
             out.extend_from_slice(&len.to_le_bytes());
         }
@@ -262,25 +239,23 @@ impl SegmentedSet {
         for _ in 0..PAD_LEN {
             out.extend_from_slice(&PAD_SENTINEL.to_le_bytes());
         }
-        if v4 {
-            if let Some(c) = self.container() {
-                let (dir, values, words, runs) = c.sections();
-                out.resize(start + offsets[SEC_CDIR] as usize, 0);
-                for &w in dir {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-                out.resize(start + offsets[SEC_CVALUES] as usize, 0);
-                for &v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out.resize(start + offsets[SEC_CWORDS] as usize, 0);
-                for &w in words {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-                out.resize(start + offsets[SEC_CRUNS] as usize, 0);
-                for &r in runs {
-                    out.extend_from_slice(&r.to_le_bytes());
-                }
+        if let Some(c) = self.container() {
+            let (dir, values, words, runs) = c.sections();
+            out.resize(start + offsets[SEC_CDIR] as usize, 0);
+            for &w in dir {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+            out.resize(start + offsets[SEC_CVALUES] as usize, 0);
+            for &v in values {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out.resize(start + offsets[SEC_CWORDS] as usize, 0);
+            for &w in words {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+            out.resize(start + offsets[SEC_CRUNS] as usize, 0);
+            for &r in runs {
+                out.extend_from_slice(&r.to_le_bytes());
             }
         }
         out.resize(start + total as usize, 0);
@@ -305,34 +280,7 @@ impl SegmentedSet {
     /// Exact length of [`SegmentedSet::serialize`]'s output (a multiple
     /// of 64).
     pub fn serialized_len(&self) -> usize {
-        block_layout(&section_lens(self, true), true).1 as usize
-    }
-
-    /// Append the legacy version-2 flat encoding to `out` — kept for
-    /// migration tests and for producing corpora older readers accept.
-    pub fn serialize_v2_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION_V2);
-        out.push(self.lane().bits() as u8);
-        out.push(self.log2_m() as u8);
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        out.extend_from_slice(self.bitmap_bytes());
-        for &w in self.summary_words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        for i in 0..self.num_segments() {
-            out.extend_from_slice(&(self.seg_size(i) as u32).to_le_bytes());
-        }
-        for &x in self.reordered_elements() {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// The legacy version-2 encoding as a fresh buffer.
-    pub fn serialize_v2(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.serialize_v2_into(&mut out);
-        out
+        block_layout(&section_lens(self)).1 as usize
     }
 
     /// Decode a buffer produced by [`SegmentedSet::serialize`] (any
@@ -897,6 +845,55 @@ mod tests {
         SegmentedSet::build(&v, &FesiaParams::auto()).unwrap()
     }
 
+    /// The set blocks of a committed legacy fixture, written by the last
+    /// v2/v3 writers, each with the set built from its source elements:
+    /// `v2.fsia` holds four v2 blocks behind a count word (the legacy
+    /// framing), `v3.fsia` two v3 blocks behind a 64-byte prologue. Every
+    /// set was built at 4 bits per element.
+    fn legacy_fixture(version: u8) -> Vec<(Vec<u8>, SegmentedSet)> {
+        let sparse = |n: u32, step: u32, first: u32| (0..n).map(|i| i * step + first).collect();
+        let (name, start, sources): (&str, usize, Vec<Vec<u32>>) = match version {
+            2 => (
+                "v2.fsia",
+                8,
+                vec![
+                    Vec::new(),
+                    sparse(500, 1999, 7),
+                    sparse(700, 1409, 3),
+                    sparse(5_000, 197, 1),
+                ],
+            ),
+            3 => {
+                // One run, one dense bitmap and one array range.
+                let mut mixed: Vec<u32> = (0..2_000).collect();
+                mixed.extend((0..4_500u32).map(|i| (1 << 16) + 2 * i));
+                mixed.extend((0..300u32).map(|i| (2 << 16) + i * 211));
+                ("v3.fsia", MANY_PROLOGUE, vec![sparse(500, 1999, 7), mixed])
+            }
+            _ => unreachable!("fixtures exist for v2 and v3"),
+        };
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures")
+            .join(name);
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(
+            u64::from_le_bytes(bytes[..8].try_into().unwrap()),
+            sources.len() as u64
+        );
+        let params = FesiaParams::auto().with_bits_per_element(4.0);
+        let mut at = start;
+        sources
+            .iter()
+            .map(|src| {
+                let (_, used) = SegmentedSet::deserialize(&bytes[at..]).unwrap();
+                let block = bytes[at..at + used].to_vec();
+                assert_eq!(block[4], version);
+                at += used;
+                (block, SegmentedSet::build(src, &params).unwrap())
+            })
+            .collect()
+    }
+
     fn assert_same_set(back: &SegmentedSet, set: &SegmentedSet) {
         assert_eq!(back.len(), set.len());
         assert_eq!(back.bitmap_bytes(), set.bitmap_bytes());
@@ -928,9 +925,7 @@ mod tests {
     fn v2_buffers_decode_and_gain_the_container_tier() {
         // A legacy buffer never stored a container tier; decoding must
         // rebuild the exact tier a fresh build carries.
-        for n in [0usize, 100, 5_000] {
-            let set = sample_set(n, 77 + n as u64);
-            let bytes = set.serialize_v2();
+        for (bytes, set) in legacy_fixture(2) {
             let (back, used) = SegmentedSet::deserialize(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert!(back.validate());
@@ -942,9 +937,8 @@ mod tests {
     fn v3_buffers_decode_on_both_paths() {
         // The previous sectioned layout must keep decoding: owned decode
         // rebuilds the container tier, mapped decode simply carries none.
-        let set = sample_set(5_000, 55);
+        let (v3, set) = legacy_fixture(3).swap_remove(1);
         assert!(set.container().is_some(), "sample is big enough for a tier");
-        let v3 = set.serialize_v3();
         assert_eq!(v3[4], VERSION_V3);
         let (back, used) = SegmentedSet::deserialize(&v3).unwrap();
         assert_eq!(used, v3.len());
@@ -955,7 +949,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&1u64.to_le_bytes());
         buf.resize(MANY_PROLOGUE, 0);
-        set.serialize_v3_into(&mut buf);
+        buf.extend_from_slice(&v3);
         let f = Arc::new(MappedFile::from_bytes(buf));
         let mapped = deserialize_many_mapped(&f).unwrap();
         assert_eq!(mapped.len(), 1);
@@ -1053,12 +1047,13 @@ mod tests {
 
     #[test]
     fn legacy_many_framing_still_decodes() {
-        let a = sample_set(200, 21);
-        let b = sample_set(300, 22);
+        let mut fixture = legacy_fixture(2);
+        let (b_bytes, b) = fixture.swap_remove(2);
+        let (a_bytes, a) = fixture.swap_remove(1);
         let mut legacy = Vec::new();
         legacy.extend_from_slice(&2u64.to_le_bytes());
-        a.serialize_v2_into(&mut legacy);
-        b.serialize_v2_into(&mut legacy);
+        legacy.extend_from_slice(&a_bytes);
+        legacy.extend_from_slice(&b_bytes);
         let back = deserialize_many(&legacy).unwrap();
         assert_eq!(back.len(), 2);
         assert_same_set(&back[0], &a);
@@ -1094,7 +1089,7 @@ mod tests {
             DecodeError::Corrupt
         );
         // v2: same flip at the legacy bitmap offset.
-        let mut bytes = set.serialize_v2();
+        let mut bytes = legacy_fixture(2).swap_remove(1).0;
         bytes[15 + 3] ^= 0xFF;
         assert_eq!(
             SegmentedSet::deserialize(&bytes).unwrap_err(),
@@ -1107,8 +1102,7 @@ mod tests {
         // Down-convert a v2 buffer by hand: drop the summary words and
         // rewrite the version byte. Decoding must recompute an identical
         // summary from the bitmap.
-        let set = sample_set(700, 11);
-        let v2 = set.serialize_v2();
+        let (v2, set) = legacy_fixture(2).swap_remove(2);
         let m_bytes = set.bitmap_bytes().len();
         let summary_bytes = set.summary_words().len() * 8;
         let mut v1 = Vec::with_capacity(v2.len() - summary_bytes);
@@ -1134,7 +1128,7 @@ mod tests {
             DecodeError::Corrupt
         );
         // v2: the stored summary no longer matches the recomputed one.
-        let mut bytes = set.serialize_v2();
+        let (mut bytes, set) = legacy_fixture(2).swap_remove(1);
         let summary_start = 15 + set.bitmap_bytes().len();
         bytes[summary_start] ^= 0xFF;
         assert_eq!(
@@ -1214,7 +1208,7 @@ mod tests {
         // Legacy framing is owned-path-only.
         let mut legacy = Vec::new();
         legacy.extend_from_slice(&1u64.to_le_bytes());
-        set.serialize_v2_into(&mut legacy);
+        legacy.extend_from_slice(&legacy_fixture(2).swap_remove(1).0);
         let f = Arc::new(MappedFile::from_bytes(legacy));
         assert_eq!(
             deserialize_many_mapped(&f).unwrap_err(),

@@ -8,9 +8,10 @@
 //!
 //! - **Readers** call [`SetStore::pin`], which claims an epoch slot and
 //!   hands back a [`Snapshot`] — an immutable view of every set at one
-//!   published version. All read entry points (single-pair, batch,
-//!   k-way, algebra, boolean, simjoin) resolve a [`SetRef`] through the
-//!   snapshot and run the existing planner-driven operations unchanged.
+//!   published version. The read entry points (pair count, k-way,
+//!   algebra, boolean) resolve ids through the snapshot and run the one
+//!   live-set executor, [`crate::LiveQuery`]; the simjoin re-encodes
+//!   sets with deltas and runs the filter cascade.
 //!   Dropping the snapshot releases the slot. Pinning is wait-free in
 //!   the common case (one CAS per pin); the only stall is slot
 //!   exhaustion (more than [`EPOCH_SLOTS`] concurrent snapshots), which
@@ -35,7 +36,8 @@
 //! the bump that followed the swap, so its pointer load (which happens
 //! after the pin, SeqCst on both sides) saw the new state.
 
-use crate::dynamic::{dynamic_intersect_count, dynamic_set_op, DynamicSet};
+use crate::dynamic::{DynamicSet, LiveQuery};
+use crate::intersect::default_table;
 use crate::kernels::visit::SetOp;
 use crate::kernels::KernelTable;
 use crate::params::{FesiaParams, SimjoinParams};
@@ -443,57 +445,40 @@ impl<'a> Snapshot<'a> {
         self.state.slot(id).map(|v| &v.set)
     }
 
-    /// `|A ∩ B|` for two ids through the planner-driven dynamic path;
-    /// `None` if either id is unresolved.
+    fn resolve_all(&self, ids: &[u32]) -> Option<Vec<&DynamicSet>> {
+        ids.iter().map(|&id| self.resolve(id)).collect()
+    }
+
+    /// `|A ∩ B|` for two ids through the live-set executor
+    /// ([`LiveQuery`]); `None` if either id is unresolved.
     pub fn count(&self, a: u32, b: u32, table: &KernelTable) -> Option<usize> {
-        Some(dynamic_intersect_count(
-            self.resolve(a)?,
-            self.resolve(b)?,
-            table,
-        ))
+        let pair = [self.resolve(a)?, self.resolve(b)?];
+        Some(LiveQuery::and(&pair).count(table, &IntersectPlanner::current()))
     }
 
     /// Materialize `op(A, B)` (sorted ascending); `None` if either id
     /// is unresolved.
     pub fn set_op(&self, a: u32, b: u32, op: SetOp) -> Option<Vec<u32>> {
-        Some(dynamic_set_op(self.resolve(a)?, self.resolve(b)?, op))
+        let pair = [self.resolve(a)?, self.resolve(b)?];
+        Some(LiveQuery::pair(op, &pair).materialize(default_table(), &IntersectPlanner::current()))
     }
 
-    /// `|A ∩ B|` for every pair, resolved against this one snapshot (a
-    /// mid-batch publish cannot tear the results). `None` if any id is
-    /// unresolved.
-    pub fn batch_count(&self, pairs: &[(u32, u32)], table: &KernelTable) -> Option<Vec<usize>> {
-        pairs
-            .iter()
-            .map(|&(a, b)| self.count(a, b, table))
-            .collect()
-    }
-
-    /// K-way intersection of `ids`, materialized (sorted ascending).
-    /// Delta-free sets run the planner-ordered immutable k-way path
-    /// unchanged; any live delta switches to the exact candidate
-    /// filter (base k-way plus every addition, settled by live-membership
-    /// probes). `None` if any id is unresolved.
+    /// K-way intersection of `ids`, materialized (sorted ascending);
+    /// `None` if any id is unresolved.
     ///
     /// # Panics
     /// Panics if `ids` is empty (matches [`crate::kway_intersect`]).
     pub fn kway_intersect(&self, ids: &[u32], table: &KernelTable) -> Option<Vec<u32>> {
         assert!(!ids.is_empty(), "k-way intersection of zero sets");
-        let sets: Vec<&DynamicSet> = ids
-            .iter()
-            .map(|&id| self.resolve(id))
-            .collect::<Option<_>>()?;
-        Some(crate::dynamic::dynamic_kway_intersect(&sets, table))
+        let sets = self.resolve_all(ids)?;
+        Some(LiveQuery::and(&sets).materialize(table, &IntersectPlanner::current()))
     }
 
     /// `|∩ ids|`; see [`Snapshot::kway_intersect`].
     pub fn kway_count(&self, ids: &[u32], table: &KernelTable) -> Option<usize> {
         assert!(!ids.is_empty(), "k-way intersection of zero sets");
-        let sets: Vec<&DynamicSet> = ids
-            .iter()
-            .map(|&id| self.resolve(id))
-            .collect::<Option<_>>()?;
-        Some(crate::dynamic::dynamic_kway_count(&sets, table))
+        let sets = self.resolve_all(ids)?;
+        Some(LiveQuery::and(&sets).count(table, &IntersectPlanner::current()))
     }
 
     /// K-way union of `ids`, materialized (sorted ascending); `None` if
@@ -503,18 +488,15 @@ impl<'a> Snapshot<'a> {
     /// Panics if `ids` is empty (matches [`crate::kway_union`]).
     pub fn kway_union(&self, ids: &[u32]) -> Option<Vec<u32>> {
         assert!(!ids.is_empty(), "k-way union of zero sets");
-        let sets: Vec<&DynamicSet> = ids
-            .iter()
-            .map(|&id| self.resolve(id))
-            .collect::<Option<_>>()?;
-        Some(crate::dynamic::dynamic_kway_union(&sets))
+        let sets = self.resolve_all(ids)?;
+        Some(LiveQuery::or(&sets).materialize(default_table(), &IntersectPlanner::current()))
     }
 
     /// Boolean query over set ids: every element in all `must` sets AND
     /// (when `should` is non-empty) at least one `should` set, minus
-    /// every `must_not` set — the dynamic twin of the index crate's
-    /// `run_boolean`. A query with neither `must` nor `should` matches
-    /// nothing. `None` if any referenced id is unresolved.
+    /// every `must_not` set ([`LiveQuery::Boolean`]). A query with
+    /// neither `must` nor `should` matches nothing. `None` if any
+    /// referenced id is unresolved.
     pub fn boolean(
         &self,
         must: &[u32],
@@ -522,15 +504,13 @@ impl<'a> Snapshot<'a> {
         must_not: &[u32],
         table: &KernelTable,
     ) -> Option<Vec<u32>> {
-        let resolve_all = |ids: &[u32]| -> Option<Vec<&DynamicSet>> {
-            ids.iter().map(|&id| self.resolve(id)).collect()
+        let [must, should, must_not] = [must, should, must_not].map(|ids| self.resolve_all(ids));
+        let query = LiveQuery::Boolean {
+            must: &must?,
+            should: &should?,
+            must_not: &must_not?,
         };
-        Some(crate::dynamic::dynamic_boolean(
-            &resolve_all(must)?,
-            &resolve_all(should)?,
-            &resolve_all(must_not)?,
-            table,
-        ))
+        Some(query.materialize(table, &IntersectPlanner::current()))
     }
 
     /// Exact self-similarity join over every live set in the snapshot,
@@ -785,11 +765,11 @@ mod tests {
     fn batch_count_resolves_every_pair_in_one_snapshot() {
         let store = store_with(&[&[1, 2, 3], &[2, 3, 4], &[3, 4, 5]]);
         let snap = store.pin();
-        assert_eq!(
-            snap.batch_count(&[(0, 1), (1, 2), (0, 2)], table())
-                .unwrap(),
-            vec![2, 2, 1]
-        );
+        let counts: Option<Vec<usize>> = [(0, 1), (1, 2), (0, 2)]
+            .iter()
+            .map(|&(a, b)| snap.count(a, b, table()))
+            .collect();
+        assert_eq!(counts.unwrap(), vec![2, 2, 1]);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 
 use crate::csr::CsrGraph;
 use fesia_baselines::SliceIntersector;
-use fesia_core::{DynamicSet, FesiaParams, KernelTable, SegmentedSet, SetStore, Snapshot};
+use fesia_core::{
+    DynamicSet, FesiaParams, KernelTable, LiveQuery, SegmentedSet, SetStore, Snapshot,
+};
 use fesia_exec::Executor;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -182,19 +184,9 @@ impl FesiaGraph {
                             // adjacency lists are mostly tiny and often
                             // skewed, so the planner's adaptive pair plan
                             // (probe vs merge) is the faithful way
-                            // to run FESIA on a graph workload. Delta-free
-                            // neighborhoods run it on the bases directly.
-                            let sv = snap.get(v).expect("vertex ids are dense").set();
-                            acc += if su.delta_len() == 0 && sv.delta_len() == 0 {
-                                fesia_core::auto_count_planned(
-                                    su.base(),
-                                    sv.base(),
-                                    table,
-                                    &planner,
-                                )
-                            } else {
-                                fesia_core::dynamic_intersect_count(su, sv, table)
-                            } as u64;
+                            // to run FESIA on a graph workload.
+                            let pair = [su, snap.get(v).expect("vertex ids are dense").set()];
+                            acc += LiveQuery::and(&pair).count(table, &planner) as u64;
                             e += 1;
                         }
                     }

@@ -226,8 +226,13 @@ impl FesiaIndex {
         let start = Instant::now();
         let sets = fesia_core::deserialize_many(bytes)?;
         let num_terms = sets.len();
+        // Postings re-encoded after a write must keep the file's segment
+        // width, or they no longer pair with the untouched ones.
+        let lane = sets
+            .first()
+            .map_or(FesiaParams::auto().segment, |s| s.lane());
         Ok(FesiaIndex {
-            store: SetStore::from_segmented(sets, FesiaParams::auto()),
+            store: SetStore::from_segmented(sets, FesiaParams::auto().with_segment(lane)),
             num_terms,
             construction_time: start.elapsed(),
         })
@@ -304,29 +309,18 @@ impl FesiaIndex {
     }
 
     /// Answer a [`BooleanQuery`] with the matching document ids
-    /// (ascending). A single must/must-not pair is one planned set-level
-    /// difference ([`Snapshot::set_op`]): a tiered must list produces it
-    /// in its value domain, already ascending. Otherwise the AND clause
-    /// runs through the planned k-way intersection, the OR clause through
-    /// [`fesia_core::kway_union`], and exclusions are resolved by probing
+    /// (ascending), through the live-set executor
+    /// ([`fesia_core::LiveQuery`]): the AND clause runs through the
+    /// planned k-way intersection (a single must term with exclusions as
+    /// a planned set-level difference), the OR clause through
+    /// [`fesia_core::kway_union`], and the remaining clauses by probing
     /// candidates against the encoded posting lists — the NOT side is
     /// never materialized.
     pub fn run_boolean(&self, query: &BooleanQuery, table: &KernelTable) -> Vec<u32> {
         fesia_obs::metrics().index_boolean_queries.inc();
-        let snap = self.store.pin();
-        // A single must/must_not pair is exactly one set-level difference;
-        // hand it to the planner whole so it can pick hash-probe for
-        // skewed posting lengths.
-        if query.must.len() == 1 && query.should.is_empty() && query.must_not.len() == 1 {
-            return snap
-                .set_op(
-                    query.must[0],
-                    query.must_not[0],
-                    fesia_core::SetOp::Difference,
-                )
-                .expect("query terms are valid ids");
-        }
-        snap.boolean(&query.must, &query.should, &query.must_not, table)
+        self.store
+            .pin()
+            .boolean(&query.must, &query.should, &query.must_not, table)
             .expect("query terms are valid ids")
     }
 }
@@ -478,6 +472,27 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x5A;
         assert!(FesiaIndex::deserialize(&bad).is_err());
+    }
+
+    /// A round-tripped index keeps the segment width it was built with:
+    /// a posting re-encoded after a write must still pair with the
+    /// untouched ones.
+    #[test]
+    fn a_round_tripped_16_bit_index_survives_a_write_and_rebuild() {
+        let idx = test_index();
+        let params = FesiaParams::auto().with_segment(fesia_core::LaneWidth::U16);
+        let fidx = FesiaIndex::build(&idx, &params);
+        let loaded = FesiaIndex::deserialize(&fidx.serialize()).unwrap();
+        loaded.store().update(|cur, txn| {
+            let mut s = cur.get(0).unwrap().set().clone();
+            s.insert(idx.num_docs() as u32 + 7).unwrap();
+            s.rebuild().unwrap();
+            txn.push((0, Some(s)));
+        });
+        let q = Query { terms: vec![0, 1] };
+        let want = reference_kway(&idx, &q.terms);
+        let (got, _) = loaded.run_queries(std::slice::from_ref(&q), &KernelTable::auto());
+        assert_eq!(got, want);
     }
 
     /// Naive boolean evaluation straight off the raw posting lists.

@@ -8,9 +8,9 @@
 //!
 //! * **Reads** pin one [`fesia_core::Snapshot`] per shard (a wait-free
 //!   epoch-slot claim plus one atomic pointer load), resolve ids to
-//!   [`fesia_core::DynamicSet`]s, and run the planner-driven dynamic
-//!   operations (`dynamic_intersect_count`, `dynamic_kway_*`,
-//!   `dynamic_boolean`) unchanged.
+//!   [`fesia_core::DynamicSet`]s, and answer every read through the one
+//!   live-set executor, [`fesia_core::LiveQuery`]: a planned evaluation
+//!   over the bases, corrected by one delta stage.
 //! * **Writes** append to a per-shard log, then group-commit: whichever
 //!   writer holds the shard's `applying` lock drains the whole log into a
 //!   single published version (an atomic pointer swap). Writers may wait

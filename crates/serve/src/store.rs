@@ -22,8 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fesia_core::{
-    dynamic_boolean, dynamic_intersect_count, dynamic_kway_count, dynamic_kway_intersect,
-    dynamic_kway_union, DynamicSet, FesiaParams, KernelTable, SetStore, Snapshot,
+    DynamicSet, FesiaParams, IntersectPlanner, KernelTable, LiveQuery, SetStore, Snapshot,
 };
 use fesia_exec::Executor;
 
@@ -367,40 +366,33 @@ impl ServeView<'_> {
         self.resolve(id).contains(x)
     }
 
-    /// `|A ∩ B|` through the planner-driven dynamic path.
+    fn resolve_all(&self, ids: &[u32]) -> Vec<&DynamicSet> {
+        ids.iter().map(|&id| self.resolve(id)).collect()
+    }
+
+    /// `|A ∩ B|` through the live-set executor ([`LiveQuery`]).
     pub fn count(&self, a: u32, b: u32, table: &KernelTable) -> usize {
-        dynamic_intersect_count(self.resolve(a), self.resolve(b), table)
+        let pair = [self.resolve(a), self.resolve(b)];
+        LiveQuery::and(&pair).count(table, &IntersectPlanner::current())
     }
 
     /// K-way intersection; empty `ids` yields the empty set.
     pub fn kway_intersect(&self, ids: &[u32], table: &KernelTable) -> Vec<u32> {
-        if ids.is_empty() {
-            return Vec::new();
-        }
-        let sets: Vec<&DynamicSet> = ids.iter().map(|&id| self.resolve(id)).collect();
-        dynamic_kway_intersect(&sets, table)
+        LiveQuery::and(&self.resolve_all(ids)).materialize(table, &IntersectPlanner::current())
     }
 
     /// K-way intersection cardinality; empty `ids` yields 0.
     pub fn kway_count(&self, ids: &[u32], table: &KernelTable) -> usize {
-        if ids.is_empty() {
-            return 0;
-        }
-        let sets: Vec<&DynamicSet> = ids.iter().map(|&id| self.resolve(id)).collect();
-        dynamic_kway_count(&sets, table)
+        LiveQuery::and(&self.resolve_all(ids)).count(table, &IntersectPlanner::current())
     }
 
     /// K-way union; empty `ids` yields the empty set.
     pub fn kway_union(&self, ids: &[u32]) -> Vec<u32> {
-        if ids.is_empty() {
-            return Vec::new();
-        }
-        let sets: Vec<&DynamicSet> = ids.iter().map(|&id| self.resolve(id)).collect();
-        dynamic_kway_union(&sets)
+        LiveQuery::or(&self.resolve_all(ids))
+            .materialize(fesia_core::default_table(), &IntersectPlanner::current())
     }
 
-    /// `(⋂ must) ∩ (⋃ should) \ (⋃ must_not)` — the same semantics as
-    /// [`fesia_core::dynamic_boolean`].
+    /// `(⋂ must) ∩ (⋃ should) \ (⋃ must_not)` ([`LiveQuery::Boolean`]).
     pub fn boolean(
         &self,
         must: &[u32],
@@ -408,14 +400,13 @@ impl ServeView<'_> {
         must_not: &[u32],
         table: &KernelTable,
     ) -> Vec<u32> {
-        let resolve_all =
-            |ids: &[u32]| -> Vec<&DynamicSet> { ids.iter().map(|&id| self.resolve(id)).collect() };
-        dynamic_boolean(
-            &resolve_all(must),
-            &resolve_all(should),
-            &resolve_all(must_not),
-            table,
-        )
+        let [must, should, must_not] = [must, should, must_not].map(|ids| self.resolve_all(ids));
+        let query = LiveQuery::Boolean {
+            must: &must,
+            should: &should,
+            must_not: &must_not,
+        };
+        query.materialize(table, &IntersectPlanner::current())
     }
 }
 

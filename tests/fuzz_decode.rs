@@ -15,6 +15,41 @@ fn sample(n: usize, seed: u64) -> Vec<u8> {
         .serialize()
 }
 
+/// One set block of a committed legacy fixture, written by the last
+/// v2/v3 writers, and the set built from its source elements at the
+/// fixtures' 4 bits per element: `v2.fsia` holds v2 blocks of 0, 500,
+/// 700 and 5000 elements behind a count word, `v3.fsia` v3 blocks of 500
+/// elements and of a run/bitmap/array mixed set behind a 64-byte
+/// prologue.
+fn legacy_block(version: u8, index: usize) -> (Vec<u8>, SegmentedSet) {
+    let sparse = |n: u32, step: u32, first: u32| (0..n).map(|i| i * step + first).collect();
+    let (name, start, source): (&str, usize, Vec<u32>) = match (version, index) {
+        (2, 3) => ("v2.fsia", 8, sparse(5_000, 197, 1)),
+        (3, 0) => ("v3.fsia", 64, sparse(500, 1999, 7)),
+        (3, 1) => {
+            let mut mixed: Vec<u32> = (0..2_000).collect();
+            mixed.extend((0..4_500u32).map(|i| (1 << 16) + 2 * i));
+            mixed.extend((0..300u32).map(|i| (2 << 16) + i * 211));
+            ("v3.fsia", 64, mixed)
+        }
+        _ => unreachable!("only these fixture blocks are used"),
+    };
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name);
+    let bytes = std::fs::read(path).unwrap();
+    let mut at = start;
+    for _ in 0..index {
+        at += SegmentedSet::deserialize(&bytes[at..]).unwrap().1;
+    }
+    let used = SegmentedSet::deserialize(&bytes[at..]).unwrap().1;
+    let params = FesiaParams::auto().with_bits_per_element(4.0);
+    (
+        bytes[at..at + used].to_vec(),
+        SegmentedSet::build(&source, &params).unwrap(),
+    )
+}
+
 fn sample_many(sizes: &[usize], seed: u64) -> Vec<u8> {
     let mut rng = SplitMix64::new(seed);
     let sets: Vec<SegmentedSet> = sizes
@@ -219,11 +254,7 @@ fn many_round_trips_including_empty() {
 /// section table fill the first 128 bytes) through both decode paths.
 #[test]
 fn v3_section_table_flips_never_panic() {
-    let mut rng = SplitMix64::new(37);
-    let v = sorted_distinct(500, 1 << 22, &mut rng);
-    let bytes = SegmentedSet::build(&v, &FesiaParams::auto())
-        .unwrap()
-        .serialize_v3();
+    let (bytes, _) = legacy_block(3, 0);
     assert_eq!(bytes[4], 3, "sample should serialize as v3");
     for pos in 0..128.min(bytes.len()) {
         for flip in [0x01u8, 0x80, 0xFF] {
@@ -361,12 +392,10 @@ fn misaligned_buffers_decode_on_the_owned_path() {
 #[test]
 fn v2_reencode_preserves_behavior() {
     let mut rng = SplitMix64::new(61);
-    let av = sorted_distinct(2_500, 1 << 20, &mut rng);
     let bv = sorted_distinct(2_500, 1 << 20, &mut rng);
-    let params = FesiaParams::auto();
-    let a0 = SegmentedSet::build(&av, &params).unwrap();
-    let b0 = SegmentedSet::build(&bv, &params).unwrap();
-    let (a2, _) = SegmentedSet::deserialize(&a0.serialize_v2()).unwrap();
+    let (v2, a0) = legacy_block(2, 3);
+    let b0 = SegmentedSet::build(&bv, &FesiaParams::auto()).unwrap();
+    let (a2, _) = SegmentedSet::deserialize(&v2).unwrap();
     let v3 = a2.serialize();
     assert_eq!(v3[4], 4);
     let (a3, used) = SegmentedSet::deserialize(&v3).unwrap();
@@ -594,11 +623,10 @@ fn v4_truncations_and_payload_flips_never_panic() {
 /// the zero-copy decoder.
 #[test]
 fn v3_to_v4_reencode_preserves_behavior() {
-    let (a0, _) = sample_v4_mixed(97);
+    let (v3, a0) = legacy_block(3, 1);
     let mut rng = SplitMix64::new(101);
     let bv = sorted_distinct(3_000, 3 << 16, &mut rng);
     let b0 = SegmentedSet::build(&bv, &FesiaParams::auto()).unwrap();
-    let v3 = a0.serialize_v3();
     assert_eq!(v3[4], 3);
     // Owned v3 decode rebuilds the tier from elements...
     let (a3, _) = SegmentedSet::deserialize(&v3).unwrap();
