@@ -32,7 +32,7 @@ fn main() {
             "--out" => out_path = it.next(),
             "--metrics" => experiments::batch::set_embed_metrics(true),
             "--list" => {
-                println!("experiments: all kernels fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ablation memory batch plan prune containers algebra simjoin obs serve");
+                println!("experiments: all kernels fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table2 table3 ablation memory batch plan containers algebra simjoin obs serve");
                 if cfg!(not(feature = "serve")) {
                     println!("(`serve` needs a harness built with --features serve)");
                 }

@@ -16,7 +16,6 @@ pub mod fig8_9;
 pub mod memory;
 pub mod obs;
 pub mod plan;
-pub mod prune;
 #[cfg(feature = "serve")]
 pub mod serve;
 pub mod simjoin;
@@ -54,7 +53,6 @@ pub fn run(id: &str, scale: Scale) -> Option<String> {
         "algebra" => algebra::run(scale),
         "batch" => batch::run(scale),
         "plan" => plan::run(scale),
-        "prune" => prune::run(scale),
         "containers" => containers::run(scale),
         "obs" => obs::run(scale),
         "memory" => memory::run(scale),
@@ -90,7 +88,6 @@ pub fn run_all(scale: Scale) -> String {
         "memory",
         "batch",
         "plan",
-        "prune",
         "containers",
         "algebra",
         "simjoin",

@@ -1,9 +1,11 @@
 //! Planner experiment: does `FESIA_PLAN=auto` actually pick well?
 //!
-//! Three workloads bracket the planner's decision space:
+//! Five workloads bracket the planner's decision space:
 //!
 //! * **sparse-2M** — two 2M-element sets at 1024 bits/element (16-bit
-//!   segments, 1% selectivity), where summary pruning should win;
+//!   segments, 1% selectivity), where the hash probe should win: the
+//!   bitmaps are far past cache and mostly empty, so the step-1 scan
+//!   streams dead words while the probe touches one bit per element;
 //! * **dense** — a balanced cache-resident pair under the default
 //!   geometry, where the plain merge should win;
 //! * **skew-1:100** — a 1:100 length ratio, where the hash probe should
@@ -52,7 +54,8 @@ struct Outcome {
 const AUTO_SLACK: f64 = 1.10;
 
 fn build_workloads(scale: Scale, rng: &mut SplitMix64) -> Vec<Workload> {
-    // sparse-2M: the prune experiment's memory-bound shape.
+    // sparse-2M: memory-bound, mostly empty bitmaps — the planner's
+    // sparse-pair rule sends it to the hash probe.
     let n_sparse = match scale {
         Scale::Smoke => 1 << 16,
         Scale::Standard | Scale::Full => 1 << 21,

@@ -20,7 +20,6 @@ usage:
   fesia algebra and|or|andnot|xor A.fsia B.fsia
   fesia kway SET.fsia SET.fsia [SET.fsia ...]
   fesia simjoin SETS.txt --overlap T | --jaccard J [--threads N]
-  fesia tune [--quick] [--profile PATH]
   fesia serve [--tcp ADDR] [--shards N] [--script FILE] [--max-sets N]
               (requires building with --features serve)
 
@@ -34,9 +33,6 @@ threshold (overlap |A∩B| >= T, or Jaccard >= J), one `i j` pair per
 line, followed by a '#'-prefixed cascade-statistics line.
 
 Text inputs: one u32 per line; '#' comments and blank lines ignored.
-`tune` calibrates strategy crossovers on this machine and writes a
-machine profile (default: FESIA_PROFILE or ~/.fesia/profile.json) that
-the planner loads on startup.
 
 Serving: `serve` runs the concurrently-updatable serving layer behind
 a line protocol (ADD/DEL/CARD/COUNT/AND/OR/BOOL, QUIT to close) — over
@@ -255,14 +251,6 @@ fn cmd_info(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         set.summary_blocks(),
         set.summary_density() * 100.0
     )?;
-    // What the auto-selector would do for this set intersected with an
-    // equally-shaped partner under the process-wide prune knobs.
-    let decision = if fesia_core::should_prune(&set, &set, &fesia_core::prune_params()) {
-        "pruned (summary AND first)"
-    } else {
-        "plain scan (too small or too dense to prune)"
-    };
-    writeln!(out, "step-1 vs self:  {decision}")?;
     let planner = fesia_core::IntersectPlanner::current();
     let sum = fesia_core::SetSummary::of(&set);
     writeln!(
@@ -573,79 +561,6 @@ fn cmd_simjoin(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fesia tune`: run the calibration microbenchmarks and persist the
-/// fitted crossovers as a machine profile the planner loads on startup.
-fn cmd_tune(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let mut quick = false;
-    let mut profile_path: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--profile" => {
-                let p = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--profile needs a path".into()))?;
-                profile_path = Some(std::path::PathBuf::from(p));
-            }
-            other => return Err(CliError::Usage(format!("unexpected argument `{other}`"))),
-        }
-    }
-    let path = match profile_path.or_else(fesia_core::default_profile_path) {
-        Some(p) => p,
-        None => {
-            return Err(CliError::Usage(
-                "no --profile path given and no FESIA_PROFILE/HOME for the default".into(),
-            ))
-        }
-    };
-    writeln!(
-        out,
-        "calibrating ({} pass)...",
-        if quick { "quick" } else { "full" }
-    )?;
-    let profile = fesia_core::calibrate(quick);
-    profile.save(&path)?;
-    // Re-read through the same loader the planner uses, so a profile we
-    // cannot load back is an error here rather than a silent startup warn.
-    let back = fesia_core::MachineProfile::load(&path)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    writeln!(
-        out,
-        "pipeline: prefetch_distance={}",
-        back.pipeline.prefetch_distance
-    )?;
-    writeln!(
-        out,
-        "prune: forced={} min_bitmap_bytes={} max_survivor_pct={}",
-        match back.prune.forced {
-            Some(true) => "on",
-            Some(false) => "off",
-            None => "auto",
-        },
-        back.prune.min_bitmap_bytes,
-        back.prune.max_survivor_pct
-    )?;
-    writeln!(
-        out,
-        "container: forced={} min_elements={} dense_pct={}",
-        match back.container.forced {
-            Some(true) => "on",
-            Some(false) => "off",
-            None => "auto",
-        },
-        back.container.min_elements,
-        back.container.min_dense_pct
-    )?;
-    writeln!(
-        out,
-        "profile written: {} (v{}, reload verified)",
-        path.display(),
-        back.version
-    )?;
-    Ok(())
-}
-
 /// `fesia serve`: the line-protocol serving layer over stdin, a TCP
 /// listener, or a scripted command file.
 #[cfg(feature = "serve")]
@@ -713,7 +628,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         Some("algebra") => cmd_algebra(&args[1..], out),
         Some("kway") => cmd_kway(&args[1..], out),
         Some("simjoin") => cmd_simjoin(&args[1..], out),
-        Some("tune") => cmd_tune(&args[1..], out),
         #[cfg(feature = "serve")]
         Some("serve") => cmd_serve(&args[1..], out),
         #[cfg(not(feature = "serve"))]
@@ -776,8 +690,8 @@ mod tests {
         assert!(info.contains("elements:        6"), "{info}");
         assert!(info.contains("summary blocks:  1"), "{info}");
         assert!(info.contains("serialized:      "), "{info}");
-        // A 512-bit bitmap is far below the prune floor.
-        assert!(info.contains("plain scan"), "{info}");
+        // A 512-bit bitmap is far below the sparse-probe floor.
+        assert!(info.contains("plan-vs-self=plain"), "{info}");
 
         for method in ["fesia", "auto", "hash", "scalar", "shuffling", "galloping"] {
             let mut out = Vec::new();
@@ -996,30 +910,6 @@ mod tests {
             run(&s(&["count", "only-one.fsia"]), &mut out),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn tune_writes_a_loadable_profile() {
-        let dir = tmpdir("tune_writes_a_loadable_profile");
-        let profile = dir.join("tune-profile.json").to_string_lossy().to_string();
-        let mut out = Vec::new();
-        run(&s(&["tune", "--quick", "--profile", &profile]), &mut out).unwrap();
-        let text = String::from_utf8_lossy(&out);
-        assert!(text.contains("reload verified"), "{text}");
-        assert!(text.contains("pipeline: prefetch_distance="), "{text}");
-        assert!(text.contains("prune: forced="), "{text}");
-        let back = fesia_core::MachineProfile::load(Path::new(&profile)).unwrap();
-        assert_eq!(back.version, fesia_core::PROFILE_VERSION);
-        // Bad flags are usage errors, not panics.
-        assert!(matches!(
-            run(&s(&["tune", "--bogus"]), &mut Vec::new()),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&s(&["tune", "--profile"]), &mut Vec::new()),
-            Err(CliError::Usage(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! The knobs of the removed pipelined, compressed and gallop plans.
+//! The knobs of the removed pipelined, compressed, gallop and pruned
+//! plans.
 //!
 //! Their `FESIA_*` variables are no longer read, so the startup scan
 //! reports them as unrecognized, and the removed `FESIA_PLAN` modes warn
-//! and leave the planner on auto. Each check runs `fesia info` in a child
-//! process, because the planner reads the environment once per process.
+//! and leave the planner on auto. A machine profile that still carries
+//! the removed keys keeps loading. Each check runs `fesia info` in a
+//! child process, because the planner reads the environment once per
+//! process.
 
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard};
@@ -16,16 +19,25 @@ fn env_lock() -> MutexGuard<'static, ()> {
     ENV.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-const REMOVED_VARS: [&str; 4] = [
+const REMOVED_VARS: [&str; 8] = [
     "FESIA_COMPRESS",
     "FESIA_COMPRESS_MIN",
     "FESIA_PIPELINE",
     "FESIA_PIPELINE_MIN",
+    "FESIA_PREFETCH_DIST",
+    "FESIA_PRUNE",
+    "FESIA_PRUNE_MAX_SURVIVOR",
+    "FESIA_PRUNE_MIN_BYTES",
 ];
 
 /// Run `fesia info` on a small set with `env` added to a clean `FESIA_*`
-/// environment; returns (stdout, stderr).
-fn fesia_info(test: &str, env: &[(&str, &str)]) -> (String, String) {
+/// environment whose profile is `profile` (none when `None`); returns
+/// (stdout, stderr).
+fn fesia_info_with_profile(
+    test: &str,
+    env: &[(&str, &str)],
+    profile: Option<&str>,
+) -> (String, String) {
     let dir = std::env::temp_dir().join(format!("fesia-knobs-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("s.fsia");
@@ -39,7 +51,11 @@ fn fesia_info(test: &str, env: &[(&str, &str)]) -> (String, String) {
             cmd.env_remove(k);
         }
     }
-    cmd.env("FESIA_PROFILE", dir.join("no-profile.json"));
+    let profile_path = dir.join("profile.json");
+    if let Some(text) = profile {
+        std::fs::write(&profile_path, text).unwrap();
+    }
+    cmd.env("FESIA_PROFILE", &profile_path);
     cmd.envs(env.iter().copied());
     let out = cmd.output().unwrap();
     drop(guard);
@@ -49,6 +65,11 @@ fn fesia_info(test: &str, env: &[(&str, &str)]) -> (String, String) {
         String::from_utf8(out.stdout).unwrap(),
         String::from_utf8(out.stderr).unwrap(),
     )
+}
+
+/// [`fesia_info_with_profile`] with no profile file.
+fn fesia_info(test: &str, env: &[(&str, &str)]) -> (String, String) {
+    fesia_info_with_profile(test, env, None)
 }
 
 #[test]
@@ -69,7 +90,9 @@ fn removed_variables_are_reported_unrecognized() {
     assert!(
         stderr.contains(
             "unrecognized FESIA_* environment variable(s): FESIA_COMPRESS, \
-             FESIA_COMPRESS_MIN, FESIA_PIPELINE, FESIA_PIPELINE_MIN"
+             FESIA_COMPRESS_MIN, FESIA_PIPELINE, FESIA_PIPELINE_MIN, \
+             FESIA_PREFETCH_DIST, FESIA_PRUNE, FESIA_PRUNE_MAX_SURVIVOR, \
+             FESIA_PRUNE_MIN_BYTES"
         ),
         "{stderr}"
     );
@@ -77,7 +100,7 @@ fn removed_variables_are_reported_unrecognized() {
 
 #[test]
 fn removed_plan_modes_warn_and_fall_back_to_auto() {
-    for mode in ["pipelined", "gallop"] {
+    for mode in ["pipelined", "gallop", "pruned"] {
         let (stdout, stderr) = fesia_info(mode, &[("FESIA_PLAN", mode)]);
         assert!(
             stderr.contains(&format!("warning: ignoring FESIA_PLAN={mode}")),
@@ -86,7 +109,28 @@ fn removed_plan_modes_warn_and_fall_back_to_auto() {
         assert!(stdout.contains("planner:         mode=auto"), "{stdout}");
     }
     // A surviving mode still takes effect, with no warning.
-    let (stdout, stderr) = fesia_info("pruned", &[("FESIA_PLAN", "pruned")]);
+    let (stdout, stderr) = fesia_info("hash", &[("FESIA_PLAN", "hash")]);
     assert!(!stderr.contains("warning"), "{stderr}");
-    assert!(stdout.contains("planner:         mode=pruned"), "{stdout}");
+    assert!(stdout.contains("planner:         mode=hash"), "{stdout}");
+}
+
+/// A profile with the nine keys the last profile writer emitted loads
+/// without a warning: the removed `prefetch_distance` and `prune_*` keys
+/// are ignored.
+#[test]
+fn nine_key_profiles_still_load() {
+    let nine = r#"{
+  "version": 1,
+  "prefetch_distance": 16,
+  "prune_forced": "on",
+  "prune_min_bitmap_bytes": 12345,
+  "prune_max_survivor_pct": 42,
+  "container_forced": "auto",
+  "container_min_elements": 2048,
+  "container_dense_pct": 55,
+  "rebuild_fraction": 0.125
+}"#;
+    let (stdout, stderr) = fesia_info_with_profile("nine-keys", &[], Some(nine));
+    assert!(!stderr.contains("warning"), "{stderr}");
+    assert!(stdout.contains("profile=loaded v1"), "{stdout}");
 }

@@ -2,10 +2,10 @@
 //! `difference`, and `xor` over [`SegmentedSet`]s.
 //!
 //! Every operation asks [`IntersectPlanner::plan_materialize`] for an
-//! explicit plan — the same cost model the count path uses, with pruning
-//! limited to intersection — and executes it through the visitor
-//! kernels of [`crate::kernels::visit`], so counting, materializing, and
-//! callback consumers share one body per operation.
+//! explicit plan — the same cost model the count path uses — and
+//! executes it through the visitor kernels of [`crate::kernels::visit`],
+//! so counting, materializing, and callback consumers share one body per
+//! operation.
 //!
 //! ## Soundness of the step-1 scans
 //!
@@ -37,12 +37,6 @@ use crate::kernels::visit::{
 use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary};
 use crate::set::SegmentedSet;
 use fesia_simd::mask::{for_each_nonzero_lane_folded_op, for_each_nonzero_lane_op, MaskOp};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Per-thread survivor buffer for the pruned intersection's sweep.
-    static SURVIVOR_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Materialize `A ∩ B`, sorted ascending (planner-driven).
 pub fn intersect(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
@@ -157,11 +151,9 @@ fn plan_and_record(
 /// feeding every output element (in segment order, unsorted) to `v`.
 ///
 /// Every plan form is handled for every op, so forced `FESIA_PLAN` modes
-/// work uniformly: the AND-only pruned step 1 falls back to the plain
-/// Or-scan for the non-intersect ops. A difference whose kept side A
-/// carries a container tier runs in A's value domain under every plan
-/// but the two-tier container plan, and arrives ascending (DESIGN.md
-/// §5h).
+/// work uniformly. A difference whose kept side A carries a container
+/// tier runs in A's value domain under every plan but the two-tier
+/// container plan, and arrives ascending (DESIGN.md §5h).
 pub fn execute_plan_op<V: SegmentVisitor>(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -174,7 +166,6 @@ pub fn execute_plan_op<V: SegmentVisitor>(
     if ordered_difference(a, b, op, plan) {
         match plan {
             IntersectPlan::Plain => m.plan_plain.inc(),
-            IntersectPlan::Pruned { .. } => m.plan_pruned.inc(),
             IntersectPlan::Container => m.plan_container.inc(),
             IntersectPlan::HashProbe => m.plan_hash.inc(),
         };
@@ -187,14 +178,6 @@ pub fn execute_plan_op<V: SegmentVisitor>(
         IntersectPlan::Plain => {
             m.plan_plain.inc();
             scan_materialize(a, b, op, v);
-        }
-        IntersectPlan::Pruned { prefetch_distance } => {
-            m.plan_pruned.inc();
-            if op == SetOp::Intersect {
-                pruned_intersect(a, b, prefetch_distance, v);
-            } else {
-                scan_materialize(a, b, op, v);
-            }
         }
         IntersectPlan::Container => {
             m.plan_container.inc();
@@ -233,45 +216,6 @@ fn scan_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: S
     } else {
         folded_materialize(a, b, op, v);
     }
-}
-
-/// The summary-pruned intersection: the pruned AND-scan's survivors are
-/// buffered, then swept with each side's segment metadata prefetched
-/// `prefetch_distance` entries ahead. Folding needs no special case here:
-/// segment `i` of the larger side meets segment `i & mask` of the smaller
-/// one exactly as in the count path.
-fn pruned_intersect<V: SegmentVisitor>(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    prefetch_distance: usize,
-    v: &mut V,
-) {
-    let level = crate::intersect::default_table().level();
-    let m = fesia_obs::metrics();
-    let (x, y, folded) = crate::intersect::order_sides(a, b);
-    let seg_mask = y.num_segments() - 1;
-    SURVIVOR_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        if scratch.capacity() != 0 {
-            m.scratch_reused.inc();
-        }
-        scratch.clear();
-        let stats = crate::intersect::scan_survivors(level, x.lane(), x, y, folded, true, |i| {
-            scratch.push(i as u32)
-        })
-        .expect("pruned scan always reports stats");
-        m.summary_blocks_skipped.add(stats.skipped() as u64);
-        m.survivor_segments.add(scratch.len() as u64);
-        for (k, &i) in scratch.iter().enumerate() {
-            if k + prefetch_distance < scratch.len() {
-                let ahead = scratch[k + prefetch_distance] as usize;
-                x.prefetch_seg_entry(ahead);
-                y.prefetch_seg_entry(ahead & seg_mask);
-            }
-            let i = i as usize;
-            intersect_visit(level, x.segment(i), y.segment(i & seg_mask), v);
-        }
-    })
 }
 
 /// The asymmetric (folded-bitmap) execution, per op — see the module docs
@@ -458,9 +402,6 @@ mod tests {
             let want = ref_op(op, &va, &vb);
             for plan in [
                 IntersectPlan::Plain,
-                IntersectPlan::Pruned {
-                    prefetch_distance: 4,
-                },
                 // Directory-less pair: exercises the container fallback.
                 IntersectPlan::Container,
                 IntersectPlan::HashProbe,

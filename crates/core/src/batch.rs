@@ -13,7 +13,7 @@
 //! pairs (large sets, skewed sizes) no longer serializes on whichever
 //! thread drew them — the failure mode of the old one-static-chunk-per-
 //! thread `std::thread::scope` partitioning. Each pool worker keeps its
-//! own survivor scratch buffer (thread-local in the pruned dispatch),
+//! own survivor scratch buffer (thread-local in the threshold merge),
 //! so the phase-1/phase-2 buffer is allocated once per thread and reused
 //! across every pair of the batch.
 //!

@@ -2,12 +2,11 @@
 //! strategy selection for skewed inputs (§VI).
 
 use crate::kernels::KernelTable;
-use crate::params::{ContainerParams, PipelineParams, PruneParams};
+use crate::params::ContainerParams;
 use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary, ThresholdPlan};
 use crate::set::SegmentedSet;
 use fesia_simd::mask::{
-    for_each_nonzero_lane, for_each_nonzero_lane_folded, for_each_nonzero_lane_folded_pruned,
-    for_each_nonzero_lane_pruned, summary_min_bound, LaneWidth, PruneStats,
+    for_each_nonzero_lane, for_each_nonzero_lane_folded, summary_min_bound, LaneWidth,
 };
 use fesia_simd::prefetch::prefetch_read;
 use fesia_simd::timer::CycleTimer;
@@ -22,39 +21,7 @@ pub fn default_table() -> &'static KernelTable {
     TABLE.get_or_init(KernelTable::auto)
 }
 
-static PIPE_DISTANCE: AtomicUsize = AtomicUsize::new(8);
-
-/// Raw store of the prefetch knob, with no initialization check.
-/// `crate::plan::ensure_init` uses this from *inside* its `OnceLock`
-/// closure (the ensuring setters below would re-enter it and deadlock).
-pub(crate) fn store_pipeline(p: PipelineParams) {
-    PIPE_DISTANCE.store(p.prefetch_distance, Ordering::Relaxed);
-}
-
-/// The process-wide [`PipelineParams`]: the pruned plan's phase-2
-/// prefetch distance (profile + env layering done by the planner's
-/// one-shot initialization).
-pub fn pipeline_params() -> PipelineParams {
-    crate::plan::ensure_init();
-    PipelineParams {
-        prefetch_distance: PIPE_DISTANCE.load(Ordering::Relaxed),
-    }
-}
-
-/// Replace the process-wide [`PipelineParams`] (e.g. with a distance
-/// from [`crate::tuning::tune_prefetch_distance`]).
-pub fn set_pipeline_params(p: PipelineParams) {
-    crate::plan::ensure_init();
-    store_pipeline(p);
-}
-
-/// `PruneParams::forced` packed into one atomic: 0 = auto (`None`),
-/// 1 = forced on, 2 = forced off.
-static PRUNE_MODE: AtomicUsize = AtomicUsize::new(0);
-static PRUNE_MIN_BYTES: AtomicUsize = AtomicUsize::new(1 << 22);
-static PRUNE_MAX_SURVIVOR: AtomicUsize = AtomicUsize::new(60);
-
-fn prune_mode_encode(forced: Option<bool>) -> usize {
+fn forced_encode(forced: Option<bool>) -> usize {
     match forced {
         None => 0,
         Some(true) => 1,
@@ -62,45 +29,17 @@ fn prune_mode_encode(forced: Option<bool>) -> usize {
     }
 }
 
-/// Raw store of the prune knobs, with no initialization check (see
-/// [`store_pipeline`]).
-pub(crate) fn store_prune(p: PruneParams) {
-    PRUNE_MODE.store(prune_mode_encode(p.forced), Ordering::Relaxed);
-    PRUNE_MIN_BYTES.store(p.min_bitmap_bytes, Ordering::Relaxed);
-    PRUNE_MAX_SURVIVOR.store(p.max_survivor_pct as usize, Ordering::Relaxed);
-}
-
-/// The process-wide [`PruneParams`] governing [`intersect_count_with`]'s
-/// choice between the plain and summary-pruned step-1 scans.
-pub fn prune_params() -> PruneParams {
-    crate::plan::ensure_init();
-    PruneParams {
-        forced: match PRUNE_MODE.load(Ordering::Relaxed) {
-            1 => Some(true),
-            2 => Some(false),
-            _ => None,
-        },
-        min_bitmap_bytes: PRUNE_MIN_BYTES.load(Ordering::Relaxed),
-        max_survivor_pct: PRUNE_MAX_SURVIVOR.load(Ordering::Relaxed) as u32,
-    }
-}
-
-/// Replace the process-wide [`PruneParams`].
-pub fn set_prune_params(p: PruneParams) {
-    crate::plan::ensure_init();
-    store_prune(p);
-}
-
-/// `ContainerParams::forced` packed like [`PRUNE_MODE`]: 0 = auto,
-/// 1 = on, 2 = off.
+/// `ContainerParams::forced` packed into one atomic: 0 = auto (`None`),
+/// 1 = forced on, 2 = forced off.
 static CONTAINER_MODE: AtomicUsize = AtomicUsize::new(0);
 static CONTAINER_MIN_ELEMENTS: AtomicUsize = AtomicUsize::new(1 << 15);
 static CONTAINER_DENSE_PCT: AtomicUsize = AtomicUsize::new(40);
 
-/// Raw store of the container knobs, with no initialization check (see
-/// [`store_pipeline`]).
+/// Raw store of the container knobs, with no initialization check.
+/// `crate::plan::ensure_init` uses this from *inside* its `OnceLock`
+/// closure (the ensuring setter below would re-enter it and deadlock).
 pub(crate) fn store_container(p: ContainerParams) {
-    CONTAINER_MODE.store(prune_mode_encode(p.forced), Ordering::Relaxed);
+    CONTAINER_MODE.store(forced_encode(p.forced), Ordering::Relaxed);
     CONTAINER_MIN_ELEMENTS.store(p.min_elements, Ordering::Relaxed);
     CONTAINER_DENSE_PCT.store(p.min_dense_pct as usize, Ordering::Relaxed);
 }
@@ -128,8 +67,8 @@ pub fn set_container_params(p: ContainerParams) {
 }
 
 thread_local! {
-    /// Per-thread survivor buffer reused across every pruned intersection
-    /// this thread runs — the batch layer gets cross-pair reuse for free
+    /// Per-thread survivor buffer reused across every threshold
+    /// (early-exit) merge this thread runs — the batch layer gets cross-pair reuse for free
     /// because a pool worker keeps its thread alive.
     static SURVIVOR_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
@@ -150,12 +89,8 @@ pub(crate) fn check_compatible(a: &SegmentedSet, b: &SegmentedSet) {
 /// (segment `i` of the larger pairs with `i mod N2` of the smaller).
 ///
 /// The two phases run interleaved: each surviving segment's kernel is
-/// dispatched the moment phase 1 finds it. When the pair is large and
-/// sparse enough for [`crate::tuning::should_prune`] (under the
-/// process-wide [`prune_params`]), phase 1 instead runs the
-/// summary-pruned scan ([`intersect_count_pruned_with`]), skipping
-/// full-bitmap blocks whose summary bits do not overlap; when both sides
-/// carry dense container directories, the container plan runs. All forms
+/// dispatched the moment phase 1 finds it. When both sides carry dense
+/// container directories, the container plan runs instead. Both forms
 /// count identically.
 pub fn intersect_count_with(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTable) -> usize {
     let planner = IntersectPlanner::current();
@@ -168,7 +103,7 @@ pub fn intersect_count_with(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTa
 /// pair, so the per-pair decision is a handful of compares with no
 /// atomic loads.
 ///
-/// Merge-family contract: only the plain / pruned / container forms are
+/// Merge-family contract: only the plain / container forms are
 /// considered (the caller has already committed to the two-phase
 /// algorithm); a planner forced to hash falls back to auto selection
 /// here.
@@ -178,7 +113,7 @@ pub fn intersect_count_planned(
     table: &KernelTable,
     planner: &IntersectPlanner,
 ) -> usize {
-    if matches!(planner.mode, PlanMode::Plain | PlanMode::Pruned) {
+    if planner.mode == PlanMode::Plain {
         fesia_obs::metrics().plan_forced.inc();
     }
     let plan = planner.plan_merge(&SetSummary::of(a), &SetSummary::of(b));
@@ -196,25 +131,6 @@ pub fn execute_plan_count(
 ) -> usize {
     let m = fesia_obs::metrics();
     match plan {
-        IntersectPlan::Pruned { prefetch_distance } => {
-            m.plan_pruned.inc();
-            SURVIVOR_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                if scratch.capacity() != 0 {
-                    m.scratch_reused.inc();
-                }
-                let sampled = m.intersect_pruned.inc() & fesia_obs::SAMPLE_MASK == 0;
-                let timer = sampled.then(CycleTimer::start);
-                let (n, stats) =
-                    intersect_count_pruned_with(a, b, table, &mut scratch, prefetch_distance);
-                m.survivor_segments.add(scratch.len() as u64);
-                m.summary_blocks_skipped.add(stats.skipped() as u64);
-                if let Some(t) = timer {
-                    m.intersect_cycles.record(t.elapsed_cycles());
-                }
-                n
-            })
-        }
         IntersectPlan::Container => {
             m.plan_container.inc();
             // The planner only picks this plan when both sides report a
@@ -253,8 +169,7 @@ pub fn execute_plan_count(
 
 /// [`intersect_count_with`] in the interleaved form: each surviving
 /// segment's kernel is dispatched the instant phase 1 finds it. This is
-/// the seed's fused loop; its phase-2 loads are dependent loads issued
-/// with no lookahead, which the pruned form's buffered sweep overlaps.
+/// the seed's fused loop.
 pub fn intersect_count_interleaved_with(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -304,60 +219,16 @@ pub fn intersect_count_interleaved_with(
     count as usize
 }
 
-/// [`intersect_count_with`] in the summary-pruned form, with an explicit
-/// survivor buffer; returns the count and the block-level
-/// [`PruneStats`] (how many 512-bit bitmap blocks the summary AND let
-/// the scan skip).
-///
-/// Phase 1 first ANDs the one-bit-per-block summaries and only scans the
-/// full-bitmap blocks whose summary bits overlap (prefetching upcoming
-/// survivor blocks, see `fesia_simd::mask`), pushing surviving segment
-/// indices into `scratch`; phase 2 sweeps the buffer, keeping both
-/// sides' segment data `prefetch_distance` entries ahead in flight so the
-/// kernels' dependent loads overlap with compute. On sparse pairs this
-/// never streams the dead majority of either bitmap; on dense pairs it
-/// degenerates to the plain scan plus the summary pass, which is why the
-/// dispatcher gates it behind [`crate::tuning::should_prune`].
-///
-/// Counts are always identical to [`intersect_count_interleaved_with`].
-pub fn intersect_count_pruned_with(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    scratch: &mut Vec<u32>,
-    prefetch_distance: usize,
-) -> (usize, PruneStats) {
-    check_compatible(a, b);
-    let (x, y, folded) = order_sides(a, b);
-    let seg_mask = y.num_segments() - 1;
-    scratch.clear();
-    let stats = scan_survivors(table.level(), a.lane(), x, y, folded, true, |i| {
-        if scratch.len() < prefetch_distance {
-            prefetch_read(x.seg_ptr(i));
-            prefetch_read(y.seg_ptr(i & seg_mask));
-        }
-        scratch.push(i as u32);
-    })
-    .expect("pruned scan always reports stats");
-    let count = if folded {
-        sweep_survivors::<true>(x, y, table, scratch, prefetch_distance)
-    } else {
-        sweep_survivors::<false>(x, y, table, scratch, prefetch_distance)
-    };
-    (count as usize, stats)
-}
-
 // ---------------------------------------------------------------------------
-// Shared survivor-scan / sweep engine. The pruned plan, the breakdown
-// instrumentation and the threshold (early-exit) forms all run phase 1
-// "collect survivors" and phase 2 "sweep the list" explicitly; these
-// helpers keep them to one body per phase instead of a parallel copy per
-// variant.
+// Shared survivor-scan engine. The breakdown instrumentation and the
+// threshold (early-exit) forms both run phase 1 "collect survivors" and
+// phase 2 "sweep the list" explicitly; these helpers keep them to one
+// body per phase.
 // ---------------------------------------------------------------------------
 
 /// Order a pair for an explicit-survivor form: `(x, y, folded)` with `x`
 /// the larger-bitmap side when the pair folds.
-pub(crate) fn order_sides<'a>(
+fn order_sides<'a>(
     a: &'a SegmentedSet,
     b: &'a SegmentedSet,
 ) -> (&'a SegmentedSet, &'a SegmentedSet, bool) {
@@ -370,43 +241,19 @@ pub(crate) fn order_sides<'a>(
 }
 
 /// Phase 1 of every explicit-survivor form: visit the surviving segment
-/// indices of `x ∩ y`, through the summary filter when `pruned`.
-pub(crate) fn scan_survivors<F: FnMut(usize)>(
+/// indices of `x ∩ y`.
+fn scan_survivors<F: FnMut(usize)>(
     level: SimdLevel,
     lane: LaneWidth,
     x: &SegmentedSet,
     y: &SegmentedSet,
     folded: bool,
-    pruned: bool,
     f: F,
-) -> Option<PruneStats> {
-    match (pruned, folded) {
-        (false, false) => {
-            for_each_nonzero_lane(level, lane, x.bitmap_bytes(), y.bitmap_bytes(), f);
-            None
-        }
-        (false, true) => {
-            for_each_nonzero_lane_folded(level, lane, x.bitmap_bytes(), y.bitmap_bytes(), f);
-            None
-        }
-        (true, false) => Some(for_each_nonzero_lane_pruned(
-            level,
-            lane,
-            x.bitmap_bytes(),
-            y.bitmap_bytes(),
-            x.summary_words(),
-            y.summary_words(),
-            f,
-        )),
-        (true, true) => Some(for_each_nonzero_lane_folded_pruned(
-            level,
-            lane,
-            x.bitmap_bytes(),
-            y.bitmap_bytes(),
-            x.summary_words(),
-            y.summary_words(),
-            f,
-        )),
+) {
+    if folded {
+        for_each_nonzero_lane_folded(level, lane, x.bitmap_bytes(), y.bitmap_bytes(), f);
+    } else {
+        for_each_nonzero_lane(level, lane, x.bitmap_bytes(), y.bitmap_bytes(), f);
     }
 }
 
@@ -429,42 +276,6 @@ fn count_raw_pair(
             table.count(x.seg_ptr(i), x.seg_size(i), y.seg_ptr(j), y.seg_size(j))
         }
     }
-}
-
-/// Phase 2 of the pruned plan: count every survivor pair, keeping both
-/// sides' segment data `prefetch_distance` entries ahead in flight. The
-/// fold shape is a type parameter, so each copy of the loop calls one
-/// kernel family and the unfolded copy indexes both sides with `i` as is.
-#[inline(always)]
-fn sweep_survivors<const FOLDED: bool>(
-    x: &SegmentedSet,
-    y: &SegmentedSet,
-    table: &KernelTable,
-    survivors: &[u32],
-    prefetch_distance: usize,
-) -> u64 {
-    let seg_mask = if FOLDED {
-        y.num_segments() - 1
-    } else {
-        usize::MAX
-    };
-    // Past `steady` the lookahead would run off the end; those lines are
-    // already in flight.
-    let steady = match prefetch_distance {
-        0 => 0,
-        d => survivors.len().saturating_sub(d),
-    };
-    let mut count = 0u64;
-    for (k, &i) in survivors.iter().enumerate() {
-        if k < steady {
-            let ahead = survivors[k + prefetch_distance] as usize;
-            prefetch_read(x.seg_ptr(ahead));
-            prefetch_read(y.seg_ptr(ahead & seg_mask));
-        }
-        let i = i as usize;
-        count += u64::from(count_raw_pair(x, y, table, FOLDED, i, i & seg_mask));
-    }
-    count
 }
 
 // ---------------------------------------------------------------------------
@@ -601,24 +412,12 @@ fn execute_plan_count_bounded(
     match plan {
         IntersectPlan::Plain => {
             m.plan_plain.inc();
-            bounded_merge(a, b, table, false, 0, threshold, accept_early)
-        }
-        IntersectPlan::Pruned { prefetch_distance } => {
-            m.plan_pruned.inc();
-            bounded_merge(
-                a,
-                b,
-                table,
-                true,
-                prefetch_distance,
-                threshold,
-                accept_early,
-            )
+            bounded_merge(a, b, table, threshold, accept_early)
         }
         IntersectPlan::Container => {
             m.plan_container.inc();
             let (Some(ca), Some(cb)) = (a.container(), b.container()) else {
-                return bounded_merge(a, b, table, false, 0, threshold, accept_early);
+                return bounded_merge(a, b, table, threshold, accept_early);
             };
             crate::container::and_total_bounded(ca, cb, table.level(), threshold, accept_early)
         }
@@ -648,8 +447,6 @@ fn bounded_merge(
     a: &SegmentedSet,
     b: &SegmentedSet,
     table: &KernelTable,
-    pruned: bool,
-    prefetch_distance: usize,
     threshold: u64,
     accept_early: bool,
 ) -> Option<u64> {
@@ -664,32 +461,20 @@ fn bounded_merge(
         }
         scratch.clear();
         let mut budget = 0u64;
-        let stats = {
+        {
             let scratch = &mut *scratch;
-            scan_survivors(table.level(), a.lane(), x, y, folded, pruned, |i| {
-                if scratch.len() < prefetch_distance {
-                    prefetch_read(x.seg_ptr(i));
-                    prefetch_read(y.seg_ptr(i & seg_mask));
-                }
+            scan_survivors(table.level(), a.lane(), x, y, folded, |i| {
                 budget += x.seg_size(i).min(y.seg_size(i & seg_mask)) as u64;
                 scratch.push(i as u32);
-            })
-        };
-        m.survivor_segments.add(scratch.len() as u64);
-        if let Some(st) = stats {
-            m.summary_blocks_skipped.add(st.skipped() as u64);
+            });
         }
+        m.survivor_segments.add(scratch.len() as u64);
         if budget < threshold {
             return None;
         }
         let mut count = 0u64;
-        for k in 0..scratch.len() {
-            if prefetch_distance != 0 && k + prefetch_distance < scratch.len() {
-                let ahead = scratch[k + prefetch_distance] as usize;
-                prefetch_read(x.seg_ptr(ahead));
-                prefetch_read(y.seg_ptr(ahead & seg_mask));
-            }
-            let i = scratch[k] as usize;
+        for &i in scratch.iter() {
+            let i = i as usize;
             let j = i & seg_mask;
             budget -= x.seg_size(i).min(y.seg_size(j)) as u64;
             count += u64::from(count_raw_pair(x, y, table, folded, i, j));
@@ -752,8 +537,8 @@ pub fn intersect_count(a: &SegmentedSet, b: &SegmentedSet) -> usize {
 /// sorted before returning. This is the materializing face of the same
 /// planner that drives [`auto_count`]: the pair is costed by
 /// [`IntersectPlanner::plan_materialize`] and executed through the
-/// visitor kernels ([`crate::kernels::visit`]), so the pruned scan, the
-/// hash probe, and the container plan all apply here too (the seed's
+/// visitor kernels ([`crate::kernels::visit`]), so the hash probe and
+/// the container plan apply here too (the seed's
 /// version bypassed the planner entirely and always ran the plain scan).
 pub fn intersect(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
     crate::algebra::intersect(a, b)
@@ -902,7 +687,7 @@ pub fn intersect_count_breakdown(
 
     let t1 = CycleTimer::start();
     let mut pairs: Vec<u32> = Vec::new();
-    scan_survivors(table.level(), a.lane(), x, y, folded, false, |i| {
+    scan_survivors(table.level(), a.lane(), x, y, folded, |i| {
         pairs.push(i as u32)
     });
     let step1_cycles = t1.elapsed_cycles();
@@ -922,45 +707,6 @@ pub fn intersect_count_breakdown(
         matched_segments: pairs.len(),
         count: count as usize,
     }
-}
-
-/// [`intersect_count_breakdown`] with the summary-pruned phase 1; also
-/// returns the block-level [`PruneStats`]. Used by the `repro prune`
-/// experiment to time step 1 with and without pruning on the same pair.
-pub fn intersect_count_breakdown_pruned(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-) -> (Breakdown, PruneStats) {
-    check_compatible(a, b);
-    let (x, y, folded) = order_sides(a, b);
-
-    let t1 = CycleTimer::start();
-    let mut pairs: Vec<u32> = Vec::new();
-    let stats = scan_survivors(table.level(), a.lane(), x, y, folded, true, |i| {
-        pairs.push(i as u32)
-    })
-    .expect("pruned scan always reports stats");
-    let step1_cycles = t1.elapsed_cycles();
-
-    let seg_mask = y.num_segments() - 1;
-    let t2 = CycleTimer::start();
-    let mut count = 0u64;
-    for &i in &pairs {
-        let i = i as usize;
-        count += u64::from(count_raw_pair(x, y, table, folded, i, i & seg_mask));
-    }
-    let step2_cycles = t2.elapsed_cycles();
-
-    (
-        Breakdown {
-            step1_cycles,
-            step2_cycles,
-            matched_segments: pairs.len(),
-            count: count as usize,
-        },
-        stats,
-    )
 }
 
 #[cfg(test)]
@@ -1215,27 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_knob_round_trips_and_dispatch_is_equivalent() {
-        let _guard = crate::plan::test_knob_lock();
-        let p = FesiaParams::auto().with_bits_per_element(64.0);
-        let av = gen_sorted(2_000, 61, 40_000);
-        let bv = gen_sorted(2_000, 67, 40_000);
-        let a = SegmentedSet::build(&av, &p).unwrap();
-        let b = SegmentedSet::build(&bv, &p).unwrap();
-        let table = KernelTable::auto();
-        let saved = (pipeline_params(), prune_params());
-        let want = intersect_count_interleaved_with(&a, &b, &table);
-        set_prune_params(PruneParams::default().with_forced(Some(true)));
-        for dist in [0usize, 1, 16] {
-            set_pipeline_params(PipelineParams::default().with_prefetch_distance(dist));
-            assert_eq!(pipeline_params().prefetch_distance, dist);
-            assert_eq!(intersect_count_with(&a, &b, &table), want, "dist={dist}");
-        }
-        set_pipeline_params(saved.0);
-        set_prune_params(saved.1);
-    }
-
-    #[test]
     #[should_panic(expected = "segment width")]
     fn mixed_lane_widths_panic() {
         use fesia_simd::mask::LaneWidth;
@@ -1243,118 +968,6 @@ mod tests {
         let b = SegmentedSet::build(&[1, 2], &FesiaParams::auto().with_segment(LaneWidth::U16))
             .unwrap();
         let _ = intersect_count(&a, &b);
-    }
-
-    /// Satellite 3: the pruned step 1 must count identically to the
-    /// unpruned scan on random, folded, dense-collision, disjoint, and
-    /// identical inputs — across every available SIMD level, both
-    /// segment widths, and all kernel strides.
-    #[test]
-    fn pruned_equals_unpruned_across_levels_and_strides() {
-        use fesia_simd::mask::LaneWidth;
-        let random_a = gen_sorted(5_000, 42, 100_000);
-        let random_b = gen_sorted(5_000, 99, 100_000);
-        let identical = gen_sorted(2_000, 7, 50_000);
-        let disjoint_a: Vec<u32> = (0..2_000u32).map(|i| i * 2).collect();
-        let disjoint_b: Vec<u32> = (0..2_000u32).map(|i| i * 2 + 1).collect();
-        // (bits_per_element override, a, b) — None keeps the level default.
-        let cases: Vec<(Option<f64>, &[u32], &[u32])> = vec![
-            (None, &random_a, &random_b),
-            // Folded: very different sizes -> different bitmap sizes.
-            (None, &identical, &random_a),
-            // Dense collisions: coarse bitmap packs many elements per lane.
-            (Some(0.5), &random_a, &random_b),
-            // Sparse: oversized bitmaps, where pruning actually skips.
-            (Some(64.0), &random_a, &random_b),
-            (None, &disjoint_a, &disjoint_b),
-            (None, &identical, &identical),
-            (None, &[], &random_a),
-        ];
-        let mut scratch = Vec::new();
-        for level in SimdLevel::available_levels() {
-            for lane in [LaneWidth::U8, LaneWidth::U16] {
-                for (bits, av, bv) in &cases {
-                    let mut p = FesiaParams::for_level(level).with_segment(lane);
-                    if let Some(bits) = bits {
-                        p = p.with_bits_per_element(*bits);
-                    }
-                    let a = SegmentedSet::build(av, &p).unwrap();
-                    let b = SegmentedSet::build(bv, &p).unwrap();
-                    for stride in [1usize, 2, 4, 8] {
-                        let table = KernelTable::new(level, stride);
-                        let want = intersect_count_interleaved_with(&a, &b, &table);
-                        assert_eq!(want, reference(av, bv).len());
-                        for dist in [0usize, 8] {
-                            let (got, stats) =
-                                intersect_count_pruned_with(&a, &b, &table, &mut scratch, dist);
-                            assert_eq!(
-                                got, want,
-                                "level={level} lane={lane:?} stride={stride} dist={dist}"
-                            );
-                            assert!(stats.visited <= stats.blocks);
-                            let (swapped, _) =
-                                intersect_count_pruned_with(&b, &a, &table, &mut scratch, dist);
-                            assert_eq!(swapped, want);
-                        }
-                        let (bd, stats) = intersect_count_breakdown_pruned(&a, &b, &table);
-                        assert_eq!(bd.count, want);
-                        assert_eq!(bd.matched_segments, scratch.len());
-                        assert_eq!(stats.skipped(), stats.blocks - stats.visited);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_scan_skips_blocks_on_sparse_disjoint_inputs() {
-        // 512 bits/element spreads ~2k elements over a 2^20-bit bitmap:
-        // most summary bits are clear, so disjoint halves of the hash
-        // space must leave blocks unvisited.
-        let av = gen_sorted(2_000, 3, 1 << 30);
-        let bv = gen_sorted(2_000, 5, 1 << 30);
-        let p = FesiaParams::auto().with_bits_per_element(512.0);
-        let a = SegmentedSet::build(&av, &p).unwrap();
-        let b = SegmentedSet::build(&bv, &p).unwrap();
-        let table = KernelTable::auto();
-        let mut scratch = Vec::new();
-        let (got, stats) = intersect_count_pruned_with(&a, &b, &table, &mut scratch, 8);
-        assert_eq!(got, intersect_count_interleaved_with(&a, &b, &table));
-        assert!(
-            stats.skipped() > stats.blocks / 4,
-            "sparse pair should skip a sizable fraction: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn prune_knob_round_trips_and_dispatch_is_equivalent() {
-        let _guard = crate::plan::test_knob_lock();
-        let p = FesiaParams::auto().with_bits_per_element(64.0);
-        let av = gen_sorted(2_000, 71, 40_000);
-        let bv = gen_sorted(2_000, 73, 40_000);
-        let a = SegmentedSet::build(&av, &p).unwrap();
-        let b = SegmentedSet::build(&bv, &p).unwrap();
-        let table = KernelTable::auto();
-        let saved = prune_params();
-        let want = intersect_count_interleaved_with(&a, &b, &table);
-        let before = fesia_obs::metrics().snapshot();
-        set_prune_params(PruneParams::default().with_forced(Some(true)));
-        assert_eq!(prune_params().forced, Some(true));
-        assert_eq!(intersect_count_with(&a, &b, &table), want);
-        let delta = fesia_obs::metrics().snapshot().delta(&before);
-        assert!(delta.intersect_pruned >= 1);
-        set_prune_params(PruneParams::default().with_forced(Some(false)));
-        assert_eq!(intersect_count_with(&a, &b, &table), want);
-        set_prune_params(
-            PruneParams::default()
-                .with_min_bitmap_bytes(7)
-                .with_max_survivor_pct(33),
-        );
-        assert_eq!(prune_params().forced, None);
-        assert_eq!(prune_params().min_bitmap_bytes, 7);
-        assert_eq!(prune_params().max_survivor_pct, 33);
-        assert_eq!(intersect_count_with(&a, &b, &table), want);
-        set_prune_params(saved);
     }
 
     /// The threshold kernels' contract, under every forced plan: for any

@@ -16,7 +16,7 @@ pub struct Layout {
     pub bitmap: Vec<u8>,
     /// One bit per 512-bit block of `bitmap` (LSB-first within each
     /// word), set iff the block holds any set bit — the coarse level the
-    /// pruned step-1 scan ANDs before touching the bitmap itself.
+    /// similarity join's summary bound ANDs before touching the bitmap.
     pub summary: Vec<u64>,
     /// Number of elements mapped into each segment (`m / s` entries).
     pub seg_sizes: Vec<u32>,

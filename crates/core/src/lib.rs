@@ -37,8 +37,8 @@
 //! * [`par_intersect_count`] — multicore partitioning of the segment space.
 //! * [`plan::IntersectPlanner`] — the unified cost model every entry
 //!   point asks for an explicit [`plan::IntersectPlan`], layered from a
-//!   persisted machine profile (`fesia tune`), `FESIA_*` environment
-//!   knobs, and runtime setters.
+//!   machine profile file, `FESIA_*` environment knobs, and runtime
+//!   setters.
 
 pub mod algebra;
 pub mod batch;
@@ -73,10 +73,8 @@ pub use intersect::{
     auto_count, auto_count_planned, auto_count_with, container_params, default_table,
     execute_plan_count, hash_probe_count, intersect, intersect_count, intersect_count_at_least,
     intersect_count_at_least_planned, intersect_count_bounded, intersect_count_bounded_planned,
-    intersect_count_breakdown, intersect_count_breakdown_pruned, intersect_count_interleaved_with,
-    intersect_count_planned, intersect_count_pruned_with, intersect_count_with, pipeline_params,
-    prune_params, set_container_params, set_pipeline_params, set_prune_params,
-    summary_overlap_bound, Breakdown,
+    intersect_count_breakdown, intersect_count_interleaved_with, intersect_count_planned,
+    intersect_count_with, set_container_params, summary_overlap_bound, Breakdown,
 };
 pub use kernels::visit::{CountVisitor, EmitVisitor, FnVisitor, SegmentVisitor, SetOp};
 pub use kernels::KernelTable;
@@ -89,13 +87,11 @@ pub use parallel::{
     par_intersect_count, par_intersect_count_on, par_intersect_count_with, par_set_op,
     par_set_op_on,
 };
-pub use params::{
-    ContainerParams, DynamicParams, FesiaParams, PipelineParams, PruneParams, SimjoinParams,
-};
+pub use params::{ContainerParams, DynamicParams, FesiaParams, SimjoinParams};
 pub use plan::{
     default_profile_path, plan_mode, profile_status, set_plan_mode, should_container_summaries,
-    should_prune_summaries, IntersectPlan, IntersectPlanner, KwayPlan, KwayStrategy,
-    MachineProfile, PlanMode, SetSummary, ThresholdPlan, PROFILE_VERSION,
+    IntersectPlan, IntersectPlanner, KwayPlan, KwayStrategy, MachineProfile, PlanMode, SetSummary,
+    ThresholdPlan, PROFILE_VERSION,
 };
 pub use serialize::{deserialize_many, deserialize_many_mapped, serialize_many, DecodeError};
 pub use set::SegmentedSet;
@@ -105,7 +101,7 @@ pub use simjoin::{
 };
 pub use snapshot::{SetRef, SetStore, SetVersion, Snapshot, StoreState, EPOCH_SLOTS};
 pub use stats::{bit_collision_rate, filter_stats, survivor_segments, FilterStats, SegmentStats};
-pub use tuning::{calibrate, should_prune, tune, tune_grid, tune_prefetch_distance, TuneResult};
+pub use tuning::{tune, tune_grid, TuneResult};
 pub use u64set::{intersect_count64, intersect_count64_with, Fesia64Set};
 
 pub use fesia_simd::mask::{LaneWidth, MaskOp};

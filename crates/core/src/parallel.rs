@@ -10,7 +10,7 @@
 
 use crate::intersect::default_table;
 use crate::kernels::KernelTable;
-use crate::plan::{IntersectPlan, IntersectPlanner, SetSummary};
+use crate::plan::IntersectPlanner;
 use crate::set::SegmentedSet;
 use fesia_exec::Executor;
 use fesia_simd::mask::for_each_nonzero_lane;
@@ -63,19 +63,8 @@ pub fn par_intersect_count_on(
 
     // Claim granularity: 64-byte SIMD blocks, and whole small-bitmap tiles
     // when folding (so `local_offset & small_mask` equals the global fold).
-    // When the planner selects the pruned plan (equal sizes only — a
-    // folded chunk's summary tiling is not slice-local), chunks align to
-    // whole summary words instead: one u64 of summary covers 64 blocks =
-    // 4096 bitmap bytes, so each worker ANDs its own summary slice.
-    let prune = !folded
-        && matches!(
-            planner.plan_merge(&SetSummary::of(a), &SetSummary::of(b)),
-            IntersectPlan::Pruned { .. }
-        );
     let align = if folded {
         small_bytes.len().max(64)
-    } else if prune {
-        4096
     } else {
         64
     };
@@ -136,22 +125,6 @@ pub fn par_intersect_count_on(
                 scan_small,
                 |local| visit(local, &mut count),
             );
-        } else if prune {
-            let sum_words = large.summary_words().len();
-            let w_lo = lo / 4096;
-            let w_hi = if hi == total { sum_words } else { hi / 4096 };
-            let stats = fesia_simd::mask::for_each_nonzero_lane_pruned(
-                level,
-                lane,
-                large_chunk,
-                scan_small,
-                &large.summary_words()[w_lo..w_hi],
-                &small.summary_words()[w_lo..w_hi],
-                |local| visit(local, &mut count),
-            );
-            fesia_obs::metrics()
-                .summary_blocks_skipped
-                .add(stats.skipped() as u64);
         } else {
             for_each_nonzero_lane(level, lane, large_chunk, scan_small, |local| {
                 visit(local, &mut count)
@@ -353,41 +326,6 @@ mod tests {
         let b = SegmentedSet::build(&bv, &p).unwrap();
         let want = intersect_count(&a, &b);
         assert_eq!(par_intersect_count(&a, &b, 64), want);
-    }
-
-    #[test]
-    fn forced_prune_partitioning_matches_serial() {
-        use crate::intersect::{prune_params, set_prune_params};
-        use crate::params::PruneParams;
-        let _guard = crate::plan::test_knob_lock();
-        // Oversized bitmaps make most summary blocks empty, so the pruned
-        // partitioning actually skips; forcing the knob on keeps the test
-        // deterministic. (Counts are invariant across dispatch forms, so
-        // flipping the global knob cannot break concurrent tests.)
-        let av = gen_sorted(8_000, 33, 1 << 28);
-        let bv = gen_sorted(8_000, 39, 1 << 28);
-        let p = FesiaParams::auto().with_bits_per_element(256.0);
-        let a = SegmentedSet::build(&av, &p).unwrap();
-        let b = SegmentedSet::build(&bv, &p).unwrap();
-        assert_eq!(a.bitmap_bits(), b.bitmap_bits());
-        let table = KernelTable::auto();
-        let want = crate::intersect::intersect_count_interleaved_with(&a, &b, &table);
-        let saved = prune_params();
-        set_prune_params(PruneParams::default().with_forced(Some(true)));
-        let before = fesia_obs::metrics().snapshot();
-        for threads in [2usize, 3, 8] {
-            assert_eq!(
-                par_intersect_count_with(&a, &b, threads, &table),
-                want,
-                "threads={threads}"
-            );
-        }
-        let delta = fesia_obs::metrics().snapshot().delta(&before);
-        assert!(
-            delta.summary_blocks_skipped > 0,
-            "pruned partitioning should have skipped blocks"
-        );
-        set_prune_params(saved);
     }
 
     #[test]

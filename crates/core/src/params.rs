@@ -13,7 +13,7 @@ use fesia_simd::SimdLevel;
 /// line via the shared path and fall back to the default, and
 /// [`env::warn_unrecognized`] reports — once per process — any
 /// `FESIA_*` variable that no component recognizes (typo protection:
-/// `FESIA_PRUNNE=0` would otherwise be silently ignored).
+/// `FESIA_CONTANER=0` would otherwise be silently ignored).
 pub mod env {
     pub use fesia_obs::env::{parse_bool, parse_f64, parse_u32, parse_usize, raw, warn_malformed};
     use std::sync::OnceLock;
@@ -21,10 +21,6 @@ pub mod env {
     /// Every `FESIA_*` variable some component of this workspace reads.
     pub const KNOWN_VARS: &[&str] = &[
         "FESIA_THREADS",
-        "FESIA_PREFETCH_DIST",
-        "FESIA_PRUNE",
-        "FESIA_PRUNE_MIN_BYTES",
-        "FESIA_PRUNE_MAX_SURVIVOR",
         "FESIA_PLAN",
         "FESIA_PROFILE",
         "FESIA_CONTAINER",
@@ -135,148 +131,6 @@ impl Default for FesiaParams {
     }
 }
 
-/// Software-prefetch knob for the summary-pruned plan's phase 2
-/// ([`crate::intersect_count_pruned_with`]).
-///
-/// The pruned scan buffers its surviving segment indices; the sweep over
-/// that buffer keeps both sides' segment data `prefetch_distance` entries
-/// ahead in flight, so the kernels' dependent loads overlap with compute
-/// instead of serializing on cache misses.
-///
-/// The process-wide default is read once from the environment
-/// (`FESIA_PREFETCH_DIST=N`) and can be changed at runtime with
-/// [`crate::set_pipeline_params`]; `fesia tune` calibrates it
-/// ([`crate::tuning::tune_prefetch_distance`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineParams {
-    /// How many survivor entries ahead phase 2 prefetches (0 disables
-    /// the phase-2 prefetch entirely).
-    pub prefetch_distance: usize,
-}
-
-impl Default for PipelineParams {
-    fn default() -> Self {
-        PipelineParams {
-            prefetch_distance: 8,
-        }
-    }
-}
-
-impl PipelineParams {
-    /// The defaults, with the `FESIA_PREFETCH_DIST` environment override
-    /// applied.
-    pub fn from_env() -> Self {
-        PipelineParams::default().with_env_overrides()
-    }
-
-    /// Apply the environment override on top of `self` (the planner
-    /// layers it over a loaded machine profile).
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(d) = env::parse_usize("FESIA_PREFETCH_DIST") {
-            self.prefetch_distance = d;
-        }
-        self
-    }
-
-    /// Override the phase-2 prefetch distance.
-    pub fn with_prefetch_distance(mut self, dist: usize) -> Self {
-        self.prefetch_distance = dist;
-        self
-    }
-}
-
-/// Tuning knob for the summary-pruned step-1 scan
-/// ([`crate::intersect_count_with`]).
-///
-/// The pruned path ANDs the one-bit-per-512-bit-block summary bitmaps
-/// first and only loads full-bitmap blocks whose summary bits overlap.
-/// That wins exactly when the bitmaps are large (streaming them misses
-/// cache) *and* sparse (many blocks get skipped); on small dense pairs
-/// the survivor list is pure overhead, so [`crate::tuning::should_prune`]
-/// keeps those on the plain interleaved scan.
-///
-/// The process-wide default is read once from the environment
-/// (`FESIA_PRUNE=0|1|auto`, `FESIA_PRUNE_MIN_BYTES=N`,
-/// `FESIA_PRUNE_MAX_SURVIVOR=P`) and can be changed at runtime with
-/// [`crate::set_prune_params`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PruneParams {
-    /// `Some(true)` forces the pruned scan, `Some(false)` forces it off,
-    /// `None` lets [`crate::tuning::should_prune`] decide per pair.
-    pub forced: Option<bool>,
-    /// Auto mode: smallest combined bitmap size (bytes of both operands)
-    /// for which pruning is considered. Below this the bitmaps are
-    /// cache-resident and the summary pass cannot pay for itself.
-    pub min_bitmap_bytes: usize,
-    /// Auto mode: highest expected survivor percentage (the product of
-    /// the two summary densities, in percent) at which pruning is still
-    /// dispatched. Above it nearly every block survives the summary AND
-    /// and the pruned scan degenerates to the plain scan plus overhead.
-    pub max_survivor_pct: u32,
-}
-
-impl Default for PruneParams {
-    fn default() -> Self {
-        PruneParams {
-            forced: None,
-            // 4 MiB combined: comfortably past L2 on every target we
-            // measure, where streaming the full bitmaps starts to stall.
-            min_bitmap_bytes: 1 << 22,
-            max_survivor_pct: 60,
-        }
-    }
-}
-
-impl PruneParams {
-    /// The defaults, with `FESIA_PRUNE` / `FESIA_PRUNE_MIN_BYTES` /
-    /// `FESIA_PRUNE_MAX_SURVIVOR` environment overrides applied.
-    pub fn from_env() -> Self {
-        PruneParams::default().with_env_overrides()
-    }
-
-    /// Apply the environment overrides field-by-field on top of `self`
-    /// (the planner layers them over a loaded machine profile).
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(v) = env::raw("FESIA_PRUNE") {
-            self.forced = if v.eq_ignore_ascii_case("auto") {
-                None
-            } else {
-                // Tri-state knob: anything that isn't "auto" degrades to
-                // the shared boolean contract (0/off/false disable).
-                Some(
-                    !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")),
-                )
-            };
-        }
-        if let Some(b) = env::parse_usize("FESIA_PRUNE_MIN_BYTES") {
-            self.min_bitmap_bytes = b;
-        }
-        if let Some(s) = env::parse_u32("FESIA_PRUNE_MAX_SURVIVOR") {
-            self.max_survivor_pct = s.min(100);
-        }
-        self
-    }
-
-    /// Force the pruned scan on or off, or restore auto-selection with
-    /// `None`.
-    pub fn with_forced(mut self, forced: Option<bool>) -> Self {
-        self.forced = forced;
-        self
-    }
-
-    /// Override the combined-bitmap-size floor for auto-selection.
-    pub fn with_min_bitmap_bytes(mut self, bytes: usize) -> Self {
-        self.min_bitmap_bytes = bytes;
-        self
-    }
-
-    /// Override the survivor-percentage ceiling for auto-selection.
-    pub fn with_max_survivor_pct(mut self, pct: u32) -> Self {
-        self.max_survivor_pct = pct.min(100);
-        self
-    }
-}
-
 /// Tuning knob for the per-range container dispatch
 /// ([`crate::container`]).
 ///
@@ -292,8 +146,8 @@ impl PruneParams {
 /// The process-wide default is read once from the environment
 /// (`FESIA_CONTAINER=0|1|auto`, `FESIA_CONTAINER_MIN=N`,
 /// `FESIA_CONTAINER_DENSE_PCT=P`) and can be changed at runtime with
-/// [`crate::set_container_params`]; the density crossover comes from the
-/// machine profile (`fesia tune` measures it).
+/// [`crate::set_container_params`]; a machine profile file can also set
+/// all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerParams {
     /// `Some(true)` forces the container dispatch (when both sides carry
@@ -463,8 +317,8 @@ impl SimjoinParams {
 /// directly this knob.
 ///
 /// The process-wide default is read once from the environment
-/// (`FESIA_REBUILD_FRACTION=F`), can be persisted by the machine
-/// profile, and can be changed at runtime with
+/// (`FESIA_REBUILD_FRACTION=F`), can be set by the machine profile,
+/// and can be changed at runtime with
 /// [`crate::set_dynamic_params`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicParams {
@@ -571,23 +425,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_density_panics() {
         let _ = FesiaParams::auto().with_bits_per_element(0.0);
-    }
-
-    #[test]
-    fn prune_params_builders() {
-        let p = PruneParams::default();
-        assert_eq!(p.forced, None);
-        assert_eq!(p.min_bitmap_bytes, 1 << 22);
-        assert_eq!(p.max_survivor_pct, 60);
-        let q = p
-            .with_forced(Some(true))
-            .with_min_bitmap_bytes(1024)
-            .with_max_survivor_pct(250);
-        assert_eq!(q.forced, Some(true));
-        assert_eq!(q.min_bitmap_bytes, 1024);
-        // Percentages clamp to 100.
-        assert_eq!(q.max_survivor_pct, 100);
-        assert_eq!(q.with_forced(None).forced, None);
     }
 
     #[test]

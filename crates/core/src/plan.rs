@@ -3,31 +3,29 @@
 //!
 //! FESIA's value comes from picking the right execution shape per input
 //! (paper §IV–VI): the segmented-bitmap two-phase merge for comparable
-//! sizes, `FESIAhash` probing for heavy skew, the summary-pruned step 1
-//! for large sparse pairs, and per-range containers for dense value
-//! domains. This module centralizes those choices — Roaring-style
-//! dispatch by a simple size and density rule — so every caller
+//! sizes, `FESIAhash` probing for heavy skew and for large sparse pairs,
+//! and per-range containers for dense value domains. This module
+//! centralizes those choices — Roaring-style dispatch by a simple size
+//! and density rule — so every caller
 //! (pairwise, batch, parallel, k-way, index, graph) requests an explicit
 //! [`IntersectPlan`] from the same selector, and every strategy plugs in
 //! at exactly one seam.
 //!
 //! Selection layers, lowest priority first:
 //!
-//! 1. built-in defaults ([`crate::params::PruneParams`],
-//!    [`crate::params::ContainerParams`], and the pruned sweep's
-//!    [`crate::params::PipelineParams`] prefetch distance);
-//! 2. a persisted [`MachineProfile`] (written by `fesia tune` /
-//!    [`crate::tuning::calibrate`], loaded from `FESIA_PROFILE` or
-//!    `~/.fesia/profile.json`);
+//! 1. built-in defaults ([`crate::params::ContainerParams`],
+//!    [`crate::params::DynamicParams`]);
+//! 2. a [`MachineProfile`] file, loaded from `FESIA_PROFILE` or
+//!    `~/.fesia/profile.json`;
 //! 3. `FESIA_*` environment knobs, including `FESIA_PLAN` which forces
 //!    one strategy outright;
-//! 4. runtime setters ([`crate::set_pipeline_params`],
-//!    [`crate::set_prune_params`], [`set_plan_mode`]).
+//! 4. runtime setters ([`crate::set_container_params`],
+//!    [`set_plan_mode`]).
 //!
 //! Every plan decision is recorded in the `fesia-obs` `plan_*` counters.
 
 use crate::kernels::visit::SetOp;
-use crate::params::{self, ContainerParams, DynamicParams, PipelineParams, PruneParams};
+use crate::params::{self, ContainerParams, DynamicParams};
 use crate::set::SegmentedSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,20 +39,17 @@ pub enum PlanMode {
     Auto,
     /// Force the plain interleaved two-phase form.
     Plain,
-    /// Force the summary-pruned step-1 scan.
-    Pruned,
     /// Force the hash-probe strategy (`FESIAhash`).
     HashProbe,
 }
 
 impl PlanMode {
     /// Parse a `FESIA_PLAN` value; `None` for unrecognized strings,
-    /// including the removed `pipelined` and `gallop` modes.
+    /// including the removed `pipelined`, `pruned` and `gallop` modes.
     pub fn parse(s: &str) -> Option<PlanMode> {
         Some(match s.to_ascii_lowercase().as_str() {
             "auto" => PlanMode::Auto,
             "plain" => PlanMode::Plain,
-            "pruned" | "prune" => PlanMode::Pruned,
             "hash" | "hashprobe" => PlanMode::HashProbe,
             _ => return None,
         })
@@ -65,13 +60,12 @@ impl PlanMode {
         match self {
             PlanMode::Auto => "auto",
             PlanMode::Plain => "plain",
-            PlanMode::Pruned => "pruned",
             PlanMode::HashProbe => "hash",
         }
     }
 
     /// Every forced (non-auto) mode, for equivalence sweeps.
-    pub const FORCED: [PlanMode; 3] = [PlanMode::Plain, PlanMode::Pruned, PlanMode::HashProbe];
+    pub const FORCED: [PlanMode; 2] = [PlanMode::Plain, PlanMode::HashProbe];
 }
 
 /// The explicit execution shape the planner selects for one pair.
@@ -83,12 +77,6 @@ impl PlanMode {
 pub enum IntersectPlan {
     /// Interleaved two-phase scan (kernel dispatched per survivor).
     Plain,
-    /// Two-phase with the summary-bitmap AND pruning step 1 and a
-    /// buffered, software-prefetched survivor sweep.
-    Pruned {
-        /// Phase-2 lookahead in survivor entries.
-        prefetch_distance: usize,
-    },
     /// Operate directly on both sides' per-range container directories
     /// ([`crate::ContainerTier`]): dense ranges run 64-bit word kernels
     /// over exact value-domain bitmaps, so — unlike every hashed-bitmap
@@ -104,7 +92,6 @@ impl IntersectPlan {
     pub fn name(&self) -> &'static str {
         match self {
             IntersectPlan::Plain => "plain",
-            IntersectPlan::Pruned { .. } => "pruned",
             IntersectPlan::Container => "container",
             IntersectPlan::HashProbe => "hash",
         }
@@ -218,22 +205,15 @@ impl SetSummary {
     }
 }
 
-/// Whether the summary-pruned step-1 scan should run for a pair with
-/// these summaries under `p` (forced overrides short-circuit). The logic
-/// behind [`crate::tuning::should_prune`]: pruning pays only when the
-/// combined bitmaps exceed the cache-residency floor *and* the expected
-/// survivor fraction (product of the summary densities) is low enough.
-pub fn should_prune_summaries(a: &SetSummary, b: &SetSummary, p: &PruneParams) -> bool {
-    if let Some(forced) = p.forced {
-        return forced;
-    }
-    let combined_bytes = a.bitmap_bytes + b.bitmap_bytes;
-    if combined_bytes < p.min_bitmap_bytes {
-        return false;
-    }
-    let expected_survivor_pct = a.summary_density * b.summary_density * 100.0;
-    expected_survivor_pct <= p.max_survivor_pct as f64
-}
+/// Smallest combined bitmap size (bytes of both operands) at which auto
+/// mode sends a comparable, sparse pair to the hash probe: 4 MiB, past
+/// L2 on every target measured, where streaming the bitmaps stalls.
+const SPARSE_MIN_BITMAP_BYTES: usize = 1 << 22;
+
+/// Highest expected share of summary blocks populated on both sides, in
+/// percent (the product of the two summary densities), at which auto
+/// mode still sends a large pair to the hash probe.
+const SPARSE_MAX_OVERLAP_PCT: f64 = 60.0;
 
 /// Whether the per-range container dispatch should run for a pair with
 /// these summaries under `p`. Requires both sides to carry a container
@@ -258,24 +238,19 @@ pub fn should_container_summaries(a: &SetSummary, b: &SetSummary, p: &ContainerP
 }
 
 // ---------------------------------------------------------------------------
-// Machine profile (versioned, persisted by `fesia tune`)
+// Machine profile (versioned)
 // ---------------------------------------------------------------------------
 
 /// Current profile file format version.
 pub const PROFILE_VERSION: u32 = 1;
 
-/// Calibrated crossover thresholds for one machine, persisted as a flat
-/// JSON object (see [`MachineProfile::to_json`]) and loaded into the
-/// planner at startup.
+/// Per-machine knob overrides, read from a flat JSON object and loaded
+/// into the planner at startup.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineProfile {
     /// File format version ([`PROFILE_VERSION`]).
     pub version: u32,
-    /// Calibrated phase-2 prefetch distance of the pruned sweep.
-    pub pipeline: PipelineParams,
-    /// Calibrated summary-pruning knobs.
-    pub prune: PruneParams,
-    /// Calibrated per-range container dispatch knobs.
+    /// Per-range container dispatch knobs.
     pub container: ContainerParams,
     /// Dynamic-set delta-folding knobs (rebuild fraction).
     pub dynamic: DynamicParams,
@@ -285,8 +260,6 @@ impl Default for MachineProfile {
     fn default() -> Self {
         MachineProfile {
             version: PROFILE_VERSION,
-            pipeline: PipelineParams::default(),
-            prune: PruneParams::default(),
             container: ContainerParams::default(),
             dynamic: DynamicParams::default(),
         }
@@ -294,41 +267,13 @@ impl Default for MachineProfile {
 }
 
 impl MachineProfile {
-    /// Serialize as the flat JSON object the loader accepts.
-    pub fn to_json(&self) -> String {
-        let tri = |forced: Option<bool>| match forced {
-            None => "auto",
-            Some(true) => "on",
-            Some(false) => "off",
-        };
-        format!(
-            "{{\n  \"version\": {},\n  \"prefetch_distance\": {},\n  \
-             \"prune_forced\": \"{}\",\n  \"prune_min_bitmap_bytes\": {},\n  \
-             \"prune_max_survivor_pct\": {},\n  \"container_forced\": \"{}\",\n  \
-             \"container_min_elements\": {},\n  \"container_dense_pct\": {},\n  \
-             \"rebuild_fraction\": {}\n}}\n",
-            self.version,
-            self.pipeline.prefetch_distance,
-            tri(self.prune.forced),
-            self.prune.min_bitmap_bytes,
-            self.prune.max_survivor_pct,
-            tri(self.container.forced),
-            self.container.min_elements,
-            self.container.min_dense_pct,
-            self.dynamic.rebuild_fraction,
-        )
-    }
-
-    /// Parse a profile previously written by [`MachineProfile::to_json`].
+    /// Parse a profile: one flat JSON object with scalar values.
     ///
-    /// The parser accepts exactly the flat shape this crate writes (one
-    /// JSON object, scalar values); unknown keys are ignored so newer
-    /// writers stay loadable — as are the keys of removed knobs
-    /// (`pipeline_enabled`, `pipeline_min_elements`, `compress_*`,
-    /// `gallop_max_len`), so older profiles keep loading — and a version
-    /// other than
-    /// [`PROFILE_VERSION`] is rejected so stale files cannot silently
-    /// misconfigure the planner.
+    /// Unknown keys are ignored so newer writers stay loadable — as are
+    /// the keys of removed knobs (`prefetch_distance`, `prune_*`,
+    /// `pipeline_*`, `compress_*`, `gallop_max_len`), so older profiles
+    /// keep loading — and a version other than [`PROFILE_VERSION`] is
+    /// rejected so stale files cannot silently misconfigure the planner.
     pub fn from_json(text: &str) -> Result<MachineProfile, String> {
         let mut p = MachineProfile::default();
         let mut saw_version = false;
@@ -345,30 +290,6 @@ impl MachineProfile {
                     }
                     p.version = v;
                     saw_version = true;
-                }
-                "prefetch_distance" => {
-                    p.pipeline.prefetch_distance = value
-                        .parse()
-                        .map_err(|_| format!("bad prefetch_distance `{value}`"))?;
-                }
-                "prune_forced" => {
-                    p.prune.forced = match value.as_str() {
-                        "auto" => None,
-                        "on" => Some(true),
-                        "off" => Some(false),
-                        other => return Err(format!("bad prune_forced `{other}`")),
-                    };
-                }
-                "prune_min_bitmap_bytes" => {
-                    p.prune.min_bitmap_bytes = value
-                        .parse()
-                        .map_err(|_| format!("bad prune_min_bitmap_bytes `{value}`"))?;
-                }
-                "prune_max_survivor_pct" => {
-                    let pct: u32 = value
-                        .parse()
-                        .map_err(|_| format!("bad prune_max_survivor_pct `{value}`"))?;
-                    p.prune.max_survivor_pct = pct.min(100);
                 }
                 "container_forced" => {
                     p.container.forced = match value.as_str() {
@@ -411,16 +332,6 @@ impl MachineProfile {
     pub fn load(path: &Path) -> Result<MachineProfile, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         MachineProfile::from_json(&text)
-    }
-
-    /// Write the profile, creating parent directories as needed.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
     }
 }
 
@@ -467,16 +378,14 @@ fn mode_encode(m: PlanMode) -> usize {
     match m {
         PlanMode::Auto => 0,
         PlanMode::Plain => 1,
-        PlanMode::Pruned => 2,
-        PlanMode::HashProbe => 3,
+        PlanMode::HashProbe => 2,
     }
 }
 
 fn mode_decode(v: usize) -> PlanMode {
     match v {
         1 => PlanMode::Plain,
-        2 => PlanMode::Pruned,
-        3 => PlanMode::HashProbe,
+        2 => PlanMode::HashProbe,
         _ => PlanMode::Auto,
     }
 }
@@ -488,8 +397,6 @@ fn mode_decode(v: usize) -> PlanMode {
 pub(crate) fn ensure_init() {
     INIT.get_or_init(|| {
         params::env::warn_unrecognized();
-        let mut pipeline = PipelineParams::default();
-        let mut prune = PruneParams::default();
         let mut container = ContainerParams::default();
         let mut dynamic = DynamicParams::default();
         let status = match default_profile_path() {
@@ -497,8 +404,6 @@ pub(crate) fn ensure_init() {
             Some(path) if !path.exists() => format!("none ({} not found)", path.display()),
             Some(path) => match MachineProfile::load(&path) {
                 Ok(profile) => {
-                    pipeline = profile.pipeline;
-                    prune = profile.prune;
                     container = profile.container;
                     dynamic = profile.dynamic;
                     fesia_obs::metrics().plan_profile_loads.inc();
@@ -512,14 +417,12 @@ pub(crate) fn ensure_init() {
         };
         let _ = PROFILE_STATUS.set(status);
         // Environment knobs override the profile field-by-field.
-        crate::intersect::store_pipeline(pipeline.with_env_overrides());
-        crate::intersect::store_prune(prune.with_env_overrides());
         crate::intersect::store_container(container.with_env_overrides());
         crate::dynamic::store_dynamic(dynamic.with_env_overrides());
         if let Some(v) = params::env::raw("FESIA_PLAN") {
             match PlanMode::parse(&v) {
                 Some(m) => PLAN_MODE.store(mode_encode(m), Ordering::Relaxed),
-                None => params::env::warn_malformed("FESIA_PLAN", &v, "auto|plain|pruned|hash"),
+                None => params::env::warn_malformed("FESIA_PLAN", &v, "auto|plain|hash"),
             }
         }
     });
@@ -567,10 +470,6 @@ pub fn profile_status() -> String {
 pub struct IntersectPlanner {
     /// Forced mode, or `Auto`.
     pub mode: PlanMode,
-    /// The pruned sweep's prefetch distance in effect.
-    pub pipeline: PipelineParams,
-    /// Summary-pruning knobs in effect.
-    pub prune: PruneParams,
     /// Per-range container dispatch knobs in effect.
     pub container: ContainerParams,
 }
@@ -582,33 +481,21 @@ impl IntersectPlanner {
         ensure_init();
         IntersectPlanner {
             mode: plan_mode(),
-            pipeline: crate::intersect::pipeline_params(),
-            prune: crate::intersect::prune_params(),
             container: crate::intersect::container_params(),
         }
     }
 
-    /// Plan a pair restricted to the merge family (plain / pruned /
-    /// container) — the contract of [`crate::intersect_count_with`],
-    /// whose callers require the two-phase algorithm itself. A forced
-    /// hash mode falls back to auto selection here.
+    /// Plan a pair restricted to the merge family (plain / container) —
+    /// the contract of [`crate::intersect_count_with`], whose callers
+    /// require the two-phase algorithm itself. A forced hash mode falls
+    /// back to auto selection here.
     pub fn plan_merge(&self, a: &SetSummary, b: &SetSummary) -> IntersectPlan {
-        let pruned = IntersectPlan::Pruned {
-            prefetch_distance: self.pipeline.prefetch_distance,
-        };
-        match self.mode {
-            PlanMode::Plain => return IntersectPlan::Plain,
-            PlanMode::Pruned => return pruned,
-            PlanMode::Auto | PlanMode::HashProbe => {}
-        }
-        if should_container_summaries(a, b, &self.container) {
+        if self.mode != PlanMode::Plain && should_container_summaries(a, b, &self.container) {
             // Containers outrank every hashed-bitmap shape: when most
             // elements sit in dense value-domain ranges, word kernels
             // replace both the step-1 scan and the per-segment compares,
-            // and (unlike pruning) stay exact for all ops.
+            // and stay exact for all ops.
             IntersectPlan::Container
-        } else if should_prune_summaries(a, b, &self.prune) {
-            pruned
         } else {
             IntersectPlan::Plain
         }
@@ -623,14 +510,33 @@ impl IntersectPlanner {
             || (small.len as f64) < crate::intersect::SKEW_HASH_THRESHOLD * large.len as f64
     }
 
+    /// Whether auto mode sends a comparable pair to the hash probe
+    /// because its bitmaps are large and sparse: the combined bitmaps
+    /// are past [`SPARSE_MIN_BITMAP_BYTES`] (streaming them misses
+    /// cache), and the expected share of summary blocks populated on
+    /// both sides — the product of the two summary densities — is at
+    /// most [`SPARSE_MAX_OVERLAP_PCT`]. The step-1 scan would then
+    /// stream mostly empty words, while the probe touches one bit per
+    /// element of the smaller side.
+    fn sparse(a: &SetSummary, b: &SetSummary) -> bool {
+        a.bitmap_bytes + b.bitmap_bytes >= SPARSE_MIN_BITMAP_BYTES
+            && a.summary_density * b.summary_density * 100.0 <= SPARSE_MAX_OVERLAP_PCT
+    }
+
     /// Plan a pair with the full strategy family (the contract of
     /// [`crate::auto_count`] and every adaptive entry point): hash-probe
-    /// under heavy skew (paper Fig. 11), otherwise the merge family.
+    /// under heavy skew (paper Fig. 11), otherwise the merge family —
+    /// unless the merge would run the plain scan over large sparse
+    /// bitmaps, which also goes to the probe.
     pub fn plan_pair(&self, a: &SetSummary, b: &SetSummary) -> IntersectPlan {
         match self.mode {
             PlanMode::HashProbe => IntersectPlan::HashProbe,
             PlanMode::Auto if Self::skewed(a, b) => IntersectPlan::HashProbe,
-            _ => self.plan_merge(a, b),
+            PlanMode::Auto => match self.plan_merge(a, b) {
+                IntersectPlan::Plain if Self::sparse(a, b) => IntersectPlan::HashProbe,
+                plan => plan,
+            },
+            PlanMode::Plain => IntersectPlan::Plain,
         }
     }
 
@@ -654,16 +560,19 @@ impl IntersectPlanner {
     }
 
     /// Plan a *materializing* pair for `op` — the same strategy family as
-    /// [`IntersectPlanner::plan_pair`], with the AND-only step-1
-    /// optimization adjusted for the op: summary pruning is sound only
-    /// under the AND combiner, so the Or-scan ops (union, difference,
-    /// xor), which must visit every segment that is non-empty on either
-    /// side, run the plain scan instead. The container plan is exempt —
-    /// its word bitmaps are exact value-domain bitmaps, not hashed
-    /// filters, so it survives for every op.
+    /// [`IntersectPlanner::plan_pair`]. The sparse-bitmap route to the
+    /// probe is measured for intersection only: the Or-scan ops (union,
+    /// difference, xor) keep the plain scan on that shape. Skew and a
+    /// forced hash mode still probe for every op — the probe is exact for
+    /// all four — and so does the container plan, whose word bitmaps are
+    /// exact value-domain bitmaps rather than hashed filters.
     pub fn plan_materialize(&self, a: &SetSummary, b: &SetSummary, op: SetOp) -> IntersectPlan {
         match self.plan_pair(a, b) {
-            IntersectPlan::Pruned { .. } if op != SetOp::Intersect => IntersectPlan::Plain,
+            IntersectPlan::HashProbe
+                if op != SetOp::Intersect && self.mode == PlanMode::Auto && !Self::skewed(a, b) =>
+            {
+                IntersectPlan::Plain
+            }
             plan => plan,
         }
     }
@@ -681,7 +590,7 @@ impl IntersectPlanner {
         order.sort_by_key(|&i| sets[i].len);
         let strategy = match (self.mode, order.as_slice()) {
             (PlanMode::HashProbe, _) => KwayStrategy::Probe,
-            (PlanMode::Plain | PlanMode::Pruned, _) | (_, [] | [_]) => KwayStrategy::Scan,
+            (PlanMode::Plain, _) | (_, [] | [_]) => KwayStrategy::Scan,
             (PlanMode::Auto, [first, second, ..]) => {
                 let lead = &sets[*first];
                 if Self::skewed(lead, &sets[*second]) {
@@ -724,8 +633,6 @@ mod tests {
     fn auto_planner() -> IntersectPlanner {
         IntersectPlanner {
             mode: PlanMode::Auto,
-            pipeline: PipelineParams::default(),
-            prune: PruneParams::default(),
             container: ContainerParams::default(),
         }
     }
@@ -735,8 +642,8 @@ mod tests {
         for (s, m) in [
             ("auto", PlanMode::Auto),
             ("plain", PlanMode::Plain),
-            ("PRUNED", PlanMode::Pruned),
             ("hash", PlanMode::HashProbe),
+            ("HashProbe", PlanMode::HashProbe),
         ] {
             assert_eq!(PlanMode::parse(s), Some(m), "{s}");
             assert_eq!(PlanMode::parse(m.name()), Some(m));
@@ -744,7 +651,14 @@ mod tests {
         assert_eq!(PlanMode::parse("frobnicate"), None);
         // The removed modes are unrecognized: `FESIA_PLAN` warns and
         // stays on auto.
-        for removed in ["pipelined", "pipeline", "gallop", "gallopfallback"] {
+        for removed in [
+            "pipelined",
+            "pipeline",
+            "pruned",
+            "prune",
+            "gallop",
+            "gallopfallback",
+        ] {
             assert_eq!(PlanMode::parse(removed), None, "{removed}");
         }
     }
@@ -765,27 +679,56 @@ mod tests {
         assert_eq!(p.plan_pair(&small, &small), IntersectPlan::Plain);
         let large = summary(1 << 16, 1 << 17, 1.0);
         assert_eq!(p.plan_pair(&large, &large), IntersectPlan::Plain);
-        // Huge sparse pair past the prune floor -> pruned.
-        let sparse = summary(1 << 20, 1 << 22, 0.3);
-        assert!(matches!(
-            p.plan_pair(&sparse, &sparse),
-            IntersectPlan::Pruned { .. }
-        ));
+    }
+
+    /// A comparable pair whose combined bitmaps reach 4 MiB with a
+    /// summary-density product of at most 60% goes to the hash probe on
+    /// the full-family path; the merge-only path keeps the plain scan,
+    /// and materializing plans probe for intersection only.
+    #[test]
+    fn large_sparse_pair_probes_and_merge_stays_plain() {
+        let p = auto_planner();
+        // Two 2 MiB bitmaps (4 MiB combined) at 0.3 density: 9% overlap.
+        let sparse = summary(1 << 20, 1 << 21, 0.3);
+        assert_eq!(p.plan_pair(&sparse, &sparse), IntersectPlan::HashProbe);
+        assert_eq!(p.plan_merge(&sparse, &sparse), IntersectPlan::Plain);
+        assert_eq!(
+            p.plan_pair_threshold(&sparse, &sparse, 1),
+            ThresholdPlan::Run(IntersectPlan::HashProbe)
+        );
+        for (op, want) in [
+            (SetOp::Intersect, IntersectPlan::HashProbe),
+            (SetOp::Union, IntersectPlan::Plain),
+            (SetOp::Difference, IntersectPlan::Plain),
+            (SetOp::Xor, IntersectPlan::Plain),
+        ] {
+            assert_eq!(p.plan_materialize(&sparse, &sparse, op), want, "{op:?}");
+        }
+        // Both thresholds are inclusive edges.
+        let edge = summary(1 << 20, 1 << 21, 0.6);
+        let full = summary(1 << 20, 1 << 21, 1.0);
+        assert_eq!(p.plan_pair(&edge, &full), IntersectPlan::HashProbe);
+        // One byte under the size floor, or denser than 60% -> plain.
+        let short = summary(1 << 20, (1 << 21) - 1, 0.3);
+        assert_eq!(p.plan_pair(&short, &sparse), IntersectPlan::Plain);
+        let dense = summary(1 << 20, 1 << 21, 0.8);
+        assert_eq!(p.plan_pair(&dense, &dense), IntersectPlan::Plain);
+        // A forced plain mode never probes.
+        let mut plain = p;
+        plain.mode = PlanMode::Plain;
+        assert_eq!(plain.plan_pair(&sparse, &sparse), IntersectPlan::Plain);
     }
 
     #[test]
     fn container_plan_follows_density_and_availability() {
         let p = auto_planner();
         // A big dense-ranged pair -> container, outranking every other
-        // shape (this pair would otherwise be pruned).
+        // shape (this pair would otherwise be probed).
         let dense = container_summary(1 << 20, 1 << 22, 0.9);
         assert_eq!(p.plan_pair(&dense, &dense), IntersectPlan::Container);
         // No directory on one side -> never container.
         let raw = summary(1 << 20, 1 << 22, 0.3);
-        assert!(matches!(
-            p.plan_pair(&dense, &raw),
-            IntersectPlan::Pruned { .. }
-        ));
+        assert_eq!(p.plan_pair(&dense, &raw), IntersectPlan::HashProbe);
         // A sparse directory (arrays everywhere) stays on the merge.
         let sparse = container_summary(1 << 20, 1 << 22, 0.1);
         assert_ne!(p.plan_pair(&sparse, &sparse), IntersectPlan::Container);
@@ -839,8 +782,6 @@ mod tests {
         // A merge-only caller cannot honor a pair-level force; it falls
         // back to auto selection.
         assert_eq!(p.plan_merge(&a, &a), IntersectPlan::Plain);
-        p.mode = PlanMode::Pruned;
-        assert!(matches!(p.plan_pair(&a, &b), IntersectPlan::Pruned { .. }));
     }
 
     #[test]
@@ -852,24 +793,6 @@ mod tests {
             SetOp::Difference,
             SetOp::Xor,
         ];
-        // The AND-only pruned scan survives for intersection but falls
-        // back to the plain Or-scan for the other ops — auto or forced.
-        let sparse = summary(1 << 20, 1 << 22, 0.3);
-        let mut forced = p;
-        forced.mode = PlanMode::Pruned;
-        for planner in [p, forced] {
-            assert!(matches!(
-                planner.plan_materialize(&sparse, &sparse, SetOp::Intersect),
-                IntersectPlan::Pruned { .. }
-            ));
-            for op in [SetOp::Union, SetOp::Difference, SetOp::Xor] {
-                assert_eq!(
-                    planner.plan_materialize(&sparse, &sparse, op),
-                    IntersectPlan::Plain,
-                    "{op:?}"
-                );
-            }
-        }
         // Heavy skew routes every op to the probe strategy, and a forced
         // hash mode passes through for every op.
         let tiny = summary(100, 64, 1.0);
@@ -921,14 +844,12 @@ mod tests {
             p.plan_kway(&[big, sparse, big]).strategy,
             KwayStrategy::Scan
         );
-        // Forced modes: hash probes, the merge modes scan.
+        // Forced modes: hash probes, plain scans.
         let mut f = p;
         f.mode = PlanMode::HashProbe;
         assert_eq!(f.plan_kway(&[big, big, big]).strategy, KwayStrategy::Probe);
-        for mode in [PlanMode::Plain, PlanMode::Pruned] {
-            f.mode = mode;
-            assert_eq!(f.plan_kway(&[big, tiny, big]).strategy, KwayStrategy::Scan);
-        }
+        f.mode = PlanMode::Plain;
+        assert_eq!(f.plan_kway(&[big, tiny, big]).strategy, KwayStrategy::Scan);
         // The container knob forces (or forbids) the container strategy
         // for tiered operands, exactly as for pairs.
         let mut on = p;
@@ -944,46 +865,35 @@ mod tests {
     }
 
     #[test]
-    fn profile_round_trips_through_json() {
-        let profile = MachineProfile {
-            pipeline: PipelineParams::default().with_prefetch_distance(16),
-            prune: PruneParams::default()
-                .with_forced(Some(false))
-                .with_min_bitmap_bytes(1 << 20)
-                .with_max_survivor_pct(42),
-            container: ContainerParams::default()
-                .with_forced(Some(true))
-                .with_min_elements(2048)
-                .with_min_dense_pct(55),
-            dynamic: DynamicParams::default().with_rebuild_fraction(0.125),
-            ..MachineProfile::default()
-        };
-        let back = MachineProfile::from_json(&profile.to_json()).unwrap();
-        assert_eq!(back, profile);
-        // Defaults round-trip too (prune_forced = auto).
-        let d = MachineProfile::default();
-        assert_eq!(MachineProfile::from_json(&d.to_json()).unwrap(), d);
-    }
-
-    #[test]
     fn profile_parser_rejects_garbage_and_wrong_versions() {
         assert!(MachineProfile::from_json("not json").is_err());
         assert!(MachineProfile::from_json("{}").is_err(), "missing version");
         assert!(MachineProfile::from_json("{\"version\": 999}").is_err());
         assert!(
-            MachineProfile::from_json("{\"version\": 1, \"prune_forced\": \"banana\"}").is_err()
+            MachineProfile::from_json("{\"version\": 1, \"container_forced\": \"banana\"}")
+                .is_err()
+        );
+        // The keys of removed knobs are ignored whatever their value.
+        assert_eq!(
+            MachineProfile::from_json("{\"version\": 1, \"prune_forced\": \"banana\"}").unwrap(),
+            MachineProfile::default()
         );
         // Unknown keys are ignored (forward compatibility).
         let p = MachineProfile::from_json(
-            "{\"version\": 1, \"future_knob\": 7, \"prefetch_distance\": 3}",
+            "{\"version\": 1, \"future_knob\": 7, \"container_min_elements\": 3}",
         )
         .unwrap();
-        assert_eq!(p.pipeline.prefetch_distance, 3);
+        assert_eq!(p.container.min_elements, 3);
+        // A bare version is a complete profile: every knob at its default.
+        assert_eq!(
+            MachineProfile::from_json("{\"version\": 1}").unwrap(),
+            MachineProfile::default()
+        );
     }
 
-    /// A profile written before the pipelined, compressed and gallop plans
-    /// were removed still loads: the removed keys are ignored and every
-    /// surviving key still applies.
+    /// A profile written before the pipelined, compressed, gallop and
+    /// pruned plans were removed still loads: the removed keys are
+    /// ignored and every surviving key still applies.
     #[test]
     fn profiles_with_removed_keys_still_load() {
         let old = r#"{
@@ -1004,46 +914,29 @@ mod tests {
   "rebuild_fraction": 0.125,
   "gallop_max_len": 4000
 }"#;
-        let p = MachineProfile::from_json(old).unwrap();
         let want = MachineProfile {
             version: 1,
-            pipeline: PipelineParams::default().with_prefetch_distance(16),
-            prune: PruneParams::default()
-                .with_forced(Some(true))
-                .with_min_bitmap_bytes(12345)
-                .with_max_survivor_pct(42),
             container: ContainerParams::default()
                 .with_forced(Some(false))
                 .with_min_elements(2048)
                 .with_min_dense_pct(55),
             dynamic: DynamicParams::default().with_rebuild_fraction(0.125),
         };
-        assert_eq!(p, want);
-        // The removed keys are not written back.
-        let json = p.to_json();
-        for key in [
-            "pipeline_enabled",
-            "pipeline_min_elements",
-            "compress_",
-            "gallop",
-        ] {
-            assert!(!json.contains(key), "{key} in {json}");
-        }
+        assert_eq!(MachineProfile::from_json(old).unwrap(), want);
     }
 
     #[test]
-    fn profile_save_load_round_trip() {
+    fn profile_loads_from_a_file() {
         let dir = std::env::temp_dir().join(format!("fesia-plan-test-{}", std::process::id()));
-        let path = dir.join("nested").join("profile.json");
-        let profile = MachineProfile {
-            version: PROFILE_VERSION,
-            pipeline: PipelineParams::default().with_prefetch_distance(32),
-            prune: PruneParams::default().with_min_bitmap_bytes(777),
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("profile.json");
+        std::fs::write(&path, "{\"version\": 1, \"container_dense_pct\": 61}").unwrap();
+        let want = MachineProfile {
             container: ContainerParams::default().with_min_dense_pct(61),
-            dynamic: DynamicParams::default().with_rebuild_fraction(0.5),
+            ..MachineProfile::default()
         };
-        profile.save(&path).unwrap();
-        assert_eq!(MachineProfile::load(&path).unwrap(), profile);
+        assert_eq!(MachineProfile::load(&path).unwrap(), want);
+        assert!(MachineProfile::load(&dir.join("missing.json")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -98,9 +98,9 @@ pub struct SegmentedSet {
     /// One bit per 512-bit bitmap block (the two-level bitmap's coarse
     /// level); built during layout, persisted by the serializer.
     summary: Section<u64>,
-    /// Cached popcount of `summary` — the block density feeds the pruned
-    /// scan's auto-selection on every intersection, so it must not cost a
-    /// pass over the summary each time.
+    /// Cached popcount of `summary` — the block density feeds the
+    /// planner on every intersection, so it must not cost a pass over the
+    /// summary each time.
     summary_ones: u64,
     seg_meta: SegMeta,
     reordered: Section<u32>,
@@ -361,9 +361,9 @@ impl SegmentedSet {
     }
 
     /// Fraction of bitmap blocks that hold at least one set bit, in
-    /// `0.0..=1.0` — the density estimate behind the pruned scan's
-    /// auto-selection (the expected surviving-block fraction of a pair is
-    /// the product of the two densities).
+    /// `0.0..=1.0` — the density estimate behind the planner's
+    /// sparse-pair rule (the expected share of blocks populated on both
+    /// sides is the product of the two densities).
     #[inline]
     pub fn summary_density(&self) -> f64 {
         let blocks = self.summary_blocks();

@@ -125,7 +125,7 @@ pub fn filter_stats(a: &SegmentedSet, b: &SegmentedSet) -> FilterStats {
 }
 
 /// Number of segment pairs surviving the phase-1 bitmap AND — the length
-/// of the survivor buffer the pruned dispatch fills, and therefore the
+/// of the survivor buffer the threshold merge fills, and therefore the
 /// phase-2 trip count. Unlike [`filter_stats`] this works for folded
 /// (different-bitmap-size) pairs too: with folding, segment `i` of the
 /// larger bitmap pairs with `i mod N2` of the smaller.

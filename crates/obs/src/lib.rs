@@ -365,20 +365,16 @@ define_metrics! {
     counters {
         intersect_interleaved:
             "Two-phase intersections dispatched in the interleaved form.",
-        intersect_pruned:
-            "Two-phase intersections dispatched in the summary-pruned form.",
-        summary_blocks_skipped:
-            "Full-bitmap 512-bit blocks the pruned step 1 never loaded because the summary AND cleared them.",
         survivor_segments:
-            "Segment pairs surviving the phase-1 bitmap filter (pruned and threshold sweeps only — the interleaved form never materializes its survivors).",
+            "Segment pairs surviving the phase-1 bitmap filter (threshold sweeps only — the interleaved form never materializes its survivors).",
         scratch_reused:
-            "Pruned or threshold sweeps that reused an already-allocated thread-local survivor buffer.",
+            "Threshold sweeps that reused an already-allocated thread-local survivor buffer.",
         plan_plain:
             "Planner decisions that selected the plain (interleaved) two-phase form.",
         plan_pipelined:
             "Always zero: the pipelined plan was removed. Kept so readers of the plan census (perfbench) keep their schema.",
         plan_pruned:
-            "Planner decisions that selected the summary-pruned two-phase form.",
+            "Always zero: the summary-pruned plan was removed. Kept so readers of the plan census (perfbench) keep their schema.",
         plan_hash:
             "Planner decisions that selected the hash-probe strategy.",
         plan_gallop:

@@ -9,7 +9,8 @@
 //!   intersection: AND two byte (or 16-bit-lane) streams and report which
 //!   lanes are non-zero as a dense bitmask.
 //! * [`prefetch`] — software prefetch hints (`prefetcht0`/`prefetcht1` on
-//!   x86-64, no-ops elsewhere) used by the summary-pruned two-phase sweep.
+//!   x86-64, no-ops elsewhere) used by the grouped hash probe and the
+//!   graph workloads to overlap dependent loads.
 //! * [`timer`] — cycle-accurate timing (`rdtsc` on x86-64, monotonic clock
 //!   elsewhere) used by the benchmark harness to report the paper's
 //!   "million cycles" figures.

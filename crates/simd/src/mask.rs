@@ -24,17 +24,10 @@
 //! rule for sets of different sizes (§III-C).
 
 use crate::features::SimdLevel;
-use crate::prefetch::prefetch_read;
 use crate::util::SetBits;
 
 /// Bytes of bitmap covered by one summary bit: one 512-bit SIMD block.
 pub const SUMMARY_BLOCK_BYTES: usize = 64;
-
-/// How many survivor blocks ahead the pruned scan keeps in flight. One
-/// summary bit covers exactly one cache line per side, so the lookahead
-/// is a plain line prefetch — deep enough to hide a memory round-trip,
-/// shallow enough that lines are not evicted before use.
-const PRUNE_PREFETCH_DIST: usize = 16;
 
 /// How step 1 combines the two bitmaps before the non-zero-lane extract.
 ///
@@ -643,25 +636,6 @@ pub fn build_block_summary(bitmap: &[u8]) -> Vec<u64> {
     out
 }
 
-/// What a pruned scan did: how many blocks the summary AND covered and how
-/// many actually had to be loaded. `blocks - visited` is the number of
-/// 64-byte bitmap loads (per side) the summary level saved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PruneStats {
-    /// Total 512-bit blocks of the (larger) bitmap.
-    pub blocks: usize,
-    /// Blocks whose summary bits overlapped and were scanned in full.
-    pub visited: usize,
-}
-
-impl PruneStats {
-    /// Blocks skipped without touching the full bitmaps.
-    #[inline]
-    pub fn skipped(&self) -> usize {
-        self.blocks - self.visited
-    }
-}
-
 /// Replicate the low `bits` bits of `pattern` across a full `u64`.
 /// `bits` must be a power of two below 64.
 fn replicate_low_bits(pattern: u64, bits: usize) -> u64 {
@@ -673,170 +647,6 @@ fn replicate_low_bits(pattern: u64, bits: usize) -> u64 {
         b <<= 1;
     }
     rep
-}
-
-/// One 64-byte block of the main scan, dispatched without re-checking
-/// availability (asserted once by [`dispatch_pruned`]).
-#[inline(always)]
-fn scan_block<F: FnMut(usize)>(level: SimdLevel, lane: LaneWidth, a: &[u8], b: &[u8], f: &mut F) {
-    // Summary pruning is sound only for the AND combiner (a block that is
-    // zero on either side cannot contribute an intersection lane, but it
-    // can still contribute OR / ANDNOT / XOR lanes), so the pruned scan is
-    // hardwired to MaskOp::And.
-    match level {
-        SimdLevel::Scalar => scalar_impl(MaskOp::And, lane, a, b, usize::MAX, f),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse => unsafe { x86::sse_impl(MaskOp::And, lane, a, b, usize::MAX, f) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::avx2_impl(MaskOp::And, lane, a, b, usize::MAX, f) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { x86::avx512_impl(MaskOp::And, lane, a, b, usize::MAX, f) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("non-scalar level reported available on non-x86_64"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // internal: both public wrappers share it
-fn dispatch_pruned<F: FnMut(usize)>(
-    level: SimdLevel,
-    lane: LaneWidth,
-    a: &[u8],
-    b: &[u8],
-    sum_a: &[u64],
-    sum_b: &[u64],
-    small_mask: usize,
-    mut f: F,
-) -> PruneStats {
-    assert_eq!(
-        a.len() % 64,
-        0,
-        "bitmap length must be a multiple of 64 bytes"
-    );
-    assert!(
-        level.is_available(),
-        "SIMD level {level} not available on this CPU"
-    );
-    let blocks = a.len() / SUMMARY_BLOCK_BYTES;
-    let small_blocks = b.len() / SUMMARY_BLOCK_BYTES;
-    assert_eq!(sum_a.len(), summary_len(a.len()), "summary/bitmap mismatch");
-    assert_eq!(sum_b.len(), summary_len(b.len()), "summary/bitmap mismatch");
-
-    // Phase A: AND the summaries into a survivor-block list. The small
-    // side's summary logically tiles the large one exactly as the bitmap
-    // does; word-granular tiling needs no per-bit work because both block
-    // counts are powers of two. A trailing partial summary word is safe
-    // unmasked: the builder leaves its invalid high bits zero, so the AND
-    // can never produce an out-of-range block index.
-    let mut survivors: Vec<u32> = Vec::new();
-    if a.len() == b.len() {
-        for (w, (&wa, &wb)) in sum_a.iter().zip(sum_b).enumerate() {
-            for bit in SetBits(wa & wb) {
-                survivors.push((w * 64 + bit as usize) as u32);
-            }
-        }
-    } else if small_blocks >= 64 {
-        let tile_words = small_blocks / 64;
-        for (w, &wa) in sum_a.iter().enumerate() {
-            for bit in SetBits(wa & sum_b[w % tile_words]) {
-                survivors.push((w * 64 + bit as usize) as u32);
-            }
-        }
-    } else {
-        // The whole small summary fits in a sub-word pattern; replicating
-        // it across a u64 makes every large word AND against the same
-        // tiled word.
-        let rep = replicate_low_bits(sum_b[0], small_blocks);
-        for (w, &wa) in sum_a.iter().enumerate() {
-            for bit in SetBits(wa & rep) {
-                survivors.push((w * 64 + bit as usize) as u32);
-            }
-        }
-    }
-
-    // Phase B: scan only the surviving blocks, keeping both sides'
-    // cache lines PRUNE_PREFETCH_DIST survivors ahead in flight (the
-    // summary AND destroys the sequential access pattern the hardware
-    // prefetcher relied on, so the lookahead is explicit).
-    for (k, &blk) in survivors.iter().enumerate() {
-        if k + PRUNE_PREFETCH_DIST < survivors.len() {
-            let ahead = survivors[k + PRUNE_PREFETCH_DIST] as usize * SUMMARY_BLOCK_BYTES;
-            prefetch_read(a[ahead..].as_ptr());
-            prefetch_read(b[ahead & small_mask..].as_ptr());
-        }
-        let off_a = blk as usize * SUMMARY_BLOCK_BYTES;
-        let off_b = off_a & small_mask;
-        let base = off_a / lane.bytes();
-        scan_block(
-            level,
-            lane,
-            &a[off_a..off_a + SUMMARY_BLOCK_BYTES],
-            &b[off_b..off_b + SUMMARY_BLOCK_BYTES],
-            &mut |i| f(base + i),
-        );
-    }
-    PruneStats {
-        blocks,
-        visited: survivors.len(),
-    }
-}
-
-/// [`for_each_nonzero_lane`] with two-level pruning: AND the one-bit-per-
-/// block summaries first and scan only the full-bitmap blocks whose
-/// summary bits overlap. Visits exactly the lanes the unpruned scan
-/// visits (a lane can only be non-zero inside a block that is non-zero on
-/// both sides) and returns how many blocks the summary level skipped.
-///
-/// # Panics
-/// Panics on the preconditions of [`for_each_nonzero_lane`], or if either
-/// summary does not match its bitmap's length
-/// (see [`build_block_summary`]).
-pub fn for_each_nonzero_lane_pruned<F: FnMut(usize)>(
-    level: SimdLevel,
-    lane: LaneWidth,
-    a: &[u8],
-    b: &[u8],
-    sum_a: &[u64],
-    sum_b: &[u64],
-    f: F,
-) -> PruneStats {
-    assert_eq!(a.len(), b.len(), "bitmaps must have equal length");
-    dispatch_pruned(level, lane, a, b, sum_a, sum_b, usize::MAX, f)
-}
-
-/// [`for_each_nonzero_lane_folded`] with two-level pruning: the small
-/// summary tiles the large one block-for-block, exactly as the small
-/// bitmap tiles the large bitmap.
-///
-/// # Panics
-/// Panics on the preconditions of [`for_each_nonzero_lane_folded`] or on
-/// a summary/bitmap length mismatch.
-pub fn for_each_nonzero_lane_folded_pruned<F: FnMut(usize)>(
-    level: SimdLevel,
-    lane: LaneWidth,
-    large: &[u8],
-    small: &[u8],
-    sum_large: &[u64],
-    sum_small: &[u64],
-    f: F,
-) -> PruneStats {
-    assert!(
-        small.len().is_power_of_two() && small.len() >= 64,
-        "small bitmap must be a power of two of at least 64 bytes"
-    );
-    assert!(
-        large.len() >= small.len(),
-        "large bitmap shorter than small"
-    );
-    dispatch_pruned(
-        level,
-        lane,
-        large,
-        small,
-        sum_large,
-        sum_small,
-        small.len() - 1,
-        f,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1166,124 +976,6 @@ mod tests {
                 assert_eq!((rep >> i) & 1, (rep >> (i % bits)) & 1, "bits={bits} i={i}");
             }
         }
-    }
-
-    #[test]
-    fn pruned_same_size_matches_unpruned() {
-        for &len in &[64usize, 128, 512, 4096, 8192] {
-            for density_shift in [1u32, 2, 4] {
-                let a = pseudo_random_bytes(len, 1 + density_shift as u64, density_shift);
-                let b = pseudo_random_bytes(len, 7 + density_shift as u64, density_shift);
-                let sa = build_block_summary(&a);
-                let sb = build_block_summary(&b);
-                for lane in [LaneWidth::U8, LaneWidth::U16] {
-                    let mut expect = Vec::new();
-                    for_each_nonzero_lane(SimdLevel::Scalar, lane, &a, &b, |i| expect.push(i));
-                    expect.sort_unstable();
-                    for level in SimdLevel::available_levels() {
-                        let mut got = Vec::new();
-                        let stats =
-                            for_each_nonzero_lane_pruned(level, lane, &a, &b, &sa, &sb, |i| {
-                                got.push(i)
-                            });
-                        got.sort_unstable();
-                        assert_eq!(got, expect, "level={level} lane={lane:?} len={len}");
-                        assert_eq!(stats.blocks, len / SUMMARY_BLOCK_BYTES);
-                        assert!(stats.visited <= stats.blocks);
-                        assert_eq!(stats.skipped(), stats.blocks - stats.visited);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_folded_matches_unpruned() {
-        // Small sides both below (sub-word replication) and above (word
-        // tiling) the 64-block threshold.
-        let large = pseudo_random_bytes(16_384, 3, 2);
-        let sl = build_block_summary(&large);
-        for &small_len in &[64usize, 128, 2048, 4096, 8192] {
-            let small = pseudo_random_bytes(small_len, 9, 1);
-            let ss = build_block_summary(&small);
-            for lane in [LaneWidth::U8, LaneWidth::U16] {
-                let mut expect = Vec::new();
-                for_each_nonzero_lane_folded(SimdLevel::Scalar, lane, &large, &small, |i| {
-                    expect.push(i)
-                });
-                expect.sort_unstable();
-                for level in SimdLevel::available_levels() {
-                    let mut got = Vec::new();
-                    let stats = for_each_nonzero_lane_folded_pruned(
-                        level,
-                        lane,
-                        &large,
-                        &small,
-                        &sl,
-                        &ss,
-                        |i| got.push(i),
-                    );
-                    got.sort_unstable();
-                    assert_eq!(got, expect, "level={level} lane={lane:?} small={small_len}");
-                    assert_eq!(stats.blocks, large.len() / SUMMARY_BLOCK_BYTES);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_scan_skips_disjoint_blocks() {
-        // a populates even blocks, b odd blocks: the summary AND is empty,
-        // so the pruned scan must visit nothing at all.
-        let mut a = vec![0u8; 1024];
-        let mut b = vec![0u8; 1024];
-        for blk in 0..16 {
-            let target = if blk % 2 == 0 { &mut a } else { &mut b };
-            target[blk * 64 + 7] = 0xAA;
-        }
-        let sa = build_block_summary(&a);
-        let sb = build_block_summary(&b);
-        for level in SimdLevel::available_levels() {
-            let stats = for_each_nonzero_lane_pruned(level, LaneWidth::U8, &a, &b, &sa, &sb, |i| {
-                panic!("unexpected lane {i} at level {level}")
-            });
-            assert_eq!(stats.visited, 0);
-            assert_eq!(stats.skipped(), 16);
-        }
-    }
-
-    #[test]
-    fn pruned_dense_bitmaps_visit_everything() {
-        let a = vec![0xffu8; 256];
-        let b = vec![0xffu8; 256];
-        let sa = build_block_summary(&a);
-        let sb = build_block_summary(&b);
-        for level in SimdLevel::available_levels() {
-            let mut count = 0;
-            let stats =
-                for_each_nonzero_lane_pruned(level, LaneWidth::U8, &a, &b, &sa, &sb, |_| {
-                    count += 1
-                });
-            assert_eq!(count, 256);
-            assert_eq!(stats.visited, 4);
-            assert_eq!(stats.skipped(), 0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "summary/bitmap mismatch")]
-    fn pruned_rejects_wrong_summary_length() {
-        let a = vec![0u8; 128];
-        let b = vec![0u8; 128];
-        let _ = for_each_nonzero_lane_pruned(
-            SimdLevel::Scalar,
-            LaneWidth::U8,
-            &a,
-            &b,
-            &[0u64; 2],
-            &[0u64],
-            |_| {},
-        );
     }
 
     /// Naive mirror of [`summary_min_bound`]: full Σ min over AND blocks.

@@ -1,10 +1,11 @@
 //! Software prefetch hints, with a scalar no-op fallback.
 //!
-//! The summary-pruned intersection sweep (fesia-core) discovers surviving
-//! segments in phase 1 and touches their element data in phase 2; the
-//! gap between discovery and use is exactly where a prefetch hides the
-//! dependent-load latency that dominates sparse intersections (Ding &
-//! König, *Fast Set Intersection in Memory*). On x86-64 these compile
+//! The grouped hash probe (fesia-core) hashes a group of probes before
+//! testing any of them, and the graph workloads know the next edge's
+//! sets before they need them; the gap between discovery and use is
+//! exactly where a prefetch hides the dependent-load latency that
+//! dominates sparse intersections (Ding & König, *Fast Set Intersection
+//! in Memory*). On x86-64 these compile
 //! to `prefetcht0`/`prefetcht1`; on other architectures they are no-ops
 //! so callers never need to gate on the target.
 

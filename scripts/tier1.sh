@@ -40,13 +40,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
 
     echo "== tier1: repro batch --scale smoke =="
     ./target/release/repro batch --scale smoke
-    echo "== tier1: repro prune --scale smoke =="
-    ./target/release/repro prune --scale smoke
-    echo "== tier1: prune gates (BENCH_prune.json) =="
-    gate BENCH_prune.json \
-        --ok 'prune gates OK (counts match, small-dense overhead {small_dense_overhead_pct}%)' \
-        'counts_match == true | pruned and unpruned counts disagree' \
-        'small_dense_overhead_pct <= 2.0 | small-dense prune overhead {small_dense_overhead_pct}% > 2%'
 
     echo "== tier1: repro plan --scale smoke =="
     ./target/release/repro plan --scale smoke
@@ -93,23 +86,19 @@ if [[ "${1:-}" == "--smoke" ]]; then
         'p99_within_budget == true | serve read p99 {p99_ms}ms over budget' \
         'stall_within_budget == true | a reader stalled {max_reader_stall_ms}ms (> 10ms) waiting for an epoch slot'
 
-    echo "== tier1: fesia tune --quick round-trip =="
+    echo "== tier1: machine-profile loader =="
     profile=$(mktemp -t fesia-profile-XXXXXX.json)
-    ./target/release/fesia tune --quick --profile "$profile" | grep -q "reload verified" || {
-        echo "tier1: FAIL — tune did not write a reloadable profile"
-        rm -f "$profile"
-        exit 1
-    }
+    printf '{"version": 1}\n' > "$profile"
     printf '1\n2\n3\n' > "${profile%.json}.txt"
     ./target/release/fesia build "${profile%.json}.txt" "${profile%.json}.fsia" > /dev/null
     FESIA_PROFILE="$profile" ./target/release/fesia info "${profile%.json}.fsia" \
-        | grep -q "profile=loaded v" || {
-        echo "tier1: FAIL — planner did not load the tuned profile"
+        | grep -q "profile=loaded v1" || {
+        echo "tier1: FAIL — planner did not load a version-1 profile"
         rm -f "$profile" "${profile%.json}.txt" "${profile%.json}.fsia"
         exit 1
     }
     rm -f "$profile" "${profile%.json}.txt" "${profile%.json}.fsia"
-    echo "tune smoke OK (profile written, reloaded by the planner)"
+    echo "profile smoke OK (a version-1 profile loads)"
 
     # The computed path (triangles) and the served read path (serve-mixed):
     # each must answer every operation correctly.

@@ -24,12 +24,7 @@ use std::sync::Mutex;
 /// flip them serialize here.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
-const MODES: [PlanMode; 4] = [
-    PlanMode::Auto,
-    PlanMode::Plain,
-    PlanMode::Pruned,
-    PlanMode::HashProbe,
-];
+const MODES: [PlanMode; 3] = [PlanMode::Auto, PlanMode::Plain, PlanMode::HashProbe];
 
 fn random_set(rng: &mut SplitMix64, n: usize, lo: u32, hi: u32) -> BTreeSet<u32> {
     let mut s = BTreeSet::new();
@@ -251,9 +246,6 @@ fn ordered_difference_matches_the_oracle_for_every_b() {
         let want: Vec<u32> = a_set.difference(&b_set).copied().collect();
         for plan in [
             IntersectPlan::Plain,
-            IntersectPlan::Pruned {
-                prefetch_distance: 4,
-            },
             IntersectPlan::Container,
             IntersectPlan::HashProbe,
         ] {

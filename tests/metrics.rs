@@ -7,7 +7,8 @@
 //! with separate registries, so only this file needs the lock.)
 
 use fesia_core::{
-    batch_count, prune_params, set_prune_params, FesiaParams, PruneParams, SegmentedSet,
+    batch_count, default_table, intersect_count_bounded_planned, FesiaParams, IntersectPlanner,
+    PlanMode, SegmentedSet,
 };
 use fesia_exec::Executor;
 use fesia_obs::metrics;
@@ -33,9 +34,20 @@ fn gen_sorted(n: usize, seed: u64, universe: u32) -> Vec<u32> {
     set.into_iter().collect()
 }
 
-/// The survivor-segment counter (published by the pruned dispatch)
-/// must equal the offline diagnostic `stats::survivor_segments`, for
-/// both equal-size and folded bitmap pairs.
+/// The plain plan pinned on an explicit planner snapshot, so the
+/// threshold sweep runs the merge (which buffers its survivors) whatever
+/// the pair's shape, without touching the process-wide plan mode.
+fn plain_planner() -> IntersectPlanner {
+    IntersectPlanner {
+        mode: PlanMode::Plain,
+        ..IntersectPlanner::current()
+    }
+}
+
+/// The survivor-segment counter (published by the threshold sweep,
+/// which buffers its survivors) must equal the offline diagnostic
+/// `stats::survivor_segments`, for both equal-size and folded bitmap
+/// pairs.
 #[test]
 fn survivor_counter_matches_offline_diagnostic() {
     let _guard = serialize_tests();
@@ -49,26 +61,24 @@ fn survivor_counter_matches_offline_diagnostic() {
             gen_sorted(40_000, 19, 800_000),
         ),
     ];
-    let saved = prune_params();
+    let planner = plain_planner();
     for (av, bv) in &cases {
         let a = SegmentedSet::build(av, &p).unwrap();
         let b = SegmentedSet::build(bv, &p).unwrap();
         let want_survivors = fesia_core::survivor_segments(&a, &b);
-        // Force the pruned dispatch (the interleaved form never
-        // materializes its survivor list, so it cannot count them). A
-        // non-zero AND lane implies both summary blocks are populated, so
-        // pruning drops no survivor.
-        set_prune_params(PruneParams::default().with_forced(Some(true)));
-        let before = metrics().snapshot();
         let count = fesia_core::intersect_count(&a, &b);
+        assert!(count >= 1, "the threshold below must not reject");
+        // Threshold 1: phase 1 collects every survivor before the budget
+        // check, and the sweep runs to completion.
+        let before = metrics().snapshot();
+        let got = intersect_count_bounded_planned(&a, &b, default_table(), &planner, 1);
         let d = metrics().snapshot().delta(&before);
-        assert_eq!(d.intersect_pruned, 1);
-        assert_eq!(d.intersect_interleaved, 0);
+        assert_eq!(got, Some(count));
+        assert_eq!(d.plan_plain, 1);
         assert_eq!(d.survivor_segments as usize, want_survivors);
         // True matches always survive the filter.
         assert!(want_survivors >= count, "{want_survivors} < {count}");
     }
-    set_prune_params(saved);
 }
 
 /// Over a batch, every pair takes exactly one strategy: the two strategy
@@ -156,37 +166,33 @@ fn chunk_claims_match_chunks_executed() {
     assert_eq!(d.exec_chunks_claimed, 0);
 }
 
-/// The interleaved/pruned dispatch counters track the process-wide
-/// prune knob.
+/// The threshold sweep reuses this thread's survivor buffer from the
+/// second call on, and the unbounded count's plain dispatch publishes
+/// its interleaved counter instead.
 #[test]
-fn dispatch_counters_follow_prune_knob() {
+fn threshold_sweep_reuses_its_scratch_buffer() {
     let _guard = serialize_tests();
     let p = FesiaParams::auto();
     let a = SegmentedSet::build(&gen_sorted(2_000, 31, 40_000), &p).unwrap();
     let b = SegmentedSet::build(&gen_sorted(2_000, 37, 40_000), &p).unwrap();
-    let saved = prune_params();
+    let planner = plain_planner();
 
-    set_prune_params(PruneParams::default().with_forced(Some(false)));
     let before = metrics().snapshot();
     let want = fesia_core::intersect_count(&a, &b);
     let d = metrics().snapshot().delta(&before);
     assert_eq!(d.intersect_interleaved, 1);
-    assert_eq!(d.intersect_pruned, 0);
+    assert_eq!(d.survivor_segments, 0);
+    assert_eq!(d.scratch_reused, 0);
 
-    set_prune_params(PruneParams::default().with_forced(Some(true)));
+    // Warm this thread's buffer, then check that the next sweep reuses it.
+    let first = intersect_count_bounded_planned(&a, &b, default_table(), &planner, 1);
+    assert_eq!(first, Some(want));
     let before = metrics().snapshot();
-    assert_eq!(fesia_core::intersect_count(&a, &b), want);
+    let again = intersect_count_bounded_planned(&a, &b, default_table(), &planner, 1);
     let d = metrics().snapshot().delta(&before);
-    assert_eq!(d.intersect_pruned, 1);
-    assert_eq!(d.intersect_interleaved, 0);
-    // The pruned dispatch reuses this thread's scratch buffer from the
-    // second call on.
-    let before = metrics().snapshot();
-    assert_eq!(fesia_core::intersect_count(&a, &b), want);
-    let d = metrics().snapshot().delta(&before);
+    assert_eq!(again, Some(want));
     assert_eq!(d.scratch_reused, 1);
-
-    set_prune_params(saved);
+    assert_eq!(d.intersect_interleaved, 0);
 }
 
 /// Every k-way intersection of k >= 3 sets records exactly one strategy

@@ -3,7 +3,7 @@
 //!
 //! The [`fesia_core::IntersectPlanner`] only chooses *how* a pair is
 //! intersected — never *what* the answer is — so forcing each strategy in
-//! turn (the runtime equivalent of `FESIA_PLAN=plain|pruned|hash`) must
+//! turn (the runtime equivalent of `FESIA_PLAN=plain|hash`) must
 //! reproduce the auto-mode count on every input shape:
 //! randomized overlap, heavy skew, disjoint ranges, identical sets, and
 //! empty operands. Inputs come from a seeded [`SplitMix64`] stream, so a

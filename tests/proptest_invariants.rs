@@ -77,31 +77,6 @@ fn fesia_counts_the_reference() {
     }
 }
 
-/// Both forms of the two-phase algorithm — the interleaved scan and the
-/// summary-pruned scan with its buffered, prefetched sweep — agree on
-/// every input, at every prefetch distance and in both operand orders.
-#[test]
-fn pruned_and_interleaved_forms_agree() {
-    let table = KernelTable::auto();
-    let mut scratch = Vec::new();
-    for seed in 0..CASES {
-        let mut rng = SplitMix64::new(0x2500 + seed);
-        let (a, b) = overlapping_pair(&mut rng);
-        let params = FesiaParams::auto();
-        let sa = SegmentedSet::build(&a, &params).unwrap();
-        let sb = SegmentedSet::build(&b, &params).unwrap();
-        let want = fesia_core::intersect_count_interleaved_with(&sa, &sb, &table);
-        assert_eq!(want, reference(&a, &b).len(), "seed={seed}");
-        for dist in [0usize, 2, 8, 32] {
-            for (x, y) in [(&sa, &sb), (&sb, &sa)] {
-                let (got, _) =
-                    fesia_core::intersect_count_pruned_with(x, y, &table, &mut scratch, dist);
-                assert_eq!(got, want, "seed={seed} dist={dist}");
-            }
-        }
-    }
-}
-
 #[test]
 fn intersection_is_commutative_and_bounded() {
     for seed in 0..CASES {
