@@ -1,5 +1,5 @@
 //! The knobs of the removed pipelined, compressed, gallop and pruned
-//! plans.
+//! plans, and of the similarity join's removed candidate-chunk grain.
 //!
 //! Their `FESIA_*` variables are no longer read, so the startup scan
 //! reports them as unrecognized, and the removed `FESIA_PLAN` modes warn
@@ -19,7 +19,7 @@ fn env_lock() -> MutexGuard<'static, ()> {
     ENV.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-const REMOVED_VARS: [&str; 8] = [
+const REMOVED_VARS: [&str; 9] = [
     "FESIA_COMPRESS",
     "FESIA_COMPRESS_MIN",
     "FESIA_PIPELINE",
@@ -28,6 +28,7 @@ const REMOVED_VARS: [&str; 8] = [
     "FESIA_PRUNE",
     "FESIA_PRUNE_MAX_SURVIVOR",
     "FESIA_PRUNE_MIN_BYTES",
+    "FESIA_SIMJOIN_CHUNK",
 ];
 
 /// Run `fesia info` on a small set with `env` added to a clean `FESIA_*`
@@ -92,7 +93,7 @@ fn removed_variables_are_reported_unrecognized() {
             "unrecognized FESIA_* environment variable(s): FESIA_COMPRESS, \
              FESIA_COMPRESS_MIN, FESIA_PIPELINE, FESIA_PIPELINE_MIN, \
              FESIA_PREFETCH_DIST, FESIA_PRUNE, FESIA_PRUNE_MAX_SURVIVOR, \
-             FESIA_PRUNE_MIN_BYTES"
+             FESIA_PRUNE_MIN_BYTES, FESIA_SIMJOIN_CHUNK"
         ),
         "{stderr}"
     );

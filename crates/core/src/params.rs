@@ -28,7 +28,6 @@ pub mod env {
         "FESIA_CONTAINER_DENSE_PCT",
         "FESIA_SIMJOIN_BITMAP",
         "FESIA_SIMJOIN_EARLY_EXIT",
-        "FESIA_SIMJOIN_CHUNK",
         "FESIA_REBUILD_FRACTION",
         "FESIA_SERVE_SHARDS",
         "FESIA_SERVE_MUTATION_RATE",
@@ -238,8 +237,8 @@ impl ContainerParams {
 /// where a tier does not pay — can measure each filter's contribution.
 ///
 /// The process-wide default is read once from the environment
-/// (`FESIA_SIMJOIN_BITMAP=0|1`, `FESIA_SIMJOIN_EARLY_EXIT=0|1`,
-/// `FESIA_SIMJOIN_CHUNK=N`) and can be changed at runtime with
+/// (`FESIA_SIMJOIN_BITMAP=0|1`, `FESIA_SIMJOIN_EARLY_EXIT=0|1`) and
+/// can be changed at runtime with
 /// [`crate::set_simjoin_params`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimjoinParams {
@@ -251,9 +250,6 @@ pub struct SimjoinParams {
     /// by a full unbounded count (the prefix-filter-only baseline the
     /// acceptance gate compares against).
     pub early_exit: bool,
-    /// Candidate pairs per parallel work chunk (the batch scheduler's
-    /// unit of work stealing). 0 lets the driver pick.
-    pub chunk_pairs: usize,
 }
 
 impl Default for SimjoinParams {
@@ -261,15 +257,13 @@ impl Default for SimjoinParams {
         SimjoinParams {
             bitmap_filter: true,
             early_exit: true,
-            chunk_pairs: 0,
         }
     }
 }
 
 impl SimjoinParams {
     /// The defaults, with `FESIA_SIMJOIN_BITMAP` /
-    /// `FESIA_SIMJOIN_EARLY_EXIT` / `FESIA_SIMJOIN_CHUNK` environment
-    /// overrides applied.
+    /// `FESIA_SIMJOIN_EARLY_EXIT` environment overrides applied.
     pub fn from_env() -> Self {
         SimjoinParams::default().with_env_overrides()
     }
@@ -281,9 +275,6 @@ impl SimjoinParams {
         }
         if let Some(e) = env::parse_bool("FESIA_SIMJOIN_EARLY_EXIT") {
             self.early_exit = e;
-        }
-        if let Some(c) = env::parse_usize("FESIA_SIMJOIN_CHUNK") {
-            self.chunk_pairs = c;
         }
         self
     }
@@ -297,12 +288,6 @@ impl SimjoinParams {
     /// Enable or disable the tier-3 early-exit kernels.
     pub fn with_early_exit(mut self, on: bool) -> Self {
         self.early_exit = on;
-        self
-    }
-
-    /// Override the candidate-pairs-per-chunk scheduling grain.
-    pub fn with_chunk_pairs(mut self, pairs: usize) -> Self {
-        self.chunk_pairs = pairs;
         self
     }
 }
@@ -431,13 +416,8 @@ mod tests {
     fn simjoin_params_builders() {
         let p = SimjoinParams::default();
         assert!(p.bitmap_filter && p.early_exit);
-        assert_eq!(p.chunk_pairs, 0);
-        let q = p
-            .with_bitmap_filter(false)
-            .with_early_exit(false)
-            .with_chunk_pairs(512);
+        let q = p.with_bitmap_filter(false).with_early_exit(false);
         assert!(!q.bitmap_filter && !q.early_exit);
-        assert_eq!(q.chunk_pairs, 512);
     }
 
     #[test]

@@ -30,13 +30,15 @@
 //! Tiers 2 and 3 are individually switchable
 //! ([`crate::params::SimjoinParams`]); with both off the driver is the
 //! prefix-filter-only baseline (exact full count per candidate) that
-//! `repro simjoin` measures the cascade against. Candidate evaluation
-//! runs on the same cache-resident parallel schedule as
-//! [`crate::batch_count_pairs`], and the per-stage
+//! `repro simjoin` measures the cascade against.
+//!
+//! Tier 1 runs inside the parallel cascade rather than in front of it:
+//! one flat prefix index is built per join, workers claim ranges of
+//! probe sets, and each candidate a probe finds goes through tiers 2
+//! and 3 at once, so no candidate list is ever built. The per-stage
 //! `simjoin_*` counters satisfy
 //! `candidates = bitmap_rejected + early_exited + verified`.
 
-use crate::batch::{cache_resident_order, DisjointOut, MIN_PAIRS_PER_CHUNK};
 use crate::intersect::{
     auto_count_planned, default_table, intersect_count_bounded_planned, summary_overlap_bound,
 };
@@ -46,7 +48,6 @@ use crate::plan::IntersectPlanner;
 use crate::set::SegmentedSet;
 use fesia_exec::Executor;
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -56,7 +57,6 @@ use std::sync::OnceLock;
 
 /// Tri-state-free packing: bit 0 = bitmap filter, bit 1 = early exit.
 static SIMJOIN_FLAGS: AtomicUsize = AtomicUsize::new(0b11);
-static SIMJOIN_CHUNK: AtomicUsize = AtomicUsize::new(0);
 static SIMJOIN_INIT: OnceLock<()> = OnceLock::new();
 
 fn ensure_simjoin_init() {
@@ -69,7 +69,6 @@ fn ensure_simjoin_init() {
 fn store_simjoin(p: SimjoinParams) {
     let flags = usize::from(p.bitmap_filter) | usize::from(p.early_exit) << 1;
     SIMJOIN_FLAGS.store(flags, Ordering::Relaxed);
-    SIMJOIN_CHUNK.store(p.chunk_pairs, Ordering::Relaxed);
 }
 
 /// The process-wide [`SimjoinParams`] (after `FESIA_SIMJOIN_*`
@@ -80,7 +79,6 @@ pub fn simjoin_params() -> SimjoinParams {
     SimjoinParams {
         bitmap_filter: flags & 1 != 0,
         early_exit: flags & 2 != 0,
-        chunk_pairs: SIMJOIN_CHUNK.load(Ordering::Relaxed),
     }
 }
 
@@ -204,7 +202,7 @@ pub struct SimjoinResult {
 }
 
 // ---------------------------------------------------------------------------
-// Tier 1: length + prefix candidate generation
+// Tier 1: length + prefix filter over one flat index
 // ---------------------------------------------------------------------------
 
 fn assert_sorted_lists(lists: &[Vec<u32>]) {
@@ -216,72 +214,165 @@ fn assert_sorted_lists(lists: &[Vec<u32>]) {
     }
 }
 
-/// Candidate pairs of a self-join over `lists` (each strictly
-/// ascending): a superset of the qualifying pairs, each `(i, j)` with
-/// `i < j`, deduplicated, produced by the length + prefix filter alone.
+/// The probing prefix of `l`: its first `len − t_min + 1` tokens, or
+/// `None` when `l` cannot reach the threshold with any partner.
+fn prefix(threshold: Threshold, l: &[u32]) -> Option<&[u32]> {
+    let t_min = threshold.t_min(l.len());
+    (t_min <= l.len()).then(|| &l[..(l.len() - t_min + 1).min(l.len())])
+}
+
+/// Tier 1 of one join: the indexed side's sets in length-ascending
+/// order (a set's position in it is its *rank*) and one flat inverted
+/// index of their prefixes, in CSR form.
 ///
-/// Sets are processed in length-ascending order and probed against an
-/// inverted index of previously-processed prefixes, so every candidate's
-/// first element is the shorter (or equal, earlier) side. A trivial
-/// threshold short-circuits to all pairs — disjoint sets qualify, and
-/// token probing could never find them.
-pub fn candidate_pairs_self(lists: &[Vec<u32>], threshold: Threshold) -> Vec<(u32, u32)> {
-    threshold.validate();
-    assert_sorted_lists(lists);
-    let n = lists.len();
-    if threshold.is_trivial() {
-        let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        for i in 0..n as u32 {
-            for j in i + 1..n as u32 {
-                out.push((i, j));
+/// The index is built by packing every prefix entry as
+/// `(token << 32) | rank` into one `Vec<u64>` and sorting it once, so
+/// each token's postings come out as ascending ranks with no hash map
+/// and no per-token allocation.
+struct PrefixIndex<'a> {
+    threshold: Threshold,
+    lists: &'a [Vec<u32>],
+    /// Set id at each rank: lengths ascending, ties by id.
+    order: Vec<u32>,
+    /// Ranks `0..empties` are the empty lists.
+    empties: u32,
+    /// Distinct prefix tokens, ascending.
+    tokens: Vec<u32>,
+    /// Postings of `tokens[g]`: `ranks[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    /// Ranks, ascending within each token.
+    ranks: Vec<u32>,
+}
+
+impl<'a> PrefixIndex<'a> {
+    fn build(lists: &'a [Vec<u32>], threshold: Threshold) -> Self {
+        threshold.validate();
+        assert_sorted_lists(lists);
+        let mut order: Vec<u32> = (0..lists.len() as u32).collect();
+        order.sort_by_key(|&i| lists[i as usize].len());
+        let empties = order.partition_point(|&i| lists[i as usize].is_empty()) as u32;
+        let mut entries = Vec::new();
+        if !threshold.is_trivial() {
+            for (rank, &id) in order.iter().enumerate() {
+                if let Some(p) = prefix(threshold, &lists[id as usize]) {
+                    entries.extend(p.iter().map(|&tok| u64::from(tok) << 32 | rank as u64));
+                }
             }
         }
-        return out;
-    }
-    let mut ord: Vec<u32> = (0..n as u32).collect();
-    ord.sort_by_key(|&i| lists[i as usize].len());
-    let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
-    let mut stamp = vec![0u32; n];
-    let mut version = 0u32;
-    let mut out = Vec::new();
-    for &r in &ord {
-        let lr = lists[r as usize].len();
-        let t_min = threshold.t_min(lr);
-        if t_min > lr {
-            continue; // can never reach the threshold with any partner
+        entries.sort_unstable();
+        let (mut tokens, mut starts) = (Vec::new(), Vec::new());
+        let ranks = entries
+            .iter()
+            .enumerate()
+            .map(|(k, &e)| {
+                let tok = (e >> 32) as u32;
+                if tokens.last() != Some(&tok) {
+                    tokens.push(tok);
+                    starts.push(k as u32);
+                }
+                e as u32
+            })
+            .collect();
+        starts.push(entries.len() as u32);
+        PrefixIndex {
+            threshold,
+            lists,
+            order,
+            empties,
+            tokens,
+            starts,
+            ranks,
         }
-        let prefix = &lists[r as usize][..(lr - t_min + 1).min(lr)];
-        version += 1;
+    }
+
+    fn postings(&self, tok: u32) -> &[u32] {
+        match self.tokens.binary_search(&tok) {
+            Ok(g) => &self.ranks[self.starts[g] as usize..self.starts[g + 1] as usize],
+            Err(_) => &[],
+        }
+    }
+
+    /// Call `emit(rank)` once for every indexed set below rank `limit`
+    /// that the length + prefix filter pairs with probe list `l`.
+    /// `marks` (one slot per rank) deduplicates; `epoch` must differ
+    /// from every epoch previously used with the same `marks` and be
+    /// non-zero.
+    fn for_each_candidate(
+        &self,
+        l: &[u32],
+        limit: u32,
+        marks: &mut [u32],
+        epoch: u32,
+        mut emit: impl FnMut(u32),
+    ) {
+        let limit = limit.min(self.order.len() as u32);
+        if self.threshold.is_trivial() {
+            // Disjoint sets qualify, and token probing could never find
+            // them.
+            (0..limit).for_each(emit);
+            return;
+        }
+        let Some(prefix) = prefix(self.threshold, l) else {
+            return; // can never reach the threshold with any partner
+        };
+        if l.is_empty() {
+            // Only Jaccard gives an empty list a prefix, and it treats
+            // two empty sets as qualifying (see [`Threshold`]); they carry
+            // no tokens, so pair them directly.
+            (0..limit.min(self.empties)).for_each(emit);
+            return;
+        }
         for &tok in prefix {
-            let Some(ids) = index.get(&tok) else { continue };
-            for &s in ids {
-                if stamp[s as usize] == version {
+            for &s in self.postings(tok) {
+                if s >= limit {
+                    break;
+                }
+                if marks[s as usize] == epoch {
                     continue;
                 }
-                stamp[s as usize] = version;
-                let ls = lists[s as usize].len();
+                marks[s as usize] = epoch;
+                let ls = self.lists[self.order[s as usize] as usize].len();
                 // Length filter: the pair is feasible only if the
                 // shorter side could hold the required overlap.
-                if threshold.t_pair(ls, lr) <= ls.min(lr) {
-                    out.push((s.min(r), s.max(r)));
+                if self.threshold.t_pair(ls, l.len()) <= ls.min(l.len()) {
+                    emit(s);
                 }
             }
         }
-        for &tok in prefix {
-            index.entry(tok).or_default().push(r);
-        }
     }
-    // Jaccard treats two empty sets as qualifying (see [`Threshold`]);
-    // they carry no tokens, so emit those pairs directly.
-    if matches!(threshold, Threshold::Jaccard(_)) {
-        let empties: Vec<u32> = (0..n as u32)
-            .filter(|&i| lists[i as usize].is_empty())
-            .collect();
-        for (x, &i) in empties.iter().enumerate() {
-            for &j in &empties[x + 1..] {
-                out.push((i, j));
-            }
-        }
+
+    /// Self-join probe of the set at rank `k`: `emit(i, j)` (set ids,
+    /// `i < j`) for each candidate partner of lower rank, so every
+    /// unordered pair is produced once, by its higher-ranked side.
+    fn probe_self(&self, k: usize, marks: &mut [u32], mut emit: impl FnMut(u32, u32)) {
+        let r = self.order[k];
+        let l = &self.lists[r as usize];
+        self.for_each_candidate(l, k as u32, marks, k as u32 + 1, |s| {
+            let s = self.order[s as usize];
+            emit(s.min(r), s.max(r));
+        });
+    }
+
+    /// A×B probe of A's list `i`: `emit(i, j)` for each candidate `j`
+    /// of the indexed side.
+    fn probe_cross(&self, i: usize, l: &[u32], marks: &mut [u32], mut emit: impl FnMut(u32, u32)) {
+        self.for_each_candidate(l, u32::MAX, marks, i as u32 + 1, |s| {
+            emit(i as u32, self.order[s as usize]);
+        });
+    }
+}
+
+/// Candidate pairs of a self-join over `lists` (each strictly
+/// ascending): a superset of the qualifying pairs, each `(i, j)` with
+/// `i < j`, deduplicated and sorted, produced by the length + prefix
+/// filter alone — exactly the pairs [`self_join_with`] sends through
+/// tiers 2 and 3. A trivial threshold yields all pairs.
+pub fn candidate_pairs_self(lists: &[Vec<u32>], threshold: Threshold) -> Vec<(u32, u32)> {
+    let index = PrefixIndex::build(lists, threshold);
+    let mut marks = vec![0u32; lists.len()];
+    let mut out = Vec::new();
+    for k in 0..lists.len() {
+        index.probe_self(k, &mut marks, |i, j| out.push((i, j)));
     }
     out.sort_unstable();
     out
@@ -295,70 +386,19 @@ pub fn candidate_pairs(
     lists_b: &[Vec<u32>],
     threshold: Threshold,
 ) -> Vec<(u32, u32)> {
-    threshold.validate();
     assert_sorted_lists(lists_a);
-    assert_sorted_lists(lists_b);
-    if threshold.is_trivial() {
-        let mut out = Vec::with_capacity(lists_a.len() * lists_b.len());
-        for i in 0..lists_a.len() as u32 {
-            for j in 0..lists_b.len() as u32 {
-                out.push((i, j));
-            }
-        }
-        return out;
-    }
-    let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (j, l) in lists_b.iter().enumerate() {
-        let t_min = threshold.t_min(l.len());
-        if t_min > l.len() {
-            continue;
-        }
-        for &tok in &l[..(l.len() - t_min + 1).min(l.len())] {
-            index.entry(tok).or_default().push(j as u32);
-        }
-    }
-    let mut stamp = vec![0u32; lists_b.len()];
-    let mut version = 0u32;
+    let index = PrefixIndex::build(lists_b, threshold);
+    let mut marks = vec![0u32; lists_b.len()];
     let mut out = Vec::new();
     for (i, l) in lists_a.iter().enumerate() {
-        let la = l.len();
-        let t_min = threshold.t_min(la);
-        if t_min > la {
-            continue;
-        }
-        version += 1;
-        for &tok in &l[..(la - t_min + 1).min(la)] {
-            let Some(ids) = index.get(&tok) else { continue };
-            for &j in ids {
-                if stamp[j as usize] == version {
-                    continue;
-                }
-                stamp[j as usize] = version;
-                let lb = lists_b[j as usize].len();
-                if threshold.t_pair(la, lb) <= la.min(lb) {
-                    out.push((i as u32, j));
-                }
-            }
-        }
-    }
-    if matches!(threshold, Threshold::Jaccard(_)) {
-        for i in 0..lists_a.len() as u32 {
-            if !lists_a[i as usize].is_empty() {
-                continue;
-            }
-            for j in 0..lists_b.len() as u32 {
-                if lists_b[j as usize].is_empty() {
-                    out.push((i, j));
-                }
-            }
-        }
+        index.probe_cross(i, l, &mut marks, |i, j| out.push((i, j)));
     }
     out.sort_unstable();
     out
 }
 
 // ---------------------------------------------------------------------------
-// Tiers 2 + 3: parallel cascade evaluation
+// Tiers 2 + 3: the cascade, fed straight from the probes
 // ---------------------------------------------------------------------------
 
 const V_BITMAP_REJECTED: u8 = 0;
@@ -449,74 +489,65 @@ fn evaluate_pair(
     }
 }
 
-/// Evaluate `cands` over the cascade on the cache-resident parallel
-/// schedule; `sets_b` is `None` for a self-join (both indices into
-/// `sets_a`).
-#[allow(clippy::too_many_arguments)] // internal driver shared by both join shapes
-fn evaluate_candidates<S: Borrow<SegmentedSet> + Sync>(
-    sets_a: &[S],
-    sets_b: Option<&[S]>,
-    cands: Vec<(u32, u32)>,
-    threshold: Threshold,
-    table: &KernelTable,
-    planner: &IntersectPlanner,
-    sp: &SimjoinParams,
-    threads: usize,
-) -> SimjoinResult {
-    assert!(threads >= 1, "need at least one thread");
-    let side_b = sets_b.unwrap_or(sets_a);
-    // The cache-resident scheduler keys on set ids; give B sets distinct
-    // ids for the A×B shape so operand reuse is still visible to it.
-    let sched: Vec<(u32, u32)> = match sets_b {
-        None => cands.clone(),
-        Some(_) => cands
-            .iter()
-            .map(|&(i, j)| (i, sets_a.len() as u32 + j))
-            .collect(),
-    };
-    let order = cache_resident_order(sets_a.len() + side_b.len(), &sched);
-    let grain = if sp.chunk_pairs > 0 {
-        sp.chunk_pairs
-    } else {
-        MIN_PAIRS_PER_CHUNK
-    };
-    let mut verdicts = vec![0u8; cands.len()];
-    let out = DisjointOut(verdicts.as_mut_ptr());
-    let gate = Tier2Gate::new();
-    Executor::global().for_each_chunk(cands.len(), grain, threads, |range| {
-        let out = &out;
-        for &k in &order[range] {
-            let (i, j) = cands[k as usize];
-            let v = evaluate_pair(
-                sets_a[i as usize].borrow(),
-                side_b[j as usize].borrow(),
-                threshold,
-                table,
-                planner,
-                sp,
-                &gate,
-            );
-            // SAFETY: chunk ranges partition 0..order.len() and `order`
-            // is a permutation of candidate indices, so each slot is
-            // written by exactly one worker.
-            unsafe { out.0.add(k as usize).write(v) };
-        }
-    });
-    let mut stats = SimjoinStats {
-        candidates: cands.len() as u64,
-        ..SimjoinStats::default()
-    };
-    let mut pairs = Vec::new();
-    for (k, &v) in verdicts.iter().enumerate() {
-        match v {
-            V_BITMAP_REJECTED => stats.bitmap_rejected += 1,
-            V_EARLY_EXITED => stats.early_exited += 1,
+/// One chunk's share of a join: its cascade tallies and the pairs it
+/// verified.
+#[derive(Default)]
+struct Partial {
+    stats: SimjoinStats,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl Partial {
+    fn record(&mut self, pair: (u32, u32), verdict: u8) {
+        self.stats.candidates += 1;
+        match verdict {
+            V_BITMAP_REJECTED => self.stats.bitmap_rejected += 1,
+            V_EARLY_EXITED => self.stats.early_exited += 1,
             _ => {
-                stats.verified += 1;
-                pairs.push(cands[k]);
+                self.stats.verified += 1;
+                self.pairs.push(pair);
             }
         }
     }
+
+    fn merge(mut self, other: Partial) -> Partial {
+        let (s, o) = (&mut self.stats, other.stats);
+        s.candidates += o.candidates;
+        s.bitmap_rejected += o.bitmap_rejected;
+        s.early_exited += o.early_exited;
+        s.verified += o.verified;
+        self.pairs.extend(other.pairs);
+        self
+    }
+}
+
+/// Run `probe(p, marks, partial)` for every probe `p` in `0..probes`
+/// on up to `threads` workers, each chunk with its own dedup `marks`
+/// (one slot per indexed set). Candidates go through the cascade the
+/// moment a probe finds them, while the probe's own set is still hot,
+/// so no candidate list is ever materialized; only the verified pairs
+/// are gathered and sorted. Probes are claimed from `probes - 1` down:
+/// a self-join probe's cost grows with its rank, so the heavy ranges
+/// start first and the light ones fill the tail.
+fn stream_join(
+    probes: usize,
+    indexed: usize,
+    threads: usize,
+    probe: impl Fn(usize, &mut [u32], &mut Partial) + Sync,
+) -> SimjoinResult {
+    assert!(threads >= 1, "need at least one thread");
+    let map = |range: std::ops::Range<usize>| {
+        let mut marks = vec![0u32; indexed];
+        let mut part = Partial::default();
+        for p in range {
+            probe(probes - 1 - p, &mut marks, &mut part);
+        }
+        part
+    };
+    let Partial { stats, mut pairs } = Executor::global()
+        .map_reduce(probes, 1, threads, map, Partial::merge)
+        .unwrap_or_default();
+    pairs.sort_unstable();
     let m = fesia_obs::metrics();
     m.simjoin_candidates.add(stats.candidates);
     m.simjoin_bitmap_rejected.add(stats.bitmap_rejected);
@@ -544,8 +575,17 @@ pub fn self_join_with<S: Borrow<SegmentedSet> + Sync>(
     threads: usize,
 ) -> SimjoinResult {
     assert_eq!(sets.len(), lists.len(), "sets/lists length mismatch");
-    let cands = candidate_pairs_self(lists, threshold);
-    evaluate_candidates(sets, None, cands, threshold, table, planner, sp, threads)
+    let index = PrefixIndex::build(lists, threshold);
+    let gate = Tier2Gate::new();
+    stream_join(lists.len(), lists.len(), threads, |k, marks, part| {
+        index.probe_self(k, marks, |i, j| {
+            let (a, b) = (sets[i as usize].borrow(), sets[j as usize].borrow());
+            part.record(
+                (i, j),
+                evaluate_pair(a, b, threshold, table, planner, sp, &gate),
+            );
+        });
+    })
 }
 
 /// Self-join with process defaults: sets built with
@@ -586,17 +626,18 @@ pub fn join_with<S: Borrow<SegmentedSet> + Sync>(
 ) -> SimjoinResult {
     assert_eq!(sets_a.len(), lists_a.len(), "sets/lists length mismatch");
     assert_eq!(sets_b.len(), lists_b.len(), "sets/lists length mismatch");
-    let cands = candidate_pairs(lists_a, lists_b, threshold);
-    evaluate_candidates(
-        sets_a,
-        Some(sets_b),
-        cands,
-        threshold,
-        table,
-        planner,
-        sp,
-        threads,
-    )
+    assert_sorted_lists(lists_a);
+    let index = PrefixIndex::build(lists_b, threshold);
+    let gate = Tier2Gate::new();
+    stream_join(lists_a.len(), lists_b.len(), threads, |i, marks, part| {
+        index.probe_cross(i, &lists_a[i], marks, |i, j| {
+            let (a, b) = (sets_a[i as usize].borrow(), sets_b[j as usize].borrow());
+            part.record(
+                (i, j),
+                evaluate_pair(a, b, threshold, table, planner, sp, &gate),
+            );
+        });
+    })
 }
 
 /// A×B join with process defaults (see [`self_join`]).
@@ -794,6 +835,108 @@ mod tests {
         }
     }
 
+    fn oracle_cross(a: &[Vec<u32>], b: &[Vec<u32>], th: Threshold) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for (i, sa) in a.iter().enumerate() {
+            for (j, sb) in b.iter().enumerate() {
+                if th.qualifies(overlap(sa, sb), sa.len(), sb.len()) {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_join(r: &SimjoinResult, want: &[(u32, u32)], candidates: usize, what: &str) {
+        assert_eq!(r.pairs, want, "{what}");
+        let s = &r.stats;
+        assert_eq!(s.candidates, candidates as u64, "{what}: candidate count");
+        assert_eq!(
+            s.candidates,
+            s.bitmap_rejected + s.early_exited + s.verified,
+            "{what}: counters must account for every candidate"
+        );
+        assert_eq!(s.verified as usize, r.pairs.len(), "{what}");
+    }
+
+    const EDGE_THRESHOLDS: [Threshold; 8] = [
+        Threshold::Overlap(0),
+        Threshold::Overlap(1),
+        Threshold::Overlap(3),
+        Threshold::Jaccard(0.0),
+        Threshold::Jaccard(0.3),
+        Threshold::Jaccard(0.5),
+        Threshold::Jaccard(0.75),
+        Threshold::Jaccard(1.0),
+    ];
+
+    /// Corpora that stress the fused driver's edges: several empty sets
+    /// (Jaccard pairs them with no shared token), sets too short for
+    /// the overlap threshold (skipped by the prefix filter), identical
+    /// duplicates, all-equal lengths (every rank a tie), and no sets at
+    /// all (an empty A or B side).
+    fn edge_corpora() -> Vec<Vec<Vec<u32>>> {
+        let dup = vec![1, 4, 9, 16];
+        vec![
+            vec![
+                vec![],
+                vec![1, 2, 3],
+                vec![],
+                vec![2, 3],
+                vec![],
+                vec![1, 2, 3],
+            ],
+            vec![
+                vec![1],
+                vec![1, 2],
+                vec![5, 7],
+                vec![1, 2, 3],
+                vec![1, 2, 3, 4, 5],
+            ],
+            vec![
+                dup.clone(),
+                vec![1, 4, 9, 25],
+                dup.clone(),
+                dup,
+                vec![2, 4, 9, 16],
+            ],
+            vec![vec![7]],
+            clustered(2, 3, 12, 40),
+            vec![],
+        ]
+    }
+
+    #[test]
+    fn fused_self_join_edges_match_oracle() {
+        for (c, lists) in edge_corpora().iter().enumerate() {
+            for th in EDGE_THRESHOLDS {
+                let cands = candidate_pairs_self(lists, th).len();
+                for threads in 1..=3 {
+                    let r = self_join(lists, th, threads);
+                    let what = format!("corpus {c} {th:?} threads={threads}");
+                    assert_join(&r, &oracle_self(lists, th), cands, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_cross_join_edges_match_oracle() {
+        let corpora = edge_corpora();
+        for (x, a) in corpora.iter().enumerate() {
+            for (y, b) in corpora.iter().enumerate() {
+                for th in EDGE_THRESHOLDS {
+                    let cands = candidate_pairs(a, b, th).len();
+                    for threads in 1..=3 {
+                        let r = join(a, b, th, threads);
+                        let what = format!("corpora {x}x{y} {th:?} threads={threads}");
+                        assert_join(&r, &oracle_cross(a, b, th), cands, &what);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_and_tiny_inputs() {
         assert!(self_join(&[], Threshold::Overlap(1), 1).pairs.is_empty());
@@ -815,9 +958,7 @@ mod tests {
     #[test]
     fn simjoin_knob_round_trips() {
         let saved = simjoin_params();
-        let q = SimjoinParams::default()
-            .with_bitmap_filter(false)
-            .with_chunk_pairs(99);
+        let q = SimjoinParams::default().with_bitmap_filter(false);
         set_simjoin_params(q);
         assert_eq!(simjoin_params(), q);
         set_simjoin_params(saved);

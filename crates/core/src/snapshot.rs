@@ -46,7 +46,7 @@ use crate::set::SegmentedSet;
 use crate::simjoin::{self, SimjoinResult, Threshold};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Epoch domain
@@ -307,12 +307,15 @@ impl SetStore {
     /// publish keep the old state; later pins see the new one.
     ///
     /// Returns the published version. Writers serialize on an internal
-    /// lock; readers never take it.
+    /// lock; readers never take it. If `f` panics nothing is published,
+    /// and later updates proceed.
     pub fn update<F>(&self, f: F) -> u64
     where
         F: FnOnce(&StoreState, &mut Vec<(u32, Option<DynamicSet>)>),
     {
-        let _w = self.write.lock().unwrap();
+        // `f` runs before anything is swapped, so a panic inside it leaves
+        // the state as it was: the lock guards `()` and recovers.
+        let _w = self.write.lock().unwrap_or_else(PoisonError::into_inner);
         // SAFETY: holding the write lock, `state` cannot be swapped or
         // retired by anyone else.
         let cur = unsafe { &*self.state.load(Ordering::SeqCst) };
@@ -531,16 +534,16 @@ impl<'a> Snapshot<'a> {
         for (id, slot) in self.state.sets.iter().enumerate() {
             let Some(v) = slot else { continue };
             ids.push(id as u32);
+            let elems = v.set.to_sorted_vec();
             if v.set.delta_len() == 0 {
                 sets.push(ResolvedSet::Borrowed(v.set.base()));
             } else {
-                let elems = v.set.to_sorted_vec();
                 let params = v.set.params();
                 sets.push(ResolvedSet::Owned(Box::new(
                     SegmentedSet::build(&elems, &params).expect("live elements are valid"),
                 )));
             }
-            lists.push(v.set.to_sorted_vec());
+            lists.push(elems);
         }
         let planner = IntersectPlanner::current();
         let mut res =

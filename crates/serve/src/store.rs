@@ -19,7 +19,7 @@
 //! folding, the fold is discarded and retried on the fresh set.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fesia_core::{
     DynamicSet, FesiaParams, IntersectPlanner, KernelTable, LiveQuery, SetStore, Snapshot,
@@ -85,13 +85,29 @@ const REBUILD_ATTEMPTS: usize = 4;
 
 struct Shard {
     store: SetStore,
-    /// Pending mutations (global ids); drained wholesale under `applying`.
+    /// Pending mutations (global ids). The holder of `applying` removes
+    /// ops only once a published version covers them.
     log: Mutex<Vec<WriteOp>>,
     /// Group-commit token: the holder drains the log and publishes one
     /// version covering every drained op.
     applying: Mutex<()>,
     /// Executor lane this shard's rebuild tasks pin to.
     lane: usize,
+}
+
+// Neither lock guards state a panic can leave half-written: `log` is
+// only appended to or truncated after a publish, and `applying` guards
+// the rule that an empty log means every queued op is published, which
+// holds because ops stay queued until then. A panicking holder must not
+// wedge the shard, so both recover from poisoning.
+impl Shard {
+    fn applying(&self) -> MutexGuard<'_, ()> {
+        self.applying.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn log(&self) -> MutexGuard<'_, Vec<WriteOp>> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A catalog of sets sharded across epoch/snapshot stores, supporting
@@ -156,7 +172,7 @@ impl ServeStore {
         let set = DynamicSet::build(&sorted, &self.params).expect("seed elements in range");
         let shard = &self.shards[self.shard_of(id)];
         let lid = self.local_of(id);
-        let _a = shard.applying.lock().expect("shard applying lock");
+        let _a = shard.applying();
         shard.store.update(|_, txn| txn.push((lid, Some(set))));
     }
 
@@ -178,11 +194,7 @@ impl ServeStore {
         let mut touched = vec![false; self.shards.len()];
         for op in ops {
             let idx = self.shard_of(op.set());
-            self.shards[idx]
-                .log
-                .lock()
-                .expect("shard log lock")
-                .push(*op);
+            self.shards[idx].log().push(*op);
             touched[idx] = true;
         }
         for (idx, hit) in touched.into_iter().enumerate() {
@@ -206,16 +218,22 @@ impl ServeStore {
         let params = self.params;
         let mut touched_lids: Vec<u32> = Vec::new();
         {
-            let _a = shard.applying.lock().expect("shard applying lock");
-            let drained = std::mem::take(&mut *shard.log.lock().expect("shard log lock"));
-            if drained.is_empty() {
-                // A concurrent group commit drained our ops; holding
-                // `applying` proves its publish already completed.
+            let _a = shard.applying();
+            // Copy, not take: if the commit panics before publishing, the
+            // ops stay queued for the next writer. Replaying a prefix that
+            // did publish is harmless, as each element ends at its last op.
+            let pending = shard.log().clone();
+            if pending.is_empty() {
+                // A concurrent group commit published our ops.
                 return;
             }
             shard.store.update(|cur, txn| {
+                #[cfg(test)]
+                if tests::PANIC_IN_COMMIT.with(|p| p.replace(false)) {
+                    panic!("injected group-commit panic");
+                }
                 let mut work: Vec<(u32, DynamicSet)> = Vec::new();
-                for op in &drained {
+                for op in &pending {
                     let lid = op.set() / nshards;
                     let at = match work.iter().position(|(l, _)| *l == lid) {
                         Some(at) => at,
@@ -239,6 +257,9 @@ impl ServeStore {
                     txn.push((lid, Some(set)));
                 }
             });
+            // Only the `applying` holder removes ops, and writers append,
+            // so the published ops are still the log's first entries.
+            shard.log().drain(..pending.len());
         }
         // `applying` is released before scheduling: on a zero-worker
         // executor the task runs inline and takes the lock itself.
@@ -276,7 +297,7 @@ impl ServeStore {
                         return;
                     }
                 };
-                let _a = shard.applying.lock().expect("shard applying lock");
+                let _a = shard.applying();
                 let unchanged = {
                     let snap = shard.store.pin();
                     snap.get(lid).map(|r| r.version()) == Some(seen)
@@ -413,7 +434,14 @@ impl ServeView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Makes this thread's next group commit panic inside its update,
+        /// after it has read the pending ops and before it publishes.
+        pub(super) static PANIC_IN_COMMIT: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn store(shards: usize) -> ServeStore {
         ServeStore::new(ServeConfig::from_env().with_shards(shards))
@@ -510,6 +538,77 @@ mod tests {
                 "shards={shards}"
             );
         }
+    }
+
+    #[test]
+    fn a_panicking_lock_holder_does_not_wedge_the_shard() {
+        let s = store(2);
+        let table = KernelTable::auto();
+        let mut oracle: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); 4];
+        let mut write = |s: &ServeStore, set: u32, elem: u32| {
+            s.apply(WriteOp::Add { set, elem });
+            oracle[set as usize].insert(elem);
+        };
+        for x in 0..20 {
+            write(&s, x % 4, x);
+        }
+        for shard in &s.shards {
+            std::thread::scope(|sc| {
+                let applying = sc.spawn(|| {
+                    let _g = shard.applying.lock().unwrap();
+                    panic!("poison the applying lock");
+                });
+                assert!(applying.join().is_err());
+                let log = sc.spawn(|| {
+                    let _g = shard.log.lock().unwrap();
+                    panic!("poison the log lock");
+                });
+                assert!(log.join().is_err());
+            });
+            assert!(shard.applying.is_poisoned() && shard.log.is_poisoned());
+        }
+        for x in 20..60 {
+            write(&s, x % 4, x);
+        }
+        s.apply(WriteOp::Del { set: 1, elem: 5 });
+        oracle[1].remove(&5);
+        s.seed(3, &[7, 3]);
+        oracle[3] = [3, 7].into();
+        s.quiesce();
+        let v = s.view();
+        for id in 0..4u32 {
+            let want: Vec<u32> = oracle[id as usize].iter().copied().collect();
+            assert_eq!(v.card(id), want.len(), "id={id}");
+            assert_eq!(v.kway_intersect(&[id, id], &table), want, "id={id}");
+        }
+    }
+
+    #[test]
+    fn ops_of_a_panicked_group_commit_are_not_lost() {
+        let s = store(1);
+        let table = KernelTable::auto();
+        s.apply(WriteOp::Add { set: 0, elem: 1 });
+        // Writer A has queued its op and not yet reached its drain.
+        s.shards[0].log().push(WriteOp::Add { set: 0, elem: 2 });
+        // Writer B's group commit picks up A's op with its own, then
+        // panics before publishing either.
+        std::thread::scope(|sc| {
+            let b = sc.spawn(|| {
+                PANIC_IN_COMMIT.with(|p| p.set(true));
+                s.apply(WriteOp::Add { set: 0, elem: 3 });
+            });
+            assert!(b.join().is_err());
+        });
+        assert!(s.shards[0].applying.is_poisoned());
+        assert_eq!(s.view().kway_intersect(&[0, 0], &table), vec![1]);
+        // A's drain finds its op still queued and publishes it, rather
+        // than reading an empty log as proof of publication.
+        s.drain_shard(0);
+        s.quiesce();
+        assert!(s.shards[0].log().is_empty());
+        assert_eq!(s.view().kway_intersect(&[0, 0], &table), vec![1, 2, 3]);
+        s.apply(WriteOp::Del { set: 0, elem: 1 });
+        assert_eq!(s.view().kway_intersect(&[0, 0], &table), vec![2, 3]);
     }
 
     #[test]

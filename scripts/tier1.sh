@@ -4,8 +4,8 @@
 #   scripts/tier1.sh            # build + full test suite
 #   scripts/tier1.sh --smoke    # additionally run the smoke-scale
 #                               # experiments and 2 s perfbench
-#                               # triangles and serve-mixed runs as
-#                               # end-to-end probes
+#                               # triangles, serve-mixed and simjoin
+#                               # runs as end-to-end probes
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -100,9 +100,10 @@ if [[ "${1:-}" == "--smoke" ]]; then
     rm -f "$profile" "${profile%.json}.txt" "${profile%.json}.fsia"
     echo "profile smoke OK (a version-1 profile loads)"
 
-    # The computed path (triangles) and the served read path (serve-mixed):
-    # each must answer every operation correctly.
-    for workload in triangles serve-mixed; do
+    # The computed path (triangles), the served read path (serve-mixed)
+    # and the similarity join (simjoin): each must answer every operation
+    # correctly.
+    for workload in triangles serve-mixed simjoin; do
         echo "== tier1: perfbench $workload (2 s, seed 1) =="
         result=$(mktemp -t fesia-perfbench-XXXXXX.json)
         cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
