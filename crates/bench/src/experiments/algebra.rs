@@ -9,17 +9,92 @@
 //!   step-1 scan and per-segment kernels, differing only in the visitor.
 //!   The gate is a bounded `intersect_overhead_ratio`
 //!   (materialize / count cycles).
-//! * **Union / xor throughput** — the high-output operations against the
-//!   sorted two-pointer merges in `fesia_baselines::merge`, reported as
-//!   elements-per-cycle throughput on both sides.
+//! * **Union / xor / difference throughput** — against the sorted
+//!   two-pointer merges in `fesia_baselines::merge`, on one pair per
+//!   execution route (DESIGN.md §5g): the main pair, where both sides
+//!   carry a container tier; a 3000 × 3000 pair below the tier floor,
+//!   which takes the probe; and a main-size × 3000 tiered × untiered
+//!   pair. `union_vs_merge` and `xor_vs_merge` (merge cycles / FESIA
+//!   cycles on the main pair) are gated.
 //!
 //! Writes `BENCH_algebra.json` (consumed by `scripts/tier1.sh --smoke`)
 //! and returns a markdown report.
 
 use crate::harness::{f2, measure_cycles, Scale, Table};
 use fesia_baselines::merge;
-use fesia_core::{FesiaParams, SegmentedSet};
+use fesia_core::{FesiaParams, SegmentedSet, SetOp};
 use fesia_datagen::{pair_with_intersection, SplitMix64};
+
+/// Elements per side of the pairs below the container-tier floor.
+const UNTIERED: usize = 3000;
+
+/// Alternating FESIA / merge rounds per op; each side keeps its minimum,
+/// so slow drift cannot masquerade as a ratio change.
+const ROUNDS: usize = 4;
+
+/// One op on one pair: FESIA and merge cycles.
+struct OpCycles {
+    op: SetOp,
+    fesia: u64,
+    merge: u64,
+}
+
+/// Union, xor and difference on one pair against the merge baselines.
+/// Returns the per-op cycles and whether every output matched its merge.
+fn ops_vs_merge(av: &[u32], bv: &[u32], reps: usize) -> (Vec<OpCycles>, bool) {
+    let params = FesiaParams::auto();
+    let a = SegmentedSet::build(av, &params).unwrap();
+    let b = SegmentedSet::build(bv, &params).unwrap();
+    let mut all_match = true;
+    let rows = [SetOp::Union, SetOp::Xor, SetOp::Difference]
+        .into_iter()
+        .map(|op| {
+            let oracle = match op {
+                SetOp::Union => merge::union,
+                SetOp::Xor => merge::xor,
+                _ => merge::difference,
+            };
+            let (mut fesia, mut merge) = (u64::MAX, u64::MAX);
+            for _ in 0..ROUNDS {
+                let (c, got) = measure_cycles(reps, || fesia_core::set_op(&a, &b, op));
+                fesia = fesia.min(c);
+                let (c, want) = measure_cycles(reps, || oracle(av, bv));
+                merge = merge.min(c);
+                all_match &= got == want;
+            }
+            OpCycles { op, fesia, merge }
+        })
+        .collect();
+    (rows, all_match)
+}
+
+fn ratio(merge: u64, fesia: u64) -> f64 {
+    merge as f64 / fesia.max(1) as f64
+}
+
+/// The JSON fields of one pair's ops: `<op>_cycles` and
+/// `merge_<op>_cycles`.
+fn cycle_fields(rows: &[OpCycles]) -> String {
+    rows.iter()
+        .map(|r| {
+            let name = op_label(r.op);
+            format!(
+                "\"{name}_cycles\": {}, \"merge_{name}_cycles\": {}",
+                r.fesia, r.merge
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+fn op_label(op: SetOp) -> &'static str {
+    match op {
+        SetOp::Union => "union",
+        SetOp::Xor => "xor",
+        SetOp::Difference => "difference",
+        SetOp::Intersect => "intersect",
+    }
+}
 
 pub fn run(scale: Scale) -> String {
     let mut rng = SplitMix64::new(0xA16B);
@@ -57,37 +132,43 @@ pub fn run(scale: Scale) -> String {
     }
     let overhead_ratio = mat_c as f64 / count_c.max(1) as f64;
 
-    // High-output operations against the sorted-merge baselines. The
-    // FESIA side pays a final sort (outputs are emitted in hash order),
-    // so the interesting number is end-to-end throughput, not the scan.
-    let (union_c, union_out) = measure_cycles(reps, || fesia_core::union(&a, &b));
-    let (xor_c, xor_out) = measure_cycles(reps, || fesia_core::xor(&a, &b));
-    let (diff_c, diff_out) = measure_cycles(reps, || fesia_core::difference(&a, &b));
-    let (m_union_c, m_union) = measure_cycles(reps, || merge::union(&av, &bv));
-    let (m_xor_c, m_xor) = measure_cycles(reps, || merge::xor(&av, &bv));
-    let (m_diff_c, m_diff) = measure_cycles(reps, || merge::difference(&av, &bv));
+    // The three other ops on one pair per execution route.
+    let (main, main_match) = ops_vs_merge(&av, &bv, reps);
+    let (ua, ub) = pair_with_intersection(UNTIERED, UNTIERED, UNTIERED / 100, &mut rng);
+    let (untiered, untiered_match) = ops_vs_merge(&ua, &ub, reps);
+    let (ta, tb) = pair_with_intersection(n, UNTIERED, UNTIERED / 100, &mut rng);
+    let (mixed, mixed_match) = ops_vs_merge(&ta, &tb, reps);
 
     let results_match = count_val == r
         && mat_out.len() == count_val
         && mat_out == merge::intersect(&av, &bv)
-        && union_out == m_union
-        && xor_out == m_xor
-        && diff_out == m_diff;
+        && main_match
+        && untiered_match
+        && mixed_match;
+    let union_vs_merge = ratio(main[0].merge, main[0].fesia);
+    let xor_vs_merge = ratio(main[1].merge, main[1].fesia);
 
-    // Throughput = input elements consumed per cycle (both operands).
-    let thr = |c: u64| (n + n) as f64 / c.max(1) as f64;
-    let mut t_md = Table::new(vec!["op", "FESIA (Mcycles)", "merge (Mcycles)", "ratio"]);
-    for (label, f, m) in [
-        ("union", union_c, m_union_c),
-        ("xor", xor_c, m_xor_c),
-        ("difference", diff_c, m_diff_c),
+    let mut t_md = Table::new(vec![
+        "pair",
+        "op",
+        "FESIA (Mcycles)",
+        "merge (Mcycles)",
+        "merge / FESIA",
+    ]);
+    for (pair, rows) in [
+        (format!("{n} x {n} (tiered)"), &main),
+        (format!("{UNTIERED} x {UNTIERED} (untiered)"), &untiered),
+        (format!("{n} x {UNTIERED} (tiered x untiered)"), &mixed),
     ] {
-        t_md.row(vec![
-            label.to_string(),
-            f2(f as f64 / 1e6),
-            f2(m as f64 / 1e6),
-            f2(m as f64 / f.max(1) as f64),
-        ]);
+        for row in rows {
+            t_md.row(vec![
+                pair.clone(),
+                op_label(row.op).to_string(),
+                f2(row.fesia as f64 / 1e6),
+                f2(row.merge as f64 / 1e6),
+                f2(ratio(row.merge, row.fesia)),
+            ]);
+        }
     }
 
     let json = format!(
@@ -95,16 +176,13 @@ pub fn run(scale: Scale) -> String {
          \"elements\": {n}, \"intersection\": {r},\n  \
          \"count_cycles\": {count_c}, \"materialize_cycles\": {mat_c},\n  \
          \"intersect_overhead_ratio\": {overhead_ratio:.3},\n  \
-         \"union_cycles\": {union_c}, \"merge_union_cycles\": {m_union_c},\n  \
-         \"xor_cycles\": {xor_c}, \"merge_xor_cycles\": {m_xor_c},\n  \
-         \"difference_cycles\": {diff_c}, \"merge_difference_cycles\": {m_diff_c},\n  \
-         \"union_len\": {}, \"xor_len\": {}, \"difference_len\": {},\n  \
-         \"union_throughput_eprc\": {:.4}, \"merge_union_throughput_eprc\": {:.4}\n}}\n",
-        union_out.len(),
-        xor_out.len(),
-        diff_out.len(),
-        thr(union_c),
-        thr(m_union_c),
+         {},\n  \
+         \"union_vs_merge\": {union_vs_merge:.3}, \"xor_vs_merge\": {xor_vs_merge:.3},\n  \
+         \"untiered_pair\": {{\"elements\": {UNTIERED}, {}}},\n  \
+         \"tiered_untiered_pair\": {{\"elements\": [{n}, {UNTIERED}], {}}}\n}}\n",
+        cycle_fields(&main),
+        cycle_fields(&untiered),
+        cycle_fields(&mixed),
     );
     let json_path = "BENCH_algebra.json";
     if let Err(e) = std::fs::write(json_path, &json) {

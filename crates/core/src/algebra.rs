@@ -1,60 +1,55 @@
-//! Planner-driven materializing set algebra: `intersect`, `union`,
-//! `difference`, and `xor` over [`SegmentedSet`]s.
+//! Materializing set algebra: `intersect`, `union`, `difference`, and
+//! `xor` over [`SegmentedSet`]s.
 //!
-//! Every operation asks [`IntersectPlanner::plan_materialize`] for an
-//! explicit plan — the same cost model the count path uses — and
-//! executes it through the visitor kernels of [`crate::kernels::visit`],
-//! so counting, materializing, and callback consumers share one body per
-//! operation.
+//! ## Intersection
 //!
-//! ## Soundness of the step-1 scans
+//! Intersection is planned exactly like the count path: the planner's
+//! [`IntersectPlanner::plan_pair`] picks the plain two-step scan, the
+//! hash probe, or the container walk, and the chosen plan runs through
+//! the visitor kernels of [`crate::kernels::visit`]. The hashed segment
+//! bitmap is FESIA's intersection filter (paper §III–IV): a segment pair
+//! can hold a common element only where both bitmaps have bits.
 //!
-//! Intersection lanes must be non-zero on *both* sides, so it scans with
-//! [`MaskOp::And`] exactly like the count path. The other three ops scan
-//! with [`MaskOp::Or`]: an element of the output can live in any segment
-//! that is non-empty on either side, and a bitmap-level ANDNOT or XOR
-//! would be unsound — two distinct elements (one per side) can hash to
-//! the same bit position, zeroing the lane difference while the
-//! element-level difference is non-empty. Visiting the Or-superset is
-//! harmless: a segment pair with nothing to emit emits nothing.
+//! ## Union, difference and xor
 //!
-//! ## Folded bitmaps
+//! These have one execution each, chosen from what the input shows —
+//! whether each side carries a container tier — with no plan and no knob
+//! taking part (DESIGN.md §5g):
 //!
-//! When the bitmaps differ in size, segment `i` of the larger side folds
-//! onto segment `i & (n_small - 1)` of the smaller, and the hash
-//! position of an element is identical modulo the fold
-//! (`position(x, k') = position(x, k) & mask`). That makes the
-//! large-driven per-segment sweep *exact* for intersection and for the
-//! large-side difference; small-side residuals (union, xor, and the
-//! small-side difference) are resolved with per-element
-//! [`SegmentedSet::contains`] probes, because one small segment folds
-//! under many large segments and cannot be swept pairwise.
+//! * **difference, A tiered** — [`crate::container::difference_visit_ordered`]
+//!   answers each of A's ranges in the value domain, ascending;
+//! * **union or xor, both sides tiered** — [`crate::container::op_visit`]
+//!   walks both directories, ascending;
+//! * **everything else** (a side under
+//!   [`crate::container::CONTAINER_MIN_BUILD`] elements, or a legacy set
+//!   without a tier) — the element-wise probe against the other side's
+//!   membership test, then one sort.
+//!
+//! Both tier walks are exact in the value domain, and the probe is exact
+//! for any pair of bitmap sizes, so no collision rule is needed anywhere.
 
-use crate::kernels::visit::{
-    difference_visit, intersect_visit, segment_op_visit, CountVisitor, EmitVisitor, SegmentVisitor,
-    SetOp,
-};
+use crate::container::{difference_visit_ordered, op_visit};
+use crate::intersect::{check_compatible, default_table, order_sides, scan_survivors};
+use crate::kernels::visit::{intersect_visit, EmitVisitor, SegmentVisitor, SetOp};
 use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary};
 use crate::set::SegmentedSet;
-use fesia_simd::mask::{for_each_nonzero_lane_folded_op, for_each_nonzero_lane_op, MaskOp};
 
 /// Materialize `A ∩ B`, sorted ascending (planner-driven).
 pub fn intersect(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
     set_op(a, b, SetOp::Intersect)
 }
 
-/// Materialize `A ∪ B`, sorted ascending (planner-driven).
+/// Materialize `A ∪ B`, sorted ascending.
 pub fn union(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
     set_op(a, b, SetOp::Union)
 }
 
-/// Materialize `A \ B`, sorted ascending (planner-driven).
+/// Materialize `A \ B`, sorted ascending.
 pub fn difference(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
     set_op(a, b, SetOp::Difference)
 }
 
-/// Materialize `A △ B` (symmetric difference), sorted ascending
-/// (planner-driven).
+/// Materialize `A △ B` (symmetric difference), sorted ascending.
 pub fn xor(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
     set_op(a, b, SetOp::Xor)
 }
@@ -65,73 +60,76 @@ pub fn set_op(a: &SegmentedSet, b: &SegmentedSet, op: SetOp) -> Vec<u32> {
     set_op_planned(a, b, op, &planner)
 }
 
-/// `|op(A, B)|` without materializing: the same planned execution driving
-/// a [`CountVisitor`] instead of a `Vec`.
+/// `|op(A, B)|` without materializing: the planned intersection count
+/// ([`crate::auto_count_planned`]) and inclusion–exclusion,
+/// `|A∪B| = |A|+|B|−|A∩B|`, `|A\B| = |A|−|A∩B|`,
+/// `|A△B| = |A|+|B|−2|A∩B|`.
 pub fn set_op_count(a: &SegmentedSet, b: &SegmentedSet, op: SetOp) -> usize {
+    check_compatible(a, b);
     let planner = IntersectPlanner::current();
-    let plan = plan_and_record(a, b, op, &planner);
-    let mut v = CountVisitor::default();
-    execute_plan_op(a, b, op, plan, &mut v);
-    fesia_obs::metrics().algebra_emitted.add(v.0 as u64);
-    v.0
+    let and = crate::intersect::auto_count_planned(a, b, default_table(), &planner);
+    record_op(op);
+    let n = match op {
+        SetOp::Intersect => and,
+        SetOp::Union => a.len() + b.len() - and,
+        SetOp::Difference => a.len() - and,
+        SetOp::Xor => a.len() + b.len() - 2 * and,
+    };
+    fesia_obs::metrics().algebra_emitted.add(n as u64);
+    n
 }
 
 /// [`set_op`] against an explicit planner snapshot (batch and index runs
-/// take one snapshot per run). Mirrors [`crate::auto_count_planned`]'s
-/// counter discipline: one `strategy_*` increment per call, `plan_forced`
-/// when the mode is an override, and the per-form `plan_*` counter inside
-/// the executor.
+/// take one snapshot per run). The planner only governs intersection;
+/// the other ops take their one execution whatever its mode. Every call
+/// records one `strategy_*` and one `plan_*` increment (hash for the
+/// probe, merge and `plan_container` for a tier walk), and
+/// `plan_forced` when a forced mode plans an intersection.
 pub fn set_op_planned(
     a: &SegmentedSet,
     b: &SegmentedSet,
     op: SetOp,
     planner: &IntersectPlanner,
 ) -> Vec<u32> {
-    let plan = plan_and_record(a, b, op, planner);
+    check_compatible(a, b);
     let mut out = Vec::new();
-    execute_plan_op(a, b, op, plan, &mut EmitVisitor(&mut out));
+    let ascending = match op {
+        SetOp::Intersect => {
+            let plan = plan_intersect(a, b, planner);
+            execute_intersect(a, b, plan, &mut EmitVisitor(&mut out))
+        }
+        _ => {
+            record_op(op);
+            execute_op(a, b, op, &mut EmitVisitor(&mut out))
+        }
+    };
     fesia_obs::metrics().algebra_emitted.add(out.len() as u64);
-    // Scan and probe strategies discover elements in segment (hash)
-    // order; every public materializing entry point returns ascending.
-    if !emits_ascending(a, b, op, plan) {
+    // The scan and the probe emit in segment (hash) order; every public
+    // materializing entry point returns ascending.
+    if !ascending {
         out.sort_unstable();
     }
     out
 }
 
-/// Whether [`execute_plan_op`] emits `op(A, B)` in ascending order: the
-/// container plan over two tiers walks the value domain, and so does a
-/// difference whose kept side carries a tier
-/// ([`crate::container::difference_visit_ordered`]).
-fn emits_ascending(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, plan: IntersectPlan) -> bool {
-    let tiered = a.container().is_some() && b.container().is_some();
-    (plan == IntersectPlan::Container && tiered) || ordered_difference(a, b, op, plan)
-}
-
-/// Whether a difference runs in the value domain of A's tier: A carries
-/// one, and the plan is not the container plan over two tiers (which
-/// already does).
-fn ordered_difference(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, plan: IntersectPlan) -> bool {
-    op == SetOp::Difference
-        && a.container().is_some()
-        && !(plan == IntersectPlan::Container && b.container().is_some())
-}
-
-fn plan_and_record(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    op: SetOp,
-    planner: &IntersectPlanner,
-) -> IntersectPlan {
+/// Plan an intersection, recording `plan_forced` and its `strategy_*`
+/// counter like [`crate::auto_count_planned`].
+fn plan_intersect(a: &SegmentedSet, b: &SegmentedSet, planner: &IntersectPlanner) -> IntersectPlan {
     let m = fesia_obs::metrics();
     if planner.mode != PlanMode::Auto {
         m.plan_forced.inc();
     }
-    let plan = planner.plan_materialize(&SetSummary::of(a), &SetSummary::of(b), op);
+    let plan = planner.plan_pair(&SetSummary::of(a), &SetSummary::of(b));
     match plan {
         IntersectPlan::HashProbe => m.strategy_hash.inc(),
         _ => m.strategy_merge.inc(),
     };
+    plan
+}
+
+/// Record the op's `algebra_*` counter (intersection has none).
+fn record_op(op: SetOp) {
+    let m = fesia_obs::metrics();
     match op {
         SetOp::Intersect => {}
         SetOp::Union => {
@@ -144,161 +142,97 @@ fn plan_and_record(
             m.algebra_xor.inc();
         }
     }
-    plan
 }
 
-/// Execute an explicit [`IntersectPlan`] for a materializing `op`,
-/// feeding every output element (in segment order, unsorted) to `v`.
-///
-/// Every plan form is handled for every op, so forced `FESIA_PLAN` modes
-/// work uniformly. A difference whose kept side A carries a container
-/// tier runs in A's value domain under every plan but the two-tier
-/// container plan, and arrives ascending (DESIGN.md §5h).
-pub fn execute_plan_op<V: SegmentVisitor>(
+/// Execute an explicit [`IntersectPlan`] for `A ∩ B`, feeding every
+/// element to `v`. Returns whether the elements arrived ascending (only
+/// the container walk over two tiers emits in value order).
+fn execute_intersect<V: SegmentVisitor>(
     a: &SegmentedSet,
     b: &SegmentedSet,
-    op: SetOp,
     plan: IntersectPlan,
     v: &mut V,
-) {
-    crate::intersect::check_compatible(a, b);
+) -> bool {
     let m = fesia_obs::metrics();
-    if ordered_difference(a, b, op, plan) {
-        match plan {
-            IntersectPlan::Plain => m.plan_plain.inc(),
-            IntersectPlan::Container => m.plan_container.inc(),
-            IntersectPlan::HashProbe => m.plan_hash.inc(),
-        };
-        let ca = a.container().expect("checked by ordered_difference");
-        let level = crate::intersect::default_table().level();
-        crate::container::difference_visit_ordered(ca, b, level, v);
-        return;
-    }
+    let level = default_table().level();
     match plan {
-        IntersectPlan::Plain => {
-            m.plan_plain.inc();
-            scan_materialize(a, b, op, v);
-        }
         IntersectPlan::Container => {
             m.plan_container.inc();
-            // Sound for every op — the directory's word bitmaps are exact
-            // value-domain bitmaps, not hashed filters. Directory-less
-            // sets fall back to the plain scan rather than failing.
-            match (a.container(), b.container()) {
-                (Some(ca), Some(cb)) => {
-                    m.intersect_container.inc();
-                    let level = crate::intersect::default_table().level();
-                    crate::container::op_visit(op, ca, cb, level, v);
-                }
-                _ => scan_materialize(a, b, op, v),
+            // The word bitmaps are exact value-domain bitmaps. A
+            // directory-less pair falls back to the plain scan rather
+            // than failing.
+            if let (Some(ca), Some(cb)) = (a.container(), b.container()) {
+                m.intersect_container.inc();
+                op_visit(SetOp::Intersect, ca, cb, level, v);
+                return true;
             }
         }
         IntersectPlan::HashProbe => {
-            probe_materialize(a, b, op, v);
+            m.plan_hash.inc();
+            probe_visit(a, b, SetOp::Intersect, v);
+            return false;
+        }
+        IntersectPlan::Plain => {
+            m.plan_plain.inc();
         }
     }
+    // FESIA's two steps: the bitmap AND keeps the segment pairs that can
+    // share an element, and the segment kernel emits the matches. A
+    // folded pair drives the larger bitmap; its segment `i` meets segment
+    // `i mod n_small` of the smaller side, where hash positions agree.
+    let (x, y, folded) = order_sides(a, b);
+    let seg_mask = y.num_segments() - 1;
+    scan_survivors(level, a.lane(), x, y, folded, |i| {
+        intersect_visit(level, x.segment(i), y.segment(i & seg_mask), v)
+    });
+    false
 }
 
-/// The plain two-phase scan execution: step 1 is the op's sound bitmap
-/// scan (AND for intersection, OR otherwise), step 2 visits each
-/// surviving segment pair through the op's visitor kernel.
-fn scan_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, v: &mut V) {
-    let level = crate::intersect::default_table().level();
-    if a.bitmap_bits() == b.bitmap_bits() {
-        for_each_nonzero_lane_op(
-            level,
-            op.scan_op(),
-            a.lane(),
-            a.bitmap_bytes(),
-            b.bitmap_bytes(),
-            |i| segment_op_visit(level, op, a.segment(i), b.segment(i), v),
-        );
-    } else {
-        folded_materialize(a, b, op, v);
-    }
-}
-
-/// The asymmetric (folded-bitmap) execution, per op — see the module docs
-/// for why each side is driven the way it is.
-fn folded_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, v: &mut V) {
-    let level = crate::intersect::default_table().level();
-    let (large, small) = if a.bitmap_bits() > b.bitmap_bits() {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    let seg_mask = small.num_segments() - 1;
-
-    // Large-driven per-segment sweep with the given scan op; exact for
-    // And (intersection) and for the large side of a difference/xor.
-    type SweepBody<'f, V> = &'f dyn Fn(&[u32], &[u32], &mut V);
-    let sweep = |scan: MaskOp, v: &mut V, body: SweepBody<V>| {
-        for_each_nonzero_lane_folded_op(
-            level,
-            scan,
-            large.lane(),
-            large.bitmap_bytes(),
-            small.bitmap_bytes(),
-            |i| body(large.segment(i), small.segment(i & seg_mask), v),
-        );
-    };
-
-    match op {
-        SetOp::Intersect => {
-            sweep(MaskOp::And, v, &|ls, ss, v| {
-                intersect_visit(level, ls, ss, v)
-            });
-        }
-        SetOp::Union => {
-            // One small segment folds under many large segments, so the
-            // pairwise sweep would emit small-side elements repeatedly.
-            // Instead: every large-side element verbatim, plus the
-            // small-side residual by membership probe.
-            v.visit_run(large.reordered_elements());
-            for &x in small.reordered_elements() {
-                if !large.contains(x) {
-                    v.visit(x);
-                }
-            }
-        }
-        SetOp::Difference => {
-            if std::ptr::eq(a, large) {
-                // A\B with A large: segment i of A meets exactly segment
-                // i & mask of B (folding keeps hash positions congruent),
-                // so the pairwise difference is exact.
-                sweep(MaskOp::Or, v, &|ls, ss, v| difference_visit(ls, ss, v));
-            } else {
-                // A small: its segments fold under many B segments, so
-                // probe element-wise.
-                for &x in a.reordered_elements() {
-                    if !b.contains(x) {
-                        v.visit(x);
-                    }
-                }
-            }
-        }
-        SetOp::Xor => {
-            // large\small is pairwise-exact; small\large by probe. The
-            // two parts are disjoint, so no dedup is needed.
-            sweep(MaskOp::Or, v, &|ls, ss, v| difference_visit(ls, ss, v));
-            for &x in small.reordered_elements() {
-                if !large.contains(x) {
-                    v.visit(x);
-                }
-            }
-        }
-    }
-}
-
-/// The probe (`FESIAhash`) execution: element-wise membership against the
-/// other side's bitmap-plus-segment filter. Exact for every op and every
-/// bitmap-size combination.
-fn probe_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, v: &mut V) {
+/// Execute union, difference or xor through its one execution (see the
+/// module docs), feeding every element to `v` and recording the
+/// `strategy_*` / `plan_*` pair. Returns whether the elements arrived
+/// ascending.
+fn execute_op<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, v: &mut V) -> bool {
+    debug_assert_ne!(op, SetOp::Intersect);
     let m = fesia_obs::metrics();
-    m.plan_hash.inc();
+    let level = default_table().level();
+    match (op, a.container(), b.container()) {
+        (SetOp::Difference, Some(ca), _) => {
+            m.strategy_merge.inc();
+            m.plan_container.inc();
+            difference_visit_ordered(ca, b, level, v);
+            true
+        }
+        (SetOp::Union | SetOp::Xor, Some(ca), Some(cb)) => {
+            m.strategy_merge.inc();
+            m.plan_container.inc();
+            op_visit(op, ca, cb, level, v);
+            true
+        }
+        _ => {
+            m.strategy_hash.inc();
+            m.plan_hash.inc();
+            probe_visit(a, b, op, v);
+            false
+        }
+    }
+}
+
+/// The probe (`FESIAhash`): element-wise membership against the other
+/// side. Exact for every op and every bitmap-size combination; emits in
+/// segment order.
+fn probe_visit<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: SetOp, v: &mut V) {
+    let m = fesia_obs::metrics();
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let emit_missing = |from: &SegmentedSet, other: &SegmentedSet, v: &mut V| {
+        for &x in from.reordered_elements() {
+            if !other.contains(x) {
+                v.visit(x);
+            }
+        }
+    };
     match op {
         SetOp::Intersect => {
-            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
             m.hash_probe_elements.add(small.len() as u64);
             for &x in small.reordered_elements() {
                 if large.contains(x) {
@@ -307,35 +241,18 @@ fn probe_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: 
             }
         }
         SetOp::Union => {
-            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
             m.hash_probe_elements.add(small.len() as u64);
             v.visit_run(large.reordered_elements());
-            for &x in small.reordered_elements() {
-                if !large.contains(x) {
-                    v.visit(x);
-                }
-            }
+            emit_missing(small, large, v);
         }
         SetOp::Difference => {
             m.hash_probe_elements.add(a.len() as u64);
-            for &x in a.reordered_elements() {
-                if !b.contains(x) {
-                    v.visit(x);
-                }
-            }
+            emit_missing(a, b, v);
         }
         SetOp::Xor => {
             m.hash_probe_elements.add((a.len() + b.len()) as u64);
-            for &x in a.reordered_elements() {
-                if !b.contains(x) {
-                    v.visit(x);
-                }
-            }
-            for &x in b.reordered_elements() {
-                if !a.contains(x) {
-                    v.visit(x);
-                }
-            }
+            emit_missing(a, b, v);
+            emit_missing(b, a, v);
         }
     }
 }
@@ -344,7 +261,6 @@ fn probe_materialize<V: SegmentVisitor>(a: &SegmentedSet, b: &SegmentedSet, op: 
 mod tests {
     use super::*;
     use crate::params::FesiaParams;
-    use crate::plan::test_knob_lock;
 
     fn build(v: &[u32]) -> SegmentedSet {
         SegmentedSet::build(v, &FesiaParams::auto()).unwrap()
@@ -388,18 +304,18 @@ mod tests {
         assert_eq!(xor(&a, &b), vec![1, 2, 4, 6, 12, 15, 16, 23, 32, 34]);
     }
 
+    /// Every intersection plan, and every op under every planner mode,
+    /// on a folded pair in both argument orders.
     #[test]
     fn every_plan_matches_reference_including_folded() {
-        let _guard = test_knob_lock();
         let va: Vec<u32> = (0..600u32).map(|i| i * 3).collect();
         let vb: Vec<u32> = (0..200u32).map(|i| i * 7 + 1).collect();
-        // Different element counts force different auto bitmap sizes,
-        // exercising the folded path on every op and plan.
+        // Different element counts force different auto bitmap sizes.
         let a = build(&va);
         let b = build(&vb);
         assert_ne!(a.bitmap_bits(), b.bitmap_bits(), "want a folded pair");
-        for op in ALL_OPS {
-            let want = ref_op(op, &va, &vb);
+        for (x, y, vx, vy) in [(&a, &b, &va, &vb), (&b, &a, &vb, &va)] {
+            let want = ref_op(SetOp::Intersect, vx, vy);
             for plan in [
                 IntersectPlan::Plain,
                 // Directory-less pair: exercises the container fallback.
@@ -407,17 +323,21 @@ mod tests {
                 IntersectPlan::HashProbe,
             ] {
                 let mut out = Vec::new();
-                execute_plan_op(&a, &b, op, plan, &mut EmitVisitor(&mut out));
+                execute_intersect(x, y, plan, &mut EmitVisitor(&mut out));
                 out.sort_unstable();
-                assert_eq!(out, want, "op={op:?} plan={plan:?} (a,b)");
-                let mut rev = Vec::new();
-                let rwant = ref_op(op, &vb, &va);
-                execute_plan_op(&b, &a, op, plan, &mut EmitVisitor(&mut rev));
-                rev.sort_unstable();
-                assert_eq!(rev, rwant, "op={op:?} plan={plan:?} (b,a)");
+                assert_eq!(out, want, "plan={plan:?}");
             }
-            assert_eq!(set_op(&a, &b, op), want, "auto op={op:?}");
-            assert_eq!(set_op_count(&a, &b, op), want.len(), "count op={op:?}");
+            for op in ALL_OPS {
+                let want = ref_op(op, vx, vy);
+                for mode in [PlanMode::Auto].into_iter().chain(PlanMode::FORCED) {
+                    let planner = IntersectPlanner {
+                        mode,
+                        ..IntersectPlanner::current()
+                    };
+                    assert_eq!(set_op_planned(x, y, op, &planner), want, "{op:?} {mode:?}");
+                }
+                assert_eq!(set_op_count(x, y, op), want.len(), "count op={op:?}");
+            }
         }
     }
 

@@ -11,8 +11,8 @@
 //! * **Bitmap** — a plain 1024-word (`8 KiB`) value bitmap. Unlike the
 //!   hashed segment bitmap, every bit position *is* a value, so
 //!   intersection / union / difference / xor are direct word
-//!   AND/OR/ANDNOT/XOR with popcount ([`fesia_simd::mask::word_op_count`])
-//!   — the §5g Or-scan restriction does not apply here.
+//!   AND/OR/ANDNOT/XOR with popcount ([`fesia_simd::mask::word_op_count`]),
+//!   exact for every op with no collision rule (DESIGN.md §5g).
 //! * **Run** — sorted maximal runs, `4·nruns` bytes (near-saturated or
 //!   clustered ranges).
 //!
@@ -654,24 +654,13 @@ fn record_metrics(tiers: &[&ContainerTier], word_ops: u64) {
     m.container_word_ops.add(word_ops);
 }
 
-/// Cardinality of `op` over the two tiers. All four ops reduce to the
-/// matched-range AND total plus the sides' cardinalities:
-/// `|A∪B| = |A|+|B|−|A∩B|`, `|A\B| = |A|−|A∩B|`, `|A⊕B| = |A|+|B|−2|A∩B|`.
-pub fn op_count(op: SetOp, a: &ContainerTier, b: &ContainerTier, level: SimdLevel) -> usize {
+/// Intersection cardinality: the matched-range AND total. The other
+/// ops' cardinalities follow from it by inclusion–exclusion
+/// ([`crate::set_op_count`]).
+pub fn intersect_count(a: &ContainerTier, b: &ContainerTier, level: SimdLevel) -> usize {
     let (and, word_ops) = and_total(a, b, level);
     record_metrics(&[a, b], word_ops);
-    let (ca, cb) = (a.stats().card(), b.stats().card());
-    (match op {
-        SetOp::Intersect => and,
-        SetOp::Union => ca + cb - and,
-        SetOp::Difference => ca - and,
-        SetOp::Xor => ca + cb - 2 * and,
-    }) as usize
-}
-
-/// Intersection cardinality (the hot count path).
-pub fn intersect_count(a: &ContainerTier, b: &ContainerTier, level: SimdLevel) -> usize {
-    op_count(SetOp::Intersect, a, b, level)
+    and as usize
 }
 
 // --- materializing path -----------------------------------------------------
@@ -987,7 +976,7 @@ fn emit_filtered<V: SegmentVisitor>(
 ///   over B cost at most `|A|` element visits in total.
 ///
 /// The output comes out ascending, so callers need not sort it.
-pub(crate) fn difference_visit_ordered<V: SegmentVisitor>(
+pub fn difference_visit_ordered<V: SegmentVisitor>(
     a: &ContainerTier,
     b: &crate::SegmentedSet,
     level: SimdLevel,
@@ -1118,9 +1107,16 @@ pub(crate) fn kway_visit<V: SegmentVisitor>(tiers: &[&ContainerTier], v: &mut V)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::visit::EmitVisitor;
+    use crate::kernels::visit::{CountVisitor, EmitVisitor};
     use crate::layout::build_container_tier;
     use std::collections::BTreeSet;
+
+    /// `|op(A, B)|` through the emitting walk's counting visitor.
+    fn op_count(op: SetOp, a: &ContainerTier, b: &ContainerTier, level: SimdLevel) -> usize {
+        let mut cnt = CountVisitor::default();
+        op_visit(op, a, b, level, &mut cnt);
+        cnt.0
+    }
 
     fn mixed_set(seed: u64) -> Vec<u32> {
         // Array ranges (sparse scatter), a bitmap range, and a run range.
@@ -1210,6 +1206,9 @@ mod tests {
                     want.len(),
                     "count op={op:?} level={level}"
                 );
+                if op == SetOp::Intersect {
+                    assert_eq!(intersect_count(&ta, &tb, level), want.len(), "{level}");
+                }
                 let mut got = Vec::new();
                 op_visit(op, &ta, &tb, level, &mut EmitVisitor(&mut got));
                 assert_eq!(got, want, "emit op={op:?} level={level}");
@@ -1258,9 +1257,9 @@ mod tests {
         let ta = build_container_tier(&a).unwrap();
         let tb = build_container_tier(&b).unwrap();
         let level = SimdLevel::Scalar;
-        assert_eq!(op_count(SetOp::Intersect, &ta, &tb, level), 0);
+        assert_eq!(intersect_count(&ta, &tb, level), 0);
         assert_eq!(op_count(SetOp::Union, &ta, &tb, level), a.len() + b.len());
-        assert_eq!(op_count(SetOp::Intersect, &ta, &ta, level), a.len());
+        assert_eq!(intersect_count(&ta, &ta, level), a.len());
         assert_eq!(op_count(SetOp::Xor, &ta, &ta, level), 0);
         assert_eq!(op_count(SetOp::Difference, &ta, &ta, level), 0);
     }

@@ -228,7 +228,7 @@ pub fn intersect_count_interleaved_with(
 
 /// Order a pair for an explicit-survivor form: `(x, y, folded)` with `x`
 /// the larger-bitmap side when the pair folds.
-fn order_sides<'a>(
+pub(crate) fn order_sides<'a>(
     a: &'a SegmentedSet,
     b: &'a SegmentedSet,
 ) -> (&'a SegmentedSet, &'a SegmentedSet, bool) {
@@ -242,7 +242,7 @@ fn order_sides<'a>(
 
 /// Phase 1 of every explicit-survivor form: visit the surviving segment
 /// indices of `x ∩ y`.
-fn scan_survivors<F: FnMut(usize)>(
+pub(crate) fn scan_survivors<F: FnMut(usize)>(
     level: SimdLevel,
     lane: LaneWidth,
     x: &SegmentedSet,
@@ -536,10 +536,9 @@ pub fn intersect_count(a: &SegmentedSet, b: &SegmentedSet) -> usize {
 /// FESIA discovers matches in segment (hash) order; the small result is
 /// sorted before returning. This is the materializing face of the same
 /// planner that drives [`auto_count`]: the pair is costed by
-/// [`IntersectPlanner::plan_materialize`] and executed through the
-/// visitor kernels ([`crate::kernels::visit`]), so the hash probe and
-/// the container plan apply here too (the seed's
-/// version bypassed the planner entirely and always ran the plain scan).
+/// [`IntersectPlanner::plan_pair`] and executed through the visitor
+/// kernels ([`crate::kernels::visit`]), so the hash probe and the
+/// container plan apply here too.
 pub fn intersect(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
     crate::algebra::intersect(a, b)
 }

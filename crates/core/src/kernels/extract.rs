@@ -3,7 +3,7 @@
 //!
 //! This is now a thin compatibility wrapper over the visitor kernel
 //! layer ([`super::visit`]): the SIMD bodies that used to live here are
-//! the `intersect` body of [`super::visit::segment_op_visit`], consumed
+//! [`super::visit::intersect_visit`], consumed
 //! through an [`super::visit::EmitVisitor`]. Each element of the smaller
 //! run is broadcast and compared against whole blocks of the larger run —
 //! and because a match's value *is* the broadcast element, no lane

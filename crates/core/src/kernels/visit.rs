@@ -3,18 +3,18 @@
 //!
 //! The specialized count kernels in [`super`] stay as the fastest
 //! intersection-count path (they are the paper's contribution: compiled
-//! jump-table kernels with an over-read contract). Everything else —
-//! materializing intersection, union, difference, xor, and any caller
-//! that wants per-element callbacks — flows through this module instead
-//! of growing its own per-op copies: each operation is written once
-//! against [`SegmentVisitor`] and monomorphized per consumer.
+//! jump-table kernels with an over-read contract). Materializing
+//! intersection and the sorted-run unions of the k-way and live-set
+//! paths flow through this module instead: each body is written once
+//! against [`SegmentVisitor`] and monomorphized per consumer. Union,
+//! difference and xor over whole sets run in the container tier or the
+//! probe ([`crate::algebra`]), not per segment pair.
 //!
 //! All functions take sorted segment runs (the builder keeps elements
 //! sorted within each segment) and are entirely safe-slice based; the
 //! SIMD paths bound every load (scalar tails / masked loads), so there is
 //! no over-read contract here.
 
-use fesia_simd::mask::MaskOp;
 use fesia_simd::util::SetBits;
 use fesia_simd::SimdLevel;
 
@@ -39,19 +39,6 @@ impl SetOp {
             SetOp::Union => "or",
             SetOp::Difference => "andnot",
             SetOp::Xor => "xor",
-        }
-    }
-
-    /// The step-1 bitmap combiner that soundly drives this op at the
-    /// element level. Intersection lanes must be non-zero on both sides;
-    /// every other op must visit any segment that is non-empty on
-    /// *either* side (an `AndNotB`/`Xor` bitmap scan would skip segments
-    /// whose lanes collide, losing real output elements).
-    #[inline]
-    pub fn scan_op(self) -> MaskOp {
-        match self {
-            SetOp::Intersect => MaskOp::And,
-            SetOp::Union | SetOp::Difference | SetOp::Xor => MaskOp::Or,
         }
     }
 }
@@ -280,64 +267,6 @@ pub fn union_visit<V: SegmentVisitor>(a: &[u32], b: &[u32], v: &mut V) {
     v.visit_run(&b[j..]);
 }
 
-/// Visit `a \ b` over two sorted runs.
-pub fn difference_visit<V: SegmentVisitor>(a: &[u32], b: &[u32], v: &mut V) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                v.visit(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    v.visit_run(&a[i..]);
-}
-
-/// Visit `a △ b` (symmetric difference) over two sorted runs.
-pub fn xor_visit<V: SegmentVisitor>(a: &[u32], b: &[u32], v: &mut V) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                v.visit(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                v.visit(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    v.visit_run(&a[i..]);
-    v.visit_run(&b[j..]);
-}
-
-/// Dispatch one sorted-run pair through the body for `op`.
-pub fn segment_op_visit<V: SegmentVisitor>(
-    level: SimdLevel,
-    op: SetOp,
-    a: &[u32],
-    b: &[u32],
-    v: &mut V,
-) {
-    match op {
-        SetOp::Intersect => intersect_visit(level, a, b, v),
-        SetOp::Union => union_visit(a, b, v),
-        SetOp::Difference => difference_visit(a, b, v),
-        SetOp::Xor => xor_visit(a, b, v),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,19 +274,12 @@ mod tests {
     fn ref_op(op: SetOp, a: &[u32], b: &[u32]) -> Vec<u32> {
         let mut out: Vec<u32> = match op {
             SetOp::Intersect => a.iter().filter(|x| b.contains(x)).copied().collect(),
-            SetOp::Union => {
+            _ => {
                 let mut v: Vec<u32> = a.iter().chain(b.iter()).copied().collect();
                 v.sort_unstable();
                 v.dedup();
                 v
             }
-            SetOp::Difference => a.iter().filter(|x| !b.contains(x)).copied().collect(),
-            SetOp::Xor => a
-                .iter()
-                .filter(|x| !b.contains(x))
-                .chain(b.iter().filter(|x| !a.contains(x)))
-                .copied()
-                .collect(),
         };
         out.sort_unstable();
         out
@@ -384,26 +306,28 @@ mod tests {
 
     #[test]
     fn every_op_matches_reference_under_every_visitor() {
+        // The two segment bodies: intersection (per ISA level) and union.
+        fn run<V: SegmentVisitor>(level: SimdLevel, op: SetOp, a: &[u32], b: &[u32], v: &mut V) {
+            match op {
+                SetOp::Intersect => intersect_visit(level, a, b, v),
+                _ => union_visit(a, b, v),
+            }
+        }
         for (a, b) in cases() {
-            for op in [
-                SetOp::Intersect,
-                SetOp::Union,
-                SetOp::Difference,
-                SetOp::Xor,
-            ] {
+            for op in [SetOp::Intersect, SetOp::Union] {
                 let want = ref_op(op, &a, &b);
                 for level in SimdLevel::available_levels() {
                     let mut got = Vec::new();
-                    segment_op_visit(level, op, &a, &b, &mut EmitVisitor(&mut got));
+                    run(level, op, &a, &b, &mut EmitVisitor(&mut got));
                     got.sort_unstable();
                     assert_eq!(got, want, "op={op:?} level={level} a={a:?} b={b:?}");
 
                     let mut cnt = CountVisitor::default();
-                    segment_op_visit(level, op, &a, &b, &mut cnt);
+                    run(level, op, &a, &b, &mut cnt);
                     assert_eq!(cnt.0, want.len(), "count op={op:?} level={level}");
 
                     let mut cb = Vec::new();
-                    segment_op_visit(level, op, &a, &b, &mut FnVisitor(|x| cb.push(x)));
+                    run(level, op, &a, &b, &mut FnVisitor(|x| cb.push(x)));
                     cb.sort_unstable();
                     assert_eq!(cb, want, "callback op={op:?} level={level}");
                 }
@@ -420,14 +344,6 @@ mod tests {
         let mut cnt = CountVisitor::default();
         cnt.visit_words(0, &words);
         assert_eq!(cnt.0, 3);
-    }
-
-    #[test]
-    fn scan_op_is_and_only_for_intersection() {
-        assert_eq!(SetOp::Intersect.scan_op(), MaskOp::And);
-        for op in [SetOp::Union, SetOp::Difference, SetOp::Xor] {
-            assert_eq!(op.scan_op(), MaskOp::Or, "{op:?}");
-        }
     }
 
     #[test]

@@ -329,8 +329,9 @@ pub fn kway_intersect(sets: &[&SegmentedSet]) -> Vec<u32> {
 
 /// Materialize `L1 ∪ … ∪ Lk`, sorted ascending.
 ///
-/// The two-set case runs the planner-driven [`crate::algebra::union`]
-/// (Or-scan or probe per the cost model); larger arities seed
+/// The two-set case runs [`crate::algebra::union`] (the two-tier walk
+/// when both sets carry a container tier, else the probe); larger
+/// arities seed
 /// the accumulator with that pairwise union and fold the remaining sets
 /// in with linear sorted merges ([`crate::kernels::visit::union_visit`])
 /// — a union's output only grows, so after the first pair the

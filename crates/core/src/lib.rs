@@ -62,7 +62,7 @@ pub mod stats;
 pub mod tuning;
 pub mod u64set;
 
-pub use algebra::{difference, execute_plan_op, set_op, set_op_count, set_op_planned, union, xor};
+pub use algebra::{difference, set_op, set_op_count, set_op_planned, union, xor};
 pub use batch::{
     batch_count, batch_count_pairs, batch_count_pairs_on, batch_op_pairs, batch_op_pairs_on,
 };
@@ -83,10 +83,7 @@ pub use kway::{
     kway_intersect, kway_intersect_planned, kway_intersect_with, kway_union,
 };
 pub use mmap::{MappedFile, Section};
-pub use parallel::{
-    par_intersect_count, par_intersect_count_on, par_intersect_count_with, par_set_op,
-    par_set_op_on,
-};
+pub use parallel::{par_intersect_count, par_intersect_count_on, par_intersect_count_with};
 pub use params::{ContainerParams, DynamicParams, FesiaParams, SimjoinParams};
 pub use plan::{
     default_profile_path, plan_mode, profile_status, set_plan_mode, should_container_summaries,

@@ -142,109 +142,6 @@ pub fn par_intersect_count(a: &SegmentedSet, b: &SegmentedSet, num_threads: usiz
     par_intersect_count_with(a, b, num_threads, default_table())
 }
 
-/// Materialize `op(A, B)` on up to `num_threads` pool participants.
-///
-/// Equal-size bitmaps partition exactly like [`par_intersect_count_with`]
-/// — each worker runs the op's sound step-1 scan (AND for intersection,
-/// OR for the rest) over its aligned block range and sweeps its survivors
-/// through the visitor kernels into a private buffer; buffers are
-/// concatenated and sorted once at the end. Folded pairs and
-/// single-thread calls run the planner-driven sequential path
-/// ([`crate::algebra::set_op`]): the folded ops' probe residuals are not
-/// slice-local, and a wrong-but-parallel answer is worth less than a
-/// correct sequential one.
-pub fn par_set_op(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    op: crate::kernels::visit::SetOp,
-    num_threads: usize,
-) -> Vec<u32> {
-    par_set_op_on(Executor::global(), a, b, op, num_threads)
-}
-
-/// [`par_set_op`] on an explicit executor.
-pub fn par_set_op_on(
-    exec: &Executor,
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    op: crate::kernels::visit::SetOp,
-    num_threads: usize,
-) -> Vec<u32> {
-    use crate::kernels::visit::{segment_op_visit, EmitVisitor, SetOp};
-    assert!(num_threads >= 1, "need at least one thread");
-    assert_eq!(
-        a.lane(),
-        b.lane(),
-        "sets must be built with the same segment width"
-    );
-    if num_threads == 1 || a.bitmap_bits() != b.bitmap_bits() {
-        return crate::algebra::set_op(a, b, op);
-    }
-    let m = fesia_obs::metrics();
-    m.par_intersect_calls.inc();
-    match op {
-        SetOp::Intersect => {}
-        SetOp::Union => {
-            m.algebra_union.inc();
-        }
-        SetOp::Difference => {
-            m.algebra_difference.inc();
-        }
-        SetOp::Xor => {
-            m.algebra_xor.inc();
-        }
-    }
-    let table = default_table();
-    let level = table.level();
-    let lane = a.lane();
-    let scan = op.scan_op();
-    let a_bytes = a.bitmap_bytes();
-    let b_bytes = b.bitmap_bytes();
-    let total = a_bytes.len();
-    let align = 64usize;
-    let blocks = (total / align).max(1);
-    let lane_bytes = lane.bytes();
-    let map = |range: std::ops::Range<usize>| -> Vec<u32> {
-        let lo = (range.start * align).min(total);
-        let hi = if range.end >= blocks {
-            total
-        } else {
-            range.end * align
-        };
-        let mut out = Vec::new();
-        if lo < hi {
-            let base_seg = lo / lane_bytes;
-            fesia_simd::mask::for_each_nonzero_lane_op(
-                level,
-                scan,
-                lane,
-                &a_bytes[lo..hi],
-                &b_bytes[lo..hi],
-                |local| {
-                    let i = base_seg + local;
-                    segment_op_visit(
-                        level,
-                        op,
-                        a.segment(i),
-                        b.segment(i),
-                        &mut EmitVisitor(&mut out),
-                    );
-                },
-            );
-        }
-        out
-    };
-    let mut merged = exec
-        .map_reduce(blocks, 1, num_threads, map, |mut x, mut y| {
-            x.append(&mut y);
-            x
-        })
-        .unwrap_or_default();
-    m.algebra_emitted.add(merged.len() as u64);
-    merged.sort_unstable();
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,52 +223,6 @@ mod tests {
         let b = SegmentedSet::build(&bv, &p).unwrap();
         let want = intersect_count(&a, &b);
         assert_eq!(par_intersect_count(&a, &b, 64), want);
-    }
-
-    #[test]
-    fn par_set_op_matches_sequential_all_ops() {
-        use crate::kernels::visit::SetOp;
-        let av = gen_sorted(15_000, 91, 250_000);
-        let bv = gen_sorted(15_000, 97, 250_000);
-        let p = FesiaParams::auto();
-        let a = SegmentedSet::build(&av, &p).unwrap();
-        let b = SegmentedSet::build(&bv, &p).unwrap();
-        assert_eq!(a.bitmap_bits(), b.bitmap_bits());
-        for op in [
-            SetOp::Intersect,
-            SetOp::Union,
-            SetOp::Difference,
-            SetOp::Xor,
-        ] {
-            let want = crate::algebra::set_op(&a, &b, op);
-            for threads in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    par_set_op(&a, &b, op, threads),
-                    want,
-                    "op={op:?} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_set_op_folded_falls_back_correctly() {
-        use crate::kernels::visit::SetOp;
-        let av = gen_sorted(800, 71, 400_000);
-        let bv = gen_sorted(40_000, 73, 400_000);
-        let p = FesiaParams::auto();
-        let a = SegmentedSet::build(&av, &p).unwrap();
-        let b = SegmentedSet::build(&bv, &p).unwrap();
-        assert_ne!(a.bitmap_bits(), b.bitmap_bits());
-        for op in [
-            SetOp::Intersect,
-            SetOp::Union,
-            SetOp::Difference,
-            SetOp::Xor,
-        ] {
-            let want = crate::algebra::set_op(&a, &b, op);
-            assert_eq!(par_set_op(&a, &b, op, 4), want, "op={op:?}");
-        }
     }
 
     #[test]

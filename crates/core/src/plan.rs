@@ -24,7 +24,6 @@
 //!
 //! Every plan decision is recorded in the `fesia-obs` `plan_*` counters.
 
-use crate::kernels::visit::SetOp;
 use crate::params::{self, ContainerParams, DynamicParams};
 use crate::set::SegmentedSet;
 use std::path::{Path, PathBuf};
@@ -559,24 +558,6 @@ impl IntersectPlanner {
         ThresholdPlan::Run(self.plan_pair(a, b))
     }
 
-    /// Plan a *materializing* pair for `op` — the same strategy family as
-    /// [`IntersectPlanner::plan_pair`]. The sparse-bitmap route to the
-    /// probe is measured for intersection only: the Or-scan ops (union,
-    /// difference, xor) keep the plain scan on that shape. Skew and a
-    /// forced hash mode still probe for every op — the probe is exact for
-    /// all four — and so does the container plan, whose word bitmaps are
-    /// exact value-domain bitmaps rather than hashed filters.
-    pub fn plan_materialize(&self, a: &SetSummary, b: &SetSummary, op: SetOp) -> IntersectPlan {
-        match self.plan_pair(a, b) {
-            IntersectPlan::HashProbe
-                if op != SetOp::Intersect && self.mode == PlanMode::Auto && !Self::skewed(a, b) =>
-            {
-                IntersectPlan::Plain
-            }
-            plan => plan,
-        }
-    }
-
     /// Plan a k-way intersection. The order is ascending by length, so
     /// the most selective operands lead. The strategy reuses the pair
     /// rules, with no k-way knob of its own: a forced hash mode probes and
@@ -683,8 +664,7 @@ mod tests {
 
     /// A comparable pair whose combined bitmaps reach 4 MiB with a
     /// summary-density product of at most 60% goes to the hash probe on
-    /// the full-family path; the merge-only path keeps the plain scan,
-    /// and materializing plans probe for intersection only.
+    /// the full-family path; the merge-only path keeps the plain scan.
     #[test]
     fn large_sparse_pair_probes_and_merge_stays_plain() {
         let p = auto_planner();
@@ -696,14 +676,6 @@ mod tests {
             p.plan_pair_threshold(&sparse, &sparse, 1),
             ThresholdPlan::Run(IntersectPlan::HashProbe)
         );
-        for (op, want) in [
-            (SetOp::Intersect, IntersectPlan::HashProbe),
-            (SetOp::Union, IntersectPlan::Plain),
-            (SetOp::Difference, IntersectPlan::Plain),
-            (SetOp::Xor, IntersectPlan::Plain),
-        ] {
-            assert_eq!(p.plan_materialize(&sparse, &sparse, op), want, "{op:?}");
-        }
         // Both thresholds are inclusive edges.
         let edge = summary(1 << 20, 1 << 21, 0.6);
         let full = summary(1 << 20, 1 << 21, 1.0);
@@ -753,20 +725,6 @@ mod tests {
             forced_off.plan_pair(&dense, &dense),
             IntersectPlan::Container
         );
-        // Container survives materializing plans for every op (exact
-        // value-domain bitmaps, unlike the hashed step-1 shapes).
-        for op in [
-            SetOp::Intersect,
-            SetOp::Union,
-            SetOp::Difference,
-            SetOp::Xor,
-        ] {
-            assert_eq!(
-                p.plan_materialize(&dense, &dense, op),
-                IntersectPlan::Container,
-                "{op:?}"
-            );
-        }
     }
 
     #[test]
@@ -782,34 +740,6 @@ mod tests {
         // A merge-only caller cannot honor a pair-level force; it falls
         // back to auto selection.
         assert_eq!(p.plan_merge(&a, &a), IntersectPlan::Plain);
-    }
-
-    #[test]
-    fn materializing_plans_are_sound_per_op() {
-        let p = auto_planner();
-        const ALL: [SetOp; 4] = [
-            SetOp::Intersect,
-            SetOp::Union,
-            SetOp::Difference,
-            SetOp::Xor,
-        ];
-        // Heavy skew routes every op to the probe strategy, and a forced
-        // hash mode passes through for every op.
-        let tiny = summary(100, 64, 1.0);
-        let big = summary(100_000, 1 << 18, 1.0);
-        let small = summary(1_000, 4096, 1.0);
-        let mut f = p;
-        f.mode = PlanMode::HashProbe;
-        for op in ALL {
-            assert_eq!(
-                p.plan_materialize(&tiny, &big, op),
-                IntersectPlan::HashProbe
-            );
-            assert_eq!(
-                f.plan_materialize(&small, &small, op),
-                IntersectPlan::HashProbe
-            );
-        }
     }
 
     #[test]

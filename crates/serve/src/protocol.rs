@@ -13,7 +13,8 @@
 //! | anything else                              | `ERR <reason>`      |
 //!
 //! Verbs and section keywords are case-insensitive; ids and elements
-//! are decimal `u32`. `QUIT` (handled by the I/O loop, see
+//! are decimal `u32`. An `AND`, `OR` or `BOOL` line names at most
+//! [`MAX_SET_IDS`] set ids. `QUIT` (handled by the I/O loop, see
 //! [`crate::serve_lines`]) closes the connection.
 
 use fesia_core::{KernelTable, MAX_ELEMENT};
@@ -23,6 +24,12 @@ use crate::store::{ServeConfig, ServeStore, WriteOp};
 /// Highest accepted set id plus one — a protocol-boundary guard so one
 /// bad line cannot force a catalog slot allocation of arbitrary size.
 pub const DEFAULT_MAX_SETS: u32 = 1 << 20;
+
+/// Most set ids one `AND`, `OR` or `BOOL` line may name (all `BOOL`
+/// sections together). A read runs one merge or probe pass per id while
+/// it holds its snapshot pin, so the cap bounds the work and the pin time
+/// one line can ask for; a longer line gets `ERR`.
+pub const MAX_SET_IDS: usize = 64;
 
 /// The three id buckets of a `BOOL` command: must / should / not.
 type BoolSections = (Vec<u32>, Vec<u32>, Vec<u32>);
@@ -105,6 +112,7 @@ impl Server {
             Ok(join(&out))
         } else if verb.eq_ignore_ascii_case("BOOL") {
             let (must, should, not) = self.bool_sections(toks)?;
+            check_id_count(must.len() + should.len() + not.len())?;
             if must.is_empty() && should.is_empty() {
                 return Err("BOOL needs a MUST or SHOULD section".to_string());
             }
@@ -129,7 +137,11 @@ impl Server {
     }
 
     fn id_list<'a>(&self, toks: impl Iterator<Item = &'a str>) -> Result<Vec<u32>, String> {
-        toks.map(|t| self.set_id(Some(t), "set id")).collect()
+        let ids = toks
+            .map(|t| self.set_id(Some(t), "set id"))
+            .collect::<Result<Vec<u32>, String>>()?;
+        check_id_count(ids.len())?;
+        Ok(ids)
     }
 
     fn bool_sections<'a>(
@@ -162,6 +174,13 @@ impl Server {
             None => Ok(()),
         }
     }
+}
+
+fn check_id_count(n: usize) -> Result<(), String> {
+    if n > MAX_SET_IDS {
+        return Err(format!("too many set ids ({n}, max {MAX_SET_IDS})"));
+    }
+    Ok(())
 }
 
 fn parse_u32(tok: Option<&str>, what: &str) -> Result<u32, String> {

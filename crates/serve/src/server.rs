@@ -11,7 +11,8 @@ use crate::protocol::Server;
 /// Longest request line accepted, in bytes, newline excluded. A longer
 /// line is answered `ERR line too long` and skipped through its
 /// newline, so a client cannot make the server buffer unbounded input.
-/// 64 KiB holds an `AND`/`OR`/`BOOL` over thousands of set ids.
+/// 64 KiB holds any `AND`/`OR`/`BOOL` within
+/// [`crate::protocol::MAX_SET_IDS`].
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Pause after a failed `accept` before listening again, so a
@@ -159,6 +160,41 @@ mod tests {
             String::from_utf8(out).unwrap(),
             "0\nERR line too long\nERR line is not valid UTF-8\n0\n"
         );
+    }
+
+    #[test]
+    fn id_lists_at_the_cap_are_served_and_one_past_it_gets_err() {
+        use crate::protocol::MAX_SET_IDS;
+        let server = Server::new(ServeConfig::from_env().with_shards(2));
+        let ids = |n: usize| (0..n).map(|i| i.to_string()).collect::<Vec<_>>().join(" ");
+        let bool_line = |n: usize| format!("BOOL MUST 0 SHOULD {} NOT {}", ids(n - 2), n);
+        let mut script = String::from("ADD 0 7\n");
+        for verb in ["AND", "OR"] {
+            script += &format!(
+                "{verb} {}\n{verb} {}\n",
+                ids(MAX_SET_IDS),
+                ids(MAX_SET_IDS + 1)
+            );
+        }
+        script += &format!(
+            "{}\n{}\nCARD 0\n",
+            bool_line(MAX_SET_IDS),
+            bool_line(MAX_SET_IDS + 1)
+        );
+        let mut out = Vec::new();
+        serve_lines(&server, Cursor::new(script), &mut out).unwrap();
+        let too_many = |n: usize| format!("ERR too many set ids ({n}, max {MAX_SET_IDS})");
+        let want = [
+            "OK".to_string(),
+            String::new(),
+            too_many(MAX_SET_IDS + 1),
+            "7".to_string(),
+            too_many(MAX_SET_IDS + 1),
+            "7".to_string(),
+            too_many(MAX_SET_IDS + 1),
+            "1".to_string(),
+        ];
+        assert_eq!(String::from_utf8(out).unwrap(), want.join("\n") + "\n");
     }
 
     #[test]

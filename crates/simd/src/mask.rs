@@ -14,6 +14,12 @@
 //!   which yields the non-zero-lane mask in a single instruction.
 //!
 //! Both supported segment widths (`s = 8` and `s = 16` bits) are provided.
+//! The lane scans only AND: the hashed bitmap is an intersection filter,
+//! and two distinct elements can share a bit, so a lane-level OR, ANDNOT
+//! or XOR would not follow the element-level operation. Union,
+//! difference and xor run in the container tier instead, whose
+//! value-domain words the word kernels at the end of this module combine
+//! exactly with any [`MaskOp`].
 //!
 //! # Preconditions
 //!
@@ -29,25 +35,21 @@ use crate::util::SetBits;
 /// Bytes of bitmap covered by one summary bit: one 512-bit SIMD block.
 pub const SUMMARY_BLOCK_BYTES: usize = 64;
 
-/// How step 1 combines the two bitmaps before the non-zero-lane extract.
-///
-/// `And` is the paper's intersection filter. The other combiners support
-/// the materializing set-algebra ops: an `Or` scan visits every segment
-/// that is non-empty on *either* side, which is the sound driver for
-/// union / difference / xor at the element level (element-level ANDNOT or
-/// XOR scans would be unsound — two distinct elements can hash to the
-/// same bit position, making the lanes equal on both sides even though
-/// the symmetric difference is non-empty). `AndNotB` and `Xor` are still
-/// provided for bitmap-level consumers and diagnostics.
+/// How a word kernel combines two value-domain word bitmaps
+/// ([`word_op_count`], [`word_op_into`]). Those bitmaps are exact — bit
+/// `i` is value `i` — so every combiner computes its set operation. The
+/// step-1 lane scans over hashed bitmaps only ever AND: the hashed
+/// bitmap is an intersection filter, and two distinct elements can share
+/// a bit, so no other combiner is sound there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaskOp {
-    /// `a & b` — lanes where both sides have bits (intersection filter).
+    /// `a & b` — intersection.
     And,
-    /// `a | b` — lanes where either side has bits (union superset scan).
+    /// `a | b` — union.
     Or,
-    /// `a & !b` — lanes where `a` has bits that `b` lacks.
+    /// `a & !b` — difference.
     AndNotB,
-    /// `a ^ b` — lanes where the sides differ.
+    /// `a ^ b` — symmetric difference.
     Xor,
 }
 
@@ -60,16 +62,6 @@ impl MaskOp {
             MaskOp::Or => a | b,
             MaskOp::AndNotB => a & !b,
             MaskOp::Xor => a ^ b,
-        }
-    }
-
-    /// Short lowercase name (for logs and bench labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            MaskOp::And => "and",
-            MaskOp::Or => "or",
-            MaskOp::AndNotB => "andnot",
-            MaskOp::Xor => "xor",
         }
     }
 }
@@ -132,14 +124,7 @@ pub fn nonzero_u16_flags(w: u64) -> u64 {
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
-fn scalar_impl<F: FnMut(usize)>(
-    op: MaskOp,
-    lane: LaneWidth,
-    a: &[u8],
-    b: &[u8],
-    small_mask: usize,
-    f: &mut F,
-) {
+fn scalar_impl<F: FnMut(usize)>(lane: LaneWidth, a: &[u8], b: &[u8], small_mask: usize, f: &mut F) {
     debug_assert_eq!(a.len() % 8, 0);
     let words = a.len() / 8;
     for wi in 0..words {
@@ -147,7 +132,7 @@ fn scalar_impl<F: FnMut(usize)>(
         let off_b = off_a & small_mask;
         let wa = u64::from_le_bytes(a[off_a..off_a + 8].try_into().unwrap());
         let wb = u64::from_le_bytes(b[off_b..off_b + 8].try_into().unwrap());
-        let v = op.apply_u64(wa, wb);
+        let v = wa & wb;
         if v == 0 {
             continue;
         }
@@ -176,7 +161,6 @@ mod x86 {
     /// `small_mask + 1` must be a power of two multiple of 16 covering `b`.
     #[target_feature(enable = "sse4.2")]
     pub unsafe fn sse_impl<F: FnMut(usize)>(
-        op: MaskOp,
         lane: LaneWidth,
         a: &[u8],
         b: &[u8],
@@ -189,13 +173,7 @@ mod x86 {
             let off = bi * 16;
             let va = _mm_loadu_si128(a.as_ptr().add(off) as *const __m128i);
             let vb = _mm_loadu_si128(b.as_ptr().add(off & small_mask) as *const __m128i);
-            let v = match op {
-                MaskOp::And => _mm_and_si128(va, vb),
-                MaskOp::Or => _mm_or_si128(va, vb),
-                // andnot computes !first & second, so the operands swap.
-                MaskOp::AndNotB => _mm_andnot_si128(vb, va),
-                MaskOp::Xor => _mm_xor_si128(va, vb),
-            };
+            let v = _mm_and_si128(va, vb);
             match lane {
                 LaneWidth::U8 => {
                     let zmask = _mm_movemask_epi8(_mm_cmpeq_epi8(v, zero)) as u32;
@@ -220,7 +198,6 @@ mod x86 {
     /// Requires AVX2. Same slice preconditions with 32-byte blocks.
     #[target_feature(enable = "avx2")]
     pub unsafe fn avx2_impl<F: FnMut(usize)>(
-        op: MaskOp,
         lane: LaneWidth,
         a: &[u8],
         b: &[u8],
@@ -233,12 +210,7 @@ mod x86 {
             let off = bi * 32;
             let va = _mm256_loadu_si256(a.as_ptr().add(off) as *const __m256i);
             let vb = _mm256_loadu_si256(b.as_ptr().add(off & small_mask) as *const __m256i);
-            let v = match op {
-                MaskOp::And => _mm256_and_si256(va, vb),
-                MaskOp::Or => _mm256_or_si256(va, vb),
-                MaskOp::AndNotB => _mm256_andnot_si256(vb, va),
-                MaskOp::Xor => _mm256_xor_si256(va, vb),
-            };
+            let v = _mm256_and_si256(va, vb);
             match lane {
                 LaneWidth::U8 => {
                     let zmask = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)) as u32;
@@ -262,7 +234,6 @@ mod x86 {
     /// Requires AVX-512 F+BW. Same slice preconditions with 64-byte blocks.
     #[target_feature(enable = "avx512f,avx512bw")]
     pub unsafe fn avx512_impl<F: FnMut(usize)>(
-        op: MaskOp,
         lane: LaneWidth,
         a: &[u8],
         b: &[u8],
@@ -274,12 +245,7 @@ mod x86 {
             let off = bi * 64;
             let va = _mm512_loadu_si512(a.as_ptr().add(off) as *const _);
             let vb = _mm512_loadu_si512(b.as_ptr().add(off & small_mask) as *const _);
-            let v = match op {
-                MaskOp::And => _mm512_and_si512(va, vb),
-                MaskOp::Or => _mm512_or_si512(va, vb),
-                MaskOp::AndNotB => _mm512_andnot_si512(vb, va),
-                MaskOp::Xor => _mm512_xor_si512(va, vb),
-            };
+            let v = _mm512_and_si512(va, vb);
             match lane {
                 LaneWidth::U8 => {
                     let nz = _mm512_test_epi8_mask(v, v);
@@ -304,7 +270,6 @@ mod x86 {
 
 fn dispatch<F: FnMut(usize)>(
     level: SimdLevel,
-    op: MaskOp,
     lane: LaneWidth,
     a: &[u8],
     b: &[u8],
@@ -321,13 +286,13 @@ fn dispatch<F: FnMut(usize)>(
         "SIMD level {level} not available on this CPU"
     );
     match level {
-        SimdLevel::Scalar => scalar_impl(op, lane, a, b, small_mask, &mut f),
+        SimdLevel::Scalar => scalar_impl(lane, a, b, small_mask, &mut f),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse => unsafe { x86::sse_impl(op, lane, a, b, small_mask, &mut f) },
+        SimdLevel::Sse => unsafe { x86::sse_impl(lane, a, b, small_mask, &mut f) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::avx2_impl(op, lane, a, b, small_mask, &mut f) },
+        SimdLevel::Avx2 => unsafe { x86::avx2_impl(lane, a, b, small_mask, &mut f) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { x86::avx512_impl(op, lane, a, b, small_mask, &mut f) },
+        SimdLevel::Avx512 => unsafe { x86::avx512_impl(lane, a, b, small_mask, &mut f) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar level reported available on non-x86_64"),
     }
@@ -346,25 +311,8 @@ pub fn for_each_nonzero_lane<F: FnMut(usize)>(
     b: &[u8],
     f: F,
 ) {
-    for_each_nonzero_lane_op(level, MaskOp::And, lane, a, b, f);
-}
-
-/// [`for_each_nonzero_lane`] with an explicit bitmap combiner: combine two
-/// equal-length bitmaps with `op` and invoke `f(segment_index)` for every
-/// non-zero `s`-bit lane of the result.
-///
-/// # Panics
-/// Panics on the preconditions of [`for_each_nonzero_lane`].
-pub fn for_each_nonzero_lane_op<F: FnMut(usize)>(
-    level: SimdLevel,
-    op: MaskOp,
-    lane: LaneWidth,
-    a: &[u8],
-    b: &[u8],
-    f: F,
-) {
     assert_eq!(a.len(), b.len(), "bitmaps must have equal length");
-    dispatch(level, op, lane, a, b, usize::MAX, f);
+    dispatch(level, lane, a, b, usize::MAX, f);
 }
 
 /// AND a large bitmap against a smaller power-of-two bitmap that logically
@@ -382,23 +330,6 @@ pub fn for_each_nonzero_lane_folded<F: FnMut(usize)>(
     small: &[u8],
     f: F,
 ) {
-    for_each_nonzero_lane_folded_op(level, MaskOp::And, lane, large, small, f);
-}
-
-/// [`for_each_nonzero_lane_folded`] with an explicit bitmap combiner: the
-/// small bitmap logically tiles the large one and each large lane is
-/// combined with its folded small lane via `op`.
-///
-/// # Panics
-/// Panics on the preconditions of [`for_each_nonzero_lane_folded`].
-pub fn for_each_nonzero_lane_folded_op<F: FnMut(usize)>(
-    level: SimdLevel,
-    op: MaskOp,
-    lane: LaneWidth,
-    large: &[u8],
-    small: &[u8],
-    f: F,
-) {
     assert!(
         small.len().is_power_of_two() && small.len() >= 64,
         "small bitmap must be a power of two of at least 64 bytes"
@@ -407,7 +338,7 @@ pub fn for_each_nonzero_lane_folded_op<F: FnMut(usize)>(
         large.len() >= small.len(),
         "large bitmap shorter than small"
     );
-    dispatch(level, op, lane, large, small, small.len() - 1, f);
+    dispatch(level, lane, large, small, small.len() - 1, f);
 }
 
 // ---------------------------------------------------------------------------
@@ -417,8 +348,7 @@ pub fn for_each_nonzero_lane_folded_op<F: FnMut(usize)>(
 // bitmaps (bit `i` of word `w` ⇔ value `64*w + i` present) where every set
 // bit is exact — no hashing, no segment lanes. Combining two such bitmaps
 // with any [`MaskOp`] and popcounting the result *is* the set operation's
-// cardinality, so all four ops are sound here (the Or-scan restriction of
-// the hashed path does not apply). The popcount uses the Harley-Seal-style
+// cardinality, so all four ops are exact here. The popcount uses the Harley-Seal-style
 // nibble LUT (`pshufb` on a 0..=4 table + `psadbw` accumulation), which
 // needs no `popcnt` CPUID bit beyond the baseline ISA of each level.
 // ---------------------------------------------------------------------------
@@ -739,33 +669,16 @@ pub fn summary_min_bound<F: FnMut(usize, usize) -> u64>(
 mod tests {
     use super::*;
 
-    fn reference_lanes_op(
-        op: MaskOp,
-        lane: LaneWidth,
-        a: &[u8],
-        b: &[u8],
-        small_mask: usize,
-    ) -> Vec<usize> {
+    fn reference_lanes(lane: LaneWidth, a: &[u8], b: &[u8], small_mask: usize) -> Vec<usize> {
         let lb = lane.bytes();
         let mut out = Vec::new();
         for seg in 0..a.len() / lb {
-            let mut nonzero = false;
-            for k in 0..lb {
-                let ai = seg * lb + k;
-                let bi = ((seg * lb) & small_mask) + k;
-                if op.apply_u64(a[ai] as u64, b[bi] as u64) & 0xff != 0 {
-                    nonzero = true;
-                }
-            }
+            let nonzero = (0..lb).any(|k| a[seg * lb + k] & b[((seg * lb) & small_mask) + k] != 0);
             if nonzero {
                 out.push(seg);
             }
         }
         out
-    }
-
-    fn reference_lanes(lane: LaneWidth, a: &[u8], b: &[u8], small_mask: usize) -> Vec<usize> {
-        reference_lanes_op(MaskOp::And, lane, a, b, small_mask)
     }
 
     const ALL_OPS: [MaskOp; 4] = [MaskOp::And, MaskOp::Or, MaskOp::AndNotB, MaskOp::Xor];
@@ -854,71 +767,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_ops_match_reference_same_size() {
-        for &len in &[64usize, 128, 512, 4096] {
-            let a = pseudo_random_bytes(len, 5, 2);
-            let b = pseudo_random_bytes(len, 13, 2);
-            for op in ALL_OPS {
-                for lane in [LaneWidth::U8, LaneWidth::U16] {
-                    let expect = reference_lanes_op(op, lane, &a, &b, usize::MAX);
-                    for level in SimdLevel::available_levels() {
-                        let mut got = Vec::new();
-                        for_each_nonzero_lane_op(level, op, lane, &a, &b, |i| got.push(i));
-                        got.sort_unstable();
-                        assert_eq!(
-                            got, expect,
-                            "op={op:?} level={level} lane={lane:?} len={len}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn all_ops_match_reference_folded() {
-        let large = pseudo_random_bytes(1024, 17, 1);
-        for &small_len in &[64usize, 128, 256] {
-            let small = pseudo_random_bytes(small_len, 23, 1);
-            for op in ALL_OPS {
-                for lane in [LaneWidth::U8, LaneWidth::U16] {
-                    let expect = reference_lanes_op(op, lane, &large, &small, small_len - 1);
-                    for level in SimdLevel::available_levels() {
-                        let mut got = Vec::new();
-                        for_each_nonzero_lane_folded_op(level, op, lane, &large, &small, |i| {
-                            got.push(i)
-                        });
-                        got.sort_unstable();
-                        assert_eq!(
-                            got, expect,
-                            "op={op:?} level={level} lane={lane:?} small={small_len}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
+    /// The word kernels compute every op exactly: value 3 is only in
+    /// `a`, 70 only in `b`, 100 in both.
     #[test]
     fn or_scan_covers_both_sides_and_andnot_is_asymmetric() {
-        let mut a = vec![0u8; 128];
-        let mut b = vec![0u8; 128];
-        a[3] = 1; // lane 3 only in a
-        b[70] = 1; // lane 70 only in b
-        a[100] = 2;
-        b[100] = 2; // lane 100 in both
-        let lanes = |op| {
-            let mut got = Vec::new();
-            for_each_nonzero_lane_op(SimdLevel::Scalar, op, LaneWidth::U8, &a, &b, |i| {
-                got.push(i)
-            });
-            got
-        };
-        assert_eq!(lanes(MaskOp::And), vec![100]);
-        assert_eq!(lanes(MaskOp::Or), vec![3, 70, 100]);
-        assert_eq!(lanes(MaskOp::AndNotB), vec![3]);
-        assert_eq!(lanes(MaskOp::Xor), vec![3, 70]);
+        let mut a = vec![0u64; 8];
+        let mut b = vec![0u64; 8];
+        a[0] |= 1 << 3;
+        b[1] |= 1 << 6;
+        a[1] |= 1 << 36;
+        b[1] |= 1 << 36;
+        for level in SimdLevel::available_levels() {
+            let values = |op, x: &[u64], y: &[u64]| {
+                let mut out = vec![0u64; 8];
+                word_op_into(level, op, x, y, &mut out);
+                let mut got = Vec::new();
+                for (w, &word) in out.iter().enumerate() {
+                    got.extend(SetBits(word).map(|bit| 64 * w as u32 + bit));
+                }
+                got
+            };
+            assert_eq!(values(MaskOp::And, &a, &b), vec![100], "{level}");
+            assert_eq!(values(MaskOp::Or, &a, &b), vec![3, 70, 100], "{level}");
+            assert_eq!(values(MaskOp::AndNotB, &a, &b), vec![3], "{level}");
+            assert_eq!(values(MaskOp::AndNotB, &b, &a), vec![70], "{level}");
+            assert_eq!(values(MaskOp::Xor, &a, &b), vec![3, 70], "{level}");
+        }
     }
 
     #[test]

@@ -63,9 +63,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/repro algebra --scale smoke
     echo "== tier1: algebra gates (BENCH_algebra.json) =="
     gate BENCH_algebra.json \
-        --ok 'algebra gates OK (results match, materialize/count ratio {intersect_overhead_ratio}x)' \
+        --ok 'algebra gates OK (results match, materialize/count ratio {intersect_overhead_ratio}x, union/xor vs merge {union_vs_merge}/{xor_vs_merge})' \
         'results_match == true | a materialized set operation disagreed with the merge oracle' \
-        'intersect_overhead_ratio <= 2.0 | materializing intersect {intersect_overhead_ratio}x slower than the count path (> 2.0x)'
+        'intersect_overhead_ratio <= 2.0 | materializing intersect {intersect_overhead_ratio}x slower than the count path (> 2.0x)' \
+        'union_vs_merge >= 0.3 | union at {union_vs_merge}x of the merge baseline (< 0.3x)' \
+        'xor_vs_merge >= 0.3 | xor at {xor_vs_merge}x of the merge baseline (< 0.3x)'
 
     echo "== tier1: repro simjoin --scale smoke =="
     ./target/release/repro simjoin --scale smoke

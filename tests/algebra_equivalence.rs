@@ -2,15 +2,18 @@
 //! backend shape, is element-identical to the sorted-merge oracles in
 //! `fesia_baselines::merge`.
 //!
-//! The visitor-based executor ([`fesia_core::set_op`]) shares one body per
-//! operation across every plan the [`fesia_core::IntersectPlanner`] can
-//! pick, so forcing each strategy in turn must reproduce the oracle's
-//! exact output (not just its length) on randomized overlap, heavy skew,
-//! disjoint ranges, identical sets, and empty operands — including folded
+//! [`fesia_core::set_op`] plans intersections with the
+//! [`fesia_core::IntersectPlanner`] and runs union, difference and xor
+//! through one execution each, chosen by which sides carry a container
+//! tier. Neither a forced plan mode nor the container knob may change the
+//! answer, so every setting must reproduce the oracle's exact output (not
+//! just its length), strictly ascending, on randomized overlap, heavy
+//! skew, disjoint ranges, identical sets, empty operands, and the routing
+//! edges — 4095 vs 4096 elements (the tier floor), tiered × untiered in
+//! both orders, same-size and folded untiered pairs — as well as folded
 //! pairs (mismatched bitmap sizes) and sets decoded from `.fsia` files
-//! that still carry the removed packed tier. Inputs come from
-//! a seeded [`SplitMix64`] stream, so a failure names the seed that
-//! replays it.
+//! that still carry the removed packed tier. Inputs come from a seeded
+//! [`SplitMix64`] stream, so a failure names the seed that replays it.
 
 use fesia_baselines::merge;
 use fesia_core::{ContainerParams, FesiaParams, MappedFile, PlanMode, SegmentedSet, SetOp};
@@ -55,6 +58,16 @@ fn case_shapes(seed: u64) -> Vec<(&'static str, Vec<u32>, Vec<u32>)> {
     let identical = sorted_set(&mut rng, 2_000, 100_000);
     let disjoint_a: Vec<u32> = (0..1_500).map(|i| i * 2).collect();
     let disjoint_b: Vec<u32> = (0..1_500).map(|i| i * 2 + 1).collect();
+    // The routing edges of union, difference and xor: a tier is built
+    // from `CONTAINER_MIN_BUILD` (4096) elements up.
+    let below_floor = exact_set(&mut rng, TIER_FLOOR - 1, 200_000);
+    let at_floor = exact_set(&mut rng, TIER_FLOOR, 200_000);
+    let tiered = exact_set(&mut rng, 20_000, 1 << 20);
+    let untiered = exact_set(&mut rng, 3_000, 1 << 20);
+    let same_size_a = exact_set(&mut rng, 2_500, 80_000);
+    let same_size_b = exact_set(&mut rng, 2_500, 80_000);
+    let folded_small = exact_set(&mut rng, 300, 80_000);
+    let folded_large = exact_set(&mut rng, 3_500, 80_000);
     vec![
         ("random", random_a, random_b),
         ("skewed", skew_small, skew_large),
@@ -65,8 +78,39 @@ fn case_shapes(seed: u64) -> Vec<(&'static str, Vec<u32>, Vec<u32>)> {
             Vec::new(),
             sorted_set(&mut rng, 3_000, 50_000),
         ),
+        ("empty-right", at_floor.clone(), Vec::new()),
         ("empty-both", Vec::new(), Vec::new()),
+        ("4095-vs-4096", below_floor.clone(), at_floor.clone()),
+        ("4096-vs-4095", at_floor, below_floor),
+        ("tiered-untiered", tiered.clone(), untiered.clone()),
+        ("untiered-tiered", untiered, tiered),
+        ("untiered-same-size", same_size_a, same_size_b),
+        (
+            "untiered-folded",
+            folded_small.clone(),
+            folded_large.clone(),
+        ),
+        ("untiered-folded-swapped", folded_large, folded_small),
     ]
+}
+
+/// Smallest set that carries a container tier.
+const TIER_FLOOR: usize = 4096;
+
+/// A sorted set of exactly `n` distinct values below `universe`.
+fn exact_set(rng: &mut SplitMix64, n: usize, universe: u32) -> Vec<u32> {
+    let mut set = std::collections::BTreeSet::new();
+    while set.len() < n {
+        set.insert(rng.below(universe as u64) as u32);
+    }
+    set.into_iter().collect()
+}
+
+fn assert_strictly_ascending(v: &[u32], how: &str) {
+    assert!(
+        v.windows(2).all(|w| w[0] < w[1]),
+        "{how}: not strictly ascending"
+    );
 }
 
 #[test]
@@ -91,38 +135,50 @@ fn materialized_intersection_length_matches_count() {
 fn every_op_matches_the_merge_oracle_under_every_forced_plan() {
     let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let params = FesiaParams::auto();
+    let saved = fesia_core::container_params();
     for seed in 0..8u64 {
         for (label, av, bv) in case_shapes(seed) {
             let a = SegmentedSet::build(&av, &params).unwrap();
             let b = SegmentedSet::build(&bv, &params).unwrap();
+            // The labelled routing edges really sit on either side of the
+            // tier floor.
+            for (set, list) in [(&a, &av), (&b, &bv)] {
+                assert_eq!(
+                    set.container().is_some(),
+                    list.len() >= TIER_FLOOR,
+                    "seed={seed} case={label}: tier presence"
+                );
+            }
             for op in OPS {
                 let want = oracle(op, &av, &bv);
                 fesia_core::set_plan_mode(PlanMode::Auto);
-                assert_eq!(
-                    fesia_core::set_op(&a, &b, op),
-                    want,
-                    "seed={seed} case={label} op={} mode=auto",
-                    op.name()
-                );
+                fesia_core::set_container_params(saved);
                 assert_eq!(
                     fesia_core::set_op_count(&a, &b, op),
                     want.len(),
                     "seed={seed} case={label} op={} count",
                     op.name()
                 );
-                for mode in PlanMode::FORCED {
+                for mode in [PlanMode::Auto].into_iter().chain(PlanMode::FORCED) {
                     fesia_core::set_plan_mode(mode);
-                    assert_eq!(
-                        fesia_core::set_op(&a, &b, op),
-                        want,
-                        "seed={seed} case={label} op={} mode={}",
-                        op.name(),
-                        mode.name()
-                    );
+                    for forced in [None, Some(true), Some(false)] {
+                        fesia_core::set_container_params(
+                            ContainerParams::default().with_forced(forced),
+                        );
+                        let got = fesia_core::set_op(&a, &b, op);
+                        let how = format!(
+                            "seed={seed} case={label} op={} mode={} container={forced:?}",
+                            op.name(),
+                            mode.name()
+                        );
+                        assert_strictly_ascending(&got, &how);
+                        assert_eq!(got, want, "{how}");
+                    }
                 }
             }
         }
     }
+    fesia_core::set_container_params(saved);
     fesia_core::set_plan_mode(PlanMode::Auto);
 }
 

@@ -248,3 +248,79 @@ fn kway_strategy_counters_account_for_every_call() {
     assert_eq!(d.kway_calls, 1);
     assert_eq!(d.kway_probe + d.kway_container + d.kway_scan, 0);
 }
+
+/// Every materializing set operation records exactly one `plan_*` and
+/// one `strategy_*` increment, under every planner mode. Union,
+/// difference and xor take their one execution whatever the mode: a tier
+/// walk (`plan_container`, merge) when difference's A or both sides of a
+/// union or xor carry a container tier, else the probe (`plan_hash`).
+#[test]
+fn set_ops_record_one_plan_and_one_strategy_each() {
+    use fesia_core::SetOp;
+    let _guard = serialize_tests();
+    let p = FesiaParams::auto();
+    let build = |v: &[u32]| SegmentedSet::build(v, &p).unwrap();
+    let tiered = [
+        build(&gen_sorted(20_000, 61, 1 << 20)),
+        build(&gen_sorted(20_000, 63, 1 << 20)),
+    ];
+    let untiered = [
+        build(&gen_sorted(3_000, 65, 1 << 20)),
+        build(&gen_sorted(3_000, 67, 1 << 20)),
+    ];
+    assert!(tiered.iter().all(|s| s.container().is_some()));
+    assert!(untiered.iter().all(|s| s.container().is_none()));
+    let cases = [
+        ("tiered", &tiered[0], &tiered[1]),
+        ("untiered", &untiered[0], &untiered[1]),
+        ("tiered-untiered", &tiered[0], &untiered[0]),
+        ("untiered-tiered", &untiered[0], &tiered[0]),
+    ];
+    let plans = |d: &fesia_obs::MetricsSnapshot| {
+        d.plan_plain
+            + d.plan_pipelined
+            + d.plan_pruned
+            + d.plan_hash
+            + d.plan_gallop
+            + d.plan_compressed
+            + d.plan_container
+    };
+    let ops = [
+        SetOp::Intersect,
+        SetOp::Union,
+        SetOp::Difference,
+        SetOp::Xor,
+    ];
+    for (label, a, b) in cases {
+        for op in ops {
+            for mode in [PlanMode::Auto].into_iter().chain(PlanMode::FORCED) {
+                let planner = IntersectPlanner {
+                    mode,
+                    ..IntersectPlanner::current()
+                };
+                let how = format!("case={label} op={} mode={}", op.name(), mode.name());
+                let before = metrics().snapshot();
+                fesia_core::set_op_planned(a, b, op, &planner);
+                let d = metrics().snapshot().delta(&before);
+                assert_eq!(plans(&d), 1, "{how}: one plan_* increment");
+                assert_eq!(d.strategy_hash + d.strategy_merge, 1, "{how}: one strategy");
+                let walk = match op {
+                    SetOp::Intersect => continue,
+                    SetOp::Difference => a.container().is_some(),
+                    SetOp::Union | SetOp::Xor => a.container().is_some() && b.container().is_some(),
+                };
+                let (plan, merge) = if walk {
+                    (d.plan_container, d.strategy_merge)
+                } else {
+                    (d.plan_hash, d.strategy_hash)
+                };
+                assert_eq!((plan, merge), (1, 1), "{how}: tier walk={walk}");
+            }
+            let before = metrics().snapshot();
+            fesia_core::set_op_count(a, b, op);
+            let d = metrics().snapshot().delta(&before);
+            assert_eq!(plans(&d), 1, "case={label} op={} count", op.name());
+            assert_eq!(d.strategy_hash + d.strategy_merge, 1, "case={label} count");
+        }
+    }
+}
