@@ -20,7 +20,7 @@
 //! Writes `BENCH_algebra.json` (consumed by `scripts/tier1.sh --smoke`)
 //! and returns a markdown report.
 
-use crate::harness::{f2, measure_cycles, Scale, Table};
+use crate::harness::{f2, measure_cycles, write_bench_json, Scale, Table};
 use fesia_baselines::merge;
 use fesia_core::{FesiaParams, SegmentedSet, SetOp};
 use fesia_datagen::{pair_with_intersection, SplitMix64};
@@ -184,10 +184,7 @@ pub fn run(scale: Scale) -> String {
         cycle_fields(&untiered),
         cycle_fields(&mixed),
     );
-    let json_path = "BENCH_algebra.json";
-    if let Err(e) = std::fs::write(json_path, &json) {
-        eprintln!("[algebra] could not write {json_path}: {e}");
-    }
+    let json_path = write_bench_json(scale, "algebra", &json);
 
     format!(
         "## Set algebra — materializing visitor kernels\n\n\

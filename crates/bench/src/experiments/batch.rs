@@ -8,7 +8,7 @@
 //! machine-readable series to `BENCH_batch.json` in the working directory
 //! and returns a markdown report.
 
-use crate::harness::{f2, Scale, Table};
+use crate::harness::{f2, write_bench_json, Scale, Table};
 use fesia_core::{batch_count_pairs_on, FesiaParams, KernelTable, SegmentedSet};
 use fesia_datagen::{sorted_distinct, SplitMix64};
 use fesia_exec::Executor;
@@ -147,10 +147,7 @@ pub fn run(scale: Scale) -> String {
         pairs.len(),
         json_rows.join(",\n"),
     );
-    let json_path = "BENCH_batch.json";
-    if let Err(e) = std::fs::write(json_path, &json) {
-        eprintln!("[batch] could not write {json_path}: {e}");
-    }
+    let json_path = write_bench_json(scale, "batch", &json);
 
     format!(
         "## Batch throughput — persistent executor\n\n\

@@ -20,7 +20,7 @@
 //! Writes `BENCH_containers.json` (consumed by `scripts/tier1.sh
 //! --smoke`) and returns a markdown report.
 
-use crate::harness::{f2, measure_cycles, Scale, Table};
+use crate::harness::{f2, measure_cycles, write_bench_json, Scale, Table};
 use fesia_core::{
     container_params, intersect_count_with, set_container_params, set_op_count,
     should_container_summaries, ContainerParams, FesiaParams, KernelTable, SegmentedSet, SetOp,
@@ -188,10 +188,7 @@ pub fn run(scale: Scale) -> String {
         wl_json(&clustered),
         wl_json(&uniform),
     );
-    let json_path = "BENCH_containers.json";
-    if let Err(e) = std::fs::write(json_path, &json) {
-        eprintln!("[containers] could not write {json_path}: {e}");
-    }
+    let json_path = write_bench_json(scale, "containers", &json);
 
     format!(
         "## Adaptive per-range containers\n\n\

@@ -16,7 +16,7 @@
 //! Also reports the raw cost of one counter increment, and writes the
 //! machine-readable results to `BENCH_obs.json`.
 
-use crate::harness::{f2, measure_cycles, Scale, Table};
+use crate::harness::{f2, measure_cycles, write_bench_json, Scale, Table};
 use fesia_core::intersect::SKEW_HASH_THRESHOLD;
 use fesia_core::{
     batch_count_pairs_on, hash_probe_count, intersect_count_interleaved_with, FesiaParams,
@@ -174,10 +174,7 @@ pub fn run(scale: Scale) -> String {
         pairs.len(),
         json_rows.join(",\n"),
     );
-    let json_path = "BENCH_obs.json";
-    if let Err(e) = std::fs::write(json_path, &json) {
-        eprintln!("[obs] could not write {json_path}: {e}");
-    }
+    let json_path = write_bench_json(scale, "obs", &json);
 
     format!(
         "## Metrics overhead — instrumented batch path vs uninstrumented replica\n\n\

@@ -22,7 +22,7 @@
 //! `BENCH_plan.json`: every strategy returns the same count, and auto's
 //! cycles are within 10% of the best forced strategy on every workload.
 
-use crate::harness::{f2, measure_cycles, Scale, Table};
+use crate::harness::{f2, measure_cycles, write_bench_json, Scale, Table};
 use fesia_core::{
     auto_count_with, execute_kway_count, kway_count_with, set_plan_mode, FesiaParams, KernelTable,
     KwayStrategy, LaneWidth, PlanMode, SegmentedSet, SetSummary,
@@ -265,10 +265,7 @@ pub fn run(scale: Scale) -> String {
         format!("{scale:?}").to_lowercase(),
         json_rows.join(",\n"),
     );
-    let json_path = "BENCH_plan.json";
-    if let Err(e) = std::fs::write(json_path, &json) {
-        eprintln!("[plan] could not write {json_path}: {e}");
-    }
+    let json_path = write_bench_json(scale, "plan", &json);
 
     format!(
         "## IntersectPlanner — auto vs forced strategies\n\n\

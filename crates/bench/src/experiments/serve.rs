@@ -19,7 +19,7 @@
 //! Writes `BENCH_serve.json` with the gate booleans tier-1 asserts:
 //! `counts_match`, `p99_within_budget`, `stall_within_budget`.
 
-use crate::harness::{f2, Scale, Table};
+use crate::harness::{f2, write_bench_json, Scale, Table};
 use fesia_core::KernelTable;
 use fesia_datagen::{SplitMix64, Zipf};
 use fesia_serve::{ServeConfig, ServeStore, WriteOp};
@@ -233,10 +233,7 @@ pub fn run(scale: Scale) -> String {
          \"max_reader_stall_ms\": {max_reader_stall_ms:.6},\n  \
          \"stall_within_budget\": {stall_within_budget}\n}}\n"
     );
-    let json_path = "BENCH_serve.json";
-    if let Err(e) = std::fs::write(json_path, &json) {
-        eprintln!("[serve] could not write {json_path}: {e}");
-    }
+    let json_path = write_bench_json(scale, "serve", &json);
 
     let mut md = Table::new(vec!["metric", "value"]);
     md.row(vec!["replay queries vs oracle".into(), queries.to_string()]);

@@ -8,18 +8,18 @@
 //! candidates). Large groups sharing a 50% core are the hard negatives:
 //! similar enough that the prefix filter emits every intra-group pair
 //! and a full count must sweep ~500 matching segments, yet bounded away
-//! from the 85% threshold — so the early-exit tier's segment-size budget
-//! (sum of min segment sizes over summary-surviving lanes, ~0.6n)
-//! prerejects them right after the bitmap AND, skipping the whole
-//! segment sweep. Uniform background sets round out the near-disjoint
-//! easy-reject path. Measures the full join at every cascade
-//! configuration (prefix-only baseline, bitmap bound only, early-exit
-//! kernels only, full cascade), checks all four produce the identical
-//! survivor set and that every candidate is accounted for by exactly one
-//! counter, and writes `BENCH_simjoin.json` with the cascade-vs-baseline
-//! speedup the tier-1 gate enforces.
+//! from the 85% threshold — so the early-exit count's segment-size budget
+//! (sum of min segment sizes over surviving lanes, ~0.6n) prerejects
+//! them right after the bitmap AND, skipping the whole segment sweep.
+//! Uniform background sets round out the near-disjoint easy-reject path.
+//! Measures the full join in both cascade configurations (prefix-only
+//! baseline with a full count per candidate, and the early-exit
+//! cascade), checks both produce the identical survivor set and that
+//! every candidate is accounted for by exactly one counter, and writes
+//! `BENCH_simjoin.json` with the cascade-vs-baseline speedup the tier-1
+//! gate enforces.
 
-use crate::harness::{f2, Scale, Table};
+use crate::harness::{f2, write_bench_json, Scale, Table};
 use fesia_core::{
     self_join_with, FesiaParams, IntersectPlanner, KernelTable, SegmentedSet, SimjoinParams,
     SimjoinStats, Threshold,
@@ -59,7 +59,7 @@ pub fn run(scale: Scale) -> String {
     ));
     // Dense encoding (~4 elements per segment): with the default
     // sqrt(w) bits/element almost every surviving segment holds a single
-    // element and the summary scan itself dominates, leaving the cascade
+    // element and the bitmap scan itself dominates, leaving the cascade
     // nothing to skip. At 2 bits/element the per-segment kernel work (and
     // the reordered-element traffic) is the dominant per-pair cost, which
     // is exactly what the early-exit budget prereject elides.
@@ -87,17 +87,10 @@ pub fn run(scale: Scale) -> String {
         t.elapsed().as_secs_f64()
     };
 
-    let configs: [(&str, bool, bool); 4] = [
-        ("baseline", false, false),
-        ("bitmap_only", true, false),
-        ("early_exit_only", false, true),
-        ("cascade", true, true),
-    ];
+    let configs: [(&str, bool); 2] = [("baseline", false), ("cascade", true)];
     let mut results = Vec::new();
-    for &(name, bitmap, early) in &configs {
-        let sp = SimjoinParams::default()
-            .with_bitmap_filter(bitmap)
-            .with_early_exit(early);
+    for &(name, early) in &configs {
+        let sp = SimjoinParams::default().with_early_exit(early);
         let join = || self_join_with(&sets, &lists, threshold, &table, &planner, &sp, 1);
         let first = join(); // warm-up + correctness capture
         let mut best = f64::MAX;
@@ -110,7 +103,7 @@ pub fn run(scale: Scale) -> String {
     }
 
     let (_, base_res, base_secs) = &results[0];
-    let (_, _, casc_secs) = &results[3];
+    let (_, _, casc_secs) = &results[1];
     let pairs_match = results.iter().all(|(_, r, _)| r.pairs == base_res.pairs);
     let counters_balance = results.iter().all(|(_, r, _)| stats_balance(&r.stats));
     let survivors_expected = base_res.pairs.len() == expect_pairs;
@@ -161,10 +154,7 @@ pub fn run(scale: Scale) -> String {
         base_res.pairs.len(),
         json_rows.join(",\n"),
     );
-    let json_path = "BENCH_simjoin.json";
-    if let Err(e) = std::fs::write(json_path, &json) {
-        eprintln!("[simjoin] could not write {json_path}: {e}");
-    }
+    let json_path = write_bench_json(scale, "simjoin", &json);
 
     format!(
         "## Similarity join — threshold-aware filter cascade\n\n\
@@ -173,7 +163,7 @@ pub fn run(scale: Scale) -> String {
          {hard_groups} hard-negative clusters of {hard_per_group} sharing \
          a 50% core, {background} uniform), overlap \
          threshold {}; {candidates} prefix-filter candidates, {} survivors \
-         (selectivity {:.2}%). Survivor sets identical across all four \
+         (selectivity {:.2}%). Survivor sets identical across both \
          cascade configurations: {pairs_match}; counter identity \
          (candidates = bitmap_rejected + early_exited + verified): \
          {counters_balance}. Cascade speedup over the prefix-only \

@@ -38,6 +38,31 @@ impl Scale {
     }
 }
 
+/// Directory that smoke-scale runs write their `BENCH_*.json` into,
+/// relative to the working directory.
+pub const SMOKE_DIR: &str = "target/repro-smoke";
+
+/// Write an experiment's `BENCH_<name>.json` and return its path. Standard
+/// and full scale write the working directory's file, the committed
+/// figure; smoke scale writes under [`SMOKE_DIR`] so a quick check never
+/// overwrites it. A failed write is reported on stderr, not fatal.
+pub fn write_bench_json(scale: Scale, name: &str, json: &str) -> String {
+    let file = format!("BENCH_{name}.json");
+    let path = match scale {
+        Scale::Smoke => {
+            if let Err(e) = std::fs::create_dir_all(SMOKE_DIR) {
+                eprintln!("[{name}] could not create {SMOKE_DIR}: {e}");
+            }
+            format!("{SMOKE_DIR}/{file}")
+        }
+        Scale::Standard | Scale::Full => file,
+    };
+    if let Err(e) = std::fs::write(&path, json) {
+        eprintln!("[{name}] could not write {path}: {e}");
+    }
+    path
+}
+
 /// Measure `f` in cycles: one warm-up call, then the minimum over `reps`
 /// timed calls (the low-noise estimator for deterministic kernels). The
 /// closure's result is returned so callers can verify correctness and keep

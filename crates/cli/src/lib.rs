@@ -247,7 +247,7 @@ fn cmd_info(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     )?;
     writeln!(
         out,
-        "summary blocks:  {} ({:.1}% populated)",
+        "summary blocks:  {} ({:.1}% expected populated)",
         set.summary_blocks(),
         set.summary_density() * 100.0
     )?;
@@ -255,10 +255,9 @@ fn cmd_info(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let sum = fesia_core::SetSummary::of(&set);
     writeln!(
         out,
-        "planner:         mode={} plan-vs-self={} profile={}",
+        "planner:         mode={} plan-vs-self={}",
         planner.mode.name(),
         planner.plan_pair(&sum, &sum).name(),
-        fesia_core::profile_status()
     )?;
     Ok(())
 }
@@ -979,7 +978,7 @@ mod tests {
         run(&s(&["info", &f]), &mut out).unwrap();
         let info = String::from_utf8_lossy(&out);
         assert!(info.contains("planner:         mode="), "{info}");
-        assert!(info.contains("profile="), "{info}");
+        assert!(info.contains("plan-vs-self="), "{info}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,12 +1,12 @@
 //! The knobs of the removed pipelined, compressed, gallop and pruned
-//! plans, and of the similarity join's removed candidate-chunk grain.
+//! plans, of the similarity join's removed candidate-chunk grain and
+//! summary-bitmap tier, and of the removed machine-profile loader.
 //!
 //! Their `FESIA_*` variables are no longer read, so the startup scan
-//! reports them as unrecognized, and the removed `FESIA_PLAN` modes warn
-//! and leave the planner on auto. A machine profile that still carries
-//! the removed keys keeps loading. Each check runs `fesia info` in a
-//! child process, because the planner reads the environment once per
-//! process.
+//! reports them as unrecognized, the removed `FESIA_PLAN` modes warn and
+//! leave the planner on auto, and a profile file changes nothing. Each
+//! check runs `fesia info` in a child process, because the planner reads
+//! the environment once per process.
 
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard};
@@ -19,30 +19,27 @@ fn env_lock() -> MutexGuard<'static, ()> {
     ENV.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-const REMOVED_VARS: [&str; 9] = [
+const REMOVED_VARS: [&str; 11] = [
     "FESIA_COMPRESS",
     "FESIA_COMPRESS_MIN",
     "FESIA_PIPELINE",
     "FESIA_PIPELINE_MIN",
     "FESIA_PREFETCH_DIST",
+    "FESIA_PROFILE",
     "FESIA_PRUNE",
     "FESIA_PRUNE_MAX_SURVIVOR",
     "FESIA_PRUNE_MIN_BYTES",
+    "FESIA_SIMJOIN_BITMAP",
     "FESIA_SIMJOIN_CHUNK",
 ];
 
-/// Run `fesia info` on a small set with `env` added to a clean `FESIA_*`
-/// environment whose profile is `profile` (none when `None`); returns
-/// (stdout, stderr).
-fn fesia_info_with_profile(
-    test: &str,
-    env: &[(&str, &str)],
-    profile: Option<&str>,
-) -> (String, String) {
+/// Run `fesia info` on a set of `elements` with `env` added to a clean
+/// `FESIA_*` environment; returns (stdout, stderr).
+fn fesia_info_of(test: &str, elements: &[u32], env: &[(&str, String)]) -> (String, String) {
     let dir = std::env::temp_dir().join(format!("fesia-knobs-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("s.fsia");
-    let set = fesia_core::SegmentedSet::new(&[3, 9, 27]).unwrap();
+    let set = fesia_core::SegmentedSet::new(elements).unwrap();
     std::fs::write(&file, set.serialize()).unwrap();
     let guard = env_lock();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fesia"));
@@ -52,12 +49,7 @@ fn fesia_info_with_profile(
             cmd.env_remove(k);
         }
     }
-    let profile_path = dir.join("profile.json");
-    if let Some(text) = profile {
-        std::fs::write(&profile_path, text).unwrap();
-    }
-    cmd.env("FESIA_PROFILE", &profile_path);
-    cmd.envs(env.iter().copied());
+    cmd.envs(env.iter().map(|(k, v)| (k, v)));
     let out = cmd.output().unwrap();
     drop(guard);
     std::fs::remove_dir_all(&dir).ok();
@@ -68,9 +60,10 @@ fn fesia_info_with_profile(
     )
 }
 
-/// [`fesia_info_with_profile`] with no profile file.
+/// [`fesia_info_of`] on a three-element set.
 fn fesia_info(test: &str, env: &[(&str, &str)]) -> (String, String) {
-    fesia_info_with_profile(test, env, None)
+    let env: Vec<(&str, String)> = env.iter().map(|&(k, v)| (k, v.to_string())).collect();
+    fesia_info_of(test, &[3, 9, 27], &env)
 }
 
 #[test]
@@ -92,8 +85,9 @@ fn removed_variables_are_reported_unrecognized() {
         stderr.contains(
             "unrecognized FESIA_* environment variable(s): FESIA_COMPRESS, \
              FESIA_COMPRESS_MIN, FESIA_PIPELINE, FESIA_PIPELINE_MIN, \
-             FESIA_PREFETCH_DIST, FESIA_PRUNE, FESIA_PRUNE_MAX_SURVIVOR, \
-             FESIA_PRUNE_MIN_BYTES, FESIA_SIMJOIN_CHUNK"
+             FESIA_PREFETCH_DIST, FESIA_PROFILE, FESIA_PRUNE, \
+             FESIA_PRUNE_MAX_SURVIVOR, FESIA_PRUNE_MIN_BYTES, \
+             FESIA_SIMJOIN_BITMAP, FESIA_SIMJOIN_CHUNK"
         ),
         "{stderr}"
     );
@@ -115,23 +109,30 @@ fn removed_plan_modes_warn_and_fall_back_to_auto() {
     assert!(stdout.contains("planner:         mode=hash"), "{stdout}");
 }
 
-/// A profile with the nine keys the last profile writer emitted loads
-/// without a warning: the removed `prefetch_distance` and `prune_*` keys
-/// are ignored.
+/// A machine-profile file is no longer read: one forcing the container
+/// dispatch on leaves `fesia info`'s self-plan where the defaults put it,
+/// while the `FESIA_CONTAINER` twin of that key still moves it.
 #[test]
-fn nine_key_profiles_still_load() {
-    let nine = r#"{
-  "version": 1,
-  "prefetch_distance": 16,
-  "prune_forced": "on",
-  "prune_min_bitmap_bytes": 12345,
-  "prune_max_survivor_pct": 42,
-  "container_forced": "auto",
-  "container_min_elements": 2048,
-  "container_dense_pct": 55,
-  "rebuild_fraction": 0.125
-}"#;
-    let (stdout, stderr) = fesia_info_with_profile("nine-keys", &[], Some(nine));
-    assert!(!stderr.contains("warning"), "{stderr}");
-    assert!(stdout.contains("profile=loaded v1"), "{stdout}");
+fn profile_files_no_longer_change_the_planner() {
+    // Large enough to carry a container tier, too small for auto mode to
+    // pick it.
+    let elements: Vec<u32> = (0..5_000).collect();
+    let dir = std::env::temp_dir().join(format!("fesia-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let profile = dir.join("profile.json");
+    std::fs::write(&profile, r#"{"version": 1, "container_forced": "on"}"#).unwrap();
+    let with_profile = [("FESIA_PROFILE", profile.to_string_lossy().to_string())];
+    let (stdout, stderr) = fesia_info_of("profile", &elements, &with_profile);
+    let (plain, _) = fesia_info_of("no-profile", &elements, &[]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(stdout.contains("plan-vs-self=plain"), "{stdout}");
+    // Identical but for the first line, which names the file.
+    assert!(
+        stdout.lines().skip(1).eq(plain.lines().skip(1)),
+        "{stdout}{plain}"
+    );
+    assert!(stderr.contains("FESIA_PROFILE"), "{stderr}");
+    let forced = [("FESIA_CONTAINER", "on".to_string())];
+    let (stdout, _) = fesia_info_of("env", &elements, &forced);
+    assert!(stdout.contains("plan-vs-self=container"), "{stdout}");
 }

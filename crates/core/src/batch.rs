@@ -19,7 +19,7 @@
 //!
 //! Before dispatch the batch is reordered *cache-residently*: a greedy
 //! pass chains pairs sharing an operand so they run consecutively on the
-//! same worker, keeping that operand's bitmap, summary, and reordered
+//! same worker, keeping that operand's bitmap, metadata, and reordered
 //! elements hot in L2/L3 instead of being evicted between two distant
 //! uses (a real workload — triangle counting, a query engine — reuses
 //! each set many times per batch). Results are still written at each

@@ -51,8 +51,8 @@ pub(crate) fn store_dynamic(p: DynamicParams) {
 }
 
 /// The process-wide [`DynamicParams`] governing when a [`DynamicSet`]
-/// folds its deltas (profile + env layering done by the planner's
-/// one-shot initialization).
+/// folds its deltas (env layering done by the planner's one-shot
+/// initialization).
 pub fn dynamic_params() -> DynamicParams {
     crate::plan::ensure_init();
     DynamicParams {
@@ -207,8 +207,8 @@ impl DynamicSet {
     /// Fold the deltas into a fresh base encoding.
     ///
     /// Rebuilding also refreshes the features the
-    /// [`crate::plan::IntersectPlanner`] reads (length, bitmap size,
-    /// summary density are all cached on the base at build time), so a
+    /// [`crate::plan::IntersectPlanner`] reads (length, bitmap size and
+    /// the block density derived from them belong to the base), so a
     /// set that grew or shrank past a strategy crossover starts getting
     /// the right plan as soon as the deltas fold in.
     pub fn rebuild(&mut self) -> Result<(), BuildError> {

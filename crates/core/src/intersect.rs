@@ -5,9 +5,7 @@ use crate::kernels::KernelTable;
 use crate::params::ContainerParams;
 use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary, ThresholdPlan};
 use crate::set::SegmentedSet;
-use fesia_simd::mask::{
-    for_each_nonzero_lane, for_each_nonzero_lane_folded, summary_min_bound, LaneWidth,
-};
+use fesia_simd::mask::{for_each_nonzero_lane, for_each_nonzero_lane_folded, LaneWidth};
 use fesia_simd::prefetch::prefetch_read;
 use fesia_simd::timer::CycleTimer;
 use fesia_simd::SimdLevel;
@@ -279,42 +277,12 @@ fn count_raw_pair(
 }
 
 // ---------------------------------------------------------------------------
-// Threshold-aware (early-exit) counting: the kernels behind tiers 2 and 3
-// of the similarity-join filter cascade (see `crate::simjoin`).
+// Threshold-aware (early-exit) counting: the kernels behind the
+// similarity-join filter cascade (see `crate::simjoin`).
 // ---------------------------------------------------------------------------
 
-/// Tier-2 filter of the similarity-join cascade: a sound upper bound on
-/// |A ∩ B| from the summary bitmaps and per-block populations alone.
-///
-/// Returns `Some(bound)` with `bound < threshold` when the pair is
-/// **rejectable** without touching bitmaps, segments, or elements;
-/// `None` when the bound reaches `threshold` (the pair may still fail —
-/// this tier only ever proves absence, never presence).
-///
-/// Soundness: a common element sets the same bit *position* on both
-/// sides (the smaller bitmap tiles the larger one under the power-of-two
-/// folding rule), so it lands in block `b` of the large side and block
-/// `b mod small_blocks` of the small side — each common element is
-/// charged to exactly one block pair in the summary AND, and a block
-/// pair's contribution is capped by the `min` of its two exact
-/// populations ([`SegmentedSet::block_pop`]). Note the bound is *not*
-/// `popcount(AND)` of the bitmaps: two distinct common elements may
-/// collide onto one bit via `h mod m`, so a raw popcount could
-/// under-count and wrongly reject.
-pub fn summary_overlap_bound(a: &SegmentedSet, b: &SegmentedSet, threshold: usize) -> Option<u64> {
-    check_compatible(a, b);
-    let (x, y, _) = order_sides(a, b);
-    summary_min_bound(
-        x.summary_words(),
-        y.summary_words(),
-        y.summary_blocks(),
-        threshold as u64,
-        |bx, by| x.block_pop(bx).min(y.block_pop(by)) as u64,
-    )
-}
-
 /// `Some(|A ∩ B|)` if the intersection reaches `threshold`, else `None`
-/// — the cascade's tier-3 early-exit counting kernel with the
+/// — the similarity-join cascade's early-exit counting kernel with the
 /// process-default table and planner. See
 /// [`intersect_count_bounded_planned`] for the exact contract.
 pub fn intersect_count_bounded(

@@ -36,8 +36,8 @@
 //! * [`kway_count`] — k-way intersection over `k` bitmaps.
 //! * [`par_intersect_count`] — multicore partitioning of the segment space.
 //! * [`plan::IntersectPlanner`] — the unified cost model every entry
-//!   point asks for an explicit [`plan::IntersectPlan`], layered from a
-//!   machine profile file, `FESIA_*` environment knobs, and runtime
+//!   point asks for an explicit [`plan::IntersectPlan`], layered from
+//!   built-in defaults, `FESIA_*` environment knobs, and runtime
 //!   setters.
 
 pub mod algebra;
@@ -74,7 +74,7 @@ pub use intersect::{
     execute_plan_count, hash_probe_count, intersect, intersect_count, intersect_count_at_least,
     intersect_count_at_least_planned, intersect_count_bounded, intersect_count_bounded_planned,
     intersect_count_breakdown, intersect_count_interleaved_with, intersect_count_planned,
-    intersect_count_with, set_container_params, summary_overlap_bound, Breakdown,
+    intersect_count_with, set_container_params, Breakdown,
 };
 pub use kernels::visit::{CountVisitor, EmitVisitor, FnVisitor, SegmentVisitor, SetOp};
 pub use kernels::KernelTable;
@@ -86,9 +86,8 @@ pub use mmap::{MappedFile, Section};
 pub use parallel::{par_intersect_count, par_intersect_count_on, par_intersect_count_with};
 pub use params::{ContainerParams, DynamicParams, FesiaParams, SimjoinParams};
 pub use plan::{
-    default_profile_path, plan_mode, profile_status, set_plan_mode, should_container_summaries,
-    IntersectPlan, IntersectPlanner, KwayPlan, KwayStrategy, MachineProfile, PlanMode, SetSummary,
-    ThresholdPlan, PROFILE_VERSION,
+    plan_mode, profile_status, set_plan_mode, should_container_summaries, IntersectPlan,
+    IntersectPlanner, KwayPlan, KwayStrategy, PlanMode, SetSummary, ThresholdPlan,
 };
 pub use serialize::{deserialize_many, deserialize_many_mapped, serialize_many, DecodeError};
 pub use set::SegmentedSet;

@@ -22,11 +22,9 @@ pub mod env {
     pub const KNOWN_VARS: &[&str] = &[
         "FESIA_THREADS",
         "FESIA_PLAN",
-        "FESIA_PROFILE",
         "FESIA_CONTAINER",
         "FESIA_CONTAINER_MIN",
         "FESIA_CONTAINER_DENSE_PCT",
-        "FESIA_SIMJOIN_BITMAP",
         "FESIA_SIMJOIN_EARLY_EXIT",
         "FESIA_REBUILD_FRACTION",
         "FESIA_SERVE_SHARDS",
@@ -145,8 +143,7 @@ impl Default for FesiaParams {
 /// The process-wide default is read once from the environment
 /// (`FESIA_CONTAINER=0|1|auto`, `FESIA_CONTAINER_MIN=N`,
 /// `FESIA_CONTAINER_DENSE_PCT=P`) and can be changed at runtime with
-/// [`crate::set_container_params`]; a machine profile file can also set
-/// all three.
+/// [`crate::set_container_params`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerParams {
     /// `Some(true)` forces the container dispatch (when both sides carry
@@ -182,14 +179,9 @@ impl ContainerParams {
     /// The defaults, with `FESIA_CONTAINER` / `FESIA_CONTAINER_MIN` /
     /// `FESIA_CONTAINER_DENSE_PCT` environment overrides applied.
     pub fn from_env() -> Self {
-        ContainerParams::default().with_env_overrides()
-    }
-
-    /// Apply the environment overrides field-by-field on top of `self`
-    /// (the planner layers them over a loaded machine profile).
-    pub fn with_env_overrides(mut self) -> Self {
+        let mut p = ContainerParams::default();
         if let Some(v) = env::raw("FESIA_CONTAINER") {
-            self.forced = if v.eq_ignore_ascii_case("auto") {
+            p.forced = if v.eq_ignore_ascii_case("auto") {
                 None
             } else {
                 // Tri-state knob: anything that isn't "auto" degrades to
@@ -200,12 +192,12 @@ impl ContainerParams {
             };
         }
         if let Some(m) = env::parse_usize("FESIA_CONTAINER_MIN") {
-            self.min_elements = m;
+            p.min_elements = m;
         }
-        if let Some(p) = env::parse_u32("FESIA_CONTAINER_DENSE_PCT") {
-            self.min_dense_pct = p.min(100);
+        if let Some(pct) = env::parse_u32("FESIA_CONTAINER_DENSE_PCT") {
+            p.min_dense_pct = pct.min(100);
         }
-        self
+        p
     }
 
     /// Force the container dispatch on or off, or restore auto-selection
@@ -231,21 +223,16 @@ impl ContainerParams {
 /// Tuning knob for the similarity-join filter cascade
 /// ([`crate::simjoin`]).
 ///
-/// The cascade's tier 1 (length/prefix candidate generation) is the
-/// baseline and always runs; tiers 2 and 3 are individually switchable
-/// so the `repro simjoin` experiment — and anyone debugging a corpus
-/// where a tier does not pay — can measure each filter's contribution.
+/// The cascade's length/prefix candidate generation is the baseline and
+/// always runs; early exit is switchable so the `repro simjoin`
+/// experiment can measure it against that baseline.
 ///
 /// The process-wide default is read once from the environment
-/// (`FESIA_SIMJOIN_BITMAP=0|1`, `FESIA_SIMJOIN_EARLY_EXIT=0|1`) and
-/// can be changed at runtime with
+/// (`FESIA_SIMJOIN_EARLY_EXIT=0|1`) and can be changed at runtime with
 /// [`crate::set_simjoin_params`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimjoinParams {
-    /// Run the tier-2 summary-bitmap upper-bound filter
-    /// ([`crate::summary_overlap_bound`]) before any segment work.
-    pub bitmap_filter: bool,
-    /// Run tier 3 with the early-exit counting kernels
+    /// Verify candidates with the early-exit counting kernels
     /// ([`crate::intersect_count_at_least`]); off, survivors are decided
     /// by a full unbounded count (the prefix-filter-only baseline the
     /// acceptance gate compares against).
@@ -254,38 +241,22 @@ pub struct SimjoinParams {
 
 impl Default for SimjoinParams {
     fn default() -> Self {
-        SimjoinParams {
-            bitmap_filter: true,
-            early_exit: true,
-        }
+        SimjoinParams { early_exit: true }
     }
 }
 
 impl SimjoinParams {
-    /// The defaults, with `FESIA_SIMJOIN_BITMAP` /
-    /// `FESIA_SIMJOIN_EARLY_EXIT` environment overrides applied.
+    /// The defaults, with the `FESIA_SIMJOIN_EARLY_EXIT` environment
+    /// override applied.
     pub fn from_env() -> Self {
-        SimjoinParams::default().with_env_overrides()
-    }
-
-    /// Apply the environment overrides field-by-field on top of `self`.
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(b) = env::parse_bool("FESIA_SIMJOIN_BITMAP") {
-            self.bitmap_filter = b;
-        }
+        let mut p = SimjoinParams::default();
         if let Some(e) = env::parse_bool("FESIA_SIMJOIN_EARLY_EXIT") {
-            self.early_exit = e;
+            p.early_exit = e;
         }
-        self
+        p
     }
 
-    /// Enable or disable the tier-2 summary-bitmap filter.
-    pub fn with_bitmap_filter(mut self, on: bool) -> Self {
-        self.bitmap_filter = on;
-        self
-    }
-
-    /// Enable or disable the tier-3 early-exit kernels.
+    /// Enable or disable the early-exit kernels.
     pub fn with_early_exit(mut self, on: bool) -> Self {
         self.early_exit = on;
         self
@@ -302,8 +273,7 @@ impl SimjoinParams {
 /// directly this knob.
 ///
 /// The process-wide default is read once from the environment
-/// (`FESIA_REBUILD_FRACTION=F`), can be set by the machine profile,
-/// and can be changed at runtime with
+/// (`FESIA_REBUILD_FRACTION=F`) and can be changed at runtime with
 /// [`crate::set_dynamic_params`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicParams {
@@ -324,14 +294,10 @@ impl DynamicParams {
     /// The defaults, with the `FESIA_REBUILD_FRACTION` environment
     /// override applied.
     pub fn from_env() -> Self {
-        DynamicParams::default().with_env_overrides()
-    }
-
-    /// Apply the environment overrides field-by-field on top of `self`.
-    pub fn with_env_overrides(mut self) -> Self {
+        let mut p = DynamicParams::default();
         if let Some(f) = env::parse_f64("FESIA_REBUILD_FRACTION") {
             if f > 0.0 && f.is_finite() {
-                self.rebuild_fraction = f;
+                p.rebuild_fraction = f;
             } else {
                 env::warn_malformed(
                     "FESIA_REBUILD_FRACTION",
@@ -340,7 +306,7 @@ impl DynamicParams {
                 );
             }
         }
-        self
+        p
     }
 
     /// Override the rebuild fraction.
@@ -415,9 +381,8 @@ mod tests {
     #[test]
     fn simjoin_params_builders() {
         let p = SimjoinParams::default();
-        assert!(p.bitmap_filter && p.early_exit);
-        let q = p.with_bitmap_filter(false).with_early_exit(false);
-        assert!(!q.bitmap_filter && !q.early_exit);
+        assert!(p.early_exit);
+        assert!(!p.with_early_exit(false).early_exit);
     }
 
     #[test]

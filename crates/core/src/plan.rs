@@ -15,18 +15,15 @@
 //!
 //! 1. built-in defaults ([`crate::params::ContainerParams`],
 //!    [`crate::params::DynamicParams`]);
-//! 2. a [`MachineProfile`] file, loaded from `FESIA_PROFILE` or
-//!    `~/.fesia/profile.json`;
-//! 3. `FESIA_*` environment knobs, including `FESIA_PLAN` which forces
+//! 2. `FESIA_*` environment knobs, including `FESIA_PLAN` which forces
 //!    one strategy outright;
-//! 4. runtime setters ([`crate::set_container_params`],
+//! 3. runtime setters ([`crate::set_container_params`],
 //!    [`set_plan_mode`]).
 //!
 //! Every plan decision is recorded in the `fesia-obs` `plan_*` counters.
 
 use crate::params::{self, ContainerParams, DynamicParams};
 use crate::set::SegmentedSet;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -168,7 +165,9 @@ pub struct SetSummary {
     pub len: usize,
     /// Bitmap size in bytes.
     pub bitmap_bytes: usize,
-    /// Fraction of populated summary blocks (0.0–1.0).
+    /// Expected fraction of populated 512-bit bitmap blocks (0.0–1.0),
+    /// from the length and the bitmap size
+    /// ([`SegmentedSet::summary_density`]).
     pub summary_density: f64,
     /// Fraction of elements living in dense (word-bitmap or run) ranges
     /// of the container directory, when the set carries one — the
@@ -209,8 +208,8 @@ impl SetSummary {
 /// L2 on every target measured, where streaming the bitmaps stalls.
 const SPARSE_MIN_BITMAP_BYTES: usize = 1 << 22;
 
-/// Highest expected share of summary blocks populated on both sides, in
-/// percent (the product of the two summary densities), at which auto
+/// Highest expected share of bitmap blocks populated on both sides, in
+/// percent (the product of the two block densities), at which auto
 /// mode still sends a large pair to the hash probe.
 const SPARSE_MAX_OVERLAP_PCT: f64 = 60.0;
 
@@ -237,141 +236,11 @@ pub fn should_container_summaries(a: &SetSummary, b: &SetSummary, p: &ContainerP
 }
 
 // ---------------------------------------------------------------------------
-// Machine profile (versioned)
-// ---------------------------------------------------------------------------
-
-/// Current profile file format version.
-pub const PROFILE_VERSION: u32 = 1;
-
-/// Per-machine knob overrides, read from a flat JSON object and loaded
-/// into the planner at startup.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MachineProfile {
-    /// File format version ([`PROFILE_VERSION`]).
-    pub version: u32,
-    /// Per-range container dispatch knobs.
-    pub container: ContainerParams,
-    /// Dynamic-set delta-folding knobs (rebuild fraction).
-    pub dynamic: DynamicParams,
-}
-
-impl Default for MachineProfile {
-    fn default() -> Self {
-        MachineProfile {
-            version: PROFILE_VERSION,
-            container: ContainerParams::default(),
-            dynamic: DynamicParams::default(),
-        }
-    }
-}
-
-impl MachineProfile {
-    /// Parse a profile: one flat JSON object with scalar values.
-    ///
-    /// Unknown keys are ignored so newer writers stay loadable — as are
-    /// the keys of removed knobs (`prefetch_distance`, `prune_*`,
-    /// `pipeline_*`, `compress_*`, `gallop_max_len`), so older profiles
-    /// keep loading — and a version other than [`PROFILE_VERSION`] is
-    /// rejected so stale files cannot silently misconfigure the planner.
-    pub fn from_json(text: &str) -> Result<MachineProfile, String> {
-        let mut p = MachineProfile::default();
-        let mut saw_version = false;
-        for (key, value) in parse_flat_object(text)? {
-            match key.as_str() {
-                "version" => {
-                    let v: u32 = value
-                        .parse()
-                        .map_err(|_| format!("bad version `{value}`"))?;
-                    if v != PROFILE_VERSION {
-                        return Err(format!(
-                            "unsupported profile version {v} (expected {PROFILE_VERSION})"
-                        ));
-                    }
-                    p.version = v;
-                    saw_version = true;
-                }
-                "container_forced" => {
-                    p.container.forced = match value.as_str() {
-                        "auto" => None,
-                        "on" => Some(true),
-                        "off" => Some(false),
-                        other => return Err(format!("bad container_forced `{other}`")),
-                    };
-                }
-                "container_min_elements" => {
-                    p.container.min_elements = value
-                        .parse()
-                        .map_err(|_| format!("bad container_min_elements `{value}`"))?;
-                }
-                "container_dense_pct" => {
-                    let pct: u32 = value
-                        .parse()
-                        .map_err(|_| format!("bad container_dense_pct `{value}`"))?;
-                    p.container.min_dense_pct = pct.min(100);
-                }
-                "rebuild_fraction" => {
-                    let f: f64 = value
-                        .parse()
-                        .map_err(|_| format!("bad rebuild_fraction `{value}`"))?;
-                    if !(f > 0.0 && f.is_finite()) {
-                        return Err(format!("bad rebuild_fraction `{value}`"));
-                    }
-                    p.dynamic.rebuild_fraction = f;
-                }
-                _ => {} // forward compatibility: ignore unknown keys
-            }
-        }
-        if !saw_version {
-            return Err("profile is missing the version field".to_string());
-        }
-        Ok(p)
-    }
-
-    /// Load a profile from a file.
-    pub fn load(path: &Path) -> Result<MachineProfile, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        MachineProfile::from_json(&text)
-    }
-}
-
-/// Split a flat JSON object (`{"k": v, ...}`, no nesting) into key/value
-/// strings; quoted values are unquoted.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, String)>, String> {
-    let t = text.trim();
-    let inner = t
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("profile is not a JSON object")?;
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (k, v) = part.split_once(':').ok_or(format!("bad entry `{part}`"))?;
-        let key = k.trim().trim_matches('"').to_string();
-        let value = v.trim().trim_matches('"').to_string();
-        out.push((key, value));
-    }
-    Ok(out)
-}
-
-/// The profile path the planner will load: `FESIA_PROFILE` if set,
-/// otherwise `~/.fesia/profile.json` (`None` when `HOME` is unset).
-pub fn default_profile_path() -> Option<PathBuf> {
-    if let Some(p) = params::env::raw("FESIA_PROFILE") {
-        return Some(PathBuf::from(p));
-    }
-    std::env::var_os("HOME").map(|h| PathBuf::from(h).join(".fesia").join("profile.json"))
-}
-
-// ---------------------------------------------------------------------------
 // Process-wide planner state
 // ---------------------------------------------------------------------------
 
 static PLAN_MODE: AtomicUsize = AtomicUsize::new(0);
 static INIT: OnceLock<()> = OnceLock::new();
-static PROFILE_STATUS: OnceLock<String> = OnceLock::new();
 
 fn mode_encode(m: PlanMode) -> usize {
     match m {
@@ -390,34 +259,14 @@ fn mode_decode(v: usize) -> PlanMode {
 }
 
 /// One-shot planner initialization: warn about unrecognized `FESIA_*`
-/// variables, fold the machine profile into the process-wide knobs, then
-/// apply environment overrides on top. Idempotent and re-entrancy-safe
-/// (the knob stores go through the raw setters, not the ensuring ones).
+/// variables, then apply environment overrides on top of the defaults.
+/// Idempotent and re-entrancy-safe (the knob stores go through the raw
+/// setters, not the ensuring ones).
 pub(crate) fn ensure_init() {
     INIT.get_or_init(|| {
         params::env::warn_unrecognized();
-        let mut container = ContainerParams::default();
-        let mut dynamic = DynamicParams::default();
-        let status = match default_profile_path() {
-            None => "none (no FESIA_PROFILE and no HOME)".to_string(),
-            Some(path) if !path.exists() => format!("none ({} not found)", path.display()),
-            Some(path) => match MachineProfile::load(&path) {
-                Ok(profile) => {
-                    container = profile.container;
-                    dynamic = profile.dynamic;
-                    fesia_obs::metrics().plan_profile_loads.inc();
-                    format!("loaded v{} ({})", profile.version, path.display())
-                }
-                Err(e) => {
-                    eprintln!("warning: ignoring machine profile: {e}");
-                    format!("ignored ({e})")
-                }
-            },
-        };
-        let _ = PROFILE_STATUS.set(status);
-        // Environment knobs override the profile field-by-field.
-        crate::intersect::store_container(container.with_env_overrides());
-        crate::dynamic::store_dynamic(dynamic.with_env_overrides());
+        crate::intersect::store_container(ContainerParams::from_env());
+        crate::dynamic::store_dynamic(DynamicParams::from_env());
         if let Some(v) = params::env::raw("FESIA_PLAN") {
             match PlanMode::parse(&v) {
                 Some(m) => PLAN_MODE.store(mode_encode(m), Ordering::Relaxed),
@@ -448,14 +297,10 @@ pub(crate) fn test_knob_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Human-readable profile-load status ("loaded v1 (path)", "none (...)",
-/// or "ignored (...)"), for `fesia info` and the smoke gates.
+/// Where the planner's knobs come from, for `fesia info` and result
+/// stamps. Always the same: machine-profile files are no longer read.
 pub fn profile_status() -> String {
-    ensure_init();
-    PROFILE_STATUS
-        .get()
-        .cloned()
-        .unwrap_or_else(|| "none".to_string())
+    "none (defaults, FESIA_* env and runtime setters)".to_string()
 }
 
 // ---------------------------------------------------------------------------
@@ -474,8 +319,8 @@ pub struct IntersectPlanner {
 }
 
 impl IntersectPlanner {
-    /// Snapshot the process-wide selection state (profile + env + runtime
-    /// setters, in that layering).
+    /// Snapshot the process-wide selection state (defaults + env +
+    /// runtime setters, in that layering).
     pub fn current() -> IntersectPlanner {
         ensure_init();
         IntersectPlanner {
@@ -512,8 +357,8 @@ impl IntersectPlanner {
     /// Whether auto mode sends a comparable pair to the hash probe
     /// because its bitmaps are large and sparse: the combined bitmaps
     /// are past [`SPARSE_MIN_BITMAP_BYTES`] (streaming them misses
-    /// cache), and the expected share of summary blocks populated on
-    /// both sides — the product of the two summary densities — is at
+    /// cache), and the expected share of bitmap blocks populated on
+    /// both sides — the product of the two block densities — is at
     /// most [`SPARSE_MAX_OVERLAP_PCT`]. The step-1 scan would then
     /// stream mostly empty words, while the probe touches one bit per
     /// element of the smaller side.
@@ -663,7 +508,7 @@ mod tests {
     }
 
     /// A comparable pair whose combined bitmaps reach 4 MiB with a
-    /// summary-density product of at most 60% goes to the hash probe on
+    /// block-density product of at most 60% goes to the hash probe on
     /// the full-family path; the merge-only path keeps the plain scan.
     #[test]
     fn large_sparse_pair_probes_and_merge_stays_plain() {
@@ -795,82 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_parser_rejects_garbage_and_wrong_versions() {
-        assert!(MachineProfile::from_json("not json").is_err());
-        assert!(MachineProfile::from_json("{}").is_err(), "missing version");
-        assert!(MachineProfile::from_json("{\"version\": 999}").is_err());
-        assert!(
-            MachineProfile::from_json("{\"version\": 1, \"container_forced\": \"banana\"}")
-                .is_err()
-        );
-        // The keys of removed knobs are ignored whatever their value.
-        assert_eq!(
-            MachineProfile::from_json("{\"version\": 1, \"prune_forced\": \"banana\"}").unwrap(),
-            MachineProfile::default()
-        );
-        // Unknown keys are ignored (forward compatibility).
-        let p = MachineProfile::from_json(
-            "{\"version\": 1, \"future_knob\": 7, \"container_min_elements\": 3}",
-        )
-        .unwrap();
-        assert_eq!(p.container.min_elements, 3);
-        // A bare version is a complete profile: every knob at its default.
-        assert_eq!(
-            MachineProfile::from_json("{\"version\": 1}").unwrap(),
-            MachineProfile::default()
-        );
-    }
-
-    /// A profile written before the pipelined, compressed, gallop and
-    /// pruned plans were removed still loads: the removed keys are
-    /// ignored and every surviving key still applies.
-    #[test]
-    fn profiles_with_removed_keys_still_load() {
-        let old = r#"{
-  "version": 1,
-  "pipeline_enabled": false,
-  "prefetch_distance": 16,
-  "pipeline_min_elements": 0,
-  "prune_forced": "on",
-  "prune_min_bitmap_bytes": 12345,
-  "prune_max_survivor_pct": 42,
-  "compress_forced": "on",
-  "compress_min_elements": 9,
-  "compress_decode_mc": 1234,
-  "compress_bw_mc": 567,
-  "container_forced": "off",
-  "container_min_elements": 2048,
-  "container_dense_pct": 55,
-  "rebuild_fraction": 0.125,
-  "gallop_max_len": 4000
-}"#;
-        let want = MachineProfile {
-            version: 1,
-            container: ContainerParams::default()
-                .with_forced(Some(false))
-                .with_min_elements(2048)
-                .with_min_dense_pct(55),
-            dynamic: DynamicParams::default().with_rebuild_fraction(0.125),
-        };
-        assert_eq!(MachineProfile::from_json(old).unwrap(), want);
-    }
-
-    #[test]
-    fn profile_loads_from_a_file() {
-        let dir = std::env::temp_dir().join(format!("fesia-plan-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile.json");
-        std::fs::write(&path, "{\"version\": 1, \"container_dense_pct\": 61}").unwrap();
-        let want = MachineProfile {
-            container: ContainerParams::default().with_min_dense_pct(61),
-            ..MachineProfile::default()
-        };
-        assert_eq!(MachineProfile::load(&path).unwrap(), want);
-        assert!(MachineProfile::load(&dir.join("missing.json")).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn summaries_match_built_sets() {
         let v: Vec<u32> = (0..1_000u32).map(|i| i * 7).collect();
         let s = SegmentedSet::build(&v, &FesiaParams::auto()).unwrap();
@@ -885,6 +654,78 @@ mod tests {
         let empty = SetSummary::of(&SegmentedSet::build(&[], &FesiaParams::auto()).unwrap());
         assert_eq!(empty.skew(&sum), 0.0 / 1.0);
         assert_eq!(empty.skew(&empty), 1.0);
+    }
+
+    /// Measured share of populated 512-bit bitmap blocks: the popcount
+    /// of the block summary sets carried before the planner switched to
+    /// the formula, kept here as its reference.
+    fn populated_block_share(s: &SegmentedSet) -> f64 {
+        let blocks = s.bitmap_bytes().chunks(64);
+        let total = blocks.len();
+        blocks.filter(|b| b.iter().any(|&x| x != 0)).count() as f64 / total as f64
+    }
+
+    /// The block density the planner reads is a formula over length and
+    /// block count. On every datagen shape, at bitmap sizes where the
+    /// sparse rule applies (any two of these sets reach
+    /// `SPARSE_MIN_BITMAP_BYTES` together), it is within 0.01 of the
+    /// measured share of populated blocks, and every pair gets the same
+    /// plan from either density.
+    #[test]
+    fn formula_density_matches_populated_blocks() {
+        use fesia_datagen::{clustered_pair, run_heavy_pair, sorted_distinct, SplitMix64};
+        type Shape = fn(usize, &mut SplitMix64) -> Vec<u32>;
+        let shapes: [(&str, Shape); 6] = [
+            ("uniform sparse", |n, rng| sorted_distinct(n, 1 << 30, rng)),
+            ("uniform dense", |n, rng| {
+                sorted_distinct(n, 2 * n as u32, rng)
+            }),
+            ("consecutive", |n, _| (0..n as u32).collect()),
+            ("stride-512", |n, _| {
+                (0..n as u32).map(|i| i * 512).collect()
+            }),
+            ("clustered", |n, rng| {
+                clustered_pair(n, n / 4, 64, 0.5, rng).0
+            }),
+            ("run-heavy", |n, rng| run_heavy_pair(n, n / 4, 32, rng).0),
+        ];
+        let bitmap_bits = SPARSE_MIN_BITMAP_BYTES * 8 / 2;
+        let mut rng = SplitMix64::new(0xB10C);
+        let mut sums = Vec::new();
+        for (name, shape) in shapes {
+            // n · bits = 3/4 of the bitmap, so every set gets the same
+            // 2 MiB bitmap at 6 down to 0.19 elements per block.
+            for bits in [64usize, 128, 512, 2048] {
+                let n = bitmap_bits * 3 / 4 / bits;
+                let params = FesiaParams::auto().with_bits_per_element(bits as f64);
+                let s = SegmentedSet::build(&shape(n, &mut rng), &params).unwrap();
+                assert_eq!(s.bitmap_bits(), bitmap_bits);
+                let formula = SetSummary::of(&s);
+                let measured = populated_block_share(&s);
+                assert!(
+                    (formula.summary_density - measured).abs() <= 0.01,
+                    "{name} at {bits} bits: formula {} vs measured {measured}",
+                    formula.summary_density
+                );
+                let reference = SetSummary {
+                    summary_density: measured,
+                    ..formula
+                };
+                sums.push((formula, reference));
+            }
+        }
+        let p = auto_planner();
+        let mut probed = 0;
+        for (fa, ra) in &sums {
+            for (fb, rb) in &sums {
+                assert!(fa.bitmap_bytes + fb.bitmap_bytes >= SPARSE_MIN_BITMAP_BYTES);
+                let plan = p.plan_pair(fa, fb);
+                assert_eq!(plan, p.plan_pair(ra, rb), "{fa:?} x {fb:?}");
+                probed += usize::from(plan == IntersectPlan::HashProbe);
+            }
+        }
+        // The grid reaches both sides of the sparse rule.
+        assert!(probed > 0 && probed < sums.len() * sums.len());
     }
 
     #[test]

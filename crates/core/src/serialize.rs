@@ -18,11 +18,11 @@
 //!   7   flags        u8  (bit0 = legacy packed section, bit1 = wide seg
 //!                         meta, bit2 = has container tier)
 //!   8   n            u64
-//!  16   summary_ones u64
+//!  16   summary_ones u64 (legacy; written 0, ignored)
 //!  24   total_len    u64 (whole block, multiple of 64)
 //!  32   section table: 9 x { offset u64, len u64 }
 //!         [0] BITMAP    m/8 bytes
-//!         [1] SUMMARY   one u64 word per 64 bitmap blocks
+//!         [1] SUMMARY   legacy block summary (written empty)
 //!         [2] SEGMETA   packed (offset,size) entries, 4 or 8 bytes each
 //!         [3] ELEMENTS  (n + PAD_LEN) x u32, sentinel tail included
 //!         [4] PACKED    legacy residual stream (written empty)
@@ -48,6 +48,16 @@
 //! still check that section's length against the header (it is outside
 //! input) and then ignore it; writers always leave it empty, so the
 //! format version did not change.
+//!
+//! The SUMMARY section followed the same path: sets no longer carry the
+//! one-bit-per-512-bit-block summary, because the planner's block density
+//! follows from the length and the bitmap size alone
+//! ([`SegmentedSet::summary_density`]). Writers leave the section empty
+//! and the header's `summary_ones` zero. Both decoders accept a SUMMARY
+//! length of 0 or exactly the legacy one word per 64 blocks, skip the
+//! bytes, and ignore `summary_ones`; v2 blocks skip their inline summary
+//! words the same way. `tests/fixtures/v4.fsia` pins a v4 file written
+//! with its summary.
 //!
 //! The mapped path is v3/v4- and little-endian-only: it reinterprets file
 //! bytes in place and trusts section *content* (bitmap bits, element
@@ -161,7 +171,7 @@ fn section_lens(set: &SegmentedSet) -> [u64; SEC_COUNT] {
     };
     [
         set.bitmap_bytes().len() as u64,
-        (set.summary_words().len() * 8) as u64,
+        0,
         match set.seg_meta() {
             SegMeta::Compact(v) => v.len() as u64 * 4,
             SegMeta::Wide(v) => v.len() as u64 * 8,
@@ -207,7 +217,7 @@ impl SegmentedSet {
         }
         out.push(flags);
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.summary_ones().to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes()); // legacy summary_ones
         out.extend_from_slice(&total.to_le_bytes());
         for (off, len) in offsets.iter().zip(&lens) {
             out.extend_from_slice(&off.to_le_bytes());
@@ -215,10 +225,6 @@ impl SegmentedSet {
         }
         out.resize(start + offsets[SEC_BITMAP] as usize, 0);
         out.extend_from_slice(self.bitmap_bytes());
-        out.resize(start + offsets[SEC_SUMMARY] as usize, 0);
-        for &w in self.summary_words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
         out.resize(start + offsets[SEC_SEGMETA] as usize, 0);
         match self.seg_meta() {
             SegMeta::Compact(v) => {
@@ -305,7 +311,7 @@ impl SegmentedSet {
     /// a [`Section`] view into the mapping, kept alive by the `Arc`.
     ///
     /// Structural metadata (header, section table, segment offsets,
-    /// sentinel tail, summary popcount) is fully checked in
+    /// sentinel tail) is fully checked in
     /// `O(#segments)`; section **content** is trusted, so a corrupted
     /// bitmap or element array yields wrong intersection results but
     /// never unsafety. The v4 container sections are the exception: a
@@ -341,13 +347,6 @@ impl SegmentedSet {
         // Every section offset is a multiple of 64, so one base check
         // aligns every typed view (u64 needs 8, u32 needs 4).
         if !(bytes.as_ptr() as usize).is_multiple_of(8) {
-            return Err(DecodeError::Corrupt);
-        }
-
-        let (soff, slen) = h.sections[SEC_SUMMARY];
-        // SAFETY: bounds and alignment established above.
-        let summary: &[u64] = unsafe { sec_slice(bytes, soff, slen) };
-        if summary.iter().map(|w| w.count_ones() as u64).sum::<u64>() != h.summary_ones {
             return Err(DecodeError::Corrupt);
         }
 
@@ -394,9 +393,6 @@ impl SegmentedSet {
         // within the mapping and the base alignment check covers every
         // element type; the Arc keeps the mapping alive.
         let bitmap = unsafe { Section::from_mapped(base.add(boff), blen, Arc::clone(file)) };
-        let summary = unsafe {
-            Section::from_mapped(base.add(soff) as *const u64, slen / 8, Arc::clone(file))
-        };
         let seg_meta = if wide {
             SegMeta::Wide(unsafe {
                 Section::from_mapped(base.add(moff) as *const u64, mlen / 8, Arc::clone(file))
@@ -443,15 +439,7 @@ impl SegmentedSet {
             None
         };
         let set = SegmentedSet::from_sections(
-            bitmap,
-            summary,
-            h.summary_ones,
-            seg_meta,
-            reordered,
-            container,
-            h.n,
-            h.log2_m,
-            h.lane,
+            bitmap, seg_meta, reordered, container, h.n, h.log2_m, h.lane,
         );
         Ok((set, h.total_len))
     }
@@ -463,7 +451,6 @@ struct Header {
     log2_m: u32,
     flags: u8,
     n: usize,
-    summary_ones: u64,
     total_len: usize,
     /// `(offset, len)` in bytes relative to the set start, by `SEC_*`.
     /// The container slots are `(0, 0)` for v3 blocks.
@@ -473,7 +460,8 @@ struct Header {
 /// Parse and check the v3/v4 header and section table of the block
 /// starting at `bytes[0]` (magic and version already verified by the
 /// caller). Every non-container section length must equal the exact value
-/// the header fields imply; the container sections' lengths are
+/// the header fields imply — the legacy SUMMARY section may instead be
+/// empty, as writers now leave it; the container sections' lengths are
 /// data-dependent, so they are checked for element-size multiples and
 /// bounds here and for exact consumption by the tier validation. Every
 /// offset must be 64-byte-aligned and fit inside `total_len` — so nothing
@@ -506,7 +494,6 @@ fn parse_header(bytes: &[u8]) -> Result<Header, DecodeError> {
     }
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("checked"));
     let n = usize::try_from(u64_at(8)).map_err(|_| DecodeError::Corrupt)?;
-    let summary_ones = u64_at(16);
     let total_len = usize::try_from(u64_at(24)).map_err(|_| DecodeError::Corrupt)?;
     if total_len % 64 != 0 || total_len < header_len {
         return Err(DecodeError::Corrupt);
@@ -541,7 +528,8 @@ fn parse_header(bytes: &[u8]) -> Result<Header, DecodeError> {
     for (i, slot) in sections.iter_mut().enumerate().take(sec_count) {
         let off64 = u64_at(32 + i * 16);
         let len64 = u64_at(32 + i * 16 + 8);
-        if i < SEC_COUNT_V3 && u128::from(len64) != expected[i] {
+        let empty_summary = i == SEC_SUMMARY && len64 == 0;
+        if i < SEC_COUNT_V3 && u128::from(len64) != expected[i] && !empty_summary {
             return Err(DecodeError::Corrupt);
         }
         let off = usize::try_from(off64).map_err(|_| DecodeError::Corrupt)?;
@@ -585,7 +573,6 @@ fn parse_header(bytes: &[u8]) -> Result<Header, DecodeError> {
         log2_m,
         flags,
         n,
-        summary_ones,
         total_len,
         sections,
     })
@@ -611,14 +598,6 @@ fn deserialize_sectioned(bytes: &[u8]) -> Result<(SegmentedSet, usize), DecodeEr
     let h = parse_header(bytes)?;
     let (boff, blen) = h.sections[SEC_BITMAP];
     let bitmap = bytes[boff..boff + blen].to_vec();
-    let (soff, slen) = h.sections[SEC_SUMMARY];
-    let summary: Vec<u64> = bytes[soff..soff + slen]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("checked")))
-        .collect();
-    if summary.iter().map(|w| w.count_ones() as u64).sum::<u64>() != h.summary_ones {
-        return Err(DecodeError::Corrupt);
-    }
     let (moff, mlen) = h.sections[SEC_SEGMETA];
     // Only the size halves matter: offsets are re-derived (and checked)
     // as prefix sums by from_decoded_parts.
@@ -638,9 +617,8 @@ fn deserialize_sectioned(bytes: &[u8]) -> Result<(SegmentedSet, usize), DecodeEr
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().expect("checked")))
         .collect();
-    let set =
-        SegmentedSet::from_decoded_parts(bitmap, Some(summary), sizes, reordered, h.log2_m, h.lane)
-            .ok_or(DecodeError::Corrupt)?;
+    let set = SegmentedSet::from_decoded_parts(bitmap, sizes, reordered, h.log2_m, h.lane)
+        .ok_or(DecodeError::Corrupt)?;
     Ok((set, h.total_len))
 }
 
@@ -669,23 +647,12 @@ fn deserialize_legacy(bytes: &[u8], version: u8) -> Result<(SegmentedSet, usize)
     need(m_bytes, at)?;
     let bitmap = bytes[at..at + m_bytes].to_vec();
     at += m_bytes;
-    let summary = if version >= 2 {
-        let words = summary_len(m_bytes);
-        need(words * 8, at)?;
-        let s: Vec<u64> = (0..words)
-            .map(|i| {
-                u64::from_le_bytes(
-                    bytes[at + i * 8..at + i * 8 + 8]
-                        .try_into()
-                        .expect("checked"),
-                )
-            })
-            .collect();
-        at += words * 8;
-        Some(s)
-    } else {
-        None
-    };
+    if version >= 2 {
+        // The legacy block summary: skipped, like the v3/v4 section.
+        let summary_bytes = summary_len(m_bytes) * 8;
+        need(summary_bytes, at)?;
+        at += summary_bytes;
+    }
     need(segs * 4, at)?;
     let sizes: Vec<u32> = (0..segs)
         .map(|i| {
@@ -712,7 +679,7 @@ fn deserialize_legacy(bytes: &[u8], version: u8) -> Result<(SegmentedSet, usize)
         .collect();
     at += n * 4;
 
-    let set = SegmentedSet::from_decoded_parts(bitmap, summary, sizes, reordered, log2_m, lane)
+    let set = SegmentedSet::from_decoded_parts(bitmap, sizes, reordered, log2_m, lane)
         .ok_or(DecodeError::Corrupt)?;
     Ok((set, at))
 }
@@ -846,31 +813,40 @@ mod tests {
     }
 
     /// The set blocks of a committed legacy fixture, written by the last
-    /// v2/v3 writers, each with the set built from its source elements:
-    /// `v2.fsia` holds four v2 blocks behind a count word (the legacy
-    /// framing), `v3.fsia` two v3 blocks behind a 64-byte prologue. Every
-    /// set was built at 4 bits per element.
+    /// writers that stored a block summary, each with the set built from
+    /// its source elements: `v2.fsia` holds four v2 blocks behind a count
+    /// word (the legacy framing), `v3.fsia` two v3 blocks and `v4.fsia`
+    /// two v4 blocks, each behind a 64-byte prologue. Every set was built
+    /// at 4 bits per element, except `v4.fsia`'s first, built at 256 so
+    /// that its summary has empty blocks.
     fn legacy_fixture(version: u8) -> Vec<(Vec<u8>, SegmentedSet)> {
         let sparse = |n: u32, step: u32, first: u32| (0..n).map(|i| i * step + first).collect();
-        let (name, start, sources): (&str, usize, Vec<Vec<u32>>) = match version {
+        // One run, one dense bitmap and one array range.
+        let mut mixed: Vec<u32> = (0..2_000).collect();
+        mixed.extend((0..4_500u32).map(|i| (1 << 16) + 2 * i));
+        mixed.extend((0..300u32).map(|i| (2 << 16) + i * 211));
+        let (name, start, sources): (&str, usize, Vec<(Vec<u32>, f64)>) = match version {
             2 => (
                 "v2.fsia",
                 8,
                 vec![
-                    Vec::new(),
-                    sparse(500, 1999, 7),
-                    sparse(700, 1409, 3),
-                    sparse(5_000, 197, 1),
+                    (Vec::new(), 4.0),
+                    (sparse(500, 1999, 7), 4.0),
+                    (sparse(700, 1409, 3), 4.0),
+                    (sparse(5_000, 197, 1), 4.0),
                 ],
             ),
-            3 => {
-                // One run, one dense bitmap and one array range.
-                let mut mixed: Vec<u32> = (0..2_000).collect();
-                mixed.extend((0..4_500u32).map(|i| (1 << 16) + 2 * i));
-                mixed.extend((0..300u32).map(|i| (2 << 16) + i * 211));
-                ("v3.fsia", MANY_PROLOGUE, vec![sparse(500, 1999, 7), mixed])
-            }
-            _ => unreachable!("fixtures exist for v2 and v3"),
+            3 => (
+                "v3.fsia",
+                MANY_PROLOGUE,
+                vec![(sparse(500, 1999, 7), 4.0), (mixed, 4.0)],
+            ),
+            4 => (
+                "v4.fsia",
+                MANY_PROLOGUE,
+                vec![(sparse(100, 39_989, 11), 256.0), (mixed, 4.0)],
+            ),
+            _ => unreachable!("fixtures exist for v2, v3 and v4"),
         };
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/fixtures")
@@ -880,15 +856,15 @@ mod tests {
             u64::from_le_bytes(bytes[..8].try_into().unwrap()),
             sources.len() as u64
         );
-        let params = FesiaParams::auto().with_bits_per_element(4.0);
         let mut at = start;
         sources
             .iter()
-            .map(|src| {
+            .map(|(src, bits)| {
                 let (_, used) = SegmentedSet::deserialize(&bytes[at..]).unwrap();
                 let block = bytes[at..at + used].to_vec();
                 assert_eq!(block[4], version);
                 at += used;
+                let params = FesiaParams::auto().with_bits_per_element(*bits);
                 (block, SegmentedSet::build(src, &params).unwrap())
             })
             .collect()
@@ -897,7 +873,6 @@ mod tests {
     fn assert_same_set(back: &SegmentedSet, set: &SegmentedSet) {
         assert_eq!(back.len(), set.len());
         assert_eq!(back.bitmap_bytes(), set.bitmap_bytes());
-        assert_eq!(back.summary_words(), set.summary_words());
         assert_eq!(back.reordered_elements(), set.reordered_elements());
         if let (Some(a), Some(b)) = (back.container(), set.container()) {
             assert_eq!(a.sections().0, b.sections().0, "container directory");
@@ -1100,41 +1075,101 @@ mod tests {
     #[test]
     fn version_1_buffers_still_decode() {
         // Down-convert a v2 buffer by hand: drop the summary words and
-        // rewrite the version byte. Decoding must recompute an identical
-        // summary from the bitmap.
+        // rewrite the version byte.
         let (v2, set) = legacy_fixture(2).swap_remove(2);
         let m_bytes = set.bitmap_bytes().len();
-        let summary_bytes = set.summary_words().len() * 8;
+        let summary_bytes = summary_len(m_bytes) * 8;
         let mut v1 = Vec::with_capacity(v2.len() - summary_bytes);
         v1.extend_from_slice(&v2[..15 + m_bytes]);
         v1.extend_from_slice(&v2[15 + m_bytes + summary_bytes..]);
         v1[4] = 1;
         let (back, used) = SegmentedSet::deserialize(&v1).unwrap();
         assert_eq!(used, v1.len());
-        assert_eq!(back.summary_words(), set.summary_words());
         assert!(back.validate());
-        assert_eq!(intersect_count(&set, &back), set.len());
+        assert_same_set(&back, &set);
     }
 
+    /// Byte offset of field `field` (0 = offset, 8 = len) of section
+    /// `sec` in a v3/v4 section table.
+    fn table_at(sec: usize, field: usize) -> usize {
+        32 + sec * 16 + field
+    }
+
+    fn u64_at(bytes: &[u8], at: usize) -> usize {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+    }
+
+    /// A v4 file written while sets still carried a block summary
+    /// decodes on both paths to the sets built from its elements, and
+    /// re-encoding writes the summary section empty.
     #[test]
-    fn rejects_tampered_summary() {
-        let set = sample_set(500, 13);
-        // v3: flipping summary bytes breaks the stored popcount first.
-        let mut bytes = set.serialize();
-        let soff = u64::from_le_bytes(bytes[32 + 16..32 + 24].try_into().unwrap()) as usize;
-        bytes[soff] ^= 0xFF;
+    fn v4_fixture_with_a_summary_decodes_on_both_paths() {
+        let fixture = legacy_fixture(4);
+        let (first, sparse) = &fixture[0];
+        let m_bytes = sparse.bitmap_bytes().len();
         assert_eq!(
-            SegmentedSet::deserialize(&bytes).unwrap_err(),
-            DecodeError::Corrupt
+            u64_at(first, table_at(SEC_SUMMARY, 8)),
+            summary_len(m_bytes) * 8
         );
-        // v2: the stored summary no longer matches the recomputed one.
+        let ones = u64_at(first, 16);
+        assert!(
+            ones > 0 && ones < m_bytes / 64,
+            "the fixture's summary has both populated and empty blocks"
+        );
+        assert!(fixture[1].1.container().is_some());
+
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/v4.fsia");
+        let bytes = std::fs::read(&path).unwrap();
+        let owned = deserialize_many(&bytes).unwrap();
+        let file = Arc::new(MappedFile::open(&path).unwrap());
+        let mapped = deserialize_many_mapped(&file).unwrap();
+        assert_eq!(owned.len(), 2);
+        assert_eq!(mapped.len(), 2);
+        for ((back, mapped), (block, set)) in owned.iter().zip(&mapped).zip(&fixture) {
+            assert!(back.validate() && mapped.validate());
+            assert_same_set(back, set);
+            assert_same_set(mapped, set);
+            assert_eq!(back.memory_bytes(), set.memory_bytes());
+            let again = back.serialize();
+            assert_eq!(u64_at(&again, table_at(SEC_SUMMARY, 8)), 0);
+            assert_eq!(u64_at(&again, 16), 0, "summary_ones is written 0");
+            assert!(again.len() <= block.len());
+            assert_eq!(again, set.serialize());
+        }
+    }
+
+    /// Legacy summary bytes, and the header's `summary_ones`, are skipped
+    /// unread: tampering with them changes nothing on either path.
+    #[test]
+    fn tampered_legacy_summary_is_ignored() {
+        let (mut bytes, set) = legacy_fixture(4).swap_remove(0);
+        let soff = u64_at(&bytes, table_at(SEC_SUMMARY, 0));
+        let slen = u64_at(&bytes, table_at(SEC_SUMMARY, 8));
+        for b in &mut bytes[soff..soff + slen] {
+            *b ^= 0xA5;
+        }
+        bytes[16] ^= 0xFF;
+        let (back, used) = SegmentedSet::deserialize(&bytes).unwrap();
+        assert_eq!(used, bytes.len());
+        assert!(back.validate());
+        assert_same_set(&back, &set);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.resize(MANY_PROLOGUE, 0);
+        buf.extend_from_slice(&bytes);
+        let f = Arc::new(MappedFile::from_bytes(buf));
+        if (f.bytes().as_ptr() as usize).is_multiple_of(8) {
+            let mapped = deserialize_many_mapped(&f).unwrap();
+            assert!(mapped[0].validate());
+            assert_same_set(&mapped[0], &set);
+        }
+        // v2: the inline summary words are skipped the same way.
         let (mut bytes, set) = legacy_fixture(2).swap_remove(1);
         let summary_start = 15 + set.bitmap_bytes().len();
         bytes[summary_start] ^= 0xFF;
-        assert_eq!(
-            SegmentedSet::deserialize(&bytes).unwrap_err(),
-            DecodeError::Corrupt
-        );
+        let (back, _) = SegmentedSet::deserialize(&bytes).unwrap();
+        assert_same_set(&back, &set);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::hash;
 use crate::layout::{build_container_tier, build_layout};
 use crate::mmap::Section;
 use crate::params::FesiaParams;
-use fesia_simd::mask::{build_block_summary, LaneWidth, SUMMARY_BLOCK_BYTES};
+use fesia_simd::mask::{LaneWidth, SUMMARY_BLOCK_BYTES};
 use fesia_simd::util::log2_pow2;
 
 /// Padding sentinel appended after the reordered elements so kernels may
@@ -20,6 +20,21 @@ pub(crate) const PAD_SENTINEL: u32 = u32::MAX;
 /// 32 elements), so 32 sentinels guarantee every such load is in bounds
 /// even for a one-element segment at the very end of the array.
 pub(crate) const PAD_LEN: usize = 32;
+
+/// Expected fraction of `blocks` bitmap blocks that hold at least one of
+/// `len` hashed elements: `1 − (1 − 1/blocks)^len`. Elements are placed
+/// by a hash, so this matches the measured share of populated blocks to
+/// within 0.01 on every datagen shape (the planner's formula test pins
+/// this), from nothing but the length and the block count.
+#[inline]
+pub(crate) fn block_density(len: usize, blocks: usize) -> f64 {
+    if len == 0 {
+        return 0.0;
+    }
+    // (1 − 1/B)^n as exp(n · ln(1 − 1/B)); one block gives ln(0) = −∞
+    // and so a density of exactly 1.
+    -(len as f64 * (-1.0 / blocks as f64).ln_1p()).exp_m1()
+}
 
 /// Packed per-segment metadata. One array (and therefore one cache access)
 /// per segment lookup — segment metadata is random-accessed for every
@@ -95,13 +110,6 @@ impl SegMeta {
 #[derive(Debug, Clone)]
 pub struct SegmentedSet {
     bitmap: Section<u8>,
-    /// One bit per 512-bit bitmap block (the two-level bitmap's coarse
-    /// level); built during layout, persisted by the serializer.
-    summary: Section<u64>,
-    /// Cached popcount of `summary` — the block density feeds the
-    /// planner on every intersection, so it must not cost a pass over the
-    /// summary each time.
-    summary_ones: u64,
     seg_meta: SegMeta,
     reordered: Section<u32>,
     /// The adaptive per-range container tier, when the set is large enough
@@ -109,6 +117,11 @@ pub struct SegmentedSet {
     /// pair whether to use it.
     container: Option<ContainerTier>,
     n: usize,
+    /// [`block_density`] of `n` over the bitmap's blocks. Cached because
+    /// the planner reads it for every pair, and evaluating the formula
+    /// there cost ~80 ns per pair, about a tenth of a triangle-counting
+    /// pair.
+    density: f64,
     log2_m: u32,
     lane: LaneWidth,
 }
@@ -155,15 +168,13 @@ impl SegmentedSet {
             )
         };
 
-        let summary_ones = layout.summary.iter().map(|w| w.count_ones() as u64).sum();
         Ok(SegmentedSet {
             bitmap: layout.bitmap.into(),
-            summary: layout.summary.into(),
-            summary_ones,
             seg_meta,
             reordered: reordered.into(),
             container,
             n: sorted.len(),
+            density: block_density(sorted.len(), m / (SUMMARY_BLOCK_BYTES * 8)),
             log2_m,
             lane: params.segment,
         })
@@ -173,7 +184,6 @@ impl SegmentedSet {
     /// Returns `None` unless every structural invariant holds.
     pub(crate) fn from_decoded_parts(
         bitmap: Vec<u8>,
-        summary: Option<Vec<u64>>,
         sizes: Vec<u32>,
         mut reordered: Vec<u32>,
         log2_m: u32,
@@ -185,16 +195,6 @@ impl SegmentedSet {
         if reordered.iter().any(|&x| x > MAX_ELEMENT) {
             return None;
         }
-        // A stored summary must agree with the bitmap bit-for-bit; a
-        // corrupt summary would silently skip (or visit) the wrong blocks.
-        // Version-1 buffers carry no summary, so it is recomputed.
-        let recomputed = build_block_summary(&bitmap);
-        let summary = match summary {
-            Some(s) if s != recomputed => return None,
-            Some(s) => s,
-            None => recomputed,
-        };
-        let summary_ones = summary.iter().map(|w| w.count_ones() as u64).sum();
         let n = reordered.len();
         // Prefix-sum the (attacker-controlled) sizes into offsets before
         // anything indexes with them; a sum that misses `n` can only
@@ -243,9 +243,8 @@ impl SegmentedSet {
             )
         };
         let set = SegmentedSet {
+            density: block_density(n, bitmap.len() / SUMMARY_BLOCK_BYTES),
             bitmap: bitmap.into(),
-            summary: summary.into(),
-            summary_ones,
             seg_meta,
             reordered: reordered.into(),
             container,
@@ -266,11 +265,8 @@ impl SegmentedSet {
     /// is responsible for every structural check, because running
     /// [`SegmentedSet::validate`]'s recomputations here would defeat the
     /// allocation-free contract of the mapped path.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_sections(
         bitmap: Section<u8>,
-        summary: Section<u64>,
-        summary_ones: u64,
         seg_meta: SegMeta,
         reordered: Section<u32>,
         container: Option<ContainerTier>,
@@ -279,9 +275,8 @@ impl SegmentedSet {
         lane: LaneWidth,
     ) -> SegmentedSet {
         SegmentedSet {
+            density: block_density(n, bitmap.len() / SUMMARY_BLOCK_BYTES),
             bitmap,
-            summary,
-            summary_ones,
             seg_meta,
             reordered,
             container,
@@ -345,33 +340,20 @@ impl SegmentedSet {
         &self.bitmap
     }
 
-    /// The summary level of the two-level bitmap: one bit per 512-bit
-    /// block of [`SegmentedSet::bitmap_bytes`], LSB-first within each
-    /// `u64` word.
-    #[inline]
-    pub fn summary_words(&self) -> &[u64] {
-        &self.summary
-    }
-
-    /// Number of 512-bit blocks the bitmap (and therefore the summary)
-    /// covers.
+    /// Number of 512-bit blocks the bitmap covers.
     #[inline]
     pub fn summary_blocks(&self) -> usize {
         self.bitmap.len() / SUMMARY_BLOCK_BYTES
     }
 
-    /// Fraction of bitmap blocks that hold at least one set bit, in
-    /// `0.0..=1.0` — the density estimate behind the planner's
-    /// sparse-pair rule (the expected share of blocks populated on both
-    /// sides is the product of the two densities).
+    /// Expected fraction of 512-bit bitmap blocks that hold at least one
+    /// set bit, `1 − (1 − 1/B)^n` for `n` elements hashed into
+    /// `B = summary_blocks()` blocks — the density estimate behind the
+    /// planner's sparse-pair rule (the expected share of blocks populated
+    /// on both sides is the product of the two densities).
     #[inline]
     pub fn summary_density(&self) -> f64 {
-        let blocks = self.summary_blocks();
-        if blocks == 0 {
-            0.0
-        } else {
-            self.summary_ones as f64 / blocks as f64
-        }
+        self.density
     }
 
     /// Elements of segment `i`, sorted ascending.
@@ -404,7 +386,7 @@ impl SegmentedSet {
         use fesia_simd::prefetch::prefetch_read;
         prefetch_read(&self.n);
         prefetch_read(&self.bitmap);
-        prefetch_read(&self.summary_ones);
+        prefetch_read(&self.density);
         prefetch_read(&self.seg_meta);
         prefetch_read(&self.reordered);
         prefetch_read(&self.container);
@@ -428,38 +410,10 @@ impl SegmentedSet {
         &self.seg_meta
     }
 
-    /// Cached popcount of the summary level.
-    #[inline]
-    pub(crate) fn summary_ones(&self) -> u64 {
-        self.summary_ones
-    }
-
     /// Population of segment `i`.
     #[inline]
     pub fn seg_size(&self, i: usize) -> usize {
         self.seg_entry(i).1
-    }
-
-    /// Exact number of elements hashed into 512-bit bitmap block `blk`.
-    ///
-    /// A block spans a contiguous run of segments and the reordered array
-    /// is grouped by segment, so the population is the difference of two
-    /// `u32` segment offsets — exact (never saturated), which the
-    /// threshold cascade's block-level upper bound relies on: a `min` of
-    /// saturated counts could under-estimate and reject a qualifying
-    /// pair.
-    #[inline]
-    pub fn block_pop(&self, blk: usize) -> usize {
-        let segs_per_block = (SUMMARY_BLOCK_BYTES * 8) / self.lane.bits();
-        let start = blk * segs_per_block;
-        let end = start + segs_per_block;
-        let lo = self.seg_entry(start).0;
-        let hi = if end >= self.num_segments() {
-            self.n
-        } else {
-            self.seg_entry(end).0
-        };
-        hi - lo
     }
 
     /// Pointer to the start of segment `i` in the reordered array.
@@ -534,7 +488,6 @@ impl SegmentedSet {
     /// Total footprint of the encoding in bytes (owned or mapped).
     pub fn memory_bytes(&self) -> usize {
         self.bitmap.len()
-            + self.summary.len() * 8
             + self.seg_meta.heap_bytes()
             + self.reordered.len() * 4
             + self
@@ -550,13 +503,6 @@ impl SegmentedSet {
         self.bitmap.len().is_power_of_two()
             && self.bitmap.len() >= 64
             && self.bitmap_bits() == (1usize << self.log2_m)
-            && self.summary[..] == build_block_summary(&self.bitmap)[..]
-            && self.summary_ones
-                == self
-                    .summary
-                    .iter()
-                    .map(|w| w.count_ones() as u64)
-                    .sum::<u64>()
             && self.container.as_ref().is_none_or(|c| c.validate(self.n))
             && sizes_sum as usize == self.n
             && self.reordered.len() == self.n + PAD_LEN
@@ -653,41 +599,20 @@ mod tests {
     fn summary_tracks_bitmap_blocks() {
         let elements: Vec<u32> = (0..3000u32).map(|i| i * 7 + 2).collect();
         let set = SegmentedSet::build(&elements, &params()).unwrap();
-        assert_eq!(set.summary_words().len(), set.summary_blocks().div_ceil(64));
-        for blk in 0..set.summary_blocks() {
-            let lo = blk * 64;
-            let nonzero = set.bitmap_bytes()[lo..lo + 64].iter().any(|&x| x != 0);
-            let bit = (set.summary_words()[blk / 64] >> (blk % 64)) & 1;
-            assert_eq!(bit == 1, nonzero, "block {blk}");
-        }
-        let density = set.summary_density();
-        assert!((0.0..=1.0).contains(&density));
-        // At the default density every block is populated...
-        assert!((density - 1.0).abs() < 1e-9);
+        assert_eq!(set.summary_blocks(), set.bitmap_bytes().len() / 64);
+        // At the default density every block is expected to be populated...
+        assert!((set.summary_density() - 1.0).abs() < 1e-6);
         // ...while a deliberately oversized bitmap leaves most blocks empty.
         let sparse =
             SegmentedSet::build(&elements, &params().with_bits_per_element(512.0)).unwrap();
         assert!(sparse.summary_density() < 0.7);
-        assert!(sparse.validate());
-    }
-
-    #[test]
-    fn block_pop_sums_segment_sizes() {
-        for lane in [LaneWidth::U8, LaneWidth::U16] {
-            let p = params().with_segment(lane);
-            let elements: Vec<u32> = (0..3000u32).map(|i| i * 13 + 5).collect();
-            let set = SegmentedSet::build(&elements, &p).unwrap();
-            let segs_per_block = 512 / lane.bits();
-            let mut total = 0usize;
-            for blk in 0..set.summary_blocks() {
-                let expect: usize = (blk * segs_per_block..(blk + 1) * segs_per_block)
-                    .map(|i| set.seg_size(i))
-                    .sum();
-                assert_eq!(set.block_pop(blk), expect, "lane={lane:?} blk={blk}");
-                total += set.block_pop(blk);
-            }
-            assert_eq!(total, set.len());
-        }
+        let empty = SegmentedSet::build(&[], &params()).unwrap();
+        assert_eq!(empty.summary_density(), 0.0);
+        // One block holds every element. Two elements in four blocks
+        // share one with probability 1/4, so they fill 1.75 blocks (7/16)
+        // on average.
+        assert_eq!(block_density(5, 1), 1.0);
+        assert!((block_density(2, 4) - 7.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]

@@ -6,57 +6,47 @@
 //! ([`Threshold::Overlap`]) or a Jaccard coefficient
 //! `|A ∩ B| / |A ∪ B| >= j` ([`Threshold::Jaccard`]). Evaluating all
 //! `O(n²)` pairs exactly is hopeless; the classical fix (AllPairs /
-//! PPJoin) is a *prefix filter*, and FESIA's summary/segment machinery
-//! adds two cheaper filters on top. The cascade, cheapest first:
+//! PPJoin) is a *prefix filter*, and FESIA's segment machinery adds a
+//! cheaper verification on top. The cascade, cheapest first:
 //!
 //! 1. **Length + prefix filter** (candidate generation): with every list
 //!    in one global token order (value-ascending here), a pair reaching
 //!    `t` must share a token in each side's first `len − t + 1` tokens,
 //!    so probing an inverted index of prefixes yields a candidate
 //!    superset without touching the other `t − 1` tokens.
-//! 2. **Summary upper bound** ([`crate::summary_overlap_bound`]): a
-//!    sound bound on `|A ∩ B|` from the summary bitmaps and exact
-//!    per-block populations alone — no segment or element work. Gated
-//!    adaptively: the driver samples the bound's reject rate and stops
-//!    evaluating it for the rest of the join when it is not firing
-//!    (skipping it never changes the survivor set, it only reroutes
-//!    candidates to tier 3).
-//! 3. **Early-exit counting** ([`crate::intersect_count_bounded`]):
+//! 2. **Early-exit counting** ([`crate::intersect_count_bounded`]):
 //!    the planner-selected kernel sweep, aborted the moment the residual
 //!    upper bound (matched-so-far + what the unswept remainder could
 //!    contribute) drops below `t`. Survivors complete the sweep, so
 //!    every reported pair carries its exact intersection size.
 //!
-//! Tiers 2 and 3 are individually switchable
-//! ([`crate::params::SimjoinParams`]); with both off the driver is the
-//! prefix-filter-only baseline (exact full count per candidate) that
-//! `repro simjoin` measures the cascade against.
+//! Early exit is switchable ([`crate::params::SimjoinParams`]); off,
+//! the driver is the prefix-filter-only baseline (exact full count per
+//! candidate) that `repro simjoin` measures the cascade against.
 //!
 //! Tier 1 runs inside the parallel cascade rather than in front of it:
 //! one flat prefix index is built per join, workers claim ranges of
-//! probe sets, and each candidate a probe finds goes through tiers 2
-//! and 3 at once, so no candidate list is ever built. The per-stage
-//! `simjoin_*` counters satisfy
-//! `candidates = bitmap_rejected + early_exited + verified`.
+//! probe sets, and each candidate a probe finds is counted at once, so
+//! no candidate list is ever built. The per-stage `simjoin_*` counters
+//! satisfy `candidates = early_exited + verified`;
+//! [`SimjoinStats::bitmap_rejected`] stays 0 until a bitmap filter tier
+//! sits in front of the count again.
 
-use crate::intersect::{
-    auto_count_planned, default_table, intersect_count_bounded_planned, summary_overlap_bound,
-};
+use crate::intersect::{auto_count_planned, default_table, intersect_count_bounded_planned};
 use crate::kernels::KernelTable;
 use crate::params::{env, FesiaParams, SimjoinParams};
 use crate::plan::IntersectPlanner;
 use crate::set::SegmentedSet;
 use fesia_exec::Executor;
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Process-wide simjoin knobs (`FESIA_SIMJOIN_*`)
 // ---------------------------------------------------------------------------
 
-/// Tri-state-free packing: bit 0 = bitmap filter, bit 1 = early exit.
-static SIMJOIN_FLAGS: AtomicUsize = AtomicUsize::new(0b11);
+static SIMJOIN_EARLY_EXIT: AtomicBool = AtomicBool::new(true);
 static SIMJOIN_INIT: OnceLock<()> = OnceLock::new();
 
 fn ensure_simjoin_init() {
@@ -67,18 +57,15 @@ fn ensure_simjoin_init() {
 }
 
 fn store_simjoin(p: SimjoinParams) {
-    let flags = usize::from(p.bitmap_filter) | usize::from(p.early_exit) << 1;
-    SIMJOIN_FLAGS.store(flags, Ordering::Relaxed);
+    SIMJOIN_EARLY_EXIT.store(p.early_exit, Ordering::Relaxed);
 }
 
 /// The process-wide [`SimjoinParams`] (after `FESIA_SIMJOIN_*`
 /// initialization).
 pub fn simjoin_params() -> SimjoinParams {
     ensure_simjoin_init();
-    let flags = SIMJOIN_FLAGS.load(Ordering::Relaxed);
     SimjoinParams {
-        bitmap_filter: flags & 1 != 0,
-        early_exit: flags & 2 != 0,
+        early_exit: SIMJOIN_EARLY_EXIT.load(Ordering::Relaxed),
     }
 }
 
@@ -179,9 +166,11 @@ impl Threshold {
 pub struct SimjoinStats {
     /// Pairs the length/prefix filter generated (tier 1 survivors).
     pub candidates: u64,
-    /// Candidates rejected by the tier-2 summary upper bound.
+    /// Candidates rejected by a bitmap filter before any count. No such
+    /// filter runs today, so this is always 0; it keeps the counter
+    /// identity's shape for readers of these stats.
     pub bitmap_rejected: u64,
-    /// Candidates rejected by tier 3 — the early-exit sweep's residual
+    /// Candidates rejected by the count — the early-exit sweep's residual
     /// bound, the planner's trivial length reject, or (with early exit
     /// disabled) an exact count falling short.
     pub early_exited: u64,
@@ -365,8 +354,7 @@ impl<'a> PrefixIndex<'a> {
 /// Candidate pairs of a self-join over `lists` (each strictly
 /// ascending): a superset of the qualifying pairs, each `(i, j)` with
 /// `i < j`, deduplicated and sorted, produced by the length + prefix
-/// filter alone — exactly the pairs [`self_join_with`] sends through
-/// tiers 2 and 3. A trivial threshold yields all pairs.
+/// filter alone — exactly the pairs [`self_join_with`] counts. A trivial threshold yields all pairs.
 pub fn candidate_pairs_self(lists: &[Vec<u32>], threshold: Threshold) -> Vec<(u32, u32)> {
     let index = PrefixIndex::build(lists, threshold);
     let mut marks = vec![0u32; lists.len()];
@@ -398,56 +386,12 @@ pub fn candidate_pairs(
 }
 
 // ---------------------------------------------------------------------------
-// Tiers 2 + 3: the cascade, fed straight from the probes
+// Verification: the cascade, fed straight from the probes
 // ---------------------------------------------------------------------------
 
-const V_BITMAP_REJECTED: u8 = 0;
-const V_EARLY_EXITED: u8 = 1;
-const V_VERIFIED: u8 = 2;
-
-/// Tier-2 bound evaluations sampled before the gate may disable the tier.
-const TIER2_SAMPLE: u64 = 256;
-/// Minimum reject percentage over the sample for the tier to stay on.
-const TIER2_MIN_REJECT_PCT: u64 = 1;
-
-/// Adaptive tier-2 gate. The summary bound touches cachelines tier 3
-/// would not (summaries and block offsets of both operands), so on a
-/// corpus where it never fires it is pure added memory traffic. The gate
-/// samples the first [`TIER2_SAMPLE`] bound evaluations of a join and
-/// switches the tier off for the remainder when the reject rate is under
-/// [`TIER2_MIN_REJECT_PCT`]%. Purely a performance heuristic: the bound
-/// only ever rejects true negatives, so skipping it routes those
-/// candidates to tier 3 and never changes the survivor set. Counters are
-/// unaffected — `bitmap_rejected` records actual rejects only.
-struct Tier2Gate {
-    tries: std::sync::atomic::AtomicU64,
-    hits: std::sync::atomic::AtomicU64,
-}
-
-impl Tier2Gate {
-    fn new() -> Self {
-        Tier2Gate {
-            tries: std::sync::atomic::AtomicU64::new(0),
-            hits: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    fn active(&self) -> bool {
-        let tries = self.tries.load(Ordering::Relaxed);
-        tries < TIER2_SAMPLE
-            || self.hits.load(Ordering::Relaxed) * 100 >= tries * TIER2_MIN_REJECT_PCT
-    }
-
-    fn record(&self, rejected: bool) {
-        self.tries.fetch_add(1, Ordering::Relaxed);
-        if rejected {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Run tiers 2 and 3 on one candidate. Exactly one verdict per call —
-/// the counter identity is enforced here, not reconstructed later.
+/// Verify one candidate: whether it qualifies. Exactly one verdict per
+/// call — the counter identity is enforced here, not reconstructed
+/// later.
 fn evaluate_pair(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -455,37 +399,19 @@ fn evaluate_pair(
     table: &KernelTable,
     planner: &IntersectPlanner,
     sp: &SimjoinParams,
-    gate: &Tier2Gate,
-) -> u8 {
-    let t = threshold.t_pair(a.len(), b.len());
-    if sp.bitmap_filter && t > 0 && t <= a.len().min(b.len()) && gate.active() {
-        // Tier 2: summary-level upper bound, no segment work. `Some`
-        // means the bound fell short of `t` — a sound reject.
-        let rejected = summary_overlap_bound(a, b, t).is_some();
-        gate.record(rejected);
-        if rejected {
-            return V_BITMAP_REJECTED;
-        }
-    }
+) -> bool {
     if sp.early_exit {
-        // Tier 3: early-exit sweep. Survivors complete the sweep, so the
+        // Early-exit sweep. Survivors complete the sweep, so the
         // verify is an exact count, not a probabilistic accept.
-        match intersect_count_bounded_planned(a, b, table, planner, t) {
-            Some(c) => {
-                debug_assert!(threshold.qualifies(c, a.len(), b.len()));
-                V_VERIFIED
-            }
-            None => V_EARLY_EXITED,
-        }
+        let t = threshold.t_pair(a.len(), b.len());
+        let c = intersect_count_bounded_planned(a, b, table, planner, t);
+        debug_assert!(c.is_none_or(|c| threshold.qualifies(c, a.len(), b.len())));
+        c.is_some()
     } else {
-        // Baseline tier 3: full exact count (the prefix-filter-only
+        // Baseline: full exact count (the prefix-filter-only
         // driver the cascade is measured against).
         let c = auto_count_planned(a, b, table, planner);
-        if threshold.qualifies(c, a.len(), b.len()) {
-            V_VERIFIED
-        } else {
-            V_EARLY_EXITED
-        }
+        threshold.qualifies(c, a.len(), b.len())
     }
 }
 
@@ -498,22 +424,19 @@ struct Partial {
 }
 
 impl Partial {
-    fn record(&mut self, pair: (u32, u32), verdict: u8) {
+    fn record(&mut self, pair: (u32, u32), verified: bool) {
         self.stats.candidates += 1;
-        match verdict {
-            V_BITMAP_REJECTED => self.stats.bitmap_rejected += 1,
-            V_EARLY_EXITED => self.stats.early_exited += 1,
-            _ => {
-                self.stats.verified += 1;
-                self.pairs.push(pair);
-            }
+        if verified {
+            self.stats.verified += 1;
+            self.pairs.push(pair);
+        } else {
+            self.stats.early_exited += 1;
         }
     }
 
     fn merge(mut self, other: Partial) -> Partial {
         let (s, o) = (&mut self.stats, other.stats);
         s.candidates += o.candidates;
-        s.bitmap_rejected += o.bitmap_rejected;
         s.early_exited += o.early_exited;
         s.verified += o.verified;
         self.pairs.extend(other.pairs);
@@ -550,7 +473,6 @@ fn stream_join(
     pairs.sort_unstable();
     let m = fesia_obs::metrics();
     m.simjoin_candidates.add(stats.candidates);
-    m.simjoin_bitmap_rejected.add(stats.bitmap_rejected);
     m.simjoin_early_exited.add(stats.early_exited);
     m.simjoin_verified.add(stats.verified);
     SimjoinResult { pairs, stats }
@@ -576,14 +498,10 @@ pub fn self_join_with<S: Borrow<SegmentedSet> + Sync>(
 ) -> SimjoinResult {
     assert_eq!(sets.len(), lists.len(), "sets/lists length mismatch");
     let index = PrefixIndex::build(lists, threshold);
-    let gate = Tier2Gate::new();
     stream_join(lists.len(), lists.len(), threads, |k, marks, part| {
         index.probe_self(k, marks, |i, j| {
             let (a, b) = (sets[i as usize].borrow(), sets[j as usize].borrow());
-            part.record(
-                (i, j),
-                evaluate_pair(a, b, threshold, table, planner, sp, &gate),
-            );
+            part.record((i, j), evaluate_pair(a, b, threshold, table, planner, sp));
         });
     })
 }
@@ -628,14 +546,10 @@ pub fn join_with<S: Borrow<SegmentedSet> + Sync>(
     assert_eq!(sets_b.len(), lists_b.len(), "sets/lists length mismatch");
     assert_sorted_lists(lists_a);
     let index = PrefixIndex::build(lists_b, threshold);
-    let gate = Tier2Gate::new();
     stream_join(lists_a.len(), lists_b.len(), threads, |i, marks, part| {
         index.probe_cross(i, &lists_a[i], marks, |i, j| {
             let (a, b) = (sets_a[i as usize].borrow(), sets_b[j as usize].borrow());
-            part.record(
-                (i, j),
-                evaluate_pair(a, b, threshold, table, planner, sp, &gate),
-            );
+            part.record((i, j), evaluate_pair(a, b, threshold, table, planner, sp));
         });
     })
 }
@@ -798,21 +712,12 @@ mod tests {
         let planner = IntersectPlanner::current();
         let th = Threshold::Overlap(45);
         let want = oracle_self(&lists, th);
-        for bitmap in [false, true] {
-            for early in [false, true] {
-                let sp = SimjoinParams::default()
-                    .with_bitmap_filter(bitmap)
-                    .with_early_exit(early);
-                let r = self_join_with(&sets, &lists, th, default_table(), &planner, &sp, 2);
-                assert_eq!(r.pairs, want, "bitmap={bitmap} early={early}");
-                assert_eq!(
-                    r.stats.candidates,
-                    r.stats.bitmap_rejected + r.stats.early_exited + r.stats.verified
-                );
-                if !bitmap {
-                    assert_eq!(r.stats.bitmap_rejected, 0);
-                }
-            }
+        for early in [false, true] {
+            let sp = SimjoinParams::default().with_early_exit(early);
+            let r = self_join_with(&sets, &lists, th, default_table(), &planner, &sp, 2);
+            assert_eq!(r.pairs, want, "early={early}");
+            assert_eq!(r.stats.bitmap_rejected, 0);
+            assert_eq!(r.stats.candidates, r.stats.early_exited + r.stats.verified);
         }
     }
 
@@ -958,7 +863,7 @@ mod tests {
     #[test]
     fn simjoin_knob_round_trips() {
         let saved = simjoin_params();
-        let q = SimjoinParams::default().with_bitmap_filter(false);
+        let q = SimjoinParams::default().with_early_exit(false);
         set_simjoin_params(q);
         assert_eq!(simjoin_params(), q);
         set_simjoin_params(saved);

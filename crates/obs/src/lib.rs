@@ -381,8 +381,6 @@ define_metrics! {
             "Always zero: the galloping fallback plan was removed. Kept so readers of the plan census (perfbench) keep their schema.",
         plan_forced:
             "Planner decisions overridden by a forced FESIA_PLAN mode.",
-        plan_profile_loads:
-            "Machine-profile files successfully loaded into the planner.",
         strategy_merge:
             "Adaptive (auto_count) intersections routed to the two-phase merge strategy.",
         strategy_hash:
@@ -451,8 +449,6 @@ define_metrics! {
             "64-bit word operations executed by container word-bitmap kernels.",
         simjoin_candidates:
             "Candidate pairs generated by the similarity-join prefix filter.",
-        simjoin_bitmap_rejected:
-            "Candidates rejected by the tier-2 summary-bitmap upper bound.",
         simjoin_early_exited:
             "Candidates rejected by tier-3 early-exit counting (incl. trivial length rejects).",
         simjoin_verified:

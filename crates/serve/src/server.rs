@@ -1,8 +1,10 @@
 //! I/O loops for the line protocol: any `BufRead`/`Write` pair (stdin
-//! in the CLI), or a thread-per-connection TCP listener.
+//! in the CLI), or a TCP listener with one thread per connection, up to
+//! [`MAX_CONNECTIONS`] at once.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,6 +21,15 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// persistent failure (out of file descriptors) logs at a bounded rate
 /// instead of spinning.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Most TCP connections served at once. Each holds a thread; one more
+/// is answered `ERR too many connections` and closed, so clients cannot
+/// make the server start unbounded threads.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a TCP connection may send nothing before it is closed,
+/// freeing its slot for another client.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// What [`read_line_capped`] found.
 enum LineRead {
@@ -79,14 +90,39 @@ pub fn serve_lines<R: BufRead, W: Write>(
 }
 
 /// Bind `addr` and serve every connection on its own thread, all over
-/// one shared store. Returns only on bind errors: a failed accept is
-/// logged and listening continues. Pass port 0 to let the OS pick (the
-/// chosen address is printed to stderr).
+/// one shared store: at most [`MAX_CONNECTIONS`] at once, each closed
+/// after [`IDLE_TIMEOUT`] without input. Returns only on bind errors: a
+/// failed accept is logged and listening continues. Pass port 0 to let
+/// the OS pick (the chosen address is printed to stderr).
 pub fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     eprintln!("fesia-serve: listening on {}", listener.local_addr()?);
-    for conn in listener.incoming() {
-        let stream = match conn {
+    serve_connections(server, listener.incoming(), MAX_CONNECTIONS, IDLE_TIMEOUT);
+    Ok(())
+}
+
+/// One served connection's claim on the connection cap, released on
+/// drop.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// [`serve_tcp`]'s accept loop over `incoming`, with the connection cap
+/// and the idle timeout as parameters.
+fn serve_connections(
+    server: Arc<Server>,
+    incoming: impl Iterator<Item = std::io::Result<TcpStream>>,
+    max_connections: usize,
+    idle: Duration,
+) {
+    // Only this loop takes slots, so checking then taking cannot race.
+    let live = Arc::new(AtomicUsize::new(0));
+    for conn in incoming {
+        let mut stream = match conn {
             Ok(stream) => stream,
             Err(e) => {
                 eprintln!("fesia-serve: warning: accept failed: {e}");
@@ -94,20 +130,35 @@ pub fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
                 continue;
             }
         };
+        if live.load(Ordering::Acquire) >= max_connections {
+            // Dropping the stream closes the connection.
+            let _ = stream.write_all(b"ERR too many connections\n");
+            continue;
+        }
+        live.fetch_add(1, Ordering::AcqRel);
+        let slot = Slot(Arc::clone(&live));
         let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            let reader = BufReader::new(match stream.try_clone() {
-                Ok(s) => s,
+        let spawned = std::thread::Builder::new().spawn(move || {
+            let reader = match stream
+                .set_read_timeout(Some(idle))
+                .and_then(|()| stream.try_clone())
+            {
+                Ok(s) => BufReader::new(s),
                 Err(e) => {
                     eprintln!("fesia-serve: warning: dropping connection: {e}");
                     return;
                 }
-            });
-            // Client disconnects surface as I/O errors; just drop them.
-            let _ = serve_lines(&server, reader, stream);
+            };
+            // Client disconnects and idle timeouts surface as I/O
+            // errors; just drop them.
+            let _ = serve_lines(&server, reader, &stream);
+            // Free the slot before the client sees the connection close.
+            drop(slot);
         });
+        if let Err(e) = spawned {
+            eprintln!("fesia-serve: warning: dropping connection: {e}");
+        }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -197,6 +248,68 @@ mod tests {
         assert_eq!(String::from_utf8(out).unwrap(), want.join("\n") + "\n");
     }
 
+    /// Connect to `addr` with a client-side read timeout, so a broken
+    /// server fails the test instead of hanging it.
+    fn client(addr: std::net::SocketAddr) -> (TcpStream, std::io::Lines<BufReader<TcpStream>>) {
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let lines = BufReader::new(conn.try_clone().unwrap()).lines();
+        (conn, lines)
+    }
+
+    /// Accept `accepts` connections on a fresh listener through
+    /// [`serve_connections`] with `cap` and `idle`, on a thread.
+    fn capped_listener(
+        accepts: usize,
+        cap: usize,
+        idle: Duration,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let server = Arc::new(Server::new(ServeConfig::from_env().with_shards(1)));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accept = std::thread::spawn(move || {
+            serve_connections(server, listener.incoming().take(accepts), cap, idle);
+        });
+        (addr, accept)
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_err_until_a_slot_frees() {
+        let (addr, accept) = capped_listener(4, 2, Duration::from_secs(60));
+        let (mut a, mut a_lines) = client(addr);
+        let (mut b, mut b_lines) = client(addr);
+        // Both are served: each gets an answer.
+        for (conn, lines) in [(&mut a, &mut a_lines), (&mut b, &mut b_lines)] {
+            conn.write_all(b"CARD 1\n").unwrap();
+            assert_eq!(lines.next().unwrap().unwrap(), "0");
+        }
+        let (_, mut c_lines) = client(addr);
+        assert_eq!(c_lines.next().unwrap().unwrap(), "ERR too many connections");
+        assert!(c_lines.next().is_none(), "a refused connection is closed");
+        // Quitting one frees its slot before the close is visible.
+        a.write_all(b"QUIT\n").unwrap();
+        assert!(a_lines.next().is_none());
+        let (mut d, mut d_lines) = client(addr);
+        d.write_all(b"ADD 1 9\nCARD 1\nQUIT\n").unwrap();
+        assert_eq!(d_lines.next().unwrap().unwrap(), "OK");
+        assert_eq!(d_lines.next().unwrap().unwrap(), "1");
+        b.write_all(b"QUIT\n").unwrap();
+        accept.join().unwrap();
+    }
+
+    #[test]
+    fn an_idle_connection_is_closed_and_frees_its_slot() {
+        let (addr, accept) = capped_listener(2, 1, Duration::from_millis(100));
+        let (_idle, mut idle_lines) = client(addr);
+        // The server closes the silent connection after the timeout.
+        assert!(idle_lines.next().is_none());
+        let (mut next, mut next_lines) = client(addr);
+        next.write_all(b"CARD 3\nQUIT\n").unwrap();
+        assert_eq!(next_lines.next().unwrap().unwrap(), "0");
+        accept.join().unwrap();
+    }
+
     #[test]
     fn tcp_clients_share_one_store() {
         use std::io::Write as _;
@@ -208,7 +321,7 @@ mod tests {
         let accept_server = Arc::clone(&server);
         let accept = std::thread::spawn(move || {
             // One connection is enough for the test; real serving uses
-            // serve_tcp's unbounded loop.
+            // serve_tcp's endless accept loop.
             let (stream, _) = listener.accept().unwrap();
             let reader = BufReader::new(stream.try_clone().unwrap());
             serve_lines(&accept_server, reader, stream).unwrap();

@@ -32,7 +32,8 @@
 use crate::features::SimdLevel;
 use crate::util::SetBits;
 
-/// Bytes of bitmap covered by one summary bit: one 512-bit SIMD block.
+/// Bytes in one bitmap block (512 bits, one AVX-512 vector), the unit of
+/// the planner's block density and of the legacy `.fsia` block summary.
 pub const SUMMARY_BLOCK_BYTES: usize = 64;
 
 /// How a word kernel combines two value-domain word bitmaps
@@ -542,127 +543,15 @@ pub fn word_op_into(level: SimdLevel, op: MaskOp, a: &[u64], b: &[u64], out: &mu
 }
 
 // ---------------------------------------------------------------------------
-// Summary bitmaps and the pruned scan (hierarchical two-level filtering).
+// Legacy summary sections.
 // ---------------------------------------------------------------------------
 
-/// Number of `u64` summary words covering a bitmap of `bitmap_len` bytes.
+/// Number of `u64` words in the one-bit-per-block summary that format
+/// versions 2–4 stored for a bitmap of `bitmap_len` bytes. Decoders use
+/// it to check and skip that section; nothing builds a summary any more.
 #[inline]
 pub const fn summary_len(bitmap_len: usize) -> usize {
     bitmap_len.div_ceil(SUMMARY_BLOCK_BYTES).div_ceil(64)
-}
-
-/// Build the one-bit-per-block summary of `bitmap`: bit `i` of the result
-/// (LSB-first within each `u64` word) is set iff the `i`-th
-/// [`SUMMARY_BLOCK_BYTES`]-byte block of the bitmap contains any set bit.
-/// A trailing partial block (possible only for bitmaps below the
-/// segmented-set 64-byte floor) gets the final bit.
-pub fn build_block_summary(bitmap: &[u8]) -> Vec<u64> {
-    let mut out = vec![0u64; summary_len(bitmap.len())];
-    for (blk, chunk) in bitmap.chunks(SUMMARY_BLOCK_BYTES).enumerate() {
-        if chunk.iter().any(|&x| x != 0) {
-            out[blk / 64] |= 1 << (blk % 64);
-        }
-    }
-    out
-}
-
-/// Replicate the low `bits` bits of `pattern` across a full `u64`.
-/// `bits` must be a power of two below 64.
-fn replicate_low_bits(pattern: u64, bits: usize) -> u64 {
-    debug_assert!(bits.is_power_of_two() && bits < 64);
-    let mut rep = pattern & ((1u64 << bits) - 1);
-    let mut b = bits;
-    while b < 64 {
-        rep |= rep << b;
-        b <<= 1;
-    }
-    rep
-}
-
-// ---------------------------------------------------------------------------
-// Summary-level threshold filter (tier 2 of the similarity-join cascade).
-// ---------------------------------------------------------------------------
-
-/// Walk the AND of two block summaries and accumulate, per surviving
-/// block, the caller-supplied bound `block_min_pop(large_blk, small_blk)`
-/// on how many intersection elements that block pair can contribute
-/// (`min` of the two sides' exact block populations is sound: every
-/// common element occupies the same block position on both sides, folded
-/// or not, so a block's contribution is capped by either side's count).
-///
-/// Returns `Some(bound)` — a sound upper bound on |A ∩ B|, strictly below
-/// `threshold` — when the scan completes without reaching `threshold`,
-/// i.e. the pair can be **rejected** with no segment work at all. Returns
-/// `None` ("cannot reject") as soon as the running bound reaches
-/// `threshold`, which on non-rejectable pairs keeps the filter cost
-/// proportional to the threshold rather than to the bitmap size.
-///
-/// The small summary logically tiles the large one exactly as the bitmaps
-/// do (see [`for_each_nonzero_lane_folded`]); pass equal block counts for
-/// the same-size case. Invalid high bits of a trailing partial summary
-/// word must be zero ([`build_block_summary`] guarantees this), so the
-/// AND can never surface an out-of-range block index.
-///
-/// # Panics
-/// Panics if `small_blocks` is zero, not a power of two, or exceeds the
-/// large side's block count implied by `sum_large`.
-pub fn summary_min_bound<F: FnMut(usize, usize) -> u64>(
-    sum_large: &[u64],
-    sum_small: &[u64],
-    small_blocks: usize,
-    threshold: u64,
-    mut block_min_pop: F,
-) -> Option<u64> {
-    assert!(
-        small_blocks.is_power_of_two(),
-        "small block count must be a power of two"
-    );
-    assert!(
-        sum_large.len() * 64 >= small_blocks && sum_small.len() == small_blocks.div_ceil(64),
-        "summary/block-count mismatch"
-    );
-    if threshold == 0 {
-        return None; // every pair meets a zero threshold
-    }
-    let mut bound = 0u64;
-    if small_blocks >= 64 {
-        // The small summary is whole words; word w of the large summary
-        // tiles against small word `w mod tile_words`, and matching bits
-        // within a word pair are the same block position on both sides.
-        let tile_words = small_blocks / 64;
-        for (w, &wl) in sum_large.iter().enumerate() {
-            let sw = w % tile_words;
-            let v = wl & sum_small[sw];
-            if v == 0 {
-                continue;
-            }
-            for bit in SetBits(v) {
-                bound += block_min_pop(w * 64 + bit as usize, sw * 64 + bit as usize);
-                if bound >= threshold {
-                    return None;
-                }
-            }
-        }
-    } else {
-        // The whole small summary is a sub-word pattern; replicate it so
-        // every large word ANDs against the same tiled word. The small
-        // block index is `bit mod small_blocks` because `small_blocks`
-        // divides 64.
-        let rep = replicate_low_bits(sum_small[0], small_blocks);
-        for (w, &wl) in sum_large.iter().enumerate() {
-            let v = wl & rep;
-            if v == 0 {
-                continue;
-            }
-            for bit in SetBits(v) {
-                bound += block_min_pop(w * 64 + bit as usize, bit as usize % small_blocks);
-                if bound >= threshold {
-                    return None;
-                }
-            }
-        }
-    }
-    Some(bound)
 }
 
 #[cfg(test)]
@@ -818,107 +707,6 @@ mod tests {
                 panic!("unexpected lane {i} at level {level}")
             });
         }
-    }
-
-    #[test]
-    fn summary_builder_matches_blocks() {
-        for &len in &[0usize, 2, 64, 65, 640, 4096, 4160] {
-            let bm = pseudo_random_bytes(len, 11, 3);
-            let sum = build_block_summary(&bm);
-            assert_eq!(sum.len(), summary_len(len));
-            for (blk, chunk) in bm.chunks(SUMMARY_BLOCK_BYTES).enumerate() {
-                let bit = (sum[blk / 64] >> (blk % 64)) & 1;
-                assert_eq!(
-                    bit == 1,
-                    chunk.iter().any(|&x| x != 0),
-                    "len={len} blk={blk}"
-                );
-            }
-            // Invalid high bits of the last word stay zero.
-            let blocks = len.div_ceil(SUMMARY_BLOCK_BYTES);
-            if blocks % 64 != 0 && !sum.is_empty() {
-                assert_eq!(sum[blocks / 64] >> (blocks % 64), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn replicate_low_bits_tiles_the_pattern() {
-        for bits in [1usize, 2, 4, 8, 16, 32] {
-            let rep = replicate_low_bits((0b1011 & ((1 << bits) - 1)) | 1, bits);
-            for i in 0..64 {
-                assert_eq!((rep >> i) & 1, (rep >> (i % bits)) & 1, "bits={bits} i={i}");
-            }
-        }
-    }
-
-    /// Naive mirror of [`summary_min_bound`]: full Σ min over AND blocks.
-    fn reference_min_bound(large: &[u8], small: &[u8], pop_l: &[u64], pop_s: &[u64]) -> u64 {
-        let sl = build_block_summary(large);
-        let ss = build_block_summary(small);
-        let small_blocks = small.len() / SUMMARY_BLOCK_BYTES;
-        let mut total = 0u64;
-        for blk in 0..large.len() / SUMMARY_BLOCK_BYTES {
-            let sb = blk % small_blocks;
-            let bl = (sl[blk / 64] >> (blk % 64)) & 1;
-            let bs = (ss[sb / 64] >> (sb % 64)) & 1;
-            if bl & bs == 1 {
-                total += pop_l[blk].min(pop_s[sb]);
-            }
-        }
-        total
-    }
-
-    #[test]
-    fn summary_min_bound_matches_naive_sum() {
-        for &(large_len, small_len) in &[(1024usize, 1024usize), (4096, 1024), (8192, 128)] {
-            let large = pseudo_random_bytes(large_len, 41, 2);
-            let small = pseudo_random_bytes(small_len, 43, 2);
-            let blocks_l = large_len / SUMMARY_BLOCK_BYTES;
-            let blocks_s = small_len / SUMMARY_BLOCK_BYTES;
-            let pop_l: Vec<u64> = (0..blocks_l as u64).map(|b| b % 7 + 1).collect();
-            let pop_s: Vec<u64> = (0..blocks_s as u64).map(|b| b % 5 + 1).collect();
-            let expect = reference_min_bound(&large, &small, &pop_l, &pop_s);
-            let sl = build_block_summary(&large);
-            let ss = build_block_summary(&small);
-            // Below the true total the filter rejects with the exact sum…
-            let got = summary_min_bound(&sl, &ss, blocks_s, expect + 1, |bl, bs| {
-                pop_l[bl].min(pop_s[bs])
-            });
-            assert_eq!(got, Some(expect), "large={large_len} small={small_len}");
-            // …and at (or under) it, accepts without finishing the walk.
-            if expect > 0 {
-                let got = summary_min_bound(&sl, &ss, blocks_s, expect, |bl, bs| {
-                    pop_l[bl].min(pop_s[bs])
-                });
-                assert_eq!(got, None, "large={large_len} small={small_len}");
-            }
-        }
-    }
-
-    #[test]
-    fn summary_min_bound_zero_threshold_never_rejects() {
-        let bm = pseudo_random_bytes(256, 3, 2);
-        let sum = build_block_summary(&bm);
-        assert_eq!(summary_min_bound(&sum, &sum, 4, 0, |_, _| 1), None);
-    }
-
-    #[test]
-    fn summary_min_bound_disjoint_summaries_reject_everything() {
-        // a populates even blocks, b odd blocks: the AND is empty, so any
-        // positive threshold rejects with a zero bound and zero callbacks.
-        let mut a = vec![0u8; 1024];
-        let mut b = vec![0u8; 1024];
-        for blk in 0..16 {
-            let target = if blk % 2 == 0 { &mut a } else { &mut b };
-            target[blk * 64 + 7] = 0xAA;
-        }
-        let sa = build_block_summary(&a);
-        let sb = build_block_summary(&b);
-        let got = summary_min_bound(&sa, &sb, 16, 1, |bl, bs| {
-            panic!("unexpected block pair ({bl}, {bs})")
-        });
-        assert_eq!(got, Some(0));
     }
 
     fn pseudo_random_words(len: usize, seed: u64, density_shift: u32) -> Vec<u64> {

@@ -784,3 +784,61 @@ fn legacy_packed_section_length_is_still_checked() {
         }
     }
 }
+
+/// Byte offset of the SUMMARY section's length in the section table.
+const SUMMARY_LEN_AT: usize = 32 + 16 + 8;
+
+/// The legacy SUMMARY section is skipped, but its length is outside input:
+/// it must be 0 (what writers emit now) or exactly the one word per 64
+/// bitmap blocks the old writer stored. Anything else is `Corrupt` on
+/// both decode paths, for a current block and for one written with a
+/// summary (the first block of `v4.fsia`).
+#[test]
+fn summary_length_must_be_empty_or_legacy() {
+    let fixture = std::fs::read(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/v4.fsia"),
+    )
+    .unwrap();
+    let (_, used) = SegmentedSet::deserialize(&fixture[64..]).unwrap();
+    for bytes in [sample(2_000, 47), fixture[64..64 + used].to_vec()] {
+        let (want, _) = SegmentedSet::deserialize(&bytes).unwrap();
+        let m_bytes = want.bitmap_bytes().len();
+        let legacy = (m_bytes / 64).div_ceil(64) as u64 * 8;
+        let len = u64::from_le_bytes(bytes[SUMMARY_LEN_AT..][..8].try_into().unwrap());
+        assert!(len == 0 || len == legacy, "the writer's own length");
+        for (forged, ok) in [
+            (0, true),
+            (legacy, true),
+            (legacy - 8, legacy == 8),
+            (legacy + 8, false),
+            (legacy * 2, false),
+            (1, false),
+            (1 << 40, false),
+        ] {
+            let mut m = bytes.clone();
+            m[SUMMARY_LEN_AT..][..8].copy_from_slice(&forged.to_le_bytes());
+            let owned = SegmentedSet::deserialize(&m);
+            let file = Arc::new(MappedFile::from_bytes(m));
+            let mapped = (file.bytes().as_ptr() as usize)
+                .is_multiple_of(8)
+                .then(|| SegmentedSet::deserialize_mapped(&file, 0));
+            if ok {
+                let (set, _) = owned.unwrap();
+                assert_eq!(set.reordered_elements(), want.reordered_elements());
+                if let Some(r) = mapped {
+                    assert_eq!(r.unwrap().0.reordered_elements(), want.reordered_elements());
+                }
+            } else {
+                let what = format!("len={forged} legacy={legacy}");
+                assert_eq!(
+                    owned.unwrap_err(),
+                    fesia_core::DecodeError::Corrupt,
+                    "{what}"
+                );
+                if let Some(r) = mapped {
+                    assert_eq!(r.unwrap_err(), fesia_core::DecodeError::Corrupt, "{what}");
+                }
+            }
+        }
+    }
+}
