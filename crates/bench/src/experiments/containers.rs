@@ -6,25 +6,25 @@
 //! * **Run-heavy pair** — maximal consecutive runs (average length 256)
 //!   sharing half their elements. The container tier stores each run in 4
 //!   bytes and intersects matched ranges with 64-bit word ANDs, so the
-//!   gate is a >=1.25x intersect-count speedup over the same pair with
-//!   the container knob forced off (which routes the segmented merge).
+//!   gate is a >=1.25x intersect-count speedup of the planned count over
+//!   the same pair run through the plain segmented merge.
 //! * **Clustered pair** — dense 65536-value windows that classify as
 //!   word bitmaps; same gate direction, measured separately.
 //! * **Uniform sparse** — every range holds a handful of elements, so the
 //!   directory is all arrays and the planner must decline. The gate is
-//!   <=2% dispatch overhead versus the container knob forced off.
+//!   <=2% dispatch overhead versus the plain merge run directly.
 //!
-//! All four set operations are additionally checked count-identical
-//! between forced-on and forced-off knobs on every workload.
+//! Every workload additionally checks that the plain, container and
+//! hash plans count the same, and that all four set operations'
+//! materialized results have the lengths the count path gives.
 //!
 //! Writes `BENCH_containers.json` (consumed by `scripts/tier1.sh
 //! --smoke`) and returns a markdown report.
 
 use crate::harness::{f2, measure_cycles, write_bench_json, Scale, Table};
 use fesia_core::{
-    container_params, intersect_count_with, set_container_params, set_op_count,
-    should_container_summaries, ContainerParams, FesiaParams, KernelTable, SegmentedSet, SetOp,
-    SetSummary,
+    execute_plan_count, intersect_count_with, set_op, set_op_count, should_container_summaries,
+    FesiaParams, IntersectPlan, KernelTable, SegmentedSet, SetOp, SetSummary,
 };
 use fesia_datagen::{clustered_pair, pair_with_intersection, run_heavy_pair, SplitMix64};
 
@@ -36,7 +36,7 @@ struct WorkloadResult {
     on_cycles: u64,
     speedup: f64,
     /// Median of the per-round `on/off` cycle ratios. Each round times
-    /// both knob settings back to back, so the ratio cancels slow
+    /// both arms back to back, so the ratio cancels slow
     /// environmental drift (frequency scaling, a neighbor on the shared
     /// core) that independent min-of-N cycle floors do not; the median
     /// then rejects rounds a preemption landed in. This is the robust
@@ -45,9 +45,9 @@ struct WorkloadResult {
     counts_match: bool,
 }
 
-/// Measure one pair with the container knob forced off vs auto,
-/// alternating round-robin so environmental drift cannot bias the ratio,
-/// and verify every op's count is knob-independent.
+/// Measure one pair through the plain merge ("off") vs the planner's
+/// merge-family choice ("on"), alternating round-robin so environmental
+/// drift cannot bias the ratio, and verify every plan and op agrees.
 fn measure_pair(
     name: &'static str,
     a: &SegmentedSet,
@@ -56,26 +56,19 @@ fn measure_pair(
     table: &KernelTable,
     rounds: usize,
 ) -> WorkloadResult {
-    let auto_engages = should_container_summaries(
-        &SetSummary::of(a),
-        &SetSummary::of(b),
-        &ContainerParams::default(),
-    );
+    let auto_engages = should_container_summaries(&SetSummary::of(a), &SetSummary::of(b));
     let dense_fraction = a
         .container_stats()
         .map(|c| c.dense_fraction())
         .unwrap_or(0.0);
-    let saved = container_params();
     let mut off_cycles = u64::MAX;
     let mut on_cycles = u64::MAX;
     let mut ratios = Vec::with_capacity(rounds);
     let mut counts_match = true;
     for _ in 0..rounds {
-        set_container_params(ContainerParams::default().with_forced(Some(false)));
-        let (off, v) = measure_cycles(3, || intersect_count_with(a, b, table));
+        let (off, v) = measure_cycles(3, || execute_plan_count(a, b, table, IntersectPlan::Plain));
         off_cycles = off_cycles.min(off);
         counts_match &= v == r;
-        set_container_params(ContainerParams::default());
         let (on, v) = measure_cycles(3, || intersect_count_with(a, b, table));
         on_cycles = on_cycles.min(on);
         counts_match &= v == r;
@@ -83,20 +76,20 @@ fn measure_pair(
     }
     ratios.sort_by(f64::total_cmp);
     let median_ratio = ratios[ratios.len() / 2];
-    // Bit-identical counts for all four ops under both knob settings.
+    // Every plan counts the same, whether or not the planner picks it.
+    for plan in [IntersectPlan::Container, IntersectPlan::HashProbe] {
+        counts_match &= execute_plan_count(a, b, table, plan) == r;
+    }
+    // Each op's materialized result (a tier walk where both sides carry
+    // a tier) has the length the count path derives from |A ∩ B|.
     for op in [
         SetOp::Intersect,
         SetOp::Union,
         SetOp::Difference,
         SetOp::Xor,
     ] {
-        set_container_params(ContainerParams::default().with_forced(Some(true)));
-        let on = set_op_count(a, b, op);
-        set_container_params(ContainerParams::default().with_forced(Some(false)));
-        let off = set_op_count(a, b, op);
-        counts_match &= on == off;
+        counts_match &= set_op(a, b, op).len() == set_op_count(a, b, op);
     }
-    set_container_params(saved);
     WorkloadResult {
         name,
         auto_engages,
@@ -133,7 +126,7 @@ pub fn run(scale: Scale) -> String {
 
     // Uniform-sparse pair: ~32 elements per 65536-value range at standard
     // scale — the directory is all arrays, the planner must decline, and
-    // the auto dispatch must cost nothing measurable over forced-off.
+    // the auto dispatch must cost nothing measurable over the plain merge.
     let (uv, wv) = pair_with_intersection(n, n, n / 100, &mut rng);
     let ua = SegmentedSet::build(&uv, &params).unwrap();
     let ub = SegmentedSet::build(&wv, &params).unwrap();
@@ -194,8 +187,8 @@ pub fn run(scale: Scale) -> String {
         "## Adaptive per-range containers\n\n\
          Pairs of {n} x {n} elements, 50% selectivity (run-heavy: avg run 256; \
          clustered: {clusters} windows at 0.9 fill), vs a uniform-sparse control.\n\
-         Counts match across knob settings and all four ops: {counts_match}.\n\n{}\n\
-         Uniform-sparse auto dispatch overhead vs forced-off: {overhead_pct:+.2}% \
+         Counts match across plans and all four ops: {counts_match}.\n\n{}\n\
+         Uniform-sparse auto dispatch overhead vs the plain merge: {overhead_pct:+.2}% \
          (planner declines: {}). Series written to {json_path}.\n",
         t_md.render(),
         !uniform.auto_engages,

@@ -1,4 +1,4 @@
-//! Planner experiment: does `FESIA_PLAN=auto` actually pick well?
+//! Planner experiment: does the planner actually pick well?
 //!
 //! Five workloads bracket the planner's decision space:
 //!
@@ -15,24 +15,30 @@
 //! * **kway-dense** — a 3-way count of half-dense sets carrying bitmap
 //!   container tiers, where the k-way container walk should win.
 //!
-//! Each pair workload runs once per strategy (auto plus every forced
-//! `PlanMode`), and each 3-way workload once per [`KwayStrategy`],
-//! round-robin with min-of-rounds timing so slow drift cannot bias one
-//! arm. Two gates, consumed by `scripts/tier1.sh --smoke` via
-//! `BENCH_plan.json`: every strategy returns the same count, and auto's
-//! cycles are within 10% of the best forced strategy on every workload.
+//! Each pair workload runs once through the planner and once per
+//! explicit [`IntersectPlan`] in `PAIR_PLANS` ([`execute_plan_count`]),
+//! and each 3-way workload once per [`KwayStrategy`]
+//! ([`execute_kway_count`]), round-robin with min-of-rounds timing so
+//! slow drift cannot bias one arm. Two gates, consumed by
+//! `scripts/tier1.sh --smoke` via `BENCH_plan.json`: every strategy
+//! returns the same count, and auto's cycles are within 10% of the best
+//! explicit strategy on every workload.
 
 use crate::harness::{f2, measure_cycles, write_bench_json, Scale, Table};
 use fesia_core::{
-    auto_count_with, execute_kway_count, kway_count_with, set_plan_mode, FesiaParams, KernelTable,
-    KwayStrategy, LaneWidth, PlanMode, SegmentedSet, SetSummary,
+    auto_count_with, execute_kway_count, execute_plan_count, kway_count_with, FesiaParams,
+    IntersectPlan, KernelTable, KwayStrategy, LaneWidth, SegmentedSet, SetSummary,
 };
 use fesia_datagen::{
     ksets_with_density, ksets_with_intersection, pair_with_intersection, SplitMix64,
 };
 
-/// A pair (two sets, raced over the forced `PlanMode`s) or a k-way
-/// workload (three sets, raced over the [`KwayStrategy`]s).
+/// The plans a pair workload races auto against: the two the planner
+/// chooses between on directory-less pairs.
+const PAIR_PLANS: [IntersectPlan; 2] = [IntersectPlan::Plain, IntersectPlan::HashProbe];
+
+/// A pair (two sets, raced over [`PAIR_PLANS`]) or a k-way workload
+/// (three sets, raced over the [`KwayStrategy`]s).
 struct Workload {
     name: &'static str,
     sets: Vec<SegmentedSet>,
@@ -44,13 +50,13 @@ struct Outcome {
     counts_match: bool,
     auto_cycles: u64,
     auto_plan: &'static str,
-    best_mode: &'static str,
+    best_plan: &'static str,
     best_cycles: u64,
-    per_mode: Vec<(&'static str, u64)>,
+    per_plan: Vec<(&'static str, u64)>,
     within: bool,
 }
 
-/// Auto must land within this factor of the best forced strategy.
+/// Auto must land within this factor of the best explicit strategy.
 const AUTO_SLACK: f64 = 1.10;
 
 fn build_workloads(scale: Scale, rng: &mut SplitMix64) -> Vec<Workload> {
@@ -150,11 +156,8 @@ fn measure(w: &Workload, table: &KernelTable, rounds: usize, reps: usize) -> Out
         }
     };
     let mut auto_cycles = u64::MAX;
-    let mut per_mode: Vec<(&'static str, u64)> = if pair {
-        PlanMode::FORCED
-            .iter()
-            .map(|m| (m.name(), u64::MAX))
-            .collect()
+    let mut per_plan: Vec<(&'static str, u64)> = if pair {
+        PAIR_PLANS.iter().map(|p| (p.name(), u64::MAX)).collect()
     } else {
         KwayStrategy::ALL
             .iter()
@@ -164,14 +167,13 @@ fn measure(w: &Workload, table: &KernelTable, rounds: usize, reps: usize) -> Out
     let mut counts_match = true;
     // Round-robin: one timed sample per strategy per round, keep minima.
     for _ in 0..rounds {
-        set_plan_mode(PlanMode::Auto);
         let (c, got) = measure_cycles(reps, auto);
         auto_cycles = auto_cycles.min(c);
         counts_match &= got == w.want;
-        for (i, slot) in per_mode.iter_mut().enumerate() {
+        for (i, slot) in per_plan.iter_mut().enumerate() {
             let (c, got) = if pair {
-                set_plan_mode(PlanMode::FORCED[i]);
-                measure_cycles(reps, auto)
+                let plan = PAIR_PLANS[i];
+                measure_cycles(reps, || execute_plan_count(refs[0], refs[1], table, plan))
             } else {
                 let strategy = KwayStrategy::ALL[i];
                 measure_cycles(reps, || execute_kway_count(&refs, table, strategy))
@@ -180,25 +182,24 @@ fn measure(w: &Workload, table: &KernelTable, rounds: usize, reps: usize) -> Out
             counts_match &= got == w.want;
         }
     }
-    set_plan_mode(PlanMode::Auto);
-    let (best_mode, best_cycles) = per_mode
+    let (best_plan, best_cycles) = per_plan
         .iter()
         .copied()
         .min_by_key(|&(_, c)| c)
-        .expect("FORCED is non-empty");
+        .expect("every workload races at least one strategy");
     // When auto chose exactly the strategy that measured fastest, planning
     // was optimal by construction — the cycle ratio then compares two runs
     // of the same code and only measures timer jitter. The 10% cycle gate
     // applies when auto picked a *different* plan than the winner.
-    let within = auto_plan == best_mode || (auto_cycles as f64) <= AUTO_SLACK * best_cycles as f64;
+    let within = auto_plan == best_plan || (auto_cycles as f64) <= AUTO_SLACK * best_cycles as f64;
     Outcome {
         name: w.name,
         counts_match,
         auto_cycles,
         auto_plan,
-        best_mode,
+        best_plan,
         best_cycles,
-        per_mode,
+        per_plan,
         within,
     }
 }
@@ -223,7 +224,7 @@ pub fn run(scale: Scale) -> String {
         "workload",
         "auto plan",
         "auto (Mcycles)",
-        "best forced",
+        "best explicit",
         "best (Mcycles)",
         "auto/best",
     ]);
@@ -233,28 +234,28 @@ pub fn run(scale: Scale) -> String {
             o.name.to_string(),
             o.auto_plan.to_string(),
             f2(o.auto_cycles as f64 / 1e6),
-            o.best_mode.to_string(),
+            o.best_plan.to_string(),
             f2(o.best_cycles as f64 / 1e6),
             f2(o.auto_cycles as f64 / o.best_cycles.max(1) as f64),
         ]);
-        let forced: Vec<String> = o
-            .per_mode
+        let explicit: Vec<String> = o
+            .per_plan
             .iter()
             .map(|(m, c)| format!("\"{m}\": {c}"))
             .collect();
         json_rows.push(format!(
             "    {{\"workload\": \"{}\", \"counts_match\": {}, \
              \"auto_plan\": \"{}\", \"auto_cycles\": {}, \
-             \"best_mode\": \"{}\", \"best_cycles\": {}, \
-             \"auto_within_10pct\": {}, \"forced\": {{{}}}}}",
+             \"best_plan\": \"{}\", \"best_cycles\": {}, \
+             \"auto_within_10pct\": {}, \"explicit\": {{{}}}}}",
             o.name,
             o.counts_match,
             o.auto_plan,
             o.auto_cycles,
-            o.best_mode,
+            o.best_plan,
             o.best_cycles,
             o.within,
-            forced.join(", "),
+            explicit.join(", "),
         ));
     }
 
@@ -268,11 +269,11 @@ pub fn run(scale: Scale) -> String {
     let json_path = write_bench_json(scale, "plan", &json);
 
     format!(
-        "## IntersectPlanner — auto vs forced strategies\n\n\
-         Auto planning on three pair workloads against every forced\n\
-         `FESIA_PLAN` strategy, and on two 3-way workloads against every\n\
+        "## IntersectPlanner — auto vs explicit strategies\n\n\
+         Auto planning on three pair workloads against the plain and hash\n\
+         plans run explicitly, and on two 3-way workloads against every\n\
          k-way strategy (min-of-{rounds} rounds). Counts match: {all_match}.\n\
-         Auto within 10% of the best forced plan everywhere: {all_within}.\n\n{}\n\
+         Auto within 10% of the best explicit plan everywhere: {all_within}.\n\n{}\n\
          Series written to {json_path}.\n",
         t_md.render(),
     )

@@ -185,7 +185,7 @@ fn info_json(path: &str, set: &SegmentedSet, out: &mut dyn Write) -> Result<(), 
          \"segment_bits\": {},\n  \"segments\": {},\n  \"memory_bytes\": {},\n  \
          \"serialized_bytes\": {},\n  \"container\": {container},\n  \
          \"summary_blocks\": {},\n  \"summary_density\": {:.4},\n  \
-         \"planner\": {{\"mode\": \"{}\", \"plan_vs_self\": \"{}\"}}\n}}",
+         \"planner\": {{\"plan_vs_self\": \"{}\"}}\n}}",
         set.len(),
         set.bitmap_bits(),
         set.lane().bits(),
@@ -194,7 +194,6 @@ fn info_json(path: &str, set: &SegmentedSet, out: &mut dyn Write) -> Result<(), 
         set.serialized_len(),
         set.summary_blocks(),
         set.summary_density(),
-        planner.mode.name(),
         planner.plan_pair(&sum, &sum).name(),
     )?;
     Ok(())
@@ -255,8 +254,7 @@ fn cmd_info(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let sum = fesia_core::SetSummary::of(&set);
     writeln!(
         out,
-        "planner:         mode={} plan-vs-self={}",
-        planner.mode.name(),
+        "planner:         plan-vs-self={}",
         planner.plan_pair(&sum, &sum).name(),
     )?;
     Ok(())
@@ -402,7 +400,7 @@ fn cmd_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         )?;
     } else {
         writeln!(out, "count: {count}")?;
-        writeln!(out, "plan: {plan} (mode={})", planner.mode.name())?;
+        writeln!(out, "plan: {plan}")?;
         if kway {
             writeln!(
                 out,
@@ -977,8 +975,8 @@ mod tests {
         let mut out = Vec::new();
         run(&s(&["info", &f]), &mut out).unwrap();
         let info = String::from_utf8_lossy(&out);
-        assert!(info.contains("planner:         mode="), "{info}");
-        assert!(info.contains("plan-vs-self="), "{info}");
+        assert!(info.contains("planner:         plan-vs-self="), "{info}");
+        assert!(!info.contains("mode="), "{info}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,12 +1,14 @@
 //! The knobs of the removed pipelined, compressed, gallop and pruned
 //! plans, of the similarity join's removed candidate-chunk grain and
-//! summary-bitmap tier, and of the removed machine-profile loader.
+//! summary-bitmap tier, of the removed machine-profile loader, and the
+//! planner's removed strategy and container overrides.
 //!
 //! Their `FESIA_*` variables are no longer read, so the startup scan
-//! reports them as unrecognized, the removed `FESIA_PLAN` modes warn and
-//! leave the planner on auto, and a profile file changes nothing. Each
-//! check runs `fesia info` in a child process, because the planner reads
-//! the environment once per process.
+//! reports them as unrecognized, every `FESIA_PLAN` value (removed mode
+//! or former surviving one) leaves the planner's choice alone, and a
+//! profile file or a container knob changes nothing. Each check runs
+//! `fesia info` in a child process, because the startup scan runs once
+//! per process.
 
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard};
@@ -19,11 +21,15 @@ fn env_lock() -> MutexGuard<'static, ()> {
     ENV.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-const REMOVED_VARS: [&str; 11] = [
+const REMOVED_VARS: [&str; 15] = [
     "FESIA_COMPRESS",
     "FESIA_COMPRESS_MIN",
+    "FESIA_CONTAINER",
+    "FESIA_CONTAINER_DENSE_PCT",
+    "FESIA_CONTAINER_MIN",
     "FESIA_PIPELINE",
     "FESIA_PIPELINE_MIN",
+    "FESIA_PLAN",
     "FESIA_PREFETCH_DIST",
     "FESIA_PROFILE",
     "FESIA_PRUNE",
@@ -84,8 +90,9 @@ fn removed_variables_are_reported_unrecognized() {
     assert!(
         stderr.contains(
             "unrecognized FESIA_* environment variable(s): FESIA_COMPRESS, \
-             FESIA_COMPRESS_MIN, FESIA_PIPELINE, FESIA_PIPELINE_MIN, \
-             FESIA_PREFETCH_DIST, FESIA_PROFILE, FESIA_PRUNE, \
+             FESIA_COMPRESS_MIN, FESIA_CONTAINER, FESIA_CONTAINER_DENSE_PCT, \
+             FESIA_CONTAINER_MIN, FESIA_PIPELINE, FESIA_PIPELINE_MIN, \
+             FESIA_PLAN, FESIA_PREFETCH_DIST, FESIA_PROFILE, FESIA_PRUNE, \
              FESIA_PRUNE_MAX_SURVIVOR, FESIA_PRUNE_MIN_BYTES, \
              FESIA_SIMJOIN_BITMAP, FESIA_SIMJOIN_CHUNK"
         ),
@@ -93,46 +100,79 @@ fn removed_variables_are_reported_unrecognized() {
     );
 }
 
+/// Asserts that `stdout` is `fesia info`'s default report — identical
+/// but for the first line, which names the file — with `plan` as the
+/// self-plan, and that `stderr` reports `var` as unrecognized.
+fn assert_unchanged(var: &str, plan: &str, (stdout, stderr): (String, String), default: &str) {
+    assert!(
+        stderr.contains("unrecognized FESIA_* environment variable(s): ") && stderr.contains(var),
+        "{var}: {stderr}"
+    );
+    assert!(stdout.contains(&format!("plan-vs-self={plan}")), "{stdout}");
+    assert!(
+        stdout.lines().skip(1).eq(default.lines().skip(1)),
+        "{var}: {stdout}{default}"
+    );
+}
+
 #[test]
 fn removed_plan_modes_warn_and_fall_back_to_auto() {
-    for mode in ["pipelined", "gallop", "pruned"] {
-        let (stdout, stderr) = fesia_info(mode, &[("FESIA_PLAN", mode)]);
-        assert!(
-            stderr.contains(&format!("warning: ignoring FESIA_PLAN={mode}")),
-            "{stderr}"
-        );
-        assert!(stdout.contains("planner:         mode=auto"), "{stdout}");
+    let (default, _) = fesia_info("default", &[]);
+    // The removed modes and the former surviving ones alike.
+    for mode in ["pipelined", "gallop", "pruned", "plain", "hash", "auto"] {
+        let got = fesia_info(mode, &[("FESIA_PLAN", mode)]);
+        assert_unchanged("FESIA_PLAN", "plain", got, &default);
     }
-    // A surviving mode still takes effect, with no warning.
-    let (stdout, stderr) = fesia_info("hash", &[("FESIA_PLAN", "hash")]);
-    assert!(!stderr.contains("warning"), "{stderr}");
-    assert!(stdout.contains("planner:         mode=hash"), "{stdout}");
 }
 
 /// A machine-profile file is no longer read: one forcing the container
-/// dispatch on leaves `fesia info`'s self-plan where the defaults put it,
-/// while the `FESIA_CONTAINER` twin of that key still moves it.
+/// dispatch on leaves `fesia info`'s self-plan where the planner puts
+/// it, and so does each of the removed `FESIA_CONTAINER*` twins of that
+/// key.
 #[test]
 fn profile_files_no_longer_change_the_planner() {
-    // Large enough to carry a container tier, too small for auto mode to
-    // pick it.
+    // Large enough to carry a container tier, too small for the planner
+    // to pick it.
     let elements: Vec<u32> = (0..5_000).collect();
     let dir = std::env::temp_dir().join(format!("fesia-profile-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let profile = dir.join("profile.json");
     std::fs::write(&profile, r#"{"version": 1, "container_forced": "on"}"#).unwrap();
     let with_profile = [("FESIA_PROFILE", profile.to_string_lossy().to_string())];
-    let (stdout, stderr) = fesia_info_of("profile", &elements, &with_profile);
-    let (plain, _) = fesia_info_of("no-profile", &elements, &[]);
+    let got = fesia_info_of("profile", &elements, &with_profile);
+    let (default, _) = fesia_info_of("no-profile", &elements, &[]);
     std::fs::remove_dir_all(&dir).ok();
-    assert!(stdout.contains("plan-vs-self=plain"), "{stdout}");
-    // Identical but for the first line, which names the file.
-    assert!(
-        stdout.lines().skip(1).eq(plain.lines().skip(1)),
-        "{stdout}{plain}"
-    );
-    assert!(stderr.contains("FESIA_PROFILE"), "{stderr}");
-    let forced = [("FESIA_CONTAINER", "on".to_string())];
-    let (stdout, _) = fesia_info_of("env", &elements, &forced);
-    assert!(stdout.contains("plan-vs-self=container"), "{stdout}");
+    assert_unchanged("FESIA_PROFILE", "plain", got, &default);
+    for (var, value) in [
+        ("FESIA_CONTAINER", "on"),
+        ("FESIA_CONTAINER_MIN", "0"),
+        ("FESIA_CONTAINER_DENSE_PCT", "0"),
+    ] {
+        let got = fesia_info_of(var, &elements, &[(var, value.to_string())]);
+        assert_unchanged(var, "plain", got, &default);
+    }
+}
+
+/// README's "Environment variables" table lists exactly the variables
+/// the workspace reads, so no knob is added or removed without the docs
+/// following.
+#[test]
+fn readme_env_table_lists_every_known_var() {
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md")).unwrap();
+    let table = readme
+        .split("### Environment variables")
+        .nth(1)
+        .expect("README has an Environment variables section");
+    let mut rows: Vec<&str> = table
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+        .filter(|v| v.starts_with("FESIA_"))
+        .collect();
+    let mut known = fesia_core::params::env::KNOWN_VARS.to_vec();
+    rows.sort_unstable();
+    known.sort_unstable();
+    assert_eq!(rows, known);
 }

@@ -31,7 +31,7 @@
 use crate::container::{difference_visit_ordered, op_visit};
 use crate::intersect::{check_compatible, default_table, order_sides, scan_survivors};
 use crate::kernels::visit::{intersect_visit, EmitVisitor, SegmentVisitor, SetOp};
-use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary};
+use crate::plan::{IntersectPlan, IntersectPlanner, SetSummary};
 use crate::set::SegmentedSet;
 
 /// Materialize `A ∩ B`, sorted ascending (planner-driven).
@@ -54,7 +54,7 @@ pub fn xor(a: &SegmentedSet, b: &SegmentedSet) -> Vec<u32> {
     set_op(a, b, SetOp::Xor)
 }
 
-/// Materialize any [`SetOp`] with the process-wide planner state.
+/// Materialize any [`SetOp`], intersection planned by the planner.
 pub fn set_op(a: &SegmentedSet, b: &SegmentedSet, op: SetOp) -> Vec<u32> {
     let planner = IntersectPlanner::current();
     set_op_planned(a, b, op, &planner)
@@ -79,12 +79,10 @@ pub fn set_op_count(a: &SegmentedSet, b: &SegmentedSet, op: SetOp) -> usize {
     n
 }
 
-/// [`set_op`] against an explicit planner snapshot (batch and index runs
-/// take one snapshot per run). The planner only governs intersection;
-/// the other ops take their one execution whatever its mode. Every call
+/// [`set_op`] against an explicit planner. The planner only governs
+/// intersection; the other ops take their one execution. Every call
 /// records one `strategy_*` and one `plan_*` increment (hash for the
-/// probe, merge and `plan_container` for a tier walk), and
-/// `plan_forced` when a forced mode plans an intersection.
+/// probe, merge and `plan_container` for a tier walk).
 pub fn set_op_planned(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -112,13 +110,10 @@ pub fn set_op_planned(
     out
 }
 
-/// Plan an intersection, recording `plan_forced` and its `strategy_*`
-/// counter like [`crate::auto_count_planned`].
+/// Plan an intersection, recording its `strategy_*` counter like
+/// [`crate::auto_count_planned`].
 fn plan_intersect(a: &SegmentedSet, b: &SegmentedSet, planner: &IntersectPlanner) -> IntersectPlan {
     let m = fesia_obs::metrics();
-    if planner.mode != PlanMode::Auto {
-        m.plan_forced.inc();
-    }
     let plan = planner.plan_pair(&SetSummary::of(a), &SetSummary::of(b));
     match plan {
         IntersectPlan::HashProbe => m.strategy_hash.inc(),
@@ -304,8 +299,8 @@ mod tests {
         assert_eq!(xor(&a, &b), vec![1, 2, 4, 6, 12, 15, 16, 23, 32, 34]);
     }
 
-    /// Every intersection plan, and every op under every planner mode,
-    /// on a folded pair in both argument orders.
+    /// Every intersection plan, and every op as planned, on a folded
+    /// pair in both argument orders.
     #[test]
     fn every_plan_matches_reference_including_folded() {
         let va: Vec<u32> = (0..600u32).map(|i| i * 3).collect();
@@ -329,14 +324,96 @@ mod tests {
             }
             for op in ALL_OPS {
                 let want = ref_op(op, vx, vy);
-                for mode in [PlanMode::Auto].into_iter().chain(PlanMode::FORCED) {
-                    let planner = IntersectPlanner {
-                        mode,
-                        ..IntersectPlanner::current()
-                    };
-                    assert_eq!(set_op_planned(x, y, op, &planner), want, "{op:?} {mode:?}");
-                }
+                let planner = IntersectPlanner::current();
+                assert_eq!(set_op_planned(x, y, op, &planner), want, "{op:?}");
                 assert_eq!(set_op_count(x, y, op), want.len(), "count op={op:?}");
+            }
+        }
+    }
+
+    /// Every intersection plan on pairs that carry container tiers: a
+    /// run-heavy pair the planner sends to the tier walk (also folded:
+    /// one side at 4× the bitmap density), and an array-heavy one it
+    /// declines, so the walk runs on arrays too.
+    #[test]
+    fn every_plan_matches_reference_on_tiered_pairs() {
+        let runs_a: Vec<u32> = (0..40_000u32).collect();
+        let runs_b: Vec<u32> = (20_000..60_000u32).collect();
+        let arrays_a: Vec<u32> = (0..20_000u32).map(|i| i * 977).collect();
+        let arrays_b: Vec<u32> = (0..20_000u32).map(|i| i * 1_303).collect();
+        let p = FesiaParams::auto();
+        let dense = p.with_bits_per_element(p.bits_per_element * 4.0);
+        let folded_b = SegmentedSet::build(&runs_b, &dense).unwrap();
+        let planner = IntersectPlanner::current();
+        for (va, vb, b, auto) in [
+            (&runs_a, &runs_b, build(&runs_b), IntersectPlan::Container),
+            (&runs_a, &runs_b, folded_b, IntersectPlan::Container),
+            (&arrays_a, &arrays_b, build(&arrays_b), IntersectPlan::Plain),
+        ] {
+            let a = build(va);
+            assert!(a.container().is_some() && b.container().is_some());
+            assert_eq!(
+                planner.plan_pair(&SetSummary::of(&a), &SetSummary::of(&b)),
+                auto
+            );
+            let in_b: std::collections::HashSet<u32> = vb.iter().copied().collect();
+            let want: Vec<u32> = va.iter().copied().filter(|x| in_b.contains(x)).collect();
+            for plan in [
+                IntersectPlan::Plain,
+                IntersectPlan::Container,
+                IntersectPlan::HashProbe,
+            ] {
+                for (x, y) in [(&a, &b), (&b, &a)] {
+                    let mut out = Vec::new();
+                    let ascending = execute_intersect(x, y, plan, &mut EmitVisitor(&mut out));
+                    assert_eq!(ascending, plan == IntersectPlan::Container);
+                    out.sort_unstable();
+                    assert_eq!(out, want, "auto={auto:?} plan={plan:?}");
+                }
+            }
+        }
+    }
+
+    /// Every intersection plan on the routing edges: empty operands,
+    /// identical and disjoint sets, 4095 vs 4096 elements (either side of
+    /// the tier build floor) and tiered × untiered, each in both orders.
+    #[test]
+    fn every_plan_matches_reference_on_edge_shapes() {
+        let spread =
+            |n: u32, step: u32, off: u32| -> Vec<u32> { (0..n).map(|i| i * step + off).collect() };
+        let identical = spread(2_000, 13, 5);
+        let shapes: [(&str, Vec<u32>, Vec<u32>); 6] = [
+            ("empty-left", Vec::new(), spread(3_000, 7, 0)),
+            ("empty-both", Vec::new(), Vec::new()),
+            ("identical", identical.clone(), identical),
+            ("disjoint", spread(1_500, 2, 0), spread(1_500, 2, 1)),
+            ("4095-vs-4096", spread(4_095, 37, 0), spread(4_096, 41, 0)),
+            (
+                "tiered-untiered",
+                spread(20_000, 3, 0),
+                spread(3_000, 17, 1),
+            ),
+        ];
+        for (label, va, vb) in shapes {
+            let (a, b) = (build(&va), build(&vb));
+            for (x, y, vx, vy) in [(&a, &b, &va, &vb), (&b, &a, &vb, &va)] {
+                let want: Vec<u32> = vx
+                    .iter()
+                    .copied()
+                    .filter(|e| vy.binary_search(e).is_ok())
+                    .collect();
+                let tiered = x.container().is_some() && y.container().is_some();
+                for plan in [
+                    IntersectPlan::Plain,
+                    IntersectPlan::Container,
+                    IntersectPlan::HashProbe,
+                ] {
+                    let mut out = Vec::new();
+                    let ascending = execute_intersect(x, y, plan, &mut EmitVisitor(&mut out));
+                    assert_eq!(ascending, tiered && plan == IntersectPlan::Container);
+                    out.sort_unstable();
+                    assert_eq!(out, want, "{label} plan={plan:?}");
+                }
             }
         }
     }

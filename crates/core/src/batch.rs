@@ -134,9 +134,8 @@ pub fn batch_count_pairs_on(
     let m = fesia_obs::metrics();
     m.batch_calls.inc();
     m.batch_pairs.add(pairs.len() as u64);
-    // One planner snapshot for the whole batch: every worker plans each
-    // pair with the same frozen knobs, with no atomic loads on the pair
-    // hot path.
+    // One planner for the whole batch: it carries no state, so every
+    // worker plans each pair from its summaries alone.
     let planner = IntersectPlanner::current();
     let order = cache_resident_order(sets.len(), pairs);
     let mut results = vec![0usize; pairs.len()];
@@ -174,7 +173,7 @@ pub fn batch_count(sets: &[SegmentedSet], pairs: &[(u32, u32)]) -> Vec<usize> {
 
 /// Materialize `op(A, B)` for every `(a, b)` index pair over `sets` —
 /// the batched face of the set-algebra family ([`crate::algebra`]) —
-/// with the same planner snapshot, cache-resident schedule, and dynamic
+/// with the same planner, cache-resident schedule, and dynamic
 /// chunking as [`batch_count_pairs`].
 ///
 /// # Panics

@@ -45,7 +45,7 @@ static REBUILD_FRACTION_BITS: AtomicU64 = AtomicU64::new(0x3FD0_0000_0000_0000);
 
 /// Raw store of the dynamic-set knobs, with no initialization check
 /// (`crate::plan::ensure_init` uses this from inside its `OnceLock`
-/// closure — see `store_pipeline`).
+/// closure, where the ensuring setter would re-enter it and deadlock).
 pub(crate) fn store_dynamic(p: DynamicParams) {
     REBUILD_FRACTION_BITS.store(p.rebuild_fraction.to_bits(), Ordering::Relaxed);
 }
@@ -639,7 +639,6 @@ mod tests {
     /// hard-coded const.
     #[test]
     fn rebuild_fraction_is_configurable() {
-        let _guard = crate::plan::test_knob_lock();
         let prev = dynamic_params();
         let base: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
 
@@ -767,7 +766,6 @@ mod tests {
     /// — a heavily skewed base pair rides the hash probe, not the merge.
     #[test]
     fn skewed_dynamic_bases_use_the_hash_strategy() {
-        let _guard = crate::plan::test_knob_lock();
         let table = KernelTable::auto();
         let small: Vec<u32> = (0..100).map(|i| i * 7).collect();
         let big: Vec<u32> = (0..50_000).collect();

@@ -2,66 +2,19 @@
 //! strategy selection for skewed inputs (§VI).
 
 use crate::kernels::KernelTable;
-use crate::params::ContainerParams;
-use crate::plan::{IntersectPlan, IntersectPlanner, PlanMode, SetSummary, ThresholdPlan};
+use crate::plan::{IntersectPlan, IntersectPlanner, SetSummary, ThresholdPlan};
 use crate::set::SegmentedSet;
 use fesia_simd::mask::{for_each_nonzero_lane, for_each_nonzero_lane_folded, LaneWidth};
 use fesia_simd::prefetch::prefetch_read;
 use fesia_simd::timer::CycleTimer;
 use fesia_simd::SimdLevel;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The process-wide default kernel table (widest ISA, full table).
 pub fn default_table() -> &'static KernelTable {
     static TABLE: OnceLock<KernelTable> = OnceLock::new();
     TABLE.get_or_init(KernelTable::auto)
-}
-
-fn forced_encode(forced: Option<bool>) -> usize {
-    match forced {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    }
-}
-
-/// `ContainerParams::forced` packed into one atomic: 0 = auto (`None`),
-/// 1 = forced on, 2 = forced off.
-static CONTAINER_MODE: AtomicUsize = AtomicUsize::new(0);
-static CONTAINER_MIN_ELEMENTS: AtomicUsize = AtomicUsize::new(1 << 15);
-static CONTAINER_DENSE_PCT: AtomicUsize = AtomicUsize::new(40);
-
-/// Raw store of the container knobs, with no initialization check.
-/// `crate::plan::ensure_init` uses this from *inside* its `OnceLock`
-/// closure (the ensuring setter below would re-enter it and deadlock).
-pub(crate) fn store_container(p: ContainerParams) {
-    CONTAINER_MODE.store(forced_encode(p.forced), Ordering::Relaxed);
-    CONTAINER_MIN_ELEMENTS.store(p.min_elements, Ordering::Relaxed);
-    CONTAINER_DENSE_PCT.store(p.min_dense_pct as usize, Ordering::Relaxed);
-}
-
-/// The process-wide [`ContainerParams`] governing the planner's choice of
-/// the per-range container dispatch (word kernels over exact value-domain
-/// bitmaps instead of the hashed segment merge).
-pub fn container_params() -> ContainerParams {
-    crate::plan::ensure_init();
-    ContainerParams {
-        forced: match CONTAINER_MODE.load(Ordering::Relaxed) {
-            1 => Some(true),
-            2 => Some(false),
-            _ => None,
-        },
-        min_elements: CONTAINER_MIN_ELEMENTS.load(Ordering::Relaxed),
-        min_dense_pct: CONTAINER_DENSE_PCT.load(Ordering::Relaxed) as u32,
-    }
-}
-
-/// Replace the process-wide [`ContainerParams`].
-pub fn set_container_params(p: ContainerParams) {
-    crate::plan::ensure_init();
-    store_container(p);
 }
 
 thread_local! {
@@ -91,30 +44,7 @@ pub(crate) fn check_compatible(a: &SegmentedSet, b: &SegmentedSet) {
 /// container directories, the container plan runs instead. Both forms
 /// count identically.
 pub fn intersect_count_with(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTable) -> usize {
-    let planner = IntersectPlanner::current();
-    intersect_count_planned(a, b, table, &planner)
-}
-
-/// [`intersect_count_with`] against an explicit planner snapshot. The
-/// batch, parallel, index, and graph layers take one
-/// [`IntersectPlanner::current`] snapshot per run and reuse it for every
-/// pair, so the per-pair decision is a handful of compares with no
-/// atomic loads.
-///
-/// Merge-family contract: only the plain / container forms are
-/// considered (the caller has already committed to the two-phase
-/// algorithm); a planner forced to hash falls back to auto selection
-/// here.
-pub fn intersect_count_planned(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    planner: &IntersectPlanner,
-) -> usize {
-    if planner.mode == PlanMode::Plain {
-        fesia_obs::metrics().plan_forced.inc();
-    }
-    let plan = planner.plan_merge(&SetSummary::of(a), &SetSummary::of(b));
+    let plan = IntersectPlanner::current().plan_merge(&SetSummary::of(a), &SetSummary::of(b));
     execute_plan_count(a, b, table, plan)
 }
 
@@ -309,12 +239,19 @@ pub fn intersect_count_bounded(
 /// assert!(!intersect_count_at_least(&a, &b, 3));
 /// ```
 pub fn intersect_count_at_least(a: &SegmentedSet, b: &SegmentedSet, threshold: usize) -> bool {
-    let planner = IntersectPlanner::current();
-    intersect_count_at_least_planned(a, b, default_table(), &planner, threshold)
+    let (sa, sb) = (SetSummary::of(a), SetSummary::of(b));
+    match IntersectPlanner::current().plan_pair_threshold(&sa, &sb, threshold) {
+        ThresholdPlan::TrivialAccept => true,
+        ThresholdPlan::TrivialReject => false,
+        ThresholdPlan::Run(plan) => {
+            execute_plan_count_bounded(a, b, default_table(), plan, threshold as u64, true)
+                .is_some()
+        }
+    }
 }
 
-/// [`intersect_count_bounded`] against an explicit table and planner
-/// snapshot. `Some(n)` implies `n == |A ∩ B|` and `n >= threshold`;
+/// [`intersect_count_bounded`] against an explicit table and planner.
+/// `Some(n)` implies `n == |A ∩ B|` and `n >= threshold`;
 /// `None` implies `|A ∩ B| < threshold`. A zero threshold always returns
 /// the exact count (the residual-bound check can never fire), so
 /// `intersect_count_bounded(a, b, 0)` is a drop-in for the unbounded
@@ -336,25 +273,6 @@ pub fn intersect_count_bounded_planned(
         ThresholdPlan::Run(plan) => {
             execute_plan_count_bounded(a, b, table, plan, threshold as u64, false)
                 .map(|n| n as usize)
-        }
-    }
-}
-
-/// [`intersect_count_at_least`] against an explicit table and planner
-/// snapshot.
-pub fn intersect_count_at_least_planned(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    planner: &IntersectPlanner,
-    threshold: usize,
-) -> bool {
-    let (sa, sb) = (SetSummary::of(a), SetSummary::of(b));
-    match planner.plan_pair_threshold(&sa, &sb, threshold) {
-        ThresholdPlan::TrivialAccept => true,
-        ThresholdPlan::TrivialReject => false,
-        ThresholdPlan::Run(plan) => {
-            execute_plan_count_bounded(a, b, table, plan, threshold as u64, true).is_some()
         }
     }
 }
@@ -603,7 +521,7 @@ pub fn auto_count_with(a: &SegmentedSet, b: &SegmentedSet, table: &KernelTable) 
     auto_count_planned(a, b, table, &planner)
 }
 
-/// [`auto_count`] against an explicit planner snapshot: the full-family
+/// [`auto_count`] against an explicit planner: the full-family
 /// entry point every adaptive call site (pairwise, batch, parallel,
 /// dynamic, k-way two-set case, graph) routes through. Exactly one of
 /// `strategy_hash` / `strategy_merge` is recorded per call (hash for the
@@ -616,9 +534,6 @@ pub fn auto_count_planned(
     planner: &IntersectPlanner,
 ) -> usize {
     let m = fesia_obs::metrics();
-    if planner.mode != PlanMode::Auto {
-        m.plan_forced.inc();
-    }
     let plan = planner.plan_pair(&SetSummary::of(a), &SetSummary::of(b));
     match plan {
         IntersectPlan::HashProbe => m.strategy_hash.inc(),
@@ -937,17 +852,36 @@ mod tests {
         let _ = intersect_count(&a, &b);
     }
 
-    /// The threshold kernels' contract, under every forced plan: for any
-    /// pair and any threshold `t`, `intersect_count_bounded` returns
-    /// `Some(exact)` exactly when `exact >= t` or `t == 0`, and
-    /// `intersect_count_at_least` returns `exact >= t` — including the
-    /// hostile thresholds 0, 1, `exact ± 1`, and past the smaller side.
+    /// `execute_plan_count_bounded` as the planned entry points call it:
+    /// `(bounded, at_least)` for one explicit plan.
+    fn bounded_pair(
+        a: &SegmentedSet,
+        b: &SegmentedSet,
+        table: &KernelTable,
+        plan: IntersectPlan,
+        t: usize,
+    ) -> (Option<usize>, bool) {
+        (
+            execute_plan_count_bounded(a, b, table, plan, t as u64, false).map(|n| n as usize),
+            execute_plan_count_bounded(a, b, table, plan, t as u64, true).is_some(),
+        )
+    }
+
+    const PLANS: [IntersectPlan; 3] = [
+        IntersectPlan::Plain,
+        IntersectPlan::HashProbe,
+        IntersectPlan::Container,
+    ];
+
+    /// The threshold kernels' contract, under every explicit plan and
+    /// the planner's own choice: for any pair and any threshold `t`,
+    /// the bounded count returns `Some(exact)` exactly when
+    /// `exact >= t` or `t == 0`, and the at-least form returns
+    /// `exact >= t` — including the hostile thresholds 0, 1, `exact ± 1`,
+    /// and past the smaller side. `Container` on a pair without two
+    /// tiers runs its merge fallback.
     #[test]
     fn threshold_kernels_agree_with_exact_on_every_forced_plan() {
-        use crate::plan::{plan_mode, set_plan_mode, PlanMode};
-        let _guard = crate::plan::test_knob_lock();
-        let saved = plan_mode();
-
         let random_a = gen_sorted(3_000, 42, 60_000);
         let random_b = gen_sorted(3_000, 99, 60_000);
         let folded_small = gen_sorted(300, 5, 1_000_000);
@@ -968,84 +902,84 @@ mod tests {
         ];
         let p = FesiaParams::auto();
         let table = KernelTable::auto();
-        for mode in PlanMode::FORCED {
-            set_plan_mode(mode);
-            let planner = IntersectPlanner::current();
-            for (name, av, bv) in &cases {
-                let a = SegmentedSet::build(av, &p).unwrap();
-                let b = SegmentedSet::build(bv, &p).unwrap();
-                let want = reference(av, bv).len();
-                let min_len = av.len().min(bv.len());
-                for t in [
-                    0,
-                    1,
-                    want.saturating_sub(1),
-                    want,
-                    want + 1,
-                    min_len,
-                    min_len + 1,
-                    min_len * 2 + 3,
-                ] {
-                    let expect = (t == 0 || want >= t).then_some(want);
+        let planner = IntersectPlanner::current();
+        for (name, av, bv) in &cases {
+            let a = SegmentedSet::build(av, &p).unwrap();
+            let b = SegmentedSet::build(bv, &p).unwrap();
+            let want = reference(av, bv).len();
+            let min_len = av.len().min(bv.len());
+            for t in [
+                0,
+                1,
+                want.saturating_sub(1),
+                want,
+                want + 1,
+                min_len,
+                min_len + 1,
+                min_len * 2 + 3,
+            ] {
+                let expect = (t == 0 || want >= t).then_some(want);
+                for plan in PLANS {
                     assert_eq!(
-                        intersect_count_bounded_planned(&a, &b, &table, &planner, t),
-                        expect,
-                        "mode={mode:?} case={name} t={t}"
-                    );
-                    assert_eq!(
-                        intersect_count_at_least_planned(&a, &b, &table, &planner, t),
-                        want >= t,
-                        "mode={mode:?} case={name} t={t}"
+                        bounded_pair(&a, &b, &table, plan, t),
+                        (expect, want >= t),
+                        "plan={plan:?} case={name} t={t}"
                     );
                     // Symmetry: the kernels order sides internally.
                     assert_eq!(
-                        intersect_count_bounded_planned(&b, &a, &table, &planner, t),
+                        bounded_pair(&b, &a, &table, plan, t).0,
                         expect,
-                        "mode={mode:?} case={name} t={t} swapped"
+                        "plan={plan:?} case={name} t={t} swapped"
                     );
                 }
+                // The planned entry points, trivial accept and reject
+                // included.
+                assert_eq!(
+                    intersect_count_bounded_planned(&a, &b, &table, &planner, t),
+                    expect,
+                    "planned case={name} t={t}"
+                );
+                assert_eq!(
+                    intersect_count_at_least(&a, &b, t),
+                    want >= t,
+                    "planned case={name} t={t}"
+                );
             }
         }
-        set_plan_mode(saved);
     }
 
-    /// Same contract over the container tier, forced on through its knob
-    /// so the bounded sweep runs the tier path rather than the raw
-    /// segment kernels.
+    /// Same contract over the container tier itself: the bounded sweep
+    /// runs the tier path rather than the raw segment kernels, on a
+    /// run-heavy pair and on an array-heavy pair the planner declines.
     #[test]
     fn threshold_kernels_agree_on_the_forced_container_tier() {
-        use crate::plan::SetSummary;
-        let _guard = crate::plan::test_knob_lock();
         let p = FesiaParams::auto();
         let table = KernelTable::auto();
+        let planner = IntersectPlanner::current();
 
-        // Container tier: run-heavy value domains.
+        // Run-heavy value domains, and uniform-sparse ones whose tiers
+        // are all arrays.
         let run_a: Vec<u32> = (0..6_000u32).collect();
         let run_b: Vec<u32> = (3_000..9_000u32).collect();
-        let ca = SegmentedSet::build(&run_a, &p).unwrap();
-        let cb = SegmentedSet::build(&run_b, &p).unwrap();
-        assert!(ca.container().is_some() && cb.container().is_some());
-        let saved_container = container_params();
-        set_container_params(ContainerParams::default().with_forced(Some(true)));
-        let planner = IntersectPlanner::current();
-        assert!(matches!(
-            planner.plan_pair(&SetSummary::of(&ca), &SetSummary::of(&cb)),
-            IntersectPlan::Container
-        ));
-        let want = 3_000usize;
-        for t in [0, 1, want, want + 1, run_a.len() + 7] {
-            let expect = (t == 0 || want >= t).then_some(want);
-            assert_eq!(
-                intersect_count_bounded_planned(&ca, &cb, &table, &planner, t),
-                expect,
-                "container t={t}"
-            );
-            assert_eq!(
-                intersect_count_at_least_planned(&ca, &cb, &table, &planner, t),
-                want >= t,
-                "container t={t}"
-            );
+        let sparse_a = gen_sorted(20_000, 31, 1 << 26);
+        let sparse_b = gen_sorted(20_000, 37, 1 << 26);
+        for (name, av, bv) in [("runs", &run_a, &run_b), ("arrays", &sparse_a, &sparse_b)] {
+            let ca = SegmentedSet::build(av, &p).unwrap();
+            let cb = SegmentedSet::build(bv, &p).unwrap();
+            assert!(ca.container().is_some() && cb.container().is_some());
+            if name == "arrays" {
+                let (sa, sb) = (SetSummary::of(&ca), SetSummary::of(&cb));
+                assert_ne!(planner.plan_pair(&sa, &sb), IntersectPlan::Container);
+            }
+            let want = reference(av, bv).len();
+            for t in [0, 1, want, want + 1, av.len() + 7] {
+                let expect = (t == 0 || want >= t).then_some(want);
+                assert_eq!(
+                    bounded_pair(&ca, &cb, &table, IntersectPlan::Container, t),
+                    (expect, want >= t),
+                    "{name} t={t}"
+                );
+            }
         }
-        set_container_params(saved_container);
     }
 }

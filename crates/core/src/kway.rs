@@ -191,10 +191,9 @@ pub fn kway_count_with(sets: &[&SegmentedSet], table: &KernelTable) -> usize {
     kway_count_planned(sets, table, &planner)
 }
 
-/// [`kway_count_with`] against an explicit planner snapshot: the planner
-/// orders the operands and picks the strategy
-/// ([`IntersectPlanner::plan_kway`]), and the 2-way case gets the full
-/// pair strategy selection through the same snapshot.
+/// [`kway_count_with`] against an explicit planner: the planner orders
+/// the operands and picks the strategy ([`IntersectPlanner::plan_kway`]),
+/// and the 2-way case gets the full pair strategy selection.
 ///
 /// # Panics
 /// As [`kway_count_with`].
@@ -263,7 +262,7 @@ pub fn kway_intersect_with(sets: &[&SegmentedSet], table: &KernelTable) -> Vec<u
 }
 
 /// Materialize `L1 ∩ … ∩ Lk`, sorted ascending, against an explicit
-/// planner snapshot — the materializing twin of [`kway_count_planned`]:
+/// planner — the materializing twin of [`kway_count_planned`]:
 /// the same order and strategy, with two sets taking the planned pair
 /// algebra ([`crate::algebra::set_op_planned`]).
 ///

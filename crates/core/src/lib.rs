@@ -36,9 +36,8 @@
 //! * [`kway_count`] — k-way intersection over `k` bitmaps.
 //! * [`par_intersect_count`] — multicore partitioning of the segment space.
 //! * [`plan::IntersectPlanner`] — the unified cost model every entry
-//!   point asks for an explicit [`plan::IntersectPlan`], layered from
-//!   built-in defaults, `FESIA_*` environment knobs, and runtime
-//!   setters.
+//!   point asks for an explicit [`plan::IntersectPlan`]: a pure function
+//!   of the operands' [`plan::SetSummary`]s with fixed thresholds.
 
 pub mod algebra;
 pub mod batch;
@@ -70,11 +69,10 @@ pub use container::{ContainerKind, ContainerStats, ContainerTier};
 pub use dynamic::{dynamic_params, set_dynamic_params, DynamicSet, LiveQuery};
 pub use error::{BuildError, MAX_ELEMENT};
 pub use intersect::{
-    auto_count, auto_count_planned, auto_count_with, container_params, default_table,
-    execute_plan_count, hash_probe_count, intersect, intersect_count, intersect_count_at_least,
-    intersect_count_at_least_planned, intersect_count_bounded, intersect_count_bounded_planned,
-    intersect_count_breakdown, intersect_count_interleaved_with, intersect_count_planned,
-    intersect_count_with, set_container_params, Breakdown,
+    auto_count, auto_count_planned, auto_count_with, default_table, execute_plan_count,
+    hash_probe_count, intersect, intersect_count, intersect_count_at_least,
+    intersect_count_bounded, intersect_count_bounded_planned, intersect_count_breakdown,
+    intersect_count_interleaved_with, intersect_count_with, Breakdown,
 };
 pub use kernels::visit::{CountVisitor, EmitVisitor, FnVisitor, SegmentVisitor, SetOp};
 pub use kernels::KernelTable;
@@ -84,10 +82,10 @@ pub use kway::{
 };
 pub use mmap::{MappedFile, Section};
 pub use parallel::{par_intersect_count, par_intersect_count_on, par_intersect_count_with};
-pub use params::{ContainerParams, DynamicParams, FesiaParams, SimjoinParams};
+pub use params::{DynamicParams, FesiaParams, SimjoinParams};
 pub use plan::{
-    plan_mode, profile_status, set_plan_mode, should_container_summaries, IntersectPlan,
-    IntersectPlanner, KwayPlan, KwayStrategy, PlanMode, SetSummary, ThresholdPlan,
+    profile_status, should_container_summaries, IntersectPlan, IntersectPlanner, KwayPlan,
+    KwayStrategy, SetSummary, ThresholdPlan,
 };
 pub use serialize::{deserialize_many, deserialize_many_mapped, serialize_many, DecodeError};
 pub use set::SegmentedSet;

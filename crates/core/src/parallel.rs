@@ -10,7 +10,6 @@
 
 use crate::intersect::default_table;
 use crate::kernels::KernelTable;
-use crate::plan::IntersectPlanner;
 use crate::set::SegmentedSet;
 use fesia_exec::Executor;
 use fesia_simd::mask::for_each_nonzero_lane;
@@ -46,9 +45,8 @@ pub fn par_intersect_count_on(
         b.lane(),
         "sets must be built with the same segment width to be intersected"
     );
-    let planner = IntersectPlanner::current();
     if num_threads == 1 {
-        return crate::intersect::intersect_count_planned(a, b, table, &planner);
+        return crate::intersect::intersect_count_with(a, b, table);
     }
     let (large, small) = if a.bitmap_bits() >= b.bitmap_bits() {
         (a, b)

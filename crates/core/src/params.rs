@@ -13,7 +13,7 @@ use fesia_simd::SimdLevel;
 /// line via the shared path and fall back to the default, and
 /// [`env::warn_unrecognized`] reports — once per process — any
 /// `FESIA_*` variable that no component recognizes (typo protection:
-/// `FESIA_CONTANER=0` would otherwise be silently ignored).
+/// `FESIA_THRAEDS=4` would otherwise be silently ignored).
 pub mod env {
     pub use fesia_obs::env::{parse_bool, parse_f64, parse_u32, parse_usize, raw, warn_malformed};
     use std::sync::OnceLock;
@@ -21,10 +21,6 @@ pub mod env {
     /// Every `FESIA_*` variable some component of this workspace reads.
     pub const KNOWN_VARS: &[&str] = &[
         "FESIA_THREADS",
-        "FESIA_PLAN",
-        "FESIA_CONTAINER",
-        "FESIA_CONTAINER_MIN",
-        "FESIA_CONTAINER_DENSE_PCT",
         "FESIA_SIMJOIN_EARLY_EXIT",
         "FESIA_REBUILD_FRACTION",
         "FESIA_SERVE_SHARDS",
@@ -125,98 +121,6 @@ impl FesiaParams {
 impl Default for FesiaParams {
     fn default() -> Self {
         Self::auto()
-    }
-}
-
-/// Tuning knob for the per-range container dispatch
-/// ([`crate::container`]).
-///
-/// When both operands carry a container directory
-/// ([`crate::ContainerTier`]), any of the four set operations can run
-/// directly over the adaptive per-range containers: dense ranges collapse
-/// to 64-bit word AND/OR/ANDNOT/XOR with popcounts instead of per-segment
-/// compare kernels. That wins exactly when most elements live in dense
-/// (bitmap or run) ranges — clustered or run-heavy value domains — and
-/// loses on uniform-sparse inputs, where every range is a small array and
-/// the directory walk is pure overhead over the segmented merge.
-///
-/// The process-wide default is read once from the environment
-/// (`FESIA_CONTAINER=0|1|auto`, `FESIA_CONTAINER_MIN=N`,
-/// `FESIA_CONTAINER_DENSE_PCT=P`) and can be changed at runtime with
-/// [`crate::set_container_params`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContainerParams {
-    /// `Some(true)` forces the container dispatch (when both sides carry
-    /// a directory), `Some(false)` forces it off, `None` lets the
-    /// planner's density model decide per pair.
-    pub forced: Option<bool>,
-    /// Auto mode: smallest combined element count (`|A| + |B|`) for which
-    /// the container path is considered. Sets below the build floor never
-    /// carry a directory at all; this knob additionally keeps borderline
-    /// pairs on the segmented merge, whose kernels are cheaper when
-    /// everything is cache-resident.
-    pub min_elements: usize,
-    /// Auto mode: smallest percentage of elements (on the *less* dense
-    /// side) that must live in word-op-friendly bitmap or run ranges.
-    /// Below it most matched ranges are array-vs-array merges the
-    /// segmented kernels already handle better.
-    pub min_dense_pct: u32,
-}
-
-impl Default for ContainerParams {
-    fn default() -> Self {
-        ContainerParams {
-            forced: None,
-            // 32K combined: well above the per-set directory build floor,
-            // where the directory walk amortizes over real range work.
-            min_elements: 1 << 15,
-            min_dense_pct: 40,
-        }
-    }
-}
-
-impl ContainerParams {
-    /// The defaults, with `FESIA_CONTAINER` / `FESIA_CONTAINER_MIN` /
-    /// `FESIA_CONTAINER_DENSE_PCT` environment overrides applied.
-    pub fn from_env() -> Self {
-        let mut p = ContainerParams::default();
-        if let Some(v) = env::raw("FESIA_CONTAINER") {
-            p.forced = if v.eq_ignore_ascii_case("auto") {
-                None
-            } else {
-                // Tri-state knob: anything that isn't "auto" degrades to
-                // the shared boolean contract (0/off/false disable).
-                Some(
-                    !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")),
-                )
-            };
-        }
-        if let Some(m) = env::parse_usize("FESIA_CONTAINER_MIN") {
-            p.min_elements = m;
-        }
-        if let Some(pct) = env::parse_u32("FESIA_CONTAINER_DENSE_PCT") {
-            p.min_dense_pct = pct.min(100);
-        }
-        p
-    }
-
-    /// Force the container dispatch on or off, or restore auto-selection
-    /// with `None`.
-    pub fn with_forced(mut self, forced: Option<bool>) -> Self {
-        self.forced = forced;
-        self
-    }
-
-    /// Override the combined-size floor for auto-selection.
-    pub fn with_min_elements(mut self, min: usize) -> Self {
-        self.min_elements = min;
-        self
-    }
-
-    /// Override the dense-fraction floor (percent) for auto-selection.
-    pub fn with_min_dense_pct(mut self, pct: u32) -> Self {
-        self.min_dense_pct = pct.min(100);
-        self
     }
 }
 
@@ -383,22 +287,5 @@ mod tests {
         let p = SimjoinParams::default();
         assert!(p.early_exit);
         assert!(!p.with_early_exit(false).early_exit);
-    }
-
-    #[test]
-    fn container_params_builders() {
-        let p = ContainerParams::default();
-        assert_eq!(p.forced, None);
-        assert_eq!(p.min_elements, 1 << 15);
-        assert_eq!(p.min_dense_pct, 40);
-        let q = p
-            .with_forced(Some(true))
-            .with_min_elements(4096)
-            .with_min_dense_pct(250);
-        assert_eq!(q.forced, Some(true));
-        assert_eq!(q.min_elements, 4096);
-        // Percentages clamp to 100.
-        assert_eq!(q.min_dense_pct, 100);
-        assert_eq!(q.with_forced(None).forced, None);
     }
 }

@@ -11,58 +11,14 @@
 //! [`IntersectPlan`] from the same selector, and every strategy plugs in
 //! at exactly one seam.
 //!
-//! Selection layers, lowest priority first:
-//!
-//! 1. built-in defaults ([`crate::params::ContainerParams`],
-//!    [`crate::params::DynamicParams`]);
-//! 2. `FESIA_*` environment knobs, including `FESIA_PLAN` which forces
-//!    one strategy outright;
-//! 3. runtime setters ([`crate::set_container_params`],
-//!    [`set_plan_mode`]).
-//!
-//! Every plan decision is recorded in the `fesia-obs` `plan_*` counters.
+//! The planner is a pure function of the operands' [`SetSummary`]s:
+//! every threshold is a named constant, and nothing process-wide can
+//! override a decision. Every plan decision is recorded in the
+//! `fesia-obs` `plan_*` counters.
 
-use crate::params::{self, ContainerParams, DynamicParams};
+use crate::params::{self, DynamicParams};
 use crate::set::SegmentedSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Strategy override parsed from `FESIA_PLAN` (or set at runtime with
-/// [`set_plan_mode`]). `Auto` lets the cost model decide per pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanMode {
-    /// Cost-model selection per pair (the default).
-    Auto,
-    /// Force the plain interleaved two-phase form.
-    Plain,
-    /// Force the hash-probe strategy (`FESIAhash`).
-    HashProbe,
-}
-
-impl PlanMode {
-    /// Parse a `FESIA_PLAN` value; `None` for unrecognized strings,
-    /// including the removed `pipelined`, `pruned` and `gallop` modes.
-    pub fn parse(s: &str) -> Option<PlanMode> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "auto" => PlanMode::Auto,
-            "plain" => PlanMode::Plain,
-            "hash" | "hashprobe" => PlanMode::HashProbe,
-            _ => return None,
-        })
-    }
-
-    /// The canonical knob spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlanMode::Auto => "auto",
-            PlanMode::Plain => "plain",
-            PlanMode::HashProbe => "hash",
-        }
-    }
-
-    /// Every forced (non-auto) mode, for equivalence sweeps.
-    pub const FORCED: [PlanMode; 2] = [PlanMode::Plain, PlanMode::HashProbe];
-}
 
 /// The explicit execution shape the planner selects for one pair.
 ///
@@ -203,138 +159,91 @@ impl SetSummary {
     }
 }
 
-/// Smallest combined bitmap size (bytes of both operands) at which auto
-/// mode sends a comparable, sparse pair to the hash probe: 4 MiB, past
+/// Smallest combined bitmap size (bytes of both operands) at which the
+/// planner sends a comparable, sparse pair to the hash probe: 4 MiB, past
 /// L2 on every target measured, where streaming the bitmaps stalls.
 const SPARSE_MIN_BITMAP_BYTES: usize = 1 << 22;
 
 /// Highest expected share of bitmap blocks populated on both sides, in
-/// percent (the product of the two block densities), at which auto
-/// mode still sends a large pair to the hash probe.
+/// percent (the product of the two block densities), at which the
+/// planner still sends a large pair to the hash probe.
 const SPARSE_MAX_OVERLAP_PCT: f64 = 60.0;
 
+/// Smallest combined element count (`|A| + |B|`) at which the planner
+/// considers the container plan: 32K, well above the per-set directory
+/// build floor, where the directory walk amortizes over real range work.
+/// Below it the segmented merge's kernels are cheaper while everything
+/// is cache-resident.
+const CONTAINER_MIN_ELEMENTS: usize = 1 << 15;
+
+/// Smallest share of elements, in percent, that the *less* dense side
+/// must keep in word-op-friendly bitmap or run ranges for the container
+/// plan. Below it most matched ranges are array-vs-array merges the
+/// segmented kernels already handle better.
+const CONTAINER_MIN_DENSE_PCT: f64 = 40.0;
+
 /// Whether the per-range container dispatch should run for a pair with
-/// these summaries under `p`. Requires both sides to carry a container
-/// directory (forcing cannot conjure one); beyond that, forced overrides
-/// short-circuit, and auto mode asks two questions: is the pair big
-/// enough that the directory walk amortizes, and does the *less* dense
-/// side still keep most of its elements in word-op-friendly ranges? The
-/// minimum (not the average) gates because a matched range pair runs word
-/// kernels only when the sparser side's container converts cheaply.
-pub fn should_container_summaries(a: &SetSummary, b: &SetSummary, p: &ContainerParams) -> bool {
-    let (da, db) = match (a.container_dense, b.container_dense) {
-        (Some(da), Some(db)) => (da, db),
-        _ => return false,
-    };
-    if let Some(forced) = p.forced {
-        return forced;
-    }
-    if a.len + b.len < p.min_elements {
+/// these summaries. Requires both sides to carry a container directory;
+/// beyond that it asks two questions: is the pair big enough that the
+/// directory walk amortizes (`CONTAINER_MIN_ELEMENTS`), and does the
+/// *less* dense side still keep most of its elements in word-op-friendly
+/// ranges (`CONTAINER_MIN_DENSE_PCT`)? The minimum (not the average)
+/// gates because a matched range pair runs word kernels only when the
+/// sparser side's container converts cheaply.
+pub fn should_container_summaries(a: &SetSummary, b: &SetSummary) -> bool {
+    let (Some(da), Some(db)) = (a.container_dense, b.container_dense) else {
         return false;
-    }
-    da.min(db) * 100.0 >= p.min_dense_pct as f64
+    };
+    a.len + b.len >= CONTAINER_MIN_ELEMENTS && da.min(db) * 100.0 >= CONTAINER_MIN_DENSE_PCT
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide planner state
+// Process-wide initialization
 // ---------------------------------------------------------------------------
 
-static PLAN_MODE: AtomicUsize = AtomicUsize::new(0);
 static INIT: OnceLock<()> = OnceLock::new();
 
-fn mode_encode(m: PlanMode) -> usize {
-    match m {
-        PlanMode::Auto => 0,
-        PlanMode::Plain => 1,
-        PlanMode::HashProbe => 2,
-    }
-}
-
-fn mode_decode(v: usize) -> PlanMode {
-    match v {
-        1 => PlanMode::Plain,
-        2 => PlanMode::HashProbe,
-        _ => PlanMode::Auto,
-    }
-}
-
-/// One-shot planner initialization: warn about unrecognized `FESIA_*`
-/// variables, then apply environment overrides on top of the defaults.
-/// Idempotent and re-entrancy-safe (the knob stores go through the raw
-/// setters, not the ensuring ones).
+/// One-shot initialization: warn about unrecognized `FESIA_*`
+/// variables, then apply the dynamic-set environment override on top of
+/// its default. Idempotent and re-entrancy-safe (the knob store goes
+/// through the raw setter, not the ensuring one).
 pub(crate) fn ensure_init() {
     INIT.get_or_init(|| {
         params::env::warn_unrecognized();
-        crate::intersect::store_container(ContainerParams::from_env());
         crate::dynamic::store_dynamic(DynamicParams::from_env());
-        if let Some(v) = params::env::raw("FESIA_PLAN") {
-            match PlanMode::parse(&v) {
-                Some(m) => PLAN_MODE.store(mode_encode(m), Ordering::Relaxed),
-                None => params::env::warn_malformed("FESIA_PLAN", &v, "auto|plain|hash"),
-            }
-        }
     });
 }
 
-/// The process-wide [`PlanMode`] (after `FESIA_PLAN` initialization).
-pub fn plan_mode() -> PlanMode {
-    ensure_init();
-    mode_decode(PLAN_MODE.load(Ordering::Relaxed))
-}
-
-/// Replace the process-wide [`PlanMode`] at runtime (tests and the
-/// equivalence sweeps use this instead of re-exec'ing with `FESIA_PLAN`).
-pub fn set_plan_mode(m: PlanMode) {
-    ensure_init();
-    PLAN_MODE.store(mode_encode(m), Ordering::Relaxed);
-}
-
-/// Serializes tests that mutate the process-wide plan mode or knob
-/// atomics against tests that assert on dispatch-form metric deltas.
-#[cfg(test)]
-pub(crate) fn test_knob_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Where the planner's knobs come from, for `fesia info` and result
-/// stamps. Always the same: machine-profile files are no longer read.
+/// Where the planner's settings come from, for result stamps. Always
+/// the same: the planner has no settings, and machine-profile files are
+/// no longer read.
 pub fn profile_status() -> String {
-    "none (defaults, FESIA_* env and runtime setters)".to_string()
+    "none (fixed planner thresholds)".to_string()
 }
 
 // ---------------------------------------------------------------------------
 // The planner
 // ---------------------------------------------------------------------------
 
-/// A copyable snapshot of the selection state. Batch, graph, and index
-/// runs take one snapshot per run ([`IntersectPlanner::current`]) so the
-/// per-pair decision is a handful of compares with no atomic loads.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntersectPlanner {
-    /// Forced mode, or `Auto`.
-    pub mode: PlanMode,
-    /// Per-range container dispatch knobs in effect.
-    pub container: ContainerParams,
-}
+/// The planner. It carries no state: every decision is a function of
+/// the operands' summaries alone, so a copy is as good as the original
+/// and the per-pair decision is a handful of compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntersectPlanner;
 
 impl IntersectPlanner {
-    /// Snapshot the process-wide selection state (defaults + env +
-    /// runtime setters, in that layering).
+    /// The planner, after the process's one-shot initialization (which
+    /// reports unrecognized `FESIA_*` variables once).
     pub fn current() -> IntersectPlanner {
         ensure_init();
-        IntersectPlanner {
-            mode: plan_mode(),
-            container: crate::intersect::container_params(),
-        }
+        IntersectPlanner
     }
 
     /// Plan a pair restricted to the merge family (plain / container) —
     /// the contract of [`crate::intersect_count_with`], whose callers
-    /// require the two-phase algorithm itself. A forced hash mode falls
-    /// back to auto selection here.
+    /// require the two-phase algorithm itself.
     pub fn plan_merge(&self, a: &SetSummary, b: &SetSummary) -> IntersectPlan {
-        if self.mode != PlanMode::Plain && should_container_summaries(a, b, &self.container) {
+        if should_container_summaries(a, b) {
             // Containers outrank every hashed-bitmap shape: when most
             // elements sit in dense value-domain ranges, word kernels
             // replace both the step-1 scan and the per-segment compares,
@@ -345,7 +254,7 @@ impl IntersectPlanner {
         }
     }
 
-    /// Whether auto mode sends this pair to the hash probe: heavy skew
+    /// Whether the planner sends this pair to the hash probe: heavy skew
     /// (paper Fig. 11), or an empty side (the probe touches nothing, and
     /// riding the hash plan keeps strategy counts summing to calls).
     fn skewed(a: &SetSummary, b: &SetSummary) -> bool {
@@ -354,7 +263,7 @@ impl IntersectPlanner {
             || (small.len as f64) < crate::intersect::SKEW_HASH_THRESHOLD * large.len as f64
     }
 
-    /// Whether auto mode sends a comparable pair to the hash probe
+    /// Whether the planner sends a comparable pair to the hash probe
     /// because its bitmaps are large and sparse: the combined bitmaps
     /// are past [`SPARSE_MIN_BITMAP_BYTES`] (streaming them misses
     /// cache), and the expected share of bitmap blocks populated on
@@ -373,14 +282,12 @@ impl IntersectPlanner {
     /// unless the merge would run the plain scan over large sparse
     /// bitmaps, which also goes to the probe.
     pub fn plan_pair(&self, a: &SetSummary, b: &SetSummary) -> IntersectPlan {
-        match self.mode {
-            PlanMode::HashProbe => IntersectPlan::HashProbe,
-            PlanMode::Auto if Self::skewed(a, b) => IntersectPlan::HashProbe,
-            PlanMode::Auto => match self.plan_merge(a, b) {
-                IntersectPlan::Plain if Self::sparse(a, b) => IntersectPlan::HashProbe,
-                plan => plan,
-            },
-            PlanMode::Plain => IntersectPlan::Plain,
+        if Self::skewed(a, b) {
+            return IntersectPlan::HashProbe;
+        }
+        match self.plan_merge(a, b) {
+            IntersectPlan::Plain if Self::sparse(a, b) => IntersectPlan::HashProbe,
+            plan => plan,
         }
     }
 
@@ -405,31 +312,29 @@ impl IntersectPlanner {
 
     /// Plan a k-way intersection. The order is ascending by length, so
     /// the most selective operands lead. The strategy reuses the pair
-    /// rules, with no k-way knob of its own: a forced hash mode probes and
-    /// the forced merge modes scan; in auto mode the pair skew rule
-    /// between the smallest and the next set picks [`KwayStrategy::Probe`],
+    /// rules: the pair skew rule between the smallest and the next set
+    /// picks [`KwayStrategy::Probe`],
     /// else the pair container gate between the smallest and every other
     /// set picks [`KwayStrategy::Container`], else
     /// [`KwayStrategy::Scan`].
     pub fn plan_kway(&self, sets: &[SetSummary]) -> KwayPlan {
         let mut order: Vec<usize> = (0..sets.len()).collect();
         order.sort_by_key(|&i| sets[i].len);
-        let strategy = match (self.mode, order.as_slice()) {
-            (PlanMode::HashProbe, _) => KwayStrategy::Probe,
-            (PlanMode::Plain, _) | (_, [] | [_]) => KwayStrategy::Scan,
-            (PlanMode::Auto, [first, second, ..]) => {
+        let strategy = match order.as_slice() {
+            [first, second, ..] => {
                 let lead = &sets[*first];
                 if Self::skewed(lead, &sets[*second]) {
                     KwayStrategy::Probe
                 } else if order[1..]
                     .iter()
-                    .all(|&i| should_container_summaries(lead, &sets[i], &self.container))
+                    .all(|&i| should_container_summaries(lead, &sets[i]))
                 {
                     KwayStrategy::Container
                 } else {
                     KwayStrategy::Scan
                 }
             }
+            _ => KwayStrategy::Scan,
         };
         KwayPlan { order, strategy }
     }
@@ -456,42 +361,9 @@ mod tests {
         }
     }
 
-    fn auto_planner() -> IntersectPlanner {
-        IntersectPlanner {
-            mode: PlanMode::Auto,
-            container: ContainerParams::default(),
-        }
-    }
-
-    #[test]
-    fn plan_mode_parses_every_spelling() {
-        for (s, m) in [
-            ("auto", PlanMode::Auto),
-            ("plain", PlanMode::Plain),
-            ("hash", PlanMode::HashProbe),
-            ("HashProbe", PlanMode::HashProbe),
-        ] {
-            assert_eq!(PlanMode::parse(s), Some(m), "{s}");
-            assert_eq!(PlanMode::parse(m.name()), Some(m));
-        }
-        assert_eq!(PlanMode::parse("frobnicate"), None);
-        // The removed modes are unrecognized: `FESIA_PLAN` warns and
-        // stays on auto.
-        for removed in [
-            "pipelined",
-            "pipeline",
-            "pruned",
-            "prune",
-            "gallop",
-            "gallopfallback",
-        ] {
-            assert_eq!(PlanMode::parse(removed), None, "{removed}");
-        }
-    }
-
     #[test]
     fn auto_pair_follows_skew_size_and_density() {
-        let p = auto_planner();
+        let p = IntersectPlanner;
         // Heavy skew -> hash probe.
         let tiny = summary(100, 64, 1.0);
         let big = summary(100_000, 1 << 18, 1.0);
@@ -512,7 +384,7 @@ mod tests {
     /// the full-family path; the merge-only path keeps the plain scan.
     #[test]
     fn large_sparse_pair_probes_and_merge_stays_plain() {
-        let p = auto_planner();
+        let p = IntersectPlanner;
         // Two 2 MiB bitmaps (4 MiB combined) at 0.3 density: 9% overlap.
         let sparse = summary(1 << 20, 1 << 21, 0.3);
         assert_eq!(p.plan_pair(&sparse, &sparse), IntersectPlan::HashProbe);
@@ -530,15 +402,11 @@ mod tests {
         assert_eq!(p.plan_pair(&short, &sparse), IntersectPlan::Plain);
         let dense = summary(1 << 20, 1 << 21, 0.8);
         assert_eq!(p.plan_pair(&dense, &dense), IntersectPlan::Plain);
-        // A forced plain mode never probes.
-        let mut plain = p;
-        plain.mode = PlanMode::Plain;
-        assert_eq!(plain.plan_pair(&sparse, &sparse), IntersectPlan::Plain);
     }
 
     #[test]
     fn container_plan_follows_density_and_availability() {
-        let p = auto_planner();
+        let p = IntersectPlanner;
         // A big dense-ranged pair -> container, outranking every other
         // shape (this pair would otherwise be probed).
         let dense = container_summary(1 << 20, 1 << 22, 0.9);
@@ -555,41 +423,19 @@ mod tests {
         // Below the size floor the segmented merge wins.
         let small = container_summary(1 << 13, 1 << 14, 0.9);
         assert_ne!(p.plan_pair(&small, &small), IntersectPlan::Container);
-        // Forcing overrides the model both ways — but cannot conjure a
-        // missing directory.
-        let mut forced_on = p;
-        forced_on.container.forced = Some(true);
-        assert_eq!(
-            forced_on.plan_merge(&sparse, &sparse),
-            IntersectPlan::Container
-        );
-        assert_ne!(forced_on.plan_merge(&dense, &raw), IntersectPlan::Container);
-        let mut forced_off = p;
-        forced_off.container.forced = Some(false);
-        assert_ne!(
-            forced_off.plan_pair(&dense, &dense),
-            IntersectPlan::Container
-        );
-    }
-
-    #[test]
-    fn forced_modes_override_everything() {
-        let mut p = auto_planner();
-        let a = summary(100, 64, 1.0);
-        let b = summary(100_000, 1 << 18, 1.0);
-        p.mode = PlanMode::Plain;
-        assert_eq!(p.plan_pair(&a, &b), IntersectPlan::Plain);
-        assert_eq!(p.plan_merge(&a, &b), IntersectPlan::Plain);
-        p.mode = PlanMode::HashProbe;
-        assert_eq!(p.plan_pair(&a, &b), IntersectPlan::HashProbe);
-        // A merge-only caller cannot honor a pair-level force; it falls
-        // back to auto selection.
-        assert_eq!(p.plan_merge(&a, &a), IntersectPlan::Plain);
+        // Both floors are inclusive edges.
+        let half = CONTAINER_MIN_ELEMENTS / 2;
+        let edge = container_summary(half, 1 << 14, CONTAINER_MIN_DENSE_PCT / 100.0);
+        assert_eq!(p.plan_merge(&edge, &edge), IntersectPlan::Container);
+        let short = container_summary(half - 1, 1 << 14, 0.9);
+        assert_eq!(p.plan_merge(&short, &edge), IntersectPlan::Plain);
+        let thin = container_summary(half, 1 << 14, 0.39);
+        assert_eq!(p.plan_merge(&thin, &edge), IntersectPlan::Plain);
     }
 
     #[test]
     fn kway_plan_orders_ascending_by_length() {
-        let p = auto_planner();
+        let p = IntersectPlanner;
         let sums: Vec<SetSummary> = [500, 10, 200, 10_000]
             .iter()
             .map(|&n| summary(n, 4096, 1.0))
@@ -601,7 +447,7 @@ mod tests {
 
     #[test]
     fn kway_strategy_follows_the_pair_rules() {
-        let p = auto_planner();
+        let p = IntersectPlanner;
         // Smallest below 1/4 of the next -> probe, tiers or not.
         let tiny = container_summary(5_000, 1 << 14, 0.9);
         let big = container_summary(1 << 20, 1 << 22, 0.9);
@@ -619,24 +465,9 @@ mod tests {
             p.plan_kway(&[big, sparse, big]).strategy,
             KwayStrategy::Scan
         );
-        // Forced modes: hash probes, plain scans.
-        let mut f = p;
-        f.mode = PlanMode::HashProbe;
-        assert_eq!(f.plan_kway(&[big, big, big]).strategy, KwayStrategy::Probe);
-        f.mode = PlanMode::Plain;
-        assert_eq!(f.plan_kway(&[big, tiny, big]).strategy, KwayStrategy::Scan);
-        // The container knob forces (or forbids) the container strategy
-        // for tiered operands, exactly as for pairs.
-        let mut on = p;
-        on.container.forced = Some(true);
-        assert_eq!(
-            on.plan_kway(&[sparse, sparse, sparse]).strategy,
-            KwayStrategy::Container
-        );
-        assert_eq!(on.plan_kway(&[big, raw, big]).strategy, KwayStrategy::Scan);
-        let mut off = p;
-        off.container.forced = Some(false);
-        assert_eq!(off.plan_kway(&[big, big, big]).strategy, KwayStrategy::Scan);
+        // One or two sets: nothing to fold against, so the scan.
+        assert_eq!(p.plan_kway(&[big]).strategy, KwayStrategy::Scan);
+        assert_eq!(p.plan_kway(&[]).strategy, KwayStrategy::Scan);
     }
 
     #[test]
@@ -714,7 +545,7 @@ mod tests {
                 sums.push((formula, reference));
             }
         }
-        let p = auto_planner();
+        let p = IntersectPlanner;
         let mut probed = 0;
         for (fa, ra) in &sums {
             for (fb, rb) in &sums {
@@ -726,16 +557,5 @@ mod tests {
         }
         // The grid reaches both sides of the sparse rule.
         assert!(probed > 0 && probed < sums.len() * sums.len());
-    }
-
-    #[test]
-    fn runtime_mode_setter_round_trips() {
-        let _guard = test_knob_lock();
-        let saved = plan_mode();
-        for m in PlanMode::FORCED {
-            set_plan_mode(m);
-            assert_eq!(plan_mode(), m);
-        }
-        set_plan_mode(saved);
     }
 }

@@ -507,8 +507,8 @@ pub fn self_join_with<S: Borrow<SegmentedSet> + Sync>(
 }
 
 /// Self-join with process defaults: sets built with
-/// [`FesiaParams::auto`], the default kernel table, the current planner
-/// snapshot, and the `FESIA_SIMJOIN_*` knobs.
+/// [`FesiaParams::auto`], the default kernel table, the planner, and the
+/// `FESIA_SIMJOIN_EARLY_EXIT` knob.
 pub fn self_join(lists: &[Vec<u32>], threshold: Threshold, threads: usize) -> SimjoinResult {
     let p = FesiaParams::auto();
     let sets: Vec<SegmentedSet> = lists

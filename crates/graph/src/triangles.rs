@@ -143,8 +143,8 @@ impl FesiaGraph {
     ) -> (u64, Duration) {
         assert!(threads >= 1);
         fesia_obs::metrics().graph_triangle_runs.inc();
-        // One planner snapshot shared by every worker: millions of edge
-        // intersections plan against plain loads of a `Copy` struct.
+        // One stateless planner shared by every worker: millions of edge
+        // intersections plan from their summaries alone.
         let planner = fesia_core::IntersectPlanner::current();
         // One epoch pin for the whole region (`Snapshot` is `Sync`; the
         // submitter blocks until every chunk completes), so all workers

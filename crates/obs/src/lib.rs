@@ -379,8 +379,6 @@ define_metrics! {
             "Planner decisions that selected the hash-probe strategy.",
         plan_gallop:
             "Always zero: the galloping fallback plan was removed. Kept so readers of the plan census (perfbench) keep their schema.",
-        plan_forced:
-            "Planner decisions overridden by a forced FESIA_PLAN mode.",
         strategy_merge:
             "Adaptive (auto_count) intersections routed to the two-phase merge strategy.",
         strategy_hash:

@@ -27,8 +27,8 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// make the server start unbounded threads.
 pub const MAX_CONNECTIONS: usize = 64;
 
-/// How long a TCP connection may send nothing before it is closed,
-/// freeing its slot for another client.
+/// How long a TCP connection may send nothing, or leave a response
+/// unread, before it is closed, freeing its slot for another client.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// What [`read_line_capped`] found.
@@ -91,7 +91,9 @@ pub fn serve_lines<R: BufRead, W: Write>(
 
 /// Bind `addr` and serve every connection on its own thread, all over
 /// one shared store: at most [`MAX_CONNECTIONS`] at once, each closed
-/// after [`IDLE_TIMEOUT`] without input. Returns only on bind errors: a
+/// after [`IDLE_TIMEOUT`] without input or with a response write
+/// blocked because the client stopped reading. Returns only on bind
+/// errors: a
 /// failed accept is logged and listening continues. Pass port 0 to let
 /// the OS pick (the chosen address is printed to stderr).
 pub fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
@@ -112,7 +114,7 @@ impl Drop for Slot {
 }
 
 /// [`serve_tcp`]'s accept loop over `incoming`, with the connection cap
-/// and the idle timeout as parameters.
+/// and the idle timeout (for reads and writes alike) as parameters.
 fn serve_connections(
     server: Arc<Server>,
     incoming: impl Iterator<Item = std::io::Result<TcpStream>>,
@@ -141,6 +143,7 @@ fn serve_connections(
         let spawned = std::thread::Builder::new().spawn(move || {
             let reader = match stream
                 .set_read_timeout(Some(idle))
+                .and_then(|()| stream.set_write_timeout(Some(idle)))
                 .and_then(|()| stream.try_clone())
             {
                 Ok(s) => BufReader::new(s),
@@ -149,8 +152,8 @@ fn serve_connections(
                     return;
                 }
             };
-            // Client disconnects and idle timeouts surface as I/O
-            // errors; just drop them.
+            // Client disconnects and idle or blocked-write timeouts
+            // surface as I/O errors; just drop them.
             let _ = serve_lines(&server, reader, &stream);
             // Free the slot before the client sees the connection close.
             drop(slot);
@@ -304,6 +307,45 @@ mod tests {
         let (_idle, mut idle_lines) = client(addr);
         // The server closes the silent connection after the timeout.
         assert!(idle_lines.next().is_none());
+        let (mut next, mut next_lines) = client(addr);
+        next.write_all(b"CARD 3\nQUIT\n").unwrap();
+        assert_eq!(next_lines.next().unwrap().unwrap(), "0");
+        accept.join().unwrap();
+    }
+
+    /// A client that floods commands and never reads the answers fills
+    /// the socket buffers until the server's response write blocks; the
+    /// write timeout then closes the connection and frees its slot.
+    #[test]
+    fn a_client_that_never_reads_is_dropped_and_frees_its_slot() {
+        let (addr, accept) = capped_listener(2, 1, Duration::from_millis(200));
+        let flood = TcpStream::connect(addr).unwrap();
+        // A bound on the flood's own blocked writes, so a server that
+        // never drops it fails the test below instead of hanging it.
+        flood
+            .set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // Each line draws a longer `ERR` answer, so the unread answers
+        // outgrow the requests.
+        let chunk = "COUNT 4000000000 0\n".repeat(4096);
+        let flooder = std::thread::spawn(move || {
+            let mut flood = flood;
+            // Ends when the server closes the connection under it.
+            loop {
+                if let Err(e) = flood.write_all(chunk.as_bytes()) {
+                    // Still open: only the server can have freed the slot.
+                    return (flood, e);
+                }
+            }
+        });
+        let (_flood, err) = flooder.join().unwrap();
+        assert!(
+            !matches!(
+                err.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the server never dropped the flooding client: {err}"
+        );
         let (mut next, mut next_lines) = client(addr);
         next.write_all(b"CARD 3\nQUIT\n").unwrap();
         assert_eq!(next_lines.next().unwrap().unwrap(), "0");

@@ -9,8 +9,10 @@
 //! window of publishes adjacent to their read — which rules out torn
 //! reads (a count that is no version's count), time travel (a version
 //! older than the window), and reads of unpublished state (newer than
-//! the window). The whole episode repeats under every forced plan mode,
-//! so each planner-driven execution shape crosses the dynamic read path.
+//! the window). The whole episode repeats on three shapes the planner
+//! sends to the hash probe, the plain merge and the container walk
+//! (asserted before and after the churn), so each planner-driven
+//! execution shape crosses the dynamic read path.
 //!
 //! Overlap is enforced, not left to the scheduler: at a few checkpoints
 //! in the middle of the churn the writer waits until every reader has
@@ -18,7 +20,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use fesia_core::{KernelTable, PlanMode};
+use std::ops::Range;
+
+use fesia_core::{IntersectPlan, IntersectPlanner, KernelTable, SetSummary};
 use fesia_serve::{ServeConfig, ServeStore, WriteOp};
 
 const DATA: u32 = 7;
@@ -39,13 +43,26 @@ impl Drop for ExitGuard<'_> {
     }
 }
 
-/// One writer-vs-readers episode under the plan mode currently forced.
-fn episode(table: &KernelTable) {
+/// One writer-vs-readers episode. DATA and PROBE carry `data_pad` and
+/// `probe_pad` on top of the churned values: padding far above them
+/// shifts the pair's shape without touching the count identity, and
+/// padding shared by both shifts the count by a constant.
+fn episode(table: &KernelTable, data_pad: Range<u32>, probe_pad: Range<u32>, plan: IntersectPlan) {
     let store = ServeStore::new(ServeConfig::from_env().with_shards(2));
-    let evens: Vec<u32> = (0..ROUNDS as u32).map(|i| 2 * i).collect();
-    store.seed(DATA, &evens);
-    store.seed(PROBE, &(0..4 * ROUNDS as u32 + 2).collect::<Vec<_>>());
-    let base = ROUNDS; // |DATA ∩ PROBE| at version 0
+    let mut data: Vec<u32> = (0..ROUNDS as u32).map(|i| 2 * i).collect();
+    data.extend(data_pad.clone());
+    let mut probe: Vec<u32> = (0..4 * ROUNDS as u32 + 2).collect();
+    probe.extend(probe_pad.clone());
+    store.seed(DATA, &data);
+    store.seed(PROBE, &probe);
+    let shared = probe_pad.filter(|x| data_pad.contains(x)).count() as u64;
+    let base = ROUNDS + shared; // |DATA ∩ PROBE| at version 0
+    let planned = |store: &ServeStore| {
+        let v = store.view();
+        let (d, p) = (v.resolve(DATA).base(), v.resolve(PROBE).base());
+        IntersectPlanner::current().plan_pair(&SetSummary::of(d), &SetSummary::of(p))
+    };
+    assert_eq!(planned(&store), plan, "before the churn");
 
     // Publishes completed so far, bumped by the writer *after* each
     // batch's version is live. A reader observing state of version `u`
@@ -135,8 +152,9 @@ fn episode(table: &KernelTable) {
     });
 
     store.quiesce();
+    assert_eq!(planned(&store), plan, "after the churn");
     let v = store.view();
-    assert_eq!(v.card(DATA) as u64, 2 * ROUNDS);
+    assert_eq!(v.card(DATA), 2 * ROUNDS as usize + data_pad.len());
     assert_eq!(v.count(DATA, PROBE, table) as u64, base + ROUNDS);
 }
 
@@ -147,10 +165,19 @@ fn reads_stay_isolated_under_churn_for_every_forced_plan() {
     // Tiny fraction (the 64-op floor still applies) → rebuilds fire
     // throughout the episode instead of only at the end.
     fesia_core::set_dynamic_params(prev.with_rebuild_fraction(1e-9));
-    for mode in PlanMode::FORCED {
-        fesia_core::set_plan_mode(mode);
-        episode(&table);
-    }
-    fesia_core::set_plan_mode(PlanMode::Auto);
+    // DATA grows from 200 to 400 churned values. A 3000-value PROBE pad
+    // keeps it under a quarter of PROBE (skew: the probe); a 600-value
+    // DATA pad keeps the pair comparable and untiered (the merge); and
+    // 20000 shared consecutive values give both sides dense tiers past
+    // the container floor (the walk).
+    let far = 1u32 << 20;
+    episode(&table, 0..0, far..far + 3_000, IntersectPlan::HashProbe);
+    episode(&table, far..far + 600, 0..0, IntersectPlan::Plain);
+    episode(
+        &table,
+        far..far + 20_000,
+        far..far + 20_000,
+        IntersectPlan::Container,
+    );
     fesia_core::set_dynamic_params(prev);
 }

@@ -48,16 +48,16 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/repro plan --scale smoke
     echo "== tier1: plan gates ($smoke/BENCH_plan.json) =="
     gate "$smoke/BENCH_plan.json" \
-        --ok 'plan gates OK (counts match, auto within 10% of best forced)' \
-        'counts_match == true | a forced plan disagreed with auto on a count' \
-        'auto_within_10pct == true | auto plan more than 10% behind the best forced plan'
+        --ok 'plan gates OK (counts match, auto within 10% of best explicit)' \
+        'counts_match == true | an explicit plan disagreed with auto on a count' \
+        'auto_within_10pct == true | auto plan more than 10% behind the best explicit plan'
 
     echo "== tier1: repro containers --scale smoke =="
     ./target/release/repro containers --scale smoke
     echo "== tier1: container gates ($smoke/BENCH_containers.json) =="
     gate "$smoke/BENCH_containers.json" \
         --ok 'container gates OK (counts match, speedup >= 1.25x, auto-decline overhead {auto_decline_overhead_pct}%)' \
-        'counts_match == true | container-path counts disagree with the knob forced off' \
+        'counts_match == true | plain, container and hash plans or the four ops disagree on a count' \
         'run_heavy.speedup >= 1.25 | container speedup {run_heavy.speedup}x on run_heavy below 1.25x' \
         'clustered.speedup >= 1.25 | container speedup {clustered.speedup}x on clustered below 1.25x' \
         'auto_decline_overhead_pct <= 2.0 | uniform-sparse container-dispatch overhead {auto_decline_overhead_pct}% > 2%'

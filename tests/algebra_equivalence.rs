@@ -5,23 +5,25 @@
 //! [`fesia_core::set_op`] plans intersections with the
 //! [`fesia_core::IntersectPlanner`] and runs union, difference and xor
 //! through one execution each, chosen by which sides carry a container
-//! tier. Neither a forced plan mode nor the container knob may change the
-//! answer, so every setting must reproduce the oracle's exact output (not
-//! just its length), strictly ascending, on randomized overlap, heavy
+//! tier. Whichever execution runs, it must reproduce the oracle's exact
+//! output (not just its length), strictly ascending, on randomized overlap, heavy
 //! skew, disjoint ranges, identical sets, empty operands, and the routing
 //! edges — 4095 vs 4096 elements (the tier floor), tiered × untiered in
 //! both orders, same-size and folded untiered pairs — as well as folded
 //! pairs (mismatched bitmap sizes) and sets decoded from `.fsia` files
-//! that still carry the removed packed tier. Inputs come from a seeded
-//! [`SplitMix64`] stream, so a failure names the seed that replays it.
+//! that still carry the removed packed tier. Each intersection's plan is
+//! asserted, so the shapes provably reach every plan; every plan run on
+//! every kind of pair is covered by the unit tests beside the private
+//! executor. Inputs come from a seeded [`SplitMix64`] stream, so a
+//! failure names the seed that replays it.
 
 use fesia_baselines::merge;
-use fesia_core::{ContainerParams, FesiaParams, MappedFile, PlanMode, SegmentedSet, SetOp};
+use fesia_core::{
+    FesiaParams, IntersectPlan, IntersectPlanner, MappedFile, SegmentedSet, SetOp, SetSummary,
+};
 use fesia_datagen::{clustered_pair, run_heavy_pair, SplitMix64};
-use std::sync::{Arc, Mutex};
-
-/// `set_plan_mode` is process-global; tests that flip it serialize here.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const OPS: [SetOp; 4] = [
     SetOp::Intersect,
@@ -32,11 +34,12 @@ const OPS: [SetOp; 4] = [
 
 fn sorted_set(rng: &mut SplitMix64, max_len: usize, universe: u32) -> Vec<u32> {
     let n = rng.below(max_len as u64 + 1) as usize;
-    let mut set = std::collections::BTreeSet::new();
-    while set.len() < n {
-        set.insert(rng.below(universe as u64) as u32);
-    }
-    set.into_iter().collect()
+    exact_set(rng, n, universe)
+}
+
+/// The plan the planner picks for `A ∩ B`.
+fn planned(a: &SegmentedSet, b: &SegmentedSet) -> IntersectPlan {
+    IntersectPlanner::current().plan_pair(&SetSummary::of(a), &SetSummary::of(b))
 }
 
 fn oracle(op: SetOp, a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -115,8 +118,6 @@ fn assert_strictly_ascending(v: &[u32], how: &str) {
 
 #[test]
 fn materialized_intersection_length_matches_count() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fesia_core::set_plan_mode(PlanMode::Auto);
     let params = FesiaParams::auto();
     for seed in 0..8u64 {
         for (label, av, bv) in case_shapes(seed) {
@@ -133,9 +134,8 @@ fn materialized_intersection_length_matches_count() {
 
 #[test]
 fn every_op_matches_the_merge_oracle_under_every_forced_plan() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let params = FesiaParams::auto();
-    let saved = fesia_core::container_params();
+    let mut plans = BTreeSet::new();
     for seed in 0..8u64 {
         for (label, av, bv) in case_shapes(seed) {
             let a = SegmentedSet::build(&av, &params).unwrap();
@@ -149,43 +149,27 @@ fn every_op_matches_the_merge_oracle_under_every_forced_plan() {
                     "seed={seed} case={label}: tier presence"
                 );
             }
+            plans.insert(planned(&a, &b).name());
             for op in OPS {
                 let want = oracle(op, &av, &bv);
-                fesia_core::set_plan_mode(PlanMode::Auto);
-                fesia_core::set_container_params(saved);
+                let how = format!("seed={seed} case={label} op={}", op.name());
                 assert_eq!(
                     fesia_core::set_op_count(&a, &b, op),
                     want.len(),
-                    "seed={seed} case={label} op={} count",
-                    op.name()
+                    "{how} count"
                 );
-                for mode in [PlanMode::Auto].into_iter().chain(PlanMode::FORCED) {
-                    fesia_core::set_plan_mode(mode);
-                    for forced in [None, Some(true), Some(false)] {
-                        fesia_core::set_container_params(
-                            ContainerParams::default().with_forced(forced),
-                        );
-                        let got = fesia_core::set_op(&a, &b, op);
-                        let how = format!(
-                            "seed={seed} case={label} op={} mode={} container={forced:?}",
-                            op.name(),
-                            mode.name()
-                        );
-                        assert_strictly_ascending(&got, &how);
-                        assert_eq!(got, want, "{how}");
-                    }
-                }
+                let got = fesia_core::set_op(&a, &b, op);
+                assert_strictly_ascending(&got, &how);
+                assert_eq!(got, want, "{how}");
             }
         }
     }
-    fesia_core::set_container_params(saved);
-    fesia_core::set_plan_mode(PlanMode::Auto);
+    // Untiered and one-sided shapes: the scan or the probe.
+    assert_eq!(plans, BTreeSet::from(["hash", "plain"]));
 }
 
 #[test]
 fn folded_pairs_with_mismatched_bitmaps_agree() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fesia_core::set_plan_mode(PlanMode::Auto);
     let params = FesiaParams::auto();
     // A denser bitmap for the same data forces `bitmap_bits` apart even at
     // comparable lengths; length skew alone also folds (bits scale with n).
@@ -229,55 +213,54 @@ fn folded_pairs_with_mismatched_bitmaps_agree() {
 }
 
 /// Container-carrying pairs through every materializing op: the word-AND
-/// / word-OR range kernels are exact in the value domain, so forcing the
-/// container knob on, off, or leaving it auto must all reproduce the
-/// merge oracle element for element.
+/// / word-OR range kernels are exact in the value domain, so the tier
+/// walks must reproduce the merge oracle element for element — on dense
+/// tiers the planner walks, and on array-heavy tiers it declines.
 #[test]
 fn container_sets_agree_with_the_oracle() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let params = FesiaParams::auto();
     let mut rng = SplitMix64::new(0xC0DE);
     let (rh_a, rh_b) = run_heavy_pair(40_000, 10_000, 64, &mut rng);
     let (cl_a, cl_b) = clustered_pair(40_000, 10_000, 3, 0.85, &mut rng);
-    let saved = fesia_core::container_params();
-    fesia_core::set_plan_mode(PlanMode::Auto);
-    for (label, av, bv) in [("run-heavy", rh_a, rh_b), ("clustered", cl_a, cl_b)] {
+    let ar_a = exact_set(&mut rng, 30_000, 1 << 26);
+    let ar_b = exact_set(&mut rng, 30_000, 1 << 26);
+    for (label, av, bv, plan) in [
+        ("run-heavy", rh_a, rh_b, IntersectPlan::Container),
+        ("clustered", cl_a, cl_b, IntersectPlan::Container),
+        ("array-heavy", ar_a, ar_b, IntersectPlan::Plain),
+    ] {
         let a = SegmentedSet::build(&av, &params).unwrap();
         let b = SegmentedSet::build(&bv, &params).unwrap();
         assert!(
             a.container().is_some() && b.container().is_some(),
             "case={label}: both sides must carry a directory"
         );
+        assert_eq!(planned(&a, &b), plan, "case={label}");
         for op in OPS {
             let want = oracle(op, &av, &bv);
-            for forced in [None, Some(true), Some(false)] {
-                fesia_core::set_container_params(ContainerParams::default().with_forced(forced));
-                assert_eq!(
-                    fesia_core::set_op(&a, &b, op),
-                    want,
-                    "case={label} op={} container={forced:?}",
-                    op.name()
-                );
-                assert_eq!(
-                    fesia_core::set_op_count(&a, &b, op),
-                    want.len(),
-                    "case={label} op={} container={forced:?} count",
-                    op.name()
-                );
-            }
+            assert_eq!(
+                fesia_core::set_op(&a, &b, op),
+                want,
+                "case={label} op={}",
+                op.name()
+            );
+            assert_eq!(
+                fesia_core::set_op_count(&a, &b, op),
+                want.len(),
+                "case={label} op={} count",
+                op.name()
+            );
         }
     }
-    fesia_core::set_container_params(saved);
 }
 
 /// A folded pair (mismatched bitmap sizes) where both sides also carry
 /// container directories. The container path never consults the hashed
 /// bitmap, so folding is moot for it — but the dispatch seam between
 /// folded execution and the directory walk must agree with the oracle in
-/// both argument orders and with the knob at every setting.
+/// both argument orders.
 #[test]
 fn folded_container_pairs_agree_with_the_oracle() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let params = FesiaParams::auto();
     let dense = params.with_bits_per_element(params.bits_per_element * 4.0);
     let mut rng = SplitMix64::new(0xF01DC);
@@ -293,34 +276,28 @@ fn folded_container_pairs_agree_with_the_oracle() {
         a.container().is_some() && b.container().is_some(),
         "both sides must carry a directory"
     );
-    let saved = fesia_core::container_params();
-    fesia_core::set_plan_mode(PlanMode::Auto);
+    assert_eq!(planned(&a, &b), IntersectPlan::Container);
     for op in OPS {
-        for forced in [None, Some(true), Some(false)] {
-            fesia_core::set_container_params(ContainerParams::default().with_forced(forced));
-            assert_eq!(
-                fesia_core::set_op(&a, &b, op),
-                oracle(op, &av, &bv),
-                "op={} container={forced:?} folded",
-                op.name()
-            );
-            assert_eq!(
-                fesia_core::set_op(&b, &a, op),
-                oracle(op, &bv, &av),
-                "op={} container={forced:?} folded (swapped)",
-                op.name()
-            );
-        }
+        assert_eq!(
+            fesia_core::set_op(&a, &b, op),
+            oracle(op, &av, &bv),
+            "op={} folded",
+            op.name()
+        );
+        assert_eq!(
+            fesia_core::set_op(&b, &a, op),
+            oracle(op, &bv, &av),
+            "op={} folded (swapped)",
+            op.name()
+        );
     }
-    fesia_core::set_container_params(saved);
 }
 
 /// Sets decoded — owned and mapped — from the committed `.fsia` v3/v4
 /// fixtures, whose packed residual sections the decoders now ignore, are
-/// element-identical to the oracle under auto and every forced plan.
+/// element-identical to the oracle.
 #[test]
 fn packed_tier_sets_agree_with_the_oracle() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
     let load = |name: &str| {
         let path = fixtures.join(name);
@@ -336,18 +313,12 @@ fn packed_tier_sets_agree_with_the_oracle() {
     let [b, bm] = load("packed_v4.fsia");
     for (x, y) in [(&a, &b), (&am, &bm), (&a, &bm), (&am, &fresh)] {
         for op in OPS {
-            let want = oracle(op, &av, &bv);
-            for mode in [PlanMode::Auto].into_iter().chain(PlanMode::FORCED) {
-                fesia_core::set_plan_mode(mode);
-                assert_eq!(
-                    fesia_core::set_op(x, y, op),
-                    want,
-                    "op={} packed mode={}",
-                    op.name(),
-                    mode.name()
-                );
-            }
+            assert_eq!(
+                fesia_core::set_op(x, y, op),
+                oracle(op, &av, &bv),
+                "op={} packed",
+                op.name()
+            );
         }
     }
-    fesia_core::set_plan_mode(PlanMode::Auto);
 }

@@ -1,7 +1,8 @@
 //! Executor equivalence: every parallel entry point, on dedicated pools
 //! of 1, 2, and 8 threads, must count exactly what the serial two-phase
 //! algorithm counts — on random equal-bitmap inputs, on folded
-//! (different-bitmap-size) inputs, and under every forced plan.
+//! (different-bitmap-size) inputs, and on inputs the planner sends to
+//! each of its plans.
 //!
 //! Dedicated `Executor::new(n)` pools are used instead of the global one
 //! so the worker count under test is pinned regardless of the host's
@@ -9,8 +10,8 @@
 
 use fesia_core::{
     batch_count_pairs_on, intersect_count_interleaved_with, intersect_count_with,
-    par_intersect_count_on, plan_mode, set_plan_mode, FesiaParams, KernelTable, PlanMode,
-    SegmentedSet,
+    par_intersect_count_on, FesiaParams, IntersectPlan, IntersectPlanner, KernelTable,
+    SegmentedSet, SetSummary,
 };
 use fesia_datagen::SplitMix64;
 use fesia_exec::Executor;
@@ -82,28 +83,58 @@ fn batch_matches_serial_on_1_2_8_threads() {
     }
 }
 
+/// Every parallel path, on one pair per plan the planner can pick: the
+/// equal pair runs plain, the folded 1:64 pair the hash probe, and a
+/// run-heavy pair (asserted here) the container walk.
 #[test]
 fn parallel_paths_agree_under_every_forced_plan() {
     let params = FesiaParams::auto();
     let table = KernelTable::auto();
-    let saved = plan_mode();
-    let fx = fixture(&params);
+    let mut fx = fixture(&params);
+    let mut rng = SplitMix64::new(5);
+    let (ra, rb) = fesia_datagen::run_heavy_pair(40_000, 10_000, 64, &mut rng);
+    fx.push((
+        SegmentedSet::build(&ra, &params).unwrap(),
+        SegmentedSet::build(&rb, &params).unwrap(),
+    ));
+    let planner = IntersectPlanner::current();
+    let plans: Vec<IntersectPlan> = fx
+        .iter()
+        .map(|(a, b)| planner.plan_pair(&SetSummary::of(a), &SetSummary::of(b)))
+        .collect();
+    assert_eq!(
+        plans,
+        [
+            IntersectPlan::Plain,
+            IntersectPlan::HashProbe,
+            IntersectPlan::Container
+        ]
+    );
     let want: Vec<usize> = fx
         .iter()
-        .flat_map(|(a, b)| {
-            let n = intersect_count_interleaved_with(a, b, &table);
-            [n, n]
-        })
+        .map(|(a, b)| intersect_count_interleaved_with(a, b, &table))
         .collect();
-    let exec = Executor::new(8);
-    for mode in PlanMode::FORCED {
-        set_plan_mode(mode);
-        let mut counts = Vec::new();
-        for (a, b) in &fx {
-            counts.push(intersect_count_with(a, b, &table));
-            counts.push(par_intersect_count_on(&exec, a, b, 8, &table));
-        }
-        assert_eq!(counts, want, "mode={mode:?}");
+    let mut sets = Vec::new();
+    for (a, b) in fx {
+        sets.push(a);
+        sets.push(b);
     }
-    set_plan_mode(saved);
+    let pairs: Vec<(u32, u32)> = (0..want.len() as u32).map(|i| (2 * i, 2 * i + 1)).collect();
+    for n in [1usize, 2, 8] {
+        let exec = Executor::new(n);
+        assert_eq!(
+            batch_count_pairs_on(&exec, &sets, &pairs, &table, n),
+            want,
+            "batch threads={n}"
+        );
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            let (a, b) = (&sets[a as usize], &sets[b as usize]);
+            assert_eq!(intersect_count_with(a, b, &table), want[i], "pair={i}");
+            assert_eq!(
+                par_intersect_count_on(&exec, a, b, n, &table),
+                want[i],
+                "pair={i} threads={n}"
+            );
+        }
+    }
 }

@@ -1,12 +1,12 @@
-//! k-way and ordered-difference equivalence: every k-way strategy, under
-//! every forced `FESIA_PLAN` mode, and the value-domain `A \ B` are
+//! k-way and ordered-difference equivalence: every k-way strategy, run
+//! explicitly and as planned, and the value-domain `A \ B` are
 //! element-identical to `BTreeSet` oracles.
 //!
 //! The planner picks *how* a k-way intersection runs (probe, container
 //! walk, or bitmap-fold scan, [`KwayStrategy`]) and how a difference is
 //! produced (in A's container tier when A carries one) — never *what*
-//! the answer is. So forcing each mode and each strategy in turn must
-//! reproduce the oracle on every shape: tiers spanning several
+//! the answer is. So running each strategy in turn must reproduce the
+//! oracle on every shape: tiers spanning several
 //! 65536-value ranges with array, bitmap and run kinds, operands with and
 //! without a tier, sets of exactly 4095 and 4096 elements (the tier build
 //! floor), and empty sets. Every materialized result must also be
@@ -14,18 +14,11 @@
 
 use fesia_core::container::difference_visit_ordered;
 use fesia_core::{
-    ContainerKind, ContainerParams, EmitVisitor, FesiaParams, KernelTable, KwayStrategy, PlanMode,
-    SegmentedSet, SetOp, SetStore, SimdLevel,
+    ContainerKind, EmitVisitor, FesiaParams, IntersectPlanner, KernelTable, KwayStrategy,
+    SegmentedSet, SetOp, SetStore, SetSummary, SimdLevel,
 };
 use fesia_datagen::SplitMix64;
 use std::collections::BTreeSet;
-use std::sync::Mutex;
-
-/// `set_plan_mode` and the container knob are process-global; tests that
-/// flip them serialize here.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-const MODES: [PlanMode; 3] = [PlanMode::Auto, PlanMode::Plain, PlanMode::HashProbe];
 
 fn random_set(rng: &mut SplitMix64, n: usize, lo: u32, hi: u32) -> BTreeSet<u32> {
     let mut s = BTreeSet::new();
@@ -155,10 +148,10 @@ fn shapes_cover_the_tier_edges() {
 
 #[test]
 fn every_mode_and_strategy_matches_the_oracle() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let table = KernelTable::auto();
     let params = FesiaParams::auto();
-    let saved = fesia_core::container_params();
+    let planner = IntersectPlanner::current();
+    let mut planned = BTreeSet::new();
     for seed in 0..2u64 {
         for (label, lists) in kway_shapes(seed) {
             for k in [3usize, 4] {
@@ -181,40 +174,34 @@ fn every_mode_and_strategy_matches_the_oracle() {
                     assert_ascending(&got, &how);
                     assert_eq!(got, want, "{how} materialize");
                 }
-                // Planned entry points, under every mode and container
-                // knob setting (forcing the knob on makes auto choose the
-                // container strategy whenever every operand has a tier).
-                for forced in [None, Some(true), Some(false)] {
-                    fesia_core::set_container_params(
-                        ContainerParams::default().with_forced(forced),
-                    );
-                    for mode in MODES {
-                        fesia_core::set_plan_mode(mode);
-                        let how = what(&format!("mode={} container={forced:?}", mode.name()));
-                        assert_eq!(
-                            fesia_core::kway_count_with(&refs, &table),
-                            want.len(),
-                            "{how} count"
-                        );
-                        let got = fesia_core::kway_intersect_with(&refs, &table);
-                        assert_ascending(&got, &how);
-                        assert_eq!(got, want, "{how} materialize");
-                    }
-                }
+                // The planned entry points, whichever strategy the
+                // planner picks for this shape.
+                let sums: Vec<SetSummary> = sets.iter().map(SetSummary::of).collect();
+                let strategy = planner.plan_kway(&sums).strategy;
+                planned.insert(strategy.name());
+                let how = what(&format!("planned={}", strategy.name()));
+                assert_eq!(
+                    fesia_core::kway_count_with(&refs, &table),
+                    want.len(),
+                    "{how} count"
+                );
+                let got = fesia_core::kway_intersect_with(&refs, &table);
+                assert_ascending(&got, &how);
+                assert_eq!(got, want, "{how} materialize");
             }
         }
     }
-    fesia_core::set_container_params(saved);
-    fesia_core::set_plan_mode(PlanMode::Auto);
+    // The shapes send the planned entry points down every strategy.
+    let all: BTreeSet<&str> = KwayStrategy::ALL.iter().map(|s| s.name()).collect();
+    assert_eq!(planned, all);
 }
 
-/// `A \ B` with A carrying a tier runs in A's value domain under every
-/// mode and comes out ascending straight from the executor — for B of
+/// `A \ B` with A carrying a tier runs in A's value domain and comes out
+/// ascending straight from the executor — for B of
 /// every shape: untiered, tiered (each kind), dense, empty, identical,
 /// disjoint, and a subset of A.
 #[test]
 fn ordered_difference_matches_the_oracle_for_every_b() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let params = FesiaParams::auto();
     let mut rng = SplitMix64::new(0xD1FF);
     let core = random_set(&mut rng, 500, 0, 14 << 16);
@@ -258,27 +245,21 @@ fn ordered_difference_matches_the_oracle_for_every_b() {
             assert_ascending(&got, &how);
             assert_eq!(got, want, "{how}");
         }
-        for mode in MODES {
-            fesia_core::set_plan_mode(mode);
-            let got = fesia_core::set_op(&a, &b, SetOp::Difference);
-            assert_eq!(got, want, "b={label} mode={}", mode.name());
-            assert_eq!(
-                fesia_core::set_op_count(&a, &b, SetOp::Difference),
-                want.len(),
-                "b={label} mode={} count",
-                mode.name()
-            );
-        }
+        let got = fesia_core::set_op(&a, &b, SetOp::Difference);
+        assert_eq!(got, want, "b={label}");
+        assert_eq!(
+            fesia_core::set_op_count(&a, &b, SetOp::Difference),
+            want.len(),
+            "b={label} count"
+        );
     }
-    fesia_core::set_plan_mode(PlanMode::Auto);
 }
 
 /// Snapshot reads with empty deltas (the base answer returns as is) and
 /// with live deltas (the candidate filter corrects it) agree with the
-/// live contents, under every mode.
+/// live contents.
 #[test]
 fn snapshot_reads_match_with_and_without_deltas() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let table = KernelTable::auto();
     let params = FesiaParams::auto();
     let mut rng = SplitMix64::new(0x5A9);
@@ -305,40 +286,36 @@ fn snapshot_reads_match_with_and_without_deltas() {
             .map(|id| snap.get(id).unwrap().set().to_sorted_vec())
             .collect();
         let sets: Vec<BTreeSet<u32>> = live.iter().map(|l| l.iter().copied().collect()).collect();
-        for mode in MODES {
-            fesia_core::set_plan_mode(mode);
-            let how = format!("{phase} mode={}", mode.name());
-            for (a, b) in [(0u32, 1u32), (0, 2), (2, 0), (3, 1)] {
-                let (sa, sb) = (&sets[a as usize], &sets[b as usize]);
-                for (op, want) in [
-                    (
-                        SetOp::Difference,
-                        sa.difference(sb).copied().collect::<Vec<_>>(),
-                    ),
-                    (SetOp::Intersect, sa.intersection(sb).copied().collect()),
-                    (SetOp::Union, sa.union(sb).copied().collect()),
-                    (SetOp::Xor, sa.symmetric_difference(sb).copied().collect()),
-                ] {
-                    let got = snap.set_op(a, b, op).unwrap();
-                    assert_ascending(&got, &how);
-                    assert_eq!(got, want, "{how} set_op {a} {} {b}", op.name());
-                }
+        for (a, b) in [(0u32, 1u32), (0, 2), (2, 0), (3, 1)] {
+            let (sa, sb) = (&sets[a as usize], &sets[b as usize]);
+            for (op, want) in [
+                (
+                    SetOp::Difference,
+                    sa.difference(sb).copied().collect::<Vec<_>>(),
+                ),
+                (SetOp::Intersect, sa.intersection(sb).copied().collect()),
+                (SetOp::Union, sa.union(sb).copied().collect()),
+                (SetOp::Xor, sa.symmetric_difference(sb).copied().collect()),
+            ] {
+                let got = snap.set_op(a, b, op).unwrap();
+                assert_ascending(&got, phase);
+                assert_eq!(got, want, "{phase} set_op {a} {} {b}", op.name());
             }
-            for ids in [&[0u32, 1, 2][..], &[0, 1, 3], &[0, 1, 2, 3]] {
-                let want = oracle_and(
-                    &ids.iter()
-                        .map(|&i| live[i as usize].clone())
-                        .collect::<Vec<_>>(),
-                );
-                let got = snap.kway_intersect(ids, &table).unwrap();
-                assert_ascending(&got, &how);
-                assert_eq!(got, want, "{how} kway_intersect {ids:?}");
-                assert_eq!(
-                    snap.kway_count(ids, &table).unwrap(),
-                    want.len(),
-                    "{how} kway_count {ids:?}"
-                );
-            }
+        }
+        for ids in [&[0u32, 1, 2][..], &[0, 1, 3], &[0, 1, 2, 3]] {
+            let want = oracle_and(
+                &ids.iter()
+                    .map(|&i| live[i as usize].clone())
+                    .collect::<Vec<_>>(),
+            );
+            let got = snap.kway_intersect(ids, &table).unwrap();
+            assert_ascending(&got, phase);
+            assert_eq!(got, want, "{phase} kway_intersect {ids:?}");
+            assert_eq!(
+                snap.kway_count(ids, &table).unwrap(),
+                want.len(),
+                "{phase} kway_count {ids:?}"
+            );
         }
     };
     check(&store, "empty deltas");
@@ -365,5 +342,4 @@ fn snapshot_reads_match_with_and_without_deltas() {
     });
     assert!(store.pin().get(0).unwrap().set().delta_len() > 0);
     check(&store, "live deltas");
-    fesia_core::set_plan_mode(PlanMode::Auto);
 }

@@ -2,8 +2,8 @@
 //! counts, k-way AND and OR, boolean queries and the four pair ops —
 //! answers exactly what a `BTreeSet` oracle of the live contents
 //! answers, through both read surfaces ([`fesia_core::Snapshot`] and
-//! [`fesia_serve::ServeView`]), under every planner mode and container
-//! knob setting.
+//! [`fesia_serve::ServeView`]), on operands the planner sends to each
+//! of its pair plans and k-way strategies (asserted over the bases).
 //!
 //! A live set is an immutable base plus sorted `added`/`deleted` lists.
 //! The churn below drives every list transition a writer can cause: adds
@@ -11,31 +11,19 @@
 //! elements (which empty the delete entry again) and deletes of pending
 //! adds (which empty the add entry again). Operands mix tiered and
 //! untiered bases (4095 and 4096 elements sit either side of the tier
-//! build floor), a dense tiered window, small skewed sets, and sets with
-//! and without deltas. `ServeView` has no `set_op`; its intersect, union
+//! build floor), three dense tiered windows, small skewed sets, and sets
+//! with and without deltas. `ServeView` has no `set_op`; its intersect, union
 //! and difference run as the equivalent k-way and boolean reads, and xor
 //! runs through `Snapshot` only.
 
 use fesia_core::{
-    ContainerParams, DynamicSet, FesiaParams, KernelTable, PlanMode, SetOp, SetStore,
+    DynamicSet, FesiaParams, IntersectPlanner, KernelTable, SetOp, SetStore, SetSummary,
 };
 use fesia_datagen::SplitMix64;
 use fesia_serve::{ServeConfig, ServeStore, ServeView, WriteOp};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
-/// `set_plan_mode` and the container knob are process-global; tests that
-/// flip them serialize here.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-const NUM_SETS: usize = 5;
-
-/// Auto plus every forced mode.
-fn modes() -> Vec<PlanMode> {
-    let mut m = vec![PlanMode::Auto];
-    m.extend(PlanMode::FORCED);
-    m
-}
+const NUM_SETS: usize = 7;
 
 fn random_fill(rng: &mut SplitMix64, s: &mut BTreeSet<u32>, n: usize, lo: u32, hi: u32) {
     while s.len() < n {
@@ -43,18 +31,21 @@ fn random_fill(rng: &mut SplitMix64, s: &mut BTreeSet<u32>, n: usize, lo: u32, h
     }
 }
 
-/// The five bases: 4095 elements (no tier), 4096 (tier), a dense window
-/// (bitmap containers), and two small sets that skew against the rest.
-/// All share a core so every intersection is non-trivial.
+/// The seven bases: 4095 elements (no tier), 4096 (tier), three dense
+/// windows (bitmap containers, together past the planner's container
+/// floor), and two small sets that skew against the rest. All share a
+/// core so every intersection is non-trivial.
 fn bases(seed: u64) -> Vec<BTreeSet<u32>> {
     let mut rng = SplitMix64::new(0x11FE ^ (seed << 8));
-    let window = (1u32 << 16, (1u32 << 16) + 8_000);
+    let window = (1u32 << 16, (1u32 << 16) + 30_000);
     let mut core = BTreeSet::new();
     random_fill(&mut rng, &mut core, 150, window.0, window.1);
     let shapes: [(usize, u32, u32); NUM_SETS] = [
         (4_095, 0, 1 << 17),
         (4_096, 0, 1 << 17),
-        (6_000, window.0, window.1),
+        (20_000, window.0, window.1),
+        (20_000, window.0, window.1),
+        (20_000, window.0, window.1),
         (600, 0, 1 << 17),
         (300, 0, 1 << 17),
     ];
@@ -256,8 +247,8 @@ fn expand(want: Answer, q: &Query) -> Vec<Answer> {
     }
 }
 
-/// Churn `churned` of the five sets into a snapshot store and a served
-/// store, then check every query shape under every mode and knob setting.
+/// Churn `churned` of the seven sets into a snapshot store and a served
+/// store, then check every query shape.
 fn sweep(seed: u64, churned: usize) {
     let params = FesiaParams::auto();
     let table = KernelTable::auto();
@@ -316,36 +307,50 @@ fn sweep(seed: u64, churned: usize) {
     );
     assert!(snap.get(1).unwrap().set().base().container().is_some());
 
+    // The queries reach every pair plan and k-way strategy: the planner
+    // plans live reads over the bases.
+    let planner = IntersectPlanner::current();
+    let sums: Vec<SetSummary> = (0..NUM_SETS as u32)
+        .map(|id| SetSummary::of(snap.get(id).unwrap().set().base()))
+        .collect();
+    let pair = |a: usize, b: usize| planner.plan_pair(&sums[a], &sums[b]).name();
+    let kway = |ids: &[usize]| {
+        let s: Vec<SetSummary> = ids.iter().map(|&i| sums[i]).collect();
+        planner.plan_kway(&s).strategy.name()
+    };
+    assert_eq!(
+        [pair(0, 1), pair(1, 6), pair(2, 3)],
+        ["plain", "hash", "container"]
+    );
+    assert_eq!(
+        [kway(&[0, 1, 2]), kway(&[1, 2, 3]), kway(&[2, 3, 4])],
+        ["scan", "probe", "container"]
+    );
+
     let qs = queries();
-    let wants: Vec<Vec<Answer>> = qs.iter().map(|q| expand(oracle(&live, q), q)).collect();
-    let saved = fesia_core::container_params();
-    for forced in [None, Some(true), Some(false)] {
-        fesia_core::set_container_params(ContainerParams::default().with_forced(forced));
-        for mode in modes() {
-            fesia_core::set_plan_mode(mode);
-            for (q, want) in qs.iter().zip(&wants) {
-                let how = format!(
-                    "seed={seed} churned={churned} mode={} container={forced:?} {q:?}",
-                    mode.name()
-                );
-                assert_eq!(&snapshot_answers(&snap, q, &table), want, "snapshot {how}");
-                let got = view_answers(&view, q, &table);
-                assert_eq!(got[..], want[..got.len()], "serve view {how}");
-            }
-        }
+    for q in &qs {
+        let want = expand(oracle(&live, q), q);
+        let how = format!("seed={seed} churned={churned} {q:?}");
+        assert_eq!(snapshot_answers(&snap, q, &table), want, "snapshot {how}");
+        let got = view_answers(&view, q, &table);
+        assert_eq!(got[..], want[..got.len()], "serve view {how}");
     }
-    fesia_core::set_container_params(saved);
-    fesia_core::set_plan_mode(PlanMode::Auto);
 }
 
 #[test]
 fn two_churned_sets_among_delta_free_ones_match_the_oracle() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     sweep(1, 2);
 }
 
 #[test]
 fn five_churned_sets_match_the_oracle() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     sweep(2, 5);
+}
+
+/// Every base carries a delta, the small skewed sets included, so the
+/// hash-probed pairs and the boolean reads over them run on live
+/// operands on both sides.
+#[test]
+fn every_churned_set_matches_the_oracle() {
+    sweep(3, NUM_SETS);
 }

@@ -7,8 +7,8 @@
 //! with separate registries, so only this file needs the lock.)
 
 use fesia_core::{
-    batch_count, default_table, intersect_count_bounded_planned, FesiaParams, IntersectPlanner,
-    PlanMode, SegmentedSet,
+    batch_count, default_table, intersect_count_bounded_planned, FesiaParams, IntersectPlan,
+    IntersectPlanner, SegmentedSet, SetSummary,
 };
 use fesia_exec::Executor;
 use fesia_obs::metrics;
@@ -34,14 +34,13 @@ fn gen_sorted(n: usize, seed: u64, universe: u32) -> Vec<u32> {
     set.into_iter().collect()
 }
 
-/// The plain plan pinned on an explicit planner snapshot, so the
-/// threshold sweep runs the merge (which buffers its survivors) whatever
-/// the pair's shape, without touching the process-wide plan mode.
-fn plain_planner() -> IntersectPlanner {
-    IntersectPlanner {
-        mode: PlanMode::Plain,
-        ..IntersectPlanner::current()
-    }
+/// The planner, after asserting it sends `a ∩ b` to the plain plan, so
+/// the threshold sweep runs the merge (which buffers its survivors).
+fn plain_planner(a: &SegmentedSet, b: &SegmentedSet) -> IntersectPlanner {
+    let planner = IntersectPlanner::current();
+    let plan = planner.plan_pair(&SetSummary::of(a), &SetSummary::of(b));
+    assert_eq!(plan, IntersectPlan::Plain);
+    planner
 }
 
 /// The survivor-segment counter (published by the threshold sweep,
@@ -52,19 +51,28 @@ fn plain_planner() -> IntersectPlanner {
 fn survivor_counter_matches_offline_diagnostic() {
     let _guard = serialize_tests();
     let p = FesiaParams::auto();
+    // 4x the bitmap density on one side folds a pair of comparable
+    // lengths, which the planner still merges.
+    let dense = p.with_bits_per_element(p.bits_per_element * 4.0);
     let cases = [
         // Equal bitmap sizes.
-        (gen_sorted(4_000, 11, 60_000), gen_sorted(4_000, 13, 60_000)),
-        // Very different sizes -> folded bitmaps.
         (
-            gen_sorted(150, 17, 800_000),
-            gen_sorted(40_000, 19, 800_000),
+            gen_sorted(4_000, 11, 60_000),
+            gen_sorted(4_000, 13, 60_000),
+            p,
+        ),
+        // Different bitmap sizes -> folded bitmaps.
+        (
+            gen_sorted(3_000, 17, 200_000),
+            gen_sorted(4_000, 19, 200_000),
+            dense,
         ),
     ];
-    let planner = plain_planner();
-    for (av, bv) in &cases {
+    for (i, (av, bv, pb)) in cases.iter().enumerate() {
         let a = SegmentedSet::build(av, &p).unwrap();
-        let b = SegmentedSet::build(bv, &p).unwrap();
+        let b = SegmentedSet::build(bv, pb).unwrap();
+        assert_eq!(a.bitmap_bits() != b.bitmap_bits(), i == 1, "case {i} folds");
+        let planner = plain_planner(&a, &b);
         let want_survivors = fesia_core::survivor_segments(&a, &b);
         let count = fesia_core::intersect_count(&a, &b);
         assert!(count >= 1, "the threshold below must not reject");
@@ -175,7 +183,7 @@ fn threshold_sweep_reuses_its_scratch_buffer() {
     let p = FesiaParams::auto();
     let a = SegmentedSet::build(&gen_sorted(2_000, 31, 40_000), &p).unwrap();
     let b = SegmentedSet::build(&gen_sorted(2_000, 37, 40_000), &p).unwrap();
-    let planner = plain_planner();
+    let planner = plain_planner(&a, &b);
 
     let before = metrics().snapshot();
     let want = fesia_core::intersect_count(&a, &b);
@@ -250,8 +258,8 @@ fn kway_strategy_counters_account_for_every_call() {
 }
 
 /// Every materializing set operation records exactly one `plan_*` and
-/// one `strategy_*` increment, under every planner mode. Union,
-/// difference and xor take their one execution whatever the mode: a tier
+/// one `strategy_*` increment. Union, difference and xor take their one
+/// execution: a tier
 /// walk (`plan_container`, merge) when difference's A or both sides of a
 /// union or xor carry a container tier, else the probe (`plan_hash`).
 #[test]
@@ -291,24 +299,21 @@ fn set_ops_record_one_plan_and_one_strategy_each() {
         SetOp::Difference,
         SetOp::Xor,
     ];
+    let planner = IntersectPlanner::current();
     for (label, a, b) in cases {
         for op in ops {
-            for mode in [PlanMode::Auto].into_iter().chain(PlanMode::FORCED) {
-                let planner = IntersectPlanner {
-                    mode,
-                    ..IntersectPlanner::current()
-                };
-                let how = format!("case={label} op={} mode={}", op.name(), mode.name());
-                let before = metrics().snapshot();
-                fesia_core::set_op_planned(a, b, op, &planner);
-                let d = metrics().snapshot().delta(&before);
-                assert_eq!(plans(&d), 1, "{how}: one plan_* increment");
-                assert_eq!(d.strategy_hash + d.strategy_merge, 1, "{how}: one strategy");
-                let walk = match op {
-                    SetOp::Intersect => continue,
-                    SetOp::Difference => a.container().is_some(),
-                    SetOp::Union | SetOp::Xor => a.container().is_some() && b.container().is_some(),
-                };
+            let how = format!("case={label} op={}", op.name());
+            let before = metrics().snapshot();
+            fesia_core::set_op_planned(a, b, op, &planner);
+            let d = metrics().snapshot().delta(&before);
+            assert_eq!(plans(&d), 1, "{how}: one plan_* increment");
+            assert_eq!(d.strategy_hash + d.strategy_merge, 1, "{how}: one strategy");
+            let walk = match op {
+                SetOp::Intersect => false,
+                SetOp::Difference => a.container().is_some(),
+                SetOp::Union | SetOp::Xor => a.container().is_some() && b.container().is_some(),
+            };
+            if op != SetOp::Intersect {
                 let (plan, merge) = if walk {
                     (d.plan_container, d.strategy_merge)
                 } else {

@@ -1,23 +1,35 @@
-//! Planner equivalence: every forced `FESIA_PLAN` strategy returns the
-//! same count as `auto`.
+//! Planner equivalence: every explicit plan returns the same count as
+//! the planner's own choice.
 //!
 //! The [`fesia_core::IntersectPlanner`] only chooses *how* a pair is
-//! intersected — never *what* the answer is — so forcing each strategy in
-//! turn (the runtime equivalent of `FESIA_PLAN=plain|hash`) must
-//! reproduce the auto-mode count on every input shape:
-//! randomized overlap, heavy skew, disjoint ranges, identical sets, and
-//! empty operands. Inputs come from a seeded [`SplitMix64`] stream, so a
-//! failure names the seed that replays it.
+//! intersected — never *what* the answer is — so running each
+//! [`IntersectPlan`] in turn through [`execute_plan_count`] must
+//! reproduce the planned count on every input shape: randomized overlap,
+//! heavy skew, disjoint ranges, identical sets, empty operands, and
+//! container tiers the planner takes or declines. Inputs come from a
+//! seeded [`SplitMix64`] stream, so a failure names the seed that
+//! replays it.
 
-use fesia_core::{ContainerParams, FesiaParams, KernelTable, PlanMode, SegmentedSet};
+use fesia_core::{
+    execute_kway_count, execute_plan_count, FesiaParams, IntersectPlan, IntersectPlanner,
+    KernelTable, KwayStrategy, SegmentedSet, SetSummary,
+};
 use fesia_datagen::{clustered_pair, run_heavy_pair, SplitMix64};
-use std::sync::Mutex;
 
-/// `set_plan_mode` is process-global; tests that flip it serialize here.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
+/// Every plan, including `Container` on pairs without two tiers (its
+/// merge fallback).
+const PLANS: [IntersectPlan; 3] = [
+    IntersectPlan::Plain,
+    IntersectPlan::HashProbe,
+    IntersectPlan::Container,
+];
 
 fn sorted_set(rng: &mut SplitMix64, max_len: usize, universe: u32) -> Vec<u32> {
     let n = rng.below(max_len as u64 + 1) as usize;
+    sorted_set_exact(rng, n, universe)
+}
+
+fn sorted_set_exact(rng: &mut SplitMix64, n: usize, universe: u32) -> Vec<u32> {
     let mut set = std::collections::BTreeSet::new();
     while set.len() < n {
         set.insert(rng.below(universe as u64) as u32);
@@ -56,7 +68,6 @@ fn case_shapes(seed: u64) -> Vec<(&'static str, Vec<u32>, Vec<u32>)> {
 
 #[test]
 fn every_forced_plan_matches_auto() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let table = KernelTable::auto();
     let params = FesiaParams::auto();
     for seed in 0..12u64 {
@@ -64,44 +75,38 @@ fn every_forced_plan_matches_auto() {
             let a = SegmentedSet::build(&av, &params).unwrap();
             let b = SegmentedSet::build(&bv, &params).unwrap();
             let want = reference_count(&av, &bv);
-
-            fesia_core::set_plan_mode(PlanMode::Auto);
             assert_eq!(
                 fesia_core::auto_count_with(&a, &b, &table),
                 want,
-                "seed={seed} case={label} mode=auto"
+                "seed={seed} case={label} auto"
             );
-            for mode in PlanMode::FORCED {
-                fesia_core::set_plan_mode(mode);
+            assert_eq!(
+                fesia_core::intersect_count_with(&a, &b, &table),
+                want,
+                "seed={seed} case={label} (merge entry)"
+            );
+            for plan in PLANS {
                 assert_eq!(
-                    fesia_core::auto_count_with(&a, &b, &table),
+                    execute_plan_count(&a, &b, &table, plan),
                     want,
-                    "seed={seed} case={label} mode={}",
-                    mode.name()
-                );
-                // The non-adaptive entry point obeys the same forcing.
-                assert_eq!(
-                    fesia_core::intersect_count_with(&a, &b, &table),
-                    want,
-                    "seed={seed} case={label} mode={} (merge entry)",
-                    mode.name()
+                    "seed={seed} case={label} plan={}",
+                    plan.name()
                 );
             }
-            fesia_core::set_plan_mode(PlanMode::Auto);
         }
     }
 }
 
-/// Container-carrying shapes: run-heavy, clustered, mixed-kind, and a
-/// one-sided pair where only one operand has a directory (the planner
-/// must decline even under `FESIA_CONTAINER=1`). Every knob setting —
-/// auto, forced on, forced off — returns the same count, under every
-/// forced `FESIA_PLAN` strategy on top.
+/// Container-carrying shapes: run-heavy, clustered, mixed-kind, an
+/// array-heavy pair whose tiers the planner declines, and a one-sided
+/// pair where only one operand has a directory (the planner must
+/// decline). Every plan, and both planned entry points, return the same
+/// count.
 #[test]
 fn container_knob_settings_agree_on_counts() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let table = KernelTable::auto();
     let params = FesiaParams::auto();
+    let planner = IntersectPlanner::current();
     let mut rng = SplitMix64::new(0xC0A7);
     let (rh_a, rh_b) = run_heavy_pair(40_000, 10_000, 64, &mut rng);
     let (cl_a, cl_b) = clustered_pair(40_000, 10_000, 3, 0.85, &mut rng);
@@ -110,15 +115,18 @@ fn container_knob_settings_agree_on_counts() {
     mx_a.extend((0..20_000u32).map(|i| (1 << 16) + i * 3));
     mx_a.extend((0..900u32).map(|i| (4 << 16) + i * 50));
     let mx_b: Vec<u32> = (0..40_000u32).map(|i| i * 2).collect();
+    // Uniform over 2^26: every range holds a few dozen elements.
+    let ar_a = sorted_set_exact(&mut rng, 30_000, 1 << 26);
+    let ar_b = sorted_set_exact(&mut rng, 30_000, 1 << 26);
     let one_sided_b = sorted_set(&mut rng, 2_000, 1 << 18);
-    let cases: Vec<(&str, &Vec<u32>, &Vec<u32>)> = vec![
-        ("run-heavy", &rh_a, &rh_b),
-        ("clustered", &cl_a, &cl_b),
-        ("mixed-kinds", &mx_a, &mx_b),
-        ("one-sided", &mx_a, &one_sided_b),
+    let cases: Vec<(&str, &Vec<u32>, &Vec<u32>, bool)> = vec![
+        ("run-heavy", &rh_a, &rh_b, true),
+        ("clustered", &cl_a, &cl_b, true),
+        ("mixed-kinds", &mx_a, &mx_b, true),
+        ("array-heavy", &ar_a, &ar_b, false),
+        ("one-sided", &mx_a, &one_sided_b, false),
     ];
-    let saved = fesia_core::container_params();
-    for (label, av, bv) in cases {
+    for (label, av, bv, container) in cases {
         let a = SegmentedSet::build(av, &params).unwrap();
         let b = SegmentedSet::build(bv, &params).unwrap();
         if label != "one-sided" {
@@ -132,33 +140,36 @@ fn container_knob_settings_agree_on_counts() {
                 "one-sided case must stay one-sided"
             );
         }
+        let plan = planner.plan_merge(&SetSummary::of(&a), &SetSummary::of(&b));
+        assert_eq!(
+            plan == IntersectPlan::Container,
+            container,
+            "case={label}: planned {plan:?}"
+        );
         let want = reference_count(av, bv);
-        for forced in [None, Some(true), Some(false)] {
-            fesia_core::set_container_params(ContainerParams::default().with_forced(forced));
-            fesia_core::set_plan_mode(PlanMode::Auto);
+        assert_eq!(
+            fesia_core::auto_count_with(&a, &b, &table),
+            want,
+            "case={label} auto"
+        );
+        assert_eq!(
+            fesia_core::intersect_count_with(&a, &b, &table),
+            want,
+            "case={label} (merge entry)"
+        );
+        for plan in PLANS {
             assert_eq!(
-                fesia_core::auto_count_with(&a, &b, &table),
+                execute_plan_count(&a, &b, &table, plan),
                 want,
-                "case={label} container={forced:?} mode=auto"
+                "case={label} plan={}",
+                plan.name()
             );
-            for mode in PlanMode::FORCED {
-                fesia_core::set_plan_mode(mode);
-                assert_eq!(
-                    fesia_core::intersect_count_with(&a, &b, &table),
-                    want,
-                    "case={label} container={forced:?} mode={}",
-                    mode.name()
-                );
-            }
         }
     }
-    fesia_core::set_container_params(saved);
-    fesia_core::set_plan_mode(PlanMode::Auto);
 }
 
 #[test]
 fn forced_plans_agree_on_kway_and_batch_paths() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let table = KernelTable::auto();
     let params = FesiaParams::auto();
     let mut rng = SplitMix64::new(0xFE51A);
@@ -171,23 +182,31 @@ fn forced_plans_agree_on_kway_and_batch_paths() {
         .collect();
     let refs: Vec<&SegmentedSet> = sets.iter().collect();
 
-    fesia_core::set_plan_mode(PlanMode::Auto);
     let want_kway = fesia_core::kway_count_with(&refs, &table);
-    let want_pair = fesia_core::auto_count(&sets[0], &sets[1]);
-    for mode in PlanMode::FORCED {
-        fesia_core::set_plan_mode(mode);
+    for strategy in KwayStrategy::ALL {
         assert_eq!(
-            fesia_core::kway_count_with(&refs, &table),
+            execute_kway_count(&refs, &table, strategy),
             want_kway,
-            "k-way under mode={}",
-            mode.name()
-        );
-        assert_eq!(
-            fesia_core::auto_count(&sets[0], &sets[1]),
-            want_pair,
-            "pair under mode={}",
-            mode.name()
+            "k-way under strategy={}",
+            strategy.name()
         );
     }
-    fesia_core::set_plan_mode(PlanMode::Auto);
+    let want_pair = reference_count(&lists[0], &lists[1]);
+    assert_eq!(fesia_core::auto_count(&sets[0], &sets[1]), want_pair);
+    let pairs: Vec<(u32, u32)> = (0..4u32)
+        .flat_map(|i| (0..4).map(move |j| (i, j)))
+        .collect();
+    let batch = fesia_core::batch_count(&sets, &pairs);
+    for (&(i, j), got) in pairs.iter().zip(batch) {
+        let (a, b) = (&sets[i as usize], &sets[j as usize]);
+        assert_eq!(got, reference_count(&lists[i as usize], &lists[j as usize]));
+        for plan in PLANS {
+            assert_eq!(
+                execute_plan_count(a, b, &table, plan),
+                got,
+                "pair ({i}, {j}) under plan={}",
+                plan.name()
+            );
+        }
+    }
 }
