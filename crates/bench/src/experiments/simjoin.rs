@@ -8,16 +8,16 @@
 //! candidates). Large groups sharing a 50% core are the hard negatives:
 //! similar enough that the prefix filter emits every intra-group pair
 //! and a full count must sweep ~500 matching segments, yet bounded away
-//! from the 85% threshold — so the early-exit count's segment-size budget
-//! (sum of min segment sizes over surviving lanes, ~0.6n) prerejects
-//! them right after the bitmap AND, skipping the whole segment sweep.
-//! Uniform background sets round out the near-disjoint easy-reject path.
+//! from the 85% threshold — so the cascade's XOR bitmap filter rejects
+//! them before any count (their symmetric difference, ~1000, leaves the
+//! bound `(|A| + |B| − popcount(F_A ⊕ F_B)) / 2` far under 850). Uniform
+//! background sets round out the near-disjoint easy-reject path.
 //! Measures the full join in both cascade configurations (prefix-only
-//! baseline with a full count per candidate, and the early-exit
-//! cascade), checks both produce the identical survivor set and that
-//! every candidate is accounted for by exactly one counter, and writes
-//! `BENCH_simjoin.json` with the cascade-vs-baseline speedup the tier-1
-//! gate enforces.
+//! baseline with a full count per candidate, and the cascade: XOR filter,
+//! then the early-exit count), checks both produce the identical survivor
+//! set and that every candidate is accounted for by exactly one counter,
+//! and writes `BENCH_simjoin.json` with the cascade-vs-baseline speedup
+//! and the cascade's filter reject share, both gated by tier 1.
 
 use crate::harness::{f2, write_bench_json, Scale, Table};
 use fesia_core::{
@@ -103,13 +103,14 @@ pub fn run(scale: Scale) -> String {
     }
 
     let (_, base_res, base_secs) = &results[0];
-    let (_, _, casc_secs) = &results[1];
+    let (_, casc_res, casc_secs) = &results[1];
     let pairs_match = results.iter().all(|(_, r, _)| r.pairs == base_res.pairs);
     let counters_balance = results.iter().all(|(_, r, _)| stats_balance(&r.stats));
     let survivors_expected = base_res.pairs.len() == expect_pairs;
     let cascade_speedup = base_secs / casc_secs;
     let candidates = base_res.stats.candidates;
     let selectivity = base_res.pairs.len() as f64 / candidates.max(1) as f64;
+    let bitmap_rejected_share = casc_res.stats.bitmap_rejected as f64 / candidates.max(1) as f64;
 
     let mut md = Table::new(vec![
         "config",
@@ -149,7 +150,8 @@ pub fn run(scale: Scale) -> String {
          \"pairs_match\": {pairs_match},\n  \"counters_balance\": {counters_balance},\n  \
          \"survivors_expected\": {survivors_expected},\n  \
          \"candidate_gen_seconds\": {gen_secs:.6},\n  \
-         \"cascade_speedup\": {cascade_speedup:.2},\n  \"configs\": [\n{}\n  ]\n}}\n",
+         \"cascade_speedup\": {cascade_speedup:.2},\n  \
+         \"bitmap_rejected_share\": {bitmap_rejected_share:.4},\n  \"configs\": [\n{}\n  ]\n}}\n",
         85 * n / 100,
         base_res.pairs.len(),
         json_rows.join(",\n"),
@@ -166,11 +168,13 @@ pub fn run(scale: Scale) -> String {
          (selectivity {:.2}%). Survivor sets identical across both \
          cascade configurations: {pairs_match}; counter identity \
          (candidates = bitmap_rejected + early_exited + verified): \
-         {counters_balance}. Cascade speedup over the prefix-only \
+         {counters_balance}. The cascade's XOR filter rejected {:.2}% of \
+         candidates before any count. Cascade speedup over the prefix-only \
          baseline: {}x. Series written to {json_path}.\n\n{}",
         85 * n / 100,
         base_res.pairs.len(),
         selectivity * 100.0,
+        bitmap_rejected_share * 100.0,
         f2(cascade_speedup),
         md.render()
     )

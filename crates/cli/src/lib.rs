@@ -789,6 +789,7 @@ mod tests {
         );
         assert!(json.contains("\"count\": 1"), "{json}");
         assert!(json.contains("\"metrics\""), "{json}");
+        assert!(json.contains("\"simjoin_bitmap_rejected\": 0"), "{json}");
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -810,6 +811,12 @@ mod tests {
         let stats = text.lines().find(|l| l.starts_with('#')).unwrap();
         assert!(
             stats.contains("sets=4") && stats.contains("pairs=1"),
+            "{stats}"
+        );
+        // The XOR filter rejects the two candidates sharing 2 of 4
+        // tokens before any count.
+        assert!(
+            stats.contains("candidates=3 bitmap_rejected=2 early_exited=0 verified=1"),
             "{stats}"
         );
 

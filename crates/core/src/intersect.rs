@@ -881,7 +881,7 @@ mod tests {
     /// and past the smaller side. `Container` on a pair without two
     /// tiers runs its merge fallback.
     #[test]
-    fn threshold_kernels_agree_with_exact_on_every_forced_plan() {
+    fn threshold_kernels_agree_with_exact_on_every_explicit_plan() {
         let random_a = gen_sorted(3_000, 42, 60_000);
         let random_b = gen_sorted(3_000, 99, 60_000);
         let folded_small = gen_sorted(300, 5, 1_000_000);
@@ -952,7 +952,7 @@ mod tests {
     /// runs the tier path rather than the raw segment kernels, on a
     /// run-heavy pair and on an array-heavy pair the planner declines.
     #[test]
-    fn threshold_kernels_agree_on_the_forced_container_tier() {
+    fn threshold_kernels_agree_on_the_explicit_container_tier() {
         let p = FesiaParams::auto();
         let table = KernelTable::auto();
         let planner = IntersectPlanner::current();

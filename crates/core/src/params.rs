@@ -136,10 +136,11 @@ impl Default for FesiaParams {
 /// [`crate::set_simjoin_params`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimjoinParams {
-    /// Verify candidates with the early-exit counting kernels
-    /// ([`crate::intersect_count_at_least`]); off, survivors are decided
-    /// by a full unbounded count (the prefix-filter-only baseline the
-    /// acceptance gate compares against).
+    /// Run the cascade: the XOR bitmap filter, then the early-exit
+    /// counting kernels ([`crate::intersect_count_at_least`]). Off, the
+    /// join builds no filter and decides every candidate by a full
+    /// unbounded count (the prefix-filter-only baseline the acceptance
+    /// gate compares against).
     pub early_exit: bool,
 }
 

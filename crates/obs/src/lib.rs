@@ -448,7 +448,7 @@ define_metrics! {
         simjoin_candidates:
             "Candidate pairs generated by the similarity-join prefix filter.",
         simjoin_early_exited:
-            "Candidates rejected by tier-3 early-exit counting (incl. trivial length rejects).",
+            "Candidates rejected by early-exit counting (incl. trivial length rejects), or by a full count with early exit off.",
         simjoin_verified:
             "Candidates verified as join results by an exact threshold count.",
         snapshot_pins:
@@ -467,6 +467,11 @@ define_metrics! {
             "Off-write-path set rebuilds scheduled by the serving layer when a delta outgrew the rebuild fraction.",
         exec_pinned_tasks:
             "Tasks executed through the executor's shard-pinned task queues.",
+        // Declared last, so that every older counter keeps its offset
+        // and cache line: perfbench serve-mixed's setup time moved with
+        // the placement of the snapshot and serve counters.
+        simjoin_bitmap_rejected:
+            "Candidates rejected by the similarity join's XOR bitmap filter bound, before any count.",
     }
     histograms {
         intersect_cycles:

@@ -159,7 +159,7 @@ fn episode(table: &KernelTable, data_pad: Range<u32>, probe_pad: Range<u32>, pla
 }
 
 #[test]
-fn reads_stay_isolated_under_churn_for_every_forced_plan() {
+fn reads_stay_isolated_under_churn_for_every_explicit_plan() {
     let table = KernelTable::auto();
     let prev = fesia_core::dynamic_params();
     // Tiny fraction (the 64-op floor still applies) → rebuilds fire

@@ -4,7 +4,7 @@
     python3 scripts/bench_gate.py FILE [--ok MESSAGE] 'PATH OP VALUE | MESSAGE' ...
 
 PATH is a dotted key path into the file's JSON object (`run_heavy.speedup`),
-OP is `==`, `<=` or `>=`, and VALUE is a JSON literal (`true`, `0`, `2.0`).
+OP is `==`, `<=`, `>=` or `>`, and VALUE is a JSON literal (`true`, `0`, `2.0`).
 Gates are checked in order: the first that fails prints
 `tier1: FAIL — MESSAGE` and exits 1, and so does a missing field. `{PATH}`
 in a message is replaced by that field's value. When every gate passes,
@@ -16,7 +16,7 @@ import operator
 import re
 import sys
 
-OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
+OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
 def lookup(doc, path):

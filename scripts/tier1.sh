@@ -76,11 +76,12 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/repro simjoin --scale smoke
     echo "== tier1: simjoin gates ($smoke/BENCH_simjoin.json) =="
     gate "$smoke/BENCH_simjoin.json" \
-        --ok 'simjoin gates OK (pairs match, counters balance, cascade {cascade_speedup}x)' \
+        --ok 'simjoin gates OK (pairs match, counters balance, cascade {cascade_speedup}x, XOR filter rejects {bitmap_rejected_share})' \
         'pairs_match == true | cascade survivor pairs differ from the prefix-filter baseline' \
         'counters_balance == true | simjoin counters do not account for every candidate' \
         'survivors_expected == true | survivor count differs from the corpus construction' \
-        'cascade_speedup >= 1.4 | cascade speedup {cascade_speedup}x over prefix-only baseline below 1.4x'
+        'cascade_speedup >= 1.4 | cascade speedup {cascade_speedup}x over prefix-only baseline below 1.4x' \
+        'bitmap_rejected_share > 0 | the XOR bitmap filter rejected no candidate'
 
     echo "== tier1: repro serve --scale smoke =="
     ./target/release/repro serve --scale smoke

@@ -133,7 +133,7 @@ fn materialized_intersection_length_matches_count() {
 }
 
 #[test]
-fn every_op_matches_the_merge_oracle_under_every_forced_plan() {
+fn every_op_matches_the_merge_oracle_under_every_explicit_plan() {
     let params = FesiaParams::auto();
     let mut plans = BTreeSet::new();
     for seed in 0..8u64 {

@@ -87,7 +87,7 @@ fn batch_matches_serial_on_1_2_8_threads() {
 /// equal pair runs plain, the folded 1:64 pair the hash probe, and a
 /// run-heavy pair (asserted here) the container walk.
 #[test]
-fn parallel_paths_agree_under_every_forced_plan() {
+fn parallel_paths_agree_under_every_explicit_plan() {
     let params = FesiaParams::auto();
     let table = KernelTable::auto();
     let mut fx = fixture(&params);

@@ -8,7 +8,7 @@
 
 use fesia_core::{
     batch_count, default_table, intersect_count_bounded_planned, FesiaParams, IntersectPlan,
-    IntersectPlanner, SegmentedSet, SetSummary,
+    IntersectPlanner, SegmentedSet, SetSummary, Threshold,
 };
 use fesia_exec::Executor;
 use fesia_obs::metrics;
@@ -327,5 +327,48 @@ fn set_ops_record_one_plan_and_one_strategy_each() {
             assert_eq!(plans(&d), 1, "case={label} op={} count", op.name());
             assert_eq!(d.strategy_hash + d.strategy_merge, 1, "case={label} count");
         }
+    }
+}
+
+/// A similarity join moves the four `simjoin_*` counters by exactly its
+/// `SimjoinStats`, so the obs deltas satisfy the cascade's identity
+/// `candidates = bitmap_rejected + early_exited + verified`, and the XOR
+/// filter's rejects are visible in them.
+#[test]
+fn simjoin_counters_satisfy_the_identity() {
+    let _guard = serialize_tests();
+    let mut rng = fesia_datagen::SplitMix64::new(0x51A9);
+    // Two clusters sharing a 90% core (their pairs qualify) and two
+    // sharing a 50% core (candidates the XOR filter rejects).
+    let mut lists = fesia_datagen::join_corpus_clustered(2, 5, 0, 200, 0.9, 200_000, &mut rng);
+    lists.extend(fesia_datagen::join_corpus_clustered(
+        2, 8, 10, 200, 0.5, 200_000, &mut rng,
+    ));
+    for th in [Threshold::Overlap(170), Threshold::Jaccard(0.8)] {
+        let before = metrics().snapshot();
+        let r = fesia_core::self_join(&lists, th, 2);
+        let d = metrics().snapshot().delta(&before);
+        let s = r.stats;
+        assert_eq!(
+            (
+                d.simjoin_candidates,
+                d.simjoin_bitmap_rejected,
+                d.simjoin_early_exited,
+                d.simjoin_verified
+            ),
+            (s.candidates, s.bitmap_rejected, s.early_exited, s.verified),
+            "{th:?}: obs deltas equal the join's stats"
+        );
+        assert_eq!(
+            d.simjoin_candidates,
+            d.simjoin_bitmap_rejected + d.simjoin_early_exited + d.simjoin_verified,
+            "{th:?}: counter identity"
+        );
+        assert!(d.simjoin_bitmap_rejected > 0, "{th:?}: the filter fired");
+        assert_eq!(
+            d.simjoin_verified,
+            2 * 10,
+            "{th:?}: two clusters of C(5, 2)"
+        );
     }
 }

@@ -67,7 +67,7 @@ fn case_shapes(seed: u64) -> Vec<(&'static str, Vec<u32>, Vec<u32>)> {
 }
 
 #[test]
-fn every_forced_plan_matches_auto() {
+fn every_explicit_plan_matches_auto() {
     let table = KernelTable::auto();
     let params = FesiaParams::auto();
     for seed in 0..12u64 {
@@ -103,7 +103,7 @@ fn every_forced_plan_matches_auto() {
 /// decline). Every plan, and both planned entry points, return the same
 /// count.
 #[test]
-fn container_knob_settings_agree_on_counts() {
+fn every_explicit_plan_agrees_on_container_shapes() {
     let table = KernelTable::auto();
     let params = FesiaParams::auto();
     let planner = IntersectPlanner::current();
@@ -169,7 +169,7 @@ fn container_knob_settings_agree_on_counts() {
 }
 
 #[test]
-fn forced_plans_agree_on_kway_and_batch_paths() {
+fn explicit_plans_agree_on_kway_and_batch_paths() {
     let table = KernelTable::auto();
     let params = FesiaParams::auto();
     let mut rng = SplitMix64::new(0xFE51A);
