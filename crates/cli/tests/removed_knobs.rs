@@ -1,12 +1,14 @@
 //! The knobs of the removed pipelined, compressed, gallop and pruned
-//! plans, of the similarity join's removed candidate-chunk grain and
-//! summary-bitmap tier, of the removed machine-profile loader, and the
-//! planner's removed strategy and container overrides.
+//! plans, of the similarity join's removed candidate-chunk grain,
+//! summary-bitmap tier and early-exit switch, of the removed
+//! machine-profile loader, the planner's removed strategy and container
+//! overrides, the dynamic sets' removed rebuild fraction and `repro
+//! serve`'s removed write rate.
 //!
 //! Their `FESIA_*` variables are no longer read, so the startup scan
 //! reports them as unrecognized, every `FESIA_PLAN` value (removed mode
 //! or former surviving one) leaves the planner's choice alone, and a
-//! profile file or a container knob changes nothing. Each check runs
+//! profile file or any other removed knob changes nothing. Each check runs
 //! `fesia info` in a child process, because the startup scan runs once
 //! per process.
 
@@ -21,7 +23,7 @@ fn env_lock() -> MutexGuard<'static, ()> {
     ENV.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-const REMOVED_VARS: [&str; 15] = [
+const REMOVED_VARS: [&str; 18] = [
     "FESIA_COMPRESS",
     "FESIA_COMPRESS_MIN",
     "FESIA_CONTAINER",
@@ -35,8 +37,11 @@ const REMOVED_VARS: [&str; 15] = [
     "FESIA_PRUNE",
     "FESIA_PRUNE_MAX_SURVIVOR",
     "FESIA_PRUNE_MIN_BYTES",
+    "FESIA_REBUILD_FRACTION",
+    "FESIA_SERVE_MUTATION_RATE",
     "FESIA_SIMJOIN_BITMAP",
     "FESIA_SIMJOIN_CHUNK",
+    "FESIA_SIMJOIN_EARLY_EXIT",
 ];
 
 /// Run `fesia info` on a set of `elements` with `env` added to a clean
@@ -94,7 +99,8 @@ fn removed_variables_are_reported_unrecognized() {
              FESIA_CONTAINER_MIN, FESIA_PIPELINE, FESIA_PIPELINE_MIN, \
              FESIA_PLAN, FESIA_PREFETCH_DIST, FESIA_PROFILE, FESIA_PRUNE, \
              FESIA_PRUNE_MAX_SURVIVOR, FESIA_PRUNE_MIN_BYTES, \
-             FESIA_SIMJOIN_BITMAP, FESIA_SIMJOIN_CHUNK"
+             FESIA_REBUILD_FRACTION, FESIA_SERVE_MUTATION_RATE, \
+             FESIA_SIMJOIN_BITMAP, FESIA_SIMJOIN_CHUNK, FESIA_SIMJOIN_EARLY_EXIT"
         ),
         "{stderr}"
     );
@@ -122,6 +128,22 @@ fn removed_plan_modes_warn_and_fall_back_to_auto() {
     for mode in ["pipelined", "gallop", "pruned", "plain", "hash", "auto"] {
         let got = fesia_info(mode, &[("FESIA_PLAN", mode)]);
         assert_unchanged("FESIA_PLAN", "plain", got, &default);
+    }
+}
+
+/// The removed rebuild fraction, simjoin early-exit switch and serve
+/// write rate, each set to the value that used to change behaviour,
+/// leave `fesia info` as it was.
+#[test]
+fn removed_runtime_knobs_change_nothing() {
+    let (default, _) = fesia_info("runtime-default", &[]);
+    for (var, value) in [
+        ("FESIA_REBUILD_FRACTION", "0.01"),
+        ("FESIA_SIMJOIN_EARLY_EXIT", "0"),
+        ("FESIA_SERVE_MUTATION_RATE", "5"),
+    ] {
+        let got = fesia_info(var, &[(var, value)]);
+        assert_unchanged(var, "plain", got, &default);
     }
 }
 

@@ -542,39 +542,17 @@ fn range_and_count(a: &Payload<'_>, b: &Payload<'_>, level: SimdLevel, word_ops:
     }
 }
 
-/// Total AND cardinality over the two directories (merged on range key).
-/// All four op counts derive from this via the cardinality identities —
-/// the count path never converts a representation.
-fn and_total(a: &ContainerTier, b: &ContainerTier, level: SimdLevel) -> (u64, u64) {
-    let (na, nb) = (a.num_ranges(), b.num_ranges());
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut and, mut word_ops) = (0u64, 0u64);
-    while i < na && j < nb {
-        let ea = a.entry(i);
-        let eb = b.entry(j);
-        match ea.key.cmp(&eb.key) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                and += range_and_count(&a.payload(&ea), &b.payload(&eb), level, &mut word_ops);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    (and, word_ops)
-}
-
-/// Threshold-aware AND cardinality: `Some(count >= threshold)` or `None`
-/// when |A ∩ B| provably falls short (see
-/// [`crate::intersect_count_bounded`] for the exact contract; a zero
-/// threshold degenerates to the exact `and_total` count).
+/// Threshold-aware AND cardinality over the two directories (merged on
+/// range key): `Some(count >= threshold)` or `None` when |A ∩ B|
+/// provably falls short (see [`crate::intersect_count_bounded_planned`]
+/// for the exact contract; a zero threshold gives the exact count).
 ///
 /// Two directory-merge passes. The first costs only the directory walk
 /// and accumulates the budget `Σ min(card_a, card_b)` over key-matched
 /// ranges — a sound bound because an unmatched key contributes nothing
 /// and a matched range pair at most its smaller cardinality — rejecting
-/// a hopeless pair before any payload is touched. The second sweeps
+/// a hopeless pair before any payload is touched; a zero threshold
+/// cannot reject, so the exact count skips it. The second sweeps
 /// matched ranges under the invariant `count + budget >= threshold`,
 /// aborting the moment it breaks (budget is zero at completion, so
 /// finishing proves `count >= threshold`).
@@ -587,7 +565,7 @@ pub fn and_total_bounded(
 ) -> Option<u64> {
     let (na, nb) = (a.num_ranges(), b.num_ranges());
     let mut budget = 0u64;
-    {
+    if threshold > 0 {
         let (mut i, mut j) = (0usize, 0usize);
         while i < na && j < nb {
             let ea = a.entry(i);
@@ -617,7 +595,8 @@ pub fn and_total_bounded(
                     std::cmp::Ordering::Less => i += 1,
                     std::cmp::Ordering::Greater => j += 1,
                     std::cmp::Ordering::Equal => {
-                        budget -= u64::from(ea.card.min(eb.card));
+                        // Saturates at the zero the skipped budget pass left.
+                        budget = budget.saturating_sub(u64::from(ea.card.min(eb.card)));
                         count +=
                             range_and_count(&a.payload(&ea), &b.payload(&eb), level, &mut word_ops);
                         i += 1;
@@ -658,9 +637,7 @@ fn record_metrics(tiers: &[&ContainerTier], word_ops: u64) {
 /// ops' cardinalities follow from it by inclusion–exclusion
 /// ([`crate::set_op_count`]).
 pub fn intersect_count(a: &ContainerTier, b: &ContainerTier, level: SimdLevel) -> usize {
-    let (and, word_ops) = and_total(a, b, level);
-    record_metrics(&[a, b], word_ops);
-    and as usize
+    and_total_bounded(a, b, level, 0, false).expect("a zero threshold never rejects") as usize
 }
 
 // --- materializing path -----------------------------------------------------

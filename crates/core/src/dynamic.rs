@@ -13,11 +13,8 @@
 //! Every query over live sets runs through one executor, [`LiveQuery`]:
 //! the planner-driven paths answer it over the bases, and one delta stage
 //! corrects that answer exactly from the (small) delta lists (DESIGN.md
-//! §5l). When a delta outgrows the
-//! configured rebuild fraction of the base
-//! ([`crate::params::DynamicParams`], default
-//! [`DynamicSet::REBUILD_FRACTION`], env `FESIA_REBUILD_FRACTION`), the
-//! set is re-encoded.
+//! §5l). When a delta outgrows [`DynamicSet::REBUILD_FRACTION`] of the
+//! base (floor 64 ops), the set is re-encoded.
 //!
 //! The base and the delta lists are each held behind an [`Arc`], so
 //! cloning a `DynamicSet` copies two refcounts and nothing else. A
@@ -33,38 +30,10 @@ use crate::intersect::auto_count_planned;
 use crate::kernels::visit::{union_visit, EmitVisitor, SetOp};
 use crate::kernels::KernelTable;
 use crate::kway::{kway_count_planned, kway_intersect_planned, kway_union};
-use crate::params::{DynamicParams, FesiaParams};
+use crate::params::FesiaParams;
 use crate::plan::IntersectPlanner;
 use crate::set::SegmentedSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// `DynamicParams::rebuild_fraction` as f64 bits (atomics hold no
-/// floats); initialized to the documented default.
-static REBUILD_FRACTION_BITS: AtomicU64 = AtomicU64::new(0x3FD0_0000_0000_0000); // 0.25
-
-/// Raw store of the dynamic-set knobs, with no initialization check
-/// (`crate::plan::ensure_init` uses this from inside its `OnceLock`
-/// closure, where the ensuring setter would re-enter it and deadlock).
-pub(crate) fn store_dynamic(p: DynamicParams) {
-    REBUILD_FRACTION_BITS.store(p.rebuild_fraction.to_bits(), Ordering::Relaxed);
-}
-
-/// The process-wide [`DynamicParams`] governing when a [`DynamicSet`]
-/// folds its deltas (env layering done by the planner's one-shot
-/// initialization).
-pub fn dynamic_params() -> DynamicParams {
-    crate::plan::ensure_init();
-    DynamicParams {
-        rebuild_fraction: f64::from_bits(REBUILD_FRACTION_BITS.load(Ordering::Relaxed)),
-    }
-}
-
-/// Replace the process-wide [`DynamicParams`].
-pub fn set_dynamic_params(p: DynamicParams) {
-    crate::plan::ensure_init();
-    store_dynamic(p);
-}
 
 /// A mutable set: immutable FESIA base plus sorted add/delete deltas.
 #[derive(Debug, Clone)]
@@ -86,8 +55,10 @@ struct Delta {
 }
 
 impl DynamicSet {
-    /// Default delta size (relative to the base) that triggers a rebuild;
-    /// the effective value is [`dynamic_params`].
+    /// Delta size (adds + deletes, relative to the base) that triggers
+    /// a rebuild, with an absolute floor of 64 ops so tiny sets are not
+    /// rebuilt per insert. Smaller fractions would keep [`LiveQuery`]'s
+    /// delta stage cheaper at the price of more frequent re-encodes.
     pub const REBUILD_FRACTION: f64 = 0.25;
 
     /// Start from a sorted, duplicate-free slice.
@@ -229,15 +200,14 @@ impl DynamicSet {
         Ok(folded)
     }
 
-    /// Whether the pending delta has outgrown the configured rebuild
-    /// fraction ([`dynamic_params`]) of the base.
+    /// Whether the pending delta has outgrown
+    /// [`DynamicSet::REBUILD_FRACTION`] of the base (floor 64 ops).
     pub fn needs_rebuild(&self) -> bool {
         self.delta_len() > self.rebuild_threshold()
     }
 
     fn rebuild_threshold(&self) -> usize {
-        let fraction = dynamic_params().rebuild_fraction;
-        (self.base.len() as f64 * fraction).max(64.0) as usize
+        (self.base.len() as f64 * Self::REBUILD_FRACTION).max(64.0) as usize
     }
 
     fn maybe_rebuild(&mut self) -> Result<(), BuildError> {
@@ -634,37 +604,35 @@ mod tests {
         assert_eq!(s.len(), 303);
     }
 
-    /// Satellite: the rebuild fraction is a process-wide knob
-    /// (`FESIA_REBUILD_FRACTION` / [`crate::set_dynamic_params`]), not a
-    /// hard-coded const.
+    /// The rebuild threshold is `max(64, 0.25·|base|)` pending ops: a
+    /// delta of exactly the threshold stays, one more op folds.
     #[test]
-    fn rebuild_fraction_is_configurable() {
-        let prev = dynamic_params();
-        let base: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
+    fn rebuild_threshold_is_a_quarter_of_the_base_with_a_floor_of_64() {
+        for (base_len, threshold) in [(100u32, 64usize), (256, 64), (10_000, 2_500)] {
+            let base: Vec<u32> = (0..base_len).map(|i| i * 2).collect();
+            let mut s = DynamicSet::build(&base, &params()).unwrap();
+            for x in 0..threshold as u32 {
+                s.insert_deferred(x * 2 + 1).unwrap();
+            }
+            assert_eq!(s.delta_len(), threshold);
+            assert!(
+                !s.needs_rebuild(),
+                "base {base_len}: folds at the threshold"
+            );
+            s.remove_deferred(0).unwrap();
+            assert!(
+                s.needs_rebuild(),
+                "base {base_len}: no fold past the threshold"
+            );
 
-        // Default fraction 0.25: 150 inserts stay in the delta.
-        set_dynamic_params(DynamicParams::default());
-        let mut s = DynamicSet::build(&base, &params()).unwrap();
-        for x in 0..150 {
-            s.insert(x * 2 + 1).unwrap();
+            // An inline write past the threshold folds the delta at once.
+            let mut s = DynamicSet::build(&base, &params()).unwrap();
+            for x in 0..=threshold as u32 {
+                s.insert(x * 2 + 1).unwrap();
+            }
+            assert_eq!(s.delta_len(), 0, "base {base_len}");
+            assert_eq!(s.len(), base_len as usize + threshold + 1);
         }
-        assert_eq!(s.delta_len(), 150, "default fraction should not fold yet");
-        assert!(!s.needs_rebuild());
-
-        // Fraction 0.01 (threshold 100): the same churn folds early.
-        set_dynamic_params(DynamicParams::default().with_rebuild_fraction(0.01));
-        let mut s = DynamicSet::build(&base, &params()).unwrap();
-        for x in 0..150 {
-            s.insert(x * 2 + 1).unwrap();
-        }
-        assert!(
-            s.delta_len() <= 101,
-            "delta {} not folded at fraction 0.01",
-            s.delta_len()
-        );
-        assert_eq!(s.len(), 10_150);
-
-        set_dynamic_params(prev);
     }
 
     #[test]

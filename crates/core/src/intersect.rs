@@ -211,19 +211,6 @@ fn count_raw_pair(
 // similarity-join filter cascade (see `crate::simjoin`).
 // ---------------------------------------------------------------------------
 
-/// `Some(|A ∩ B|)` if the intersection reaches `threshold`, else `None`
-/// — the similarity-join cascade's early-exit counting kernel with the
-/// process-default table and planner. See
-/// [`intersect_count_bounded_planned`] for the exact contract.
-pub fn intersect_count_bounded(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    threshold: usize,
-) -> Option<usize> {
-    let planner = IntersectPlanner::current();
-    intersect_count_bounded_planned(a, b, default_table(), &planner, threshold)
-}
-
 /// Does |A ∩ B| reach `threshold`? Early-exits in both directions: on
 /// success the sweep stops the moment the running count reaches
 /// `threshold`, on failure the moment the residual upper bound
@@ -250,13 +237,15 @@ pub fn intersect_count_at_least(a: &SegmentedSet, b: &SegmentedSet, threshold: u
     }
 }
 
-/// [`intersect_count_bounded`] against an explicit table and planner.
-/// `Some(n)` implies `n == |A ∩ B|` and `n >= threshold`;
-/// `None` implies `|A ∩ B| < threshold`. A zero threshold always returns
-/// the exact count (the residual-bound check can never fire), so
-/// `intersect_count_bounded(a, b, 0)` is a drop-in for the unbounded
-/// count. The planner's threshold term resolves trivial pairs first:
-/// `threshold > min(|A|, |B|)` rejects with no work at all.
+/// `Some(|A ∩ B|)` if the intersection reaches `threshold`, else `None`
+/// — the similarity-join cascade's early-exit counting kernel, against
+/// an explicit table and planner. `Some(n)` implies `n == |A ∩ B|` and
+/// `n >= threshold`; `None` implies `|A ∩ B| < threshold`. A zero
+/// threshold always returns the exact count (the residual-bound check
+/// can never fire), so `intersect_count_bounded_planned(a, b, table,
+/// planner, 0)` is a drop-in for the unbounded count. The planner's
+/// threshold term resolves trivial pairs first: `threshold > min(|A|,
+/// |B|)` rejects with no work at all.
 pub fn intersect_count_bounded_planned(
     a: &SegmentedSet,
     b: &SegmentedSet,

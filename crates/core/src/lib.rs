@@ -66,13 +66,13 @@ pub use batch::{
     batch_count, batch_count_pairs, batch_count_pairs_on, batch_op_pairs, batch_op_pairs_on,
 };
 pub use container::{ContainerKind, ContainerStats, ContainerTier};
-pub use dynamic::{dynamic_params, set_dynamic_params, DynamicSet, LiveQuery};
+pub use dynamic::{DynamicSet, LiveQuery};
 pub use error::{BuildError, MAX_ELEMENT};
 pub use intersect::{
     auto_count, auto_count_planned, auto_count_with, default_table, execute_plan_count,
     hash_probe_count, intersect, intersect_count, intersect_count_at_least,
-    intersect_count_bounded, intersect_count_bounded_planned, intersect_count_breakdown,
-    intersect_count_interleaved_with, intersect_count_with, Breakdown,
+    intersect_count_bounded_planned, intersect_count_breakdown, intersect_count_interleaved_with,
+    intersect_count_with, Breakdown,
 };
 pub use kernels::visit::{CountVisitor, EmitVisitor, FnVisitor, SegmentVisitor, SetOp};
 pub use kernels::KernelTable;
@@ -81,8 +81,8 @@ pub use kway::{
     kway_intersect, kway_intersect_planned, kway_intersect_with, kway_union,
 };
 pub use mmap::{MappedFile, Section};
-pub use parallel::{par_intersect_count, par_intersect_count_on, par_intersect_count_with};
-pub use params::{DynamicParams, FesiaParams, SimjoinParams};
+pub use parallel::{par_intersect_count, par_intersect_count_on};
+pub use params::{FesiaParams, SimjoinParams};
 pub use plan::{
     profile_status, should_container_summaries, IntersectPlan, IntersectPlanner, KwayPlan,
     KwayStrategy, SetSummary, ThresholdPlan,
@@ -91,7 +91,7 @@ pub use serialize::{deserialize_many, deserialize_many_mapped, serialize_many, D
 pub use set::SegmentedSet;
 pub use simjoin::{
     candidate_pairs, candidate_pairs_self, join, join_with, self_join, self_join_with,
-    set_simjoin_params, simjoin_params, SimjoinResult, SimjoinStats, Threshold,
+    simjoin_params, SimjoinResult, SimjoinStats, Threshold,
 };
 pub use snapshot::{SetRef, SetStore, SetVersion, Snapshot, StoreState, EPOCH_SLOTS};
 pub use stats::{bit_collision_rate, filter_stats, survivor_segments, FilterStats, SegmentStats};

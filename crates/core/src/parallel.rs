@@ -14,23 +14,12 @@ use crate::set::SegmentedSet;
 use fesia_exec::Executor;
 use fesia_simd::mask::for_each_nonzero_lane;
 
-/// |A ∩ B| computed on up to `num_threads` pool participants with an
-/// explicit table.
+/// [`par_intersect_count`] on an explicit executor and table (tests and
+/// benches use dedicated pools to pin the worker count).
 ///
 /// Partitioning is over the byte range of the (larger) bitmap, aligned to
 /// 64-byte blocks — and, when the bitmaps differ in size, to whole tiles of
 /// the smaller bitmap so each chunk folds independently.
-pub fn par_intersect_count_with(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    num_threads: usize,
-    table: &KernelTable,
-) -> usize {
-    par_intersect_count_on(Executor::global(), a, b, num_threads, table)
-}
-
-/// [`par_intersect_count_with`] on an explicit executor (tests and
-/// benches use dedicated pools to pin the worker count).
 pub fn par_intersect_count_on(
     exec: &Executor,
     a: &SegmentedSet,
@@ -135,9 +124,10 @@ pub fn par_intersect_count_on(
         .unwrap_or(0) as usize
 }
 
-/// |A ∩ B| on `num_threads` threads with the process-default table.
+/// |A ∩ B| on up to `num_threads` participants of the global pool, with
+/// the process-default table.
 pub fn par_intersect_count(a: &SegmentedSet, b: &SegmentedSet, num_threads: usize) -> usize {
-    par_intersect_count_with(a, b, num_threads, default_table())
+    par_intersect_count_on(Executor::global(), a, b, num_threads, default_table())
 }
 
 #[cfg(test)]

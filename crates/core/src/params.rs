@@ -4,28 +4,24 @@ use fesia_simd::mask::LaneWidth;
 use fesia_simd::util::next_pow2;
 use fesia_simd::SimdLevel;
 
-/// Centralized, validated parsing of every `FESIA_*` environment knob.
+/// The `FESIA_*` environment: the two deployment settings and the
+/// startup scan for everything else.
 ///
-/// All knob reads in the workspace funnel through here (or, below
-/// `fesia-core` in the dependency graph, through the same
-/// `fesia_obs::env` primitives this module re-exports): missing
-/// variables are silent, malformed values emit exactly one `warning:`
-/// line via the shared path and fall back to the default, and
-/// [`env::warn_unrecognized`] reports — once per process — any
-/// `FESIA_*` variable that no component recognizes (typo protection:
-/// `FESIA_THRAEDS=4` would otherwise be silently ignored).
+/// The environment holds only deployment settings — the worker-pool
+/// size (`FESIA_THREADS`, read by `fesia-exec` through the same
+/// `fesia_obs::env` primitive this module re-exports) and the serving
+/// layer's shard count (`FESIA_SERVE_SHARDS`). Missing variables are
+/// silent, malformed values emit exactly one `warning:` line and fall
+/// back to the default, and [`env::warn_unrecognized`] reports — once
+/// per process — any `FESIA_*` variable that no component recognizes
+/// (typo protection: `FESIA_THRAEDS=4` would otherwise be silently
+/// ignored).
 pub mod env {
-    pub use fesia_obs::env::{parse_bool, parse_f64, parse_u32, parse_usize, raw, warn_malformed};
+    pub use fesia_obs::env::parse_usize;
     use std::sync::OnceLock;
 
     /// Every `FESIA_*` variable some component of this workspace reads.
-    pub const KNOWN_VARS: &[&str] = &[
-        "FESIA_THREADS",
-        "FESIA_SIMJOIN_EARLY_EXIT",
-        "FESIA_REBUILD_FRACTION",
-        "FESIA_SERVE_SHARDS",
-        "FESIA_SERVE_MUTATION_RATE",
-    ];
+    pub const KNOWN_VARS: &[&str] = &["FESIA_THREADS", "FESIA_SERVE_SHARDS"];
 
     /// `FESIA_*` variables present in the environment that no component
     /// reads (sorted). Exposed separately from the warning so it is
@@ -41,7 +37,7 @@ pub mod env {
 
     /// Emit one startup warning listing unrecognized `FESIA_*`
     /// variables. Idempotent: the scan runs once per process, on the
-    /// first planner/params initialization.
+    /// first [`crate::IntersectPlanner::current`] call.
     pub fn warn_unrecognized() {
         static ONCE: OnceLock<()> = OnceLock::new();
         ONCE.get_or_init(|| {
@@ -124,16 +120,13 @@ impl Default for FesiaParams {
     }
 }
 
-/// Tuning knob for the similarity-join filter cascade
+/// The similarity-join filter cascade's one switch
 /// ([`crate::simjoin`]).
 ///
 /// The cascade's length/prefix candidate generation is the baseline and
-/// always runs; early exit is switchable so the `repro simjoin`
-/// experiment can measure it against that baseline.
-///
-/// The process-wide default is read once from the environment
-/// (`FESIA_SIMJOIN_EARLY_EXIT=0|1`) and can be changed at runtime with
-/// [`crate::set_simjoin_params`].
+/// always runs; early exit is an explicit argument so the `repro
+/// simjoin` experiment can measure the cascade against that baseline.
+/// Every default entry point runs the cascade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimjoinParams {
     /// Run the cascade: the XOR bitmap filter, then the early-exit
@@ -151,16 +144,6 @@ impl Default for SimjoinParams {
 }
 
 impl SimjoinParams {
-    /// The defaults, with the `FESIA_SIMJOIN_EARLY_EXIT` environment
-    /// override applied.
-    pub fn from_env() -> Self {
-        let mut p = SimjoinParams::default();
-        if let Some(e) = env::parse_bool("FESIA_SIMJOIN_EARLY_EXIT") {
-            p.early_exit = e;
-        }
-        p
-    }
-
     /// Enable or disable the early-exit kernels.
     pub fn with_early_exit(mut self, on: bool) -> Self {
         self.early_exit = on;
@@ -168,83 +151,9 @@ impl SimjoinParams {
     }
 }
 
-/// Tuning knob for [`crate::DynamicSet`]'s delta-folding policy.
-///
-/// A dynamic set re-encodes its base when the pending delta (adds +
-/// deletes) outgrows `rebuild_fraction` of the base length (with an
-/// absolute floor of 64 so tiny sets are not rebuilt per insert).
-/// Smaller fractions keep the delta stage of [`crate::LiveQuery`]
-/// cheap at the price of more frequent rebuilds; the serving layer's write amplification is
-/// directly this knob.
-///
-/// The process-wide default is read once from the environment
-/// (`FESIA_REBUILD_FRACTION=F`) and can be changed at runtime with
-/// [`crate::set_dynamic_params`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynamicParams {
-    /// Delta size relative to the base that triggers a rebuild
-    /// (strictly positive).
-    pub rebuild_fraction: f64,
-}
-
-impl Default for DynamicParams {
-    fn default() -> Self {
-        DynamicParams {
-            rebuild_fraction: 0.25,
-        }
-    }
-}
-
-impl DynamicParams {
-    /// The defaults, with the `FESIA_REBUILD_FRACTION` environment
-    /// override applied.
-    pub fn from_env() -> Self {
-        let mut p = DynamicParams::default();
-        if let Some(f) = env::parse_f64("FESIA_REBUILD_FRACTION") {
-            if f > 0.0 && f.is_finite() {
-                p.rebuild_fraction = f;
-            } else {
-                env::warn_malformed(
-                    "FESIA_REBUILD_FRACTION",
-                    &f.to_string(),
-                    "a positive finite fraction",
-                );
-            }
-        }
-        p
-    }
-
-    /// Override the rebuild fraction.
-    ///
-    /// # Panics
-    /// Panics unless `f` is positive and finite.
-    pub fn with_rebuild_fraction(mut self, f: f64) -> Self {
-        assert!(
-            f > 0.0 && f.is_finite(),
-            "rebuild fraction must be positive"
-        );
-        self.rebuild_fraction = f;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dynamic_params_builders() {
-        let p = DynamicParams::default();
-        assert!((p.rebuild_fraction - 0.25).abs() < 1e-12);
-        let q = p.with_rebuild_fraction(0.05);
-        assert!((q.rebuild_fraction - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_rebuild_fraction_panics() {
-        let _ = DynamicParams::default().with_rebuild_fraction(0.0);
-    }
 
     #[test]
     fn defaults_track_simd_width() {

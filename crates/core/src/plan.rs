@@ -16,9 +16,8 @@
 //! override a decision. Every plan decision is recorded in the
 //! `fesia-obs` `plan_*` counters.
 
-use crate::params::{self, DynamicParams};
+use crate::params;
 use crate::set::SegmentedSet;
-use std::sync::OnceLock;
 
 /// The explicit execution shape the planner selects for one pair.
 ///
@@ -197,23 +196,6 @@ pub fn should_container_summaries(a: &SetSummary, b: &SetSummary) -> bool {
     a.len + b.len >= CONTAINER_MIN_ELEMENTS && da.min(db) * 100.0 >= CONTAINER_MIN_DENSE_PCT
 }
 
-// ---------------------------------------------------------------------------
-// Process-wide initialization
-// ---------------------------------------------------------------------------
-
-static INIT: OnceLock<()> = OnceLock::new();
-
-/// One-shot initialization: warn about unrecognized `FESIA_*`
-/// variables, then apply the dynamic-set environment override on top of
-/// its default. Idempotent and re-entrancy-safe (the knob store goes
-/// through the raw setter, not the ensuring one).
-pub(crate) fn ensure_init() {
-    INIT.get_or_init(|| {
-        params::env::warn_unrecognized();
-        crate::dynamic::store_dynamic(DynamicParams::from_env());
-    });
-}
-
 /// Where the planner's settings come from, for result stamps. Always
 /// the same: the planner has no settings, and machine-profile files are
 /// no longer read.
@@ -232,10 +214,10 @@ pub fn profile_status() -> String {
 pub struct IntersectPlanner;
 
 impl IntersectPlanner {
-    /// The planner, after the process's one-shot initialization (which
-    /// reports unrecognized `FESIA_*` variables once).
+    /// The planner. The first call in a process reports unrecognized
+    /// `FESIA_*` variables ([`params::env::warn_unrecognized`]).
     pub fn current() -> IntersectPlanner {
-        ensure_init();
+        params::env::warn_unrecognized();
         IntersectPlanner
     }
 

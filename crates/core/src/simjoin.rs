@@ -22,16 +22,16 @@
 //!    rejected without a count. The filters are per-join scratch, built
 //!    on the executor from the lists the join takes; the width follows
 //!    from the threshold and the longest list (`filter_bits`).
-//! 3. **Early-exit counting** ([`crate::intersect_count_bounded`]):
+//! 3. **Early-exit counting** ([`crate::intersect_count_bounded_planned`]):
 //!    the planner-selected kernel sweep, aborted the moment the residual
 //!    upper bound (matched-so-far + what the unswept remainder could
 //!    contribute) drops below `t`. Survivors complete the sweep, so
 //!    every reported pair carries its exact intersection size.
 //!
-//! Early exit is switchable ([`crate::params::SimjoinParams`]); off,
-//! the join is the prefix-filter-only baseline (no XOR filter, exact
-//! full count per candidate) that `repro simjoin` measures the cascade
-//! against.
+//! Early exit is an explicit argument of the `*_with` entry points
+//! ([`crate::params::SimjoinParams`]); off, the join is the
+//! prefix-filter-only baseline (no XOR filter, exact full count per
+//! candidate) that `repro simjoin` measures the cascade against.
 //!
 //! Tier 1 runs inside the parallel cascade rather than in front of it:
 //! one flat prefix index is built per join, workers claim ranges of
@@ -43,45 +43,16 @@ use crate::batch::DisjointOut;
 use crate::hash::position;
 use crate::intersect::{auto_count_planned, default_table, intersect_count_bounded_planned};
 use crate::kernels::KernelTable;
-use crate::params::{env, FesiaParams, SimjoinParams};
+use crate::params::{FesiaParams, SimjoinParams};
 use crate::plan::IntersectPlanner;
 use crate::set::SegmentedSet;
 use fesia_exec::Executor;
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
-// ---------------------------------------------------------------------------
-// Process-wide simjoin knobs (`FESIA_SIMJOIN_*`)
-// ---------------------------------------------------------------------------
-
-static SIMJOIN_EARLY_EXIT: AtomicBool = AtomicBool::new(true);
-static SIMJOIN_INIT: OnceLock<()> = OnceLock::new();
-
-fn ensure_simjoin_init() {
-    SIMJOIN_INIT.get_or_init(|| {
-        env::warn_unrecognized();
-        store_simjoin(SimjoinParams::from_env());
-    });
-}
-
-fn store_simjoin(p: SimjoinParams) {
-    SIMJOIN_EARLY_EXIT.store(p.early_exit, Ordering::Relaxed);
-}
-
-/// The process-wide [`SimjoinParams`] (after `FESIA_SIMJOIN_*`
-/// initialization).
+/// The [`SimjoinParams`] the default entry points run with: always
+/// [`SimjoinParams::default`] (the full cascade).
 pub fn simjoin_params() -> SimjoinParams {
-    ensure_simjoin_init();
-    SimjoinParams {
-        early_exit: SIMJOIN_EARLY_EXIT.load(Ordering::Relaxed),
-    }
-}
-
-/// Replace the process-wide [`SimjoinParams`].
-pub fn set_simjoin_params(p: SimjoinParams) {
-    ensure_simjoin_init();
-    store_simjoin(p);
+    SimjoinParams::default()
 }
 
 // ---------------------------------------------------------------------------
@@ -765,8 +736,8 @@ pub fn self_join_with<S: Borrow<SegmentedSet> + Sync>(
 }
 
 /// Self-join with process defaults: sets built with
-/// [`FesiaParams::auto`], the default kernel table, the planner, and the
-/// `FESIA_SIMJOIN_EARLY_EXIT` knob.
+/// [`FesiaParams::auto`], the default kernel table, the planner, and
+/// the full cascade ([`SimjoinParams::default`]).
 pub fn self_join(lists: &[Vec<u32>], threshold: Threshold, threads: usize) -> SimjoinResult {
     let p = FesiaParams::auto();
     let sets: Vec<SegmentedSet> = lists
@@ -780,7 +751,7 @@ pub fn self_join(lists: &[Vec<u32>], threshold: Threshold, threads: usize) -> Si
         threshold,
         default_table(),
         &planner,
-        &simjoin_params(),
+        &SimjoinParams::default(),
         threads,
     )
 }
@@ -858,7 +829,7 @@ pub fn join(
         threshold,
         default_table(),
         &planner,
-        &simjoin_params(),
+        &SimjoinParams::default(),
         threads,
     )
 }
@@ -1461,14 +1432,5 @@ mod tests {
         let planner = IntersectPlanner::current();
         let th = Threshold::Overlap(1);
         let _ = self_join_with(&sets, &lists, th, default_table(), &planner, &sp, 2);
-    }
-
-    #[test]
-    fn simjoin_knob_round_trips() {
-        let saved = simjoin_params();
-        let q = SimjoinParams::default().with_early_exit(false);
-        set_simjoin_params(q);
-        assert_eq!(simjoin_params(), q);
-        set_simjoin_params(saved);
     }
 }

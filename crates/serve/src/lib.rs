@@ -17,7 +17,7 @@
 //!   on other *writers* of the same shard, never on readers.
 //! * **Rebuilds** (folding a grown delta back into the segmented base)
 //!   happen off the write path: publishing a set whose delta crossed the
-//!   rebuild fraction schedules a task on the shard's pinned executor
+//!   rebuild threshold schedules a task on the shard's pinned executor
 //!   lane ([`fesia_exec::Executor::spawn_pinned`]), which re-checks,
 //!   rebuilds, and publishes a fresh version without blocking anyone.
 //!
@@ -26,8 +26,9 @@
 //! see [`protocol`].
 //!
 //! Shard count comes from `FESIA_SERVE_SHARDS` (default: the executor's
-//! lane count). Rebuild eagerness follows the core-wide
-//! `FESIA_REBUILD_FRACTION` knob.
+//! lane count). A set is folded once its delta outgrows
+//! [`fesia_core::DynamicSet::REBUILD_FRACTION`] of its base (floor 64
+//! ops).
 
 pub mod protocol;
 pub mod server;

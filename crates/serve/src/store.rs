@@ -613,8 +613,6 @@ mod tests {
 
     #[test]
     fn rebuilds_fold_deltas_off_the_write_path() {
-        let prev = fesia_core::dynamic_params();
-        fesia_core::set_dynamic_params(prev.with_rebuild_fraction(1e-9));
         let folds_before = fesia_obs::metrics().serve_rebuilds.get();
         let s = store(2);
         s.seed(0, &(0..256).collect::<Vec<_>>());
@@ -634,6 +632,5 @@ mod tests {
             "delta {}",
             v.resolve(0).delta_len()
         );
-        fesia_core::set_dynamic_params(prev);
     }
 }

@@ -87,10 +87,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/repro serve --scale smoke
     echo "== tier1: serve gates ($smoke/BENCH_serve.json) =="
     gate "$smoke/BENCH_serve.json" \
-        --ok 'serve gates OK (oracle match, p99 {p99_ms}ms, max reader stall {max_reader_stall_ms}ms)' \
+        --ok 'serve gates OK (oracle match, p99 {p99_ms}ms, max reader stall {max_reader_stall_ms}ms, {rebuilds} rebuilds under traffic)' \
         'counts_match == true | serving results diverged from the offline replay oracle' \
         'p99_within_budget == true | serve read p99 {p99_ms}ms over budget' \
-        'stall_within_budget == true | a reader stalled {max_reader_stall_ms}ms (> 10ms) waiting for an epoch slot'
+        'stall_within_budget == true | a reader stalled {max_reader_stall_ms}ms (> 10ms) waiting for an epoch slot' \
+        'rebuilds > 0 | no set folded during the traffic phase, so no reader raced a rebuild'
 
     # The computed path (triangles), the served read path (serve-mixed)
     # and the similarity join (simjoin): each must answer every operation
