@@ -13,9 +13,10 @@
 //! bound `(|A| + |B| − popcount(F_A ⊕ F_B)) / 2` far under 850). Uniform
 //! background sets round out the near-disjoint easy-reject path.
 //! Measures the full join in both cascade configurations (prefix-only
-//! baseline with a full count per candidate, and the cascade: XOR filter,
-//! then the early-exit count), checks both produce the identical survivor
-//! set and that every candidate is accounted for by exactly one counter,
+//! baseline with an exact count per candidate, and the cascade: XOR
+//! filter, then the same exact count), checks both produce the identical
+//! survivor set and that every candidate is accounted for by exactly one
+//! counter (`early_exited` counts the candidates the exact count rejects),
 //! and writes `BENCH_simjoin.json` with the cascade-vs-baseline speedup
 //! and the cascade's filter reject share, both gated by tier 1.
 
@@ -62,7 +63,7 @@ pub fn run(scale: Scale) -> String {
     // element and the bitmap scan itself dominates, leaving the cascade
     // nothing to skip. At 2 bits/element the per-segment kernel work (and
     // the reordered-element traffic) is the dominant per-pair cost, which
-    // is exactly what the early-exit budget prereject elides.
+    // is exactly what the XOR filter's reject elides.
     let params = FesiaParams::auto().with_bits_per_element(2.0);
     let sets: Vec<SegmentedSet> = lists
         .iter()
@@ -89,8 +90,8 @@ pub fn run(scale: Scale) -> String {
 
     let configs: [(&str, bool); 2] = [("baseline", false), ("cascade", true)];
     let mut results = Vec::new();
-    for &(name, early) in &configs {
-        let sp = SimjoinParams::default().with_early_exit(early);
+    for &(name, filter) in &configs {
+        let sp = SimjoinParams::default().with_filter(filter);
         let join = || self_join_with(&sets, &lists, threshold, &table, &planner, &sp, 1);
         let first = join(); // warm-up + correctness capture
         let mut best = f64::MAX;

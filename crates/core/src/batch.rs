@@ -12,10 +12,7 @@
 //! count and workers claim chunks as they finish, so a run of expensive
 //! pairs (large sets, skewed sizes) no longer serializes on whichever
 //! thread drew them — the failure mode of the old one-static-chunk-per-
-//! thread `std::thread::scope` partitioning. Each pool worker keeps its
-//! own survivor scratch buffer (thread-local in the threshold merge),
-//! so the phase-1/phase-2 buffer is allocated once per thread and reused
-//! across every pair of the batch.
+//! thread `std::thread::scope` partitioning.
 //!
 //! Before dispatch the batch is reordered *cache-residently*: a greedy
 //! pass chains pairs sharing an operand so they run consecutively on the
@@ -28,7 +25,6 @@
 //! directly after a neighbour sharing an operand.
 
 use crate::intersect::{auto_count_planned, default_table};
-use crate::kernels::visit::SetOp;
 use crate::kernels::KernelTable;
 use crate::plan::IntersectPlanner;
 use crate::set::SegmentedSet;
@@ -171,77 +167,6 @@ pub fn batch_count(sets: &[SegmentedSet], pairs: &[(u32, u32)]) -> Vec<usize> {
     batch_count_pairs(sets, pairs, default_table(), 1)
 }
 
-/// Materialize `op(A, B)` for every `(a, b)` index pair over `sets` —
-/// the batched face of the set-algebra family ([`crate::algebra`]) —
-/// with the same planner, cache-resident schedule, and dynamic
-/// chunking as [`batch_count_pairs`].
-///
-/// # Panics
-/// Panics if an index is out of bounds or `threads == 0`.
-pub fn batch_op_pairs(
-    sets: &[SegmentedSet],
-    pairs: &[(u32, u32)],
-    op: SetOp,
-    threads: usize,
-) -> Vec<Vec<u32>> {
-    assert!(threads >= 1, "need at least one thread");
-    batch_op_pairs_on(Executor::global(), sets, pairs, op, threads)
-}
-
-/// [`batch_op_pairs`] on an explicit executor.
-pub fn batch_op_pairs_on(
-    exec: &Executor,
-    sets: &[SegmentedSet],
-    pairs: &[(u32, u32)],
-    op: SetOp,
-    threads: usize,
-) -> Vec<Vec<u32>> {
-    assert!(threads >= 1, "need at least one thread");
-    for &(a, b) in pairs {
-        assert!(
-            (a as usize) < sets.len() && (b as usize) < sets.len(),
-            "pair index out of bounds"
-        );
-    }
-    let m = fesia_obs::metrics();
-    m.batch_calls.inc();
-    m.batch_pairs.add(pairs.len() as u64);
-    let planner = IntersectPlanner::current();
-    let order = cache_resident_order(sets.len(), pairs);
-    let mut results: Vec<Vec<u32>> = (0..pairs.len()).map(|_| Vec::new()).collect();
-    let out = DisjointOut(results.as_mut_ptr());
-    exec.for_each_chunk(pairs.len(), MIN_PAIRS_PER_CHUNK, threads, |range| {
-        let out = &out;
-        let mut resident = 0u64;
-        let mut prev: Option<(u32, u32)> = None;
-        for &k in &order[range] {
-            let k = k as usize;
-            let (ai, bi) = pairs[k];
-            if let Some((pa, pb)) = prev {
-                if ai == pa || ai == pb || bi == pa || bi == pb {
-                    resident += 1;
-                }
-            }
-            prev = Some((ai, bi));
-            let v = crate::algebra::set_op_planned(
-                &sets[ai as usize],
-                &sets[bi as usize],
-                op,
-                &planner,
-            );
-            // SAFETY: as in `batch_count_pairs_on` — `k` is written by
-            // exactly one worker. The overwritten placeholder is an
-            // unallocated `Vec::new()`, so skipping its drop leaks
-            // nothing.
-            unsafe { out.0.add(k).write(v) };
-        }
-        if resident > 0 {
-            fesia_obs::metrics().batch_pairs_resident.add(resident);
-        }
-    });
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,36 +206,6 @@ mod tests {
             assert_eq!(got, want, "threads={threads}");
         }
         assert_eq!(batch_count(&sets, &pairs), want);
-    }
-
-    #[test]
-    fn batch_op_pairs_matches_pairwise_algebra() {
-        let p = FesiaParams::auto();
-        let lists: Vec<Vec<u32>> = (0..5u64)
-            .map(|s| gen_sorted(300 + 200 * s as usize, s + 3, 10_000))
-            .collect();
-        let sets: Vec<SegmentedSet> = lists
-            .iter()
-            .map(|l| SegmentedSet::build(l, &p).unwrap())
-            .collect();
-        let pairs: Vec<(u32, u32)> = (0..5u32)
-            .flat_map(|i| (0..5u32).map(move |j| (i, j)))
-            .collect();
-        for op in [
-            SetOp::Intersect,
-            SetOp::Union,
-            SetOp::Difference,
-            SetOp::Xor,
-        ] {
-            let want: Vec<Vec<u32>> = pairs
-                .iter()
-                .map(|&(i, j)| crate::algebra::set_op(&sets[i as usize], &sets[j as usize], op))
-                .collect();
-            for threads in [1usize, 3, 8] {
-                let got = batch_op_pairs(&sets, &pairs, op, threads);
-                assert_eq!(got, want, "op={op:?} threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -542,79 +542,28 @@ fn range_and_count(a: &Payload<'_>, b: &Payload<'_>, level: SimdLevel, word_ops:
     }
 }
 
-/// Threshold-aware AND cardinality over the two directories (merged on
-/// range key): `Some(count >= threshold)` or `None` when |A ∩ B|
-/// provably falls short (see [`crate::intersect_count_bounded_planned`]
-/// for the exact contract; a zero threshold gives the exact count).
-///
-/// Two directory-merge passes. The first costs only the directory walk
-/// and accumulates the budget `Σ min(card_a, card_b)` over key-matched
-/// ranges — a sound bound because an unmatched key contributes nothing
-/// and a matched range pair at most its smaller cardinality — rejecting
-/// a hopeless pair before any payload is touched; a zero threshold
-/// cannot reject, so the exact count skips it. The second sweeps
-/// matched ranges under the invariant `count + budget >= threshold`,
-/// aborting the moment it breaks (budget is zero at completion, so
-/// finishing proves `count >= threshold`).
-pub fn and_total_bounded(
-    a: &ContainerTier,
-    b: &ContainerTier,
-    level: SimdLevel,
-    threshold: u64,
-    accept_early: bool,
-) -> Option<u64> {
+/// Intersection cardinality: the matched-range AND total, walking the
+/// two directories merged on range key. The other ops' cardinalities
+/// follow from it by inclusion–exclusion ([`crate::set_op_count`]).
+pub fn intersect_count(a: &ContainerTier, b: &ContainerTier, level: SimdLevel) -> usize {
     let (na, nb) = (a.num_ranges(), b.num_ranges());
-    let mut budget = 0u64;
-    if threshold > 0 {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < na && j < nb {
-            let ea = a.entry(i);
-            let eb = b.entry(j);
-            match ea.key.cmp(&eb.key) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    budget += u64::from(ea.card.min(eb.card));
-                    i += 1;
-                    j += 1;
-                }
+    let (mut i, mut j) = (0usize, 0usize);
+    let (mut count, mut word_ops) = (0u64, 0u64);
+    while i < na && j < nb {
+        let ea = a.entry(i);
+        let eb = b.entry(j);
+        match ea.key.cmp(&eb.key) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                count += range_and_count(&a.payload(&ea), &b.payload(&eb), level, &mut word_ops);
+                i += 1;
+                j += 1;
             }
         }
     }
-    let mut word_ops = 0u64;
-    let result = if budget < threshold {
-        None
-    } else {
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut count = 0u64;
-        'sweep: {
-            while i < na && j < nb {
-                let ea = a.entry(i);
-                let eb = b.entry(j);
-                match ea.key.cmp(&eb.key) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        // Saturates at the zero the skipped budget pass left.
-                        budget = budget.saturating_sub(u64::from(ea.card.min(eb.card)));
-                        count +=
-                            range_and_count(&a.payload(&ea), &b.payload(&eb), level, &mut word_ops);
-                        i += 1;
-                        j += 1;
-                        if accept_early && count >= threshold {
-                            break 'sweep Some(count);
-                        }
-                        if count + budget < threshold {
-                            break 'sweep None;
-                        }
-                    }
-                }
-            }
-            Some(count)
-        }
-    };
     record_metrics(&[a, b], word_ops);
-    result
+    count as usize
 }
 
 /// Publish the per-op container metrics once per executed operation.
@@ -631,13 +580,6 @@ fn record_metrics(tiers: &[&ContainerTier], word_ops: u64) {
     m.container_ranges_bitmap.add(bitmap);
     m.container_ranges_run.add(run);
     m.container_word_ops.add(word_ops);
-}
-
-/// Intersection cardinality: the matched-range AND total. The other
-/// ops' cardinalities follow from it by inclusion–exclusion
-/// ([`crate::set_op_count`]).
-pub fn intersect_count(a: &ContainerTier, b: &ContainerTier, level: SimdLevel) -> usize {
-    and_total_bounded(a, b, level, 0, false).expect("a zero threshold never rejects") as usize
 }
 
 // --- materializing path -----------------------------------------------------

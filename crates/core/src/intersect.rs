@@ -2,26 +2,18 @@
 //! strategy selection for skewed inputs (§VI).
 
 use crate::kernels::KernelTable;
-use crate::plan::{IntersectPlan, IntersectPlanner, SetSummary, ThresholdPlan};
+use crate::plan::{IntersectPlan, IntersectPlanner, SetSummary};
 use crate::set::SegmentedSet;
 use fesia_simd::mask::{for_each_nonzero_lane, for_each_nonzero_lane_folded, LaneWidth};
 use fesia_simd::prefetch::prefetch_read;
 use fesia_simd::timer::CycleTimer;
 use fesia_simd::SimdLevel;
-use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// The process-wide default kernel table (widest ISA, full table).
 pub fn default_table() -> &'static KernelTable {
     static TABLE: OnceLock<KernelTable> = OnceLock::new();
     TABLE.get_or_init(KernelTable::auto)
-}
-
-thread_local! {
-    /// Per-thread survivor buffer reused across every threshold
-    /// (early-exit) merge this thread runs — the batch layer gets cross-pair reuse for free
-    /// because a pool worker keeps its thread alive.
-    static SURVIVOR_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 pub(crate) fn check_compatible(a: &SegmentedSet, b: &SegmentedSet) {
@@ -149,9 +141,8 @@ pub fn intersect_count_interleaved_with(
 
 // ---------------------------------------------------------------------------
 // Shared survivor-scan engine. The breakdown instrumentation and the
-// threshold (early-exit) forms both run phase 1 "collect survivors" and
-// phase 2 "sweep the list" explicitly; these helpers keep them to one
-// body per phase.
+// materializing algebra run phase 1 "collect survivors" explicitly;
+// these helpers keep it to one body.
 // ---------------------------------------------------------------------------
 
 /// Order a pair for an explicit-survivor form: `(x, y, folded)` with `x`
@@ -204,193 +195,6 @@ fn count_raw_pair(
             table.count(x.seg_ptr(i), x.seg_size(i), y.seg_ptr(j), y.seg_size(j))
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Threshold-aware (early-exit) counting: the kernels behind the
-// similarity-join filter cascade (see `crate::simjoin`).
-// ---------------------------------------------------------------------------
-
-/// Does |A ∩ B| reach `threshold`? Early-exits in both directions: on
-/// success the sweep stops the moment the running count reaches
-/// `threshold`, on failure the moment the residual upper bound
-/// (matched-so-far plus what the unswept remainder could still
-/// contribute) drops below it.
-///
-/// ```
-/// use fesia_core::{intersect_count_at_least, FesiaParams, SegmentedSet};
-/// let p = FesiaParams::auto();
-/// let a = SegmentedSet::build(&[1, 5, 9, 12], &p).unwrap();
-/// let b = SegmentedSet::build(&[5, 9, 20], &p).unwrap();
-/// assert!(intersect_count_at_least(&a, &b, 2));
-/// assert!(!intersect_count_at_least(&a, &b, 3));
-/// ```
-pub fn intersect_count_at_least(a: &SegmentedSet, b: &SegmentedSet, threshold: usize) -> bool {
-    let (sa, sb) = (SetSummary::of(a), SetSummary::of(b));
-    match IntersectPlanner::current().plan_pair_threshold(&sa, &sb, threshold) {
-        ThresholdPlan::TrivialAccept => true,
-        ThresholdPlan::TrivialReject => false,
-        ThresholdPlan::Run(plan) => {
-            execute_plan_count_bounded(a, b, default_table(), plan, threshold as u64, true)
-                .is_some()
-        }
-    }
-}
-
-/// `Some(|A ∩ B|)` if the intersection reaches `threshold`, else `None`
-/// — the similarity-join cascade's early-exit counting kernel, against
-/// an explicit table and planner. `Some(n)` implies `n == |A ∩ B|` and
-/// `n >= threshold`; `None` implies `|A ∩ B| < threshold`. A zero
-/// threshold always returns the exact count (the residual-bound check
-/// can never fire), so `intersect_count_bounded_planned(a, b, table,
-/// planner, 0)` is a drop-in for the unbounded count. The planner's
-/// threshold term resolves trivial pairs first: `threshold > min(|A|,
-/// |B|)` rejects with no work at all.
-pub fn intersect_count_bounded_planned(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    planner: &IntersectPlanner,
-    threshold: usize,
-) -> Option<usize> {
-    let (sa, sb) = (SetSummary::of(a), SetSummary::of(b));
-    match planner.plan_pair_threshold(&sa, &sb, threshold) {
-        ThresholdPlan::TrivialAccept => {
-            Some(execute_plan_count(a, b, table, planner.plan_pair(&sa, &sb)))
-        }
-        ThresholdPlan::TrivialReject => None,
-        ThresholdPlan::Run(plan) => {
-            execute_plan_count_bounded(a, b, table, plan, threshold as u64, false)
-                .map(|n| n as usize)
-        }
-    }
-}
-
-/// Execute an [`IntersectPlan`] with threshold-aware early exit.
-///
-/// `Some(count)` means the threshold was met (`count` is the exact
-/// intersection size unless `accept_early`, in which case it is merely
-/// `>= threshold`); `None` means |A ∩ B| < `threshold`, established with
-/// as little of the sweep as the residual bound allowed. Every plan
-/// shape short-circuits: the merge family via the per-survivor budget,
-/// the container plan via per-range cardinalities, and the hash probe
-/// via the remaining-element count.
-fn execute_plan_count_bounded(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    plan: IntersectPlan,
-    threshold: u64,
-    accept_early: bool,
-) -> Option<u64> {
-    let m = fesia_obs::metrics();
-    match plan {
-        IntersectPlan::Plain => {
-            m.plan_plain.inc();
-            bounded_merge(a, b, table, threshold, accept_early)
-        }
-        IntersectPlan::Container => {
-            m.plan_container.inc();
-            let (Some(ca), Some(cb)) = (a.container(), b.container()) else {
-                return bounded_merge(a, b, table, threshold, accept_early);
-            };
-            crate::container::and_total_bounded(ca, cb, table.level(), threshold, accept_early)
-        }
-        IntersectPlan::HashProbe => {
-            m.plan_hash.inc();
-            let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-            bounded_probe(
-                small.reordered_elements().iter().copied(),
-                small.len(),
-                |x| large.contains(x),
-                threshold,
-                accept_early,
-            )
-        }
-    }
-}
-
-/// Merge-family early exit. Phase 1 collects survivors and their total
-/// budget `Σ min(|seg_x|, |seg_y|)` — a sound bound because a zero AND
-/// lane implies an empty segment intersection, so only survivors can
-/// contribute, each at most its smaller side's population. A budget
-/// already below the threshold rejects with zero segment compares.
-/// Phase 2 sweeps under the invariant `count + budget >= threshold`,
-/// aborting the moment it breaks; the budget is zero when the sweep
-/// completes, so completion itself proves `count >= threshold`.
-fn bounded_merge(
-    a: &SegmentedSet,
-    b: &SegmentedSet,
-    table: &KernelTable,
-    threshold: u64,
-    accept_early: bool,
-) -> Option<u64> {
-    check_compatible(a, b);
-    let m = fesia_obs::metrics();
-    let (x, y, folded) = order_sides(a, b);
-    let seg_mask = y.num_segments() - 1;
-    SURVIVOR_SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        if scratch.capacity() != 0 {
-            m.scratch_reused.inc();
-        }
-        scratch.clear();
-        let mut budget = 0u64;
-        {
-            let scratch = &mut *scratch;
-            scan_survivors(table.level(), a.lane(), x, y, folded, |i| {
-                budget += x.seg_size(i).min(y.seg_size(i & seg_mask)) as u64;
-                scratch.push(i as u32);
-            });
-        }
-        m.survivor_segments.add(scratch.len() as u64);
-        if budget < threshold {
-            return None;
-        }
-        let mut count = 0u64;
-        for &i in scratch.iter() {
-            let i = i as usize;
-            let j = i & seg_mask;
-            budget -= x.seg_size(i).min(y.seg_size(j)) as u64;
-            count += u64::from(count_raw_pair(x, y, table, folded, i, j));
-            if accept_early && count >= threshold {
-                return Some(count);
-            }
-            if count + budget < threshold {
-                return None;
-            }
-        }
-        Some(count)
-    })
-}
-
-/// Probe-style early exit for the hash plan: `n` candidate elements
-/// tested one at a time, with the residual bound
-/// `count + remaining`. Completion implies `count >= threshold` (the
-/// final iteration's bound is `count` itself).
-fn bounded_probe<I: Iterator<Item = u32>, F: FnMut(u32) -> bool>(
-    elems: I,
-    n: usize,
-    mut hit: F,
-    threshold: u64,
-    accept_early: bool,
-) -> Option<u64> {
-    if (n as u64) < threshold {
-        return None;
-    }
-    let mut count = 0u64;
-    for (idx, x) in elems.enumerate() {
-        if hit(x) {
-            count += 1;
-            if accept_early && count >= threshold {
-                return Some(count);
-            }
-        }
-        if count + ((n - idx - 1) as u64) < threshold {
-            return None;
-        }
-    }
-    Some(count)
 }
 
 /// |A ∩ B| with the process-default kernel table (widest available ISA).
@@ -839,136 +643,5 @@ mod tests {
         let b = SegmentedSet::build(&[1, 2], &FesiaParams::auto().with_segment(LaneWidth::U16))
             .unwrap();
         let _ = intersect_count(&a, &b);
-    }
-
-    /// `execute_plan_count_bounded` as the planned entry points call it:
-    /// `(bounded, at_least)` for one explicit plan.
-    fn bounded_pair(
-        a: &SegmentedSet,
-        b: &SegmentedSet,
-        table: &KernelTable,
-        plan: IntersectPlan,
-        t: usize,
-    ) -> (Option<usize>, bool) {
-        (
-            execute_plan_count_bounded(a, b, table, plan, t as u64, false).map(|n| n as usize),
-            execute_plan_count_bounded(a, b, table, plan, t as u64, true).is_some(),
-        )
-    }
-
-    const PLANS: [IntersectPlan; 3] = [
-        IntersectPlan::Plain,
-        IntersectPlan::HashProbe,
-        IntersectPlan::Container,
-    ];
-
-    /// The threshold kernels' contract, under every explicit plan and
-    /// the planner's own choice: for any pair and any threshold `t`,
-    /// the bounded count returns `Some(exact)` exactly when
-    /// `exact >= t` or `t == 0`, and the at-least form returns
-    /// `exact >= t` — including the hostile thresholds 0, 1, `exact ± 1`,
-    /// and past the smaller side. `Container` on a pair without two
-    /// tiers runs its merge fallback.
-    #[test]
-    fn threshold_kernels_agree_with_exact_on_every_explicit_plan() {
-        let random_a = gen_sorted(3_000, 42, 60_000);
-        let random_b = gen_sorted(3_000, 99, 60_000);
-        let folded_small = gen_sorted(300, 5, 1_000_000);
-        let folded_big = gen_sorted(20_000, 11, 1_000_000);
-        let skew_small = gen_sorted(64, 21, 1 << 20);
-        let skew_big = gen_sorted(20_000, 23, 1 << 20);
-        let identical = gen_sorted(1_000, 7, 50_000);
-        let disjoint_a: Vec<u32> = (0..1_000u32).map(|i| i * 2).collect();
-        let disjoint_b: Vec<u32> = (0..1_000u32).map(|i| i * 2 + 1).collect();
-        let empty: Vec<u32> = Vec::new();
-        let cases: Vec<(&str, &[u32], &[u32])> = vec![
-            ("random", &random_a, &random_b),
-            ("folded", &folded_small, &folded_big),
-            ("skewed", &skew_small, &skew_big),
-            ("identical", &identical, &identical),
-            ("disjoint", &disjoint_a, &disjoint_b),
-            ("empty", &empty, &random_a),
-        ];
-        let p = FesiaParams::auto();
-        let table = KernelTable::auto();
-        let planner = IntersectPlanner::current();
-        for (name, av, bv) in &cases {
-            let a = SegmentedSet::build(av, &p).unwrap();
-            let b = SegmentedSet::build(bv, &p).unwrap();
-            let want = reference(av, bv).len();
-            let min_len = av.len().min(bv.len());
-            for t in [
-                0,
-                1,
-                want.saturating_sub(1),
-                want,
-                want + 1,
-                min_len,
-                min_len + 1,
-                min_len * 2 + 3,
-            ] {
-                let expect = (t == 0 || want >= t).then_some(want);
-                for plan in PLANS {
-                    assert_eq!(
-                        bounded_pair(&a, &b, &table, plan, t),
-                        (expect, want >= t),
-                        "plan={plan:?} case={name} t={t}"
-                    );
-                    // Symmetry: the kernels order sides internally.
-                    assert_eq!(
-                        bounded_pair(&b, &a, &table, plan, t).0,
-                        expect,
-                        "plan={plan:?} case={name} t={t} swapped"
-                    );
-                }
-                // The planned entry points, trivial accept and reject
-                // included.
-                assert_eq!(
-                    intersect_count_bounded_planned(&a, &b, &table, &planner, t),
-                    expect,
-                    "planned case={name} t={t}"
-                );
-                assert_eq!(
-                    intersect_count_at_least(&a, &b, t),
-                    want >= t,
-                    "planned case={name} t={t}"
-                );
-            }
-        }
-    }
-
-    /// Same contract over the container tier itself: the bounded sweep
-    /// runs the tier path rather than the raw segment kernels, on a
-    /// run-heavy pair and on an array-heavy pair the planner declines.
-    #[test]
-    fn threshold_kernels_agree_on_the_explicit_container_tier() {
-        let p = FesiaParams::auto();
-        let table = KernelTable::auto();
-        let planner = IntersectPlanner::current();
-
-        // Run-heavy value domains, and uniform-sparse ones whose tiers
-        // are all arrays.
-        let run_a: Vec<u32> = (0..6_000u32).collect();
-        let run_b: Vec<u32> = (3_000..9_000u32).collect();
-        let sparse_a = gen_sorted(20_000, 31, 1 << 26);
-        let sparse_b = gen_sorted(20_000, 37, 1 << 26);
-        for (name, av, bv) in [("runs", &run_a, &run_b), ("arrays", &sparse_a, &sparse_b)] {
-            let ca = SegmentedSet::build(av, &p).unwrap();
-            let cb = SegmentedSet::build(bv, &p).unwrap();
-            assert!(ca.container().is_some() && cb.container().is_some());
-            if name == "arrays" {
-                let (sa, sb) = (SetSummary::of(&ca), SetSummary::of(&cb));
-                assert_ne!(planner.plan_pair(&sa, &sb), IntersectPlan::Container);
-            }
-            let want = reference(av, bv).len();
-            for t in [0, 1, want, want + 1, av.len() + 7] {
-                let expect = (t == 0 || want >= t).then_some(want);
-                assert_eq!(
-                    bounded_pair(&ca, &cb, &table, IntersectPlan::Container, t),
-                    (expect, want >= t),
-                    "{name} t={t}"
-                );
-            }
-        }
     }
 }

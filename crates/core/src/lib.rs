@@ -62,17 +62,14 @@ pub mod tuning;
 pub mod u64set;
 
 pub use algebra::{difference, set_op, set_op_count, set_op_planned, union, xor};
-pub use batch::{
-    batch_count, batch_count_pairs, batch_count_pairs_on, batch_op_pairs, batch_op_pairs_on,
-};
+pub use batch::{batch_count, batch_count_pairs, batch_count_pairs_on};
 pub use container::{ContainerKind, ContainerStats, ContainerTier};
 pub use dynamic::{DynamicSet, LiveQuery};
 pub use error::{BuildError, MAX_ELEMENT};
 pub use intersect::{
     auto_count, auto_count_planned, auto_count_with, default_table, execute_plan_count,
-    hash_probe_count, intersect, intersect_count, intersect_count_at_least,
-    intersect_count_bounded_planned, intersect_count_breakdown, intersect_count_interleaved_with,
-    intersect_count_with, Breakdown,
+    hash_probe_count, intersect, intersect_count, intersect_count_breakdown,
+    intersect_count_interleaved_with, intersect_count_with, Breakdown,
 };
 pub use kernels::visit::{CountVisitor, EmitVisitor, FnVisitor, SegmentVisitor, SetOp};
 pub use kernels::KernelTable;
@@ -85,7 +82,7 @@ pub use parallel::{par_intersect_count, par_intersect_count_on};
 pub use params::{FesiaParams, SimjoinParams};
 pub use plan::{
     profile_status, should_container_summaries, IntersectPlan, IntersectPlanner, KwayPlan,
-    KwayStrategy, SetSummary, ThresholdPlan,
+    KwayStrategy, SetSummary,
 };
 pub use serialize::{deserialize_many, deserialize_many_mapped, serialize_many, DecodeError};
 pub use set::SegmentedSet;

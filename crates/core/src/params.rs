@@ -124,29 +124,28 @@ impl Default for FesiaParams {
 /// ([`crate::simjoin`]).
 ///
 /// The cascade's length/prefix candidate generation is the baseline and
-/// always runs; early exit is an explicit argument so the `repro
+/// always runs; the XOR filter is an explicit argument so the `repro
 /// simjoin` experiment can measure the cascade against that baseline.
 /// Every default entry point runs the cascade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimjoinParams {
-    /// Run the cascade: the XOR bitmap filter, then the early-exit
-    /// counting kernels ([`crate::intersect_count_at_least`]). Off, the
-    /// join builds no filter and decides every candidate by a full
-    /// unbounded count (the prefix-filter-only baseline the acceptance
-    /// gate compares against).
-    pub early_exit: bool,
+    /// Build the XOR bitmap filter and reject candidates by its bound
+    /// before counting. Off, the join decides every candidate by the
+    /// exact count alone (the prefix-filter-only baseline the
+    /// acceptance gate compares against).
+    pub filter: bool,
 }
 
 impl Default for SimjoinParams {
     fn default() -> Self {
-        SimjoinParams { early_exit: true }
+        SimjoinParams { filter: true }
     }
 }
 
 impl SimjoinParams {
-    /// Enable or disable the early-exit kernels.
-    pub fn with_early_exit(mut self, on: bool) -> Self {
-        self.early_exit = on;
+    /// Enable or disable the XOR bitmap filter.
+    pub fn with_filter(mut self, on: bool) -> Self {
+        self.filter = on;
         self
     }
 }
@@ -195,7 +194,7 @@ mod tests {
     #[test]
     fn simjoin_params_builders() {
         let p = SimjoinParams::default();
-        assert!(p.early_exit);
-        assert!(!p.with_early_exit(false).early_exit);
+        assert!(p.filter);
+        assert!(!p.with_filter(false).filter);
     }
 }

@@ -49,21 +49,6 @@ impl IntersectPlan {
     }
 }
 
-/// The planner's answer to a *threshold* query (`|A ∩ B| >= t`?):
-/// either the pair resolves trivially from lengths alone, or it runs an
-/// [`IntersectPlan`] through the early-exit executor
-/// ([`crate::intersect_count_bounded_planned`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThresholdPlan {
-    /// `t == 0`: every pair qualifies; run an unbounded count if the
-    /// caller still wants the exact cardinality.
-    TrivialAccept,
-    /// `t > min(|A|, |B|)`: no intersection can reach the threshold.
-    TrivialReject,
-    /// Run this plan with threshold-aware early exit.
-    Run(IntersectPlan),
-}
-
 /// How a k-way intersection (k ≥ 3) executes; chosen by
 /// [`IntersectPlanner::plan_kway`] with the pair rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,25 +258,6 @@ impl IntersectPlanner {
         }
     }
 
-    /// Plan a threshold query — [`IntersectPlanner::plan_pair`] with a
-    /// threshold term resolved first: a zero threshold accepts every
-    /// pair, and a threshold above the smaller side's length rejects
-    /// without touching either set's data.
-    pub fn plan_pair_threshold(
-        &self,
-        a: &SetSummary,
-        b: &SetSummary,
-        threshold: usize,
-    ) -> ThresholdPlan {
-        if threshold == 0 {
-            return ThresholdPlan::TrivialAccept;
-        }
-        if threshold > a.len.min(b.len) {
-            return ThresholdPlan::TrivialReject;
-        }
-        ThresholdPlan::Run(self.plan_pair(a, b))
-    }
-
     /// Plan a k-way intersection. The order is ascending by length, so
     /// the most selective operands lead. The strategy reuses the pair
     /// rules: the pair skew rule between the smallest and the next set
@@ -371,10 +337,6 @@ mod tests {
         let sparse = summary(1 << 20, 1 << 21, 0.3);
         assert_eq!(p.plan_pair(&sparse, &sparse), IntersectPlan::HashProbe);
         assert_eq!(p.plan_merge(&sparse, &sparse), IntersectPlan::Plain);
-        assert_eq!(
-            p.plan_pair_threshold(&sparse, &sparse, 1),
-            ThresholdPlan::Run(IntersectPlan::HashProbe)
-        );
         // Both thresholds are inclusive edges.
         let edge = summary(1 << 20, 1 << 21, 0.6);
         let full = summary(1 << 20, 1 << 21, 1.0);

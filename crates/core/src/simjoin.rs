@@ -22,26 +22,26 @@
 //!    rejected without a count. The filters are per-join scratch, built
 //!    on the executor from the lists the join takes; the width follows
 //!    from the threshold and the longest list (`filter_bits`).
-//! 3. **Early-exit counting** ([`crate::intersect_count_bounded_planned`]):
-//!    the planner-selected kernel sweep, aborted the moment the residual
-//!    upper bound (matched-so-far + what the unswept remainder could
-//!    contribute) drops below `t`. Survivors complete the sweep, so
-//!    every reported pair carries its exact intersection size.
+//! 3. **The exact count** ([`crate::auto_count_planned`]): the same
+//!    planned count every other caller runs, then
+//!    [`Threshold::qualifies`]. Every reported pair carries its exact
+//!    intersection size.
 //!
-//! Early exit is an explicit argument of the `*_with` entry points
+//! The filter is an explicit argument of the `*_with` entry points
 //! ([`crate::params::SimjoinParams`]); off, the join is the
-//! prefix-filter-only baseline (no XOR filter, exact full count per
+//! prefix-filter-only baseline (no XOR filter, exact count per
 //! candidate) that `repro simjoin` measures the cascade against.
 //!
 //! Tier 1 runs inside the parallel cascade rather than in front of it:
 //! one flat prefix index is built per join, workers claim ranges of
 //! probe sets, and each candidate a probe finds is decided at once, so
 //! no candidate list is ever built. The per-stage `simjoin_*` counters
-//! satisfy `candidates = bitmap_rejected + early_exited + verified`.
+//! satisfy `candidates = bitmap_rejected + early_exited + verified`,
+//! where `early_exited` counts the candidates the exact count rejects.
 
 use crate::batch::DisjointOut;
 use crate::hash::position;
-use crate::intersect::{auto_count_planned, default_table, intersect_count_bounded_planned};
+use crate::intersect::{auto_count_planned, default_table};
 use crate::kernels::KernelTable;
 use crate::params::{FesiaParams, SimjoinParams};
 use crate::plan::IntersectPlanner;
@@ -148,12 +148,12 @@ pub struct SimjoinStats {
     pub candidates: u64,
     /// Candidates rejected by the XOR bitmap filter before any count:
     /// their bound `(|A| + |B| − popcount(F_A ⊕ F_B)) / 2` fell below
-    /// the pair's `t_pair`. 0 when the join builds no filter (early exit
+    /// the pair's `t_pair`. 0 when the join builds no filter (the filter
     /// off, a trivial threshold, or a width past the ceiling).
     pub bitmap_rejected: u64,
-    /// Candidates rejected by the count — the early-exit sweep's residual
-    /// bound, the planner's trivial length reject, or (with early exit
-    /// disabled) an exact count falling short.
+    /// Candidates rejected by the exact count: they passed the XOR
+    /// filter (or the join built none) and fell short of the threshold.
+    /// The name is kept from an earlier early-exit count.
     pub early_exited: u64,
     /// Candidates confirmed by a completed exact count.
     pub verified: u64,
@@ -548,7 +548,7 @@ fn xor_bound(fa: &[u64], fb: &[u64], la: usize, lb: usize) -> usize {
 
 /// The XOR filters for a join whose pairs have `|A| + |B| <= len_sum`,
 /// `list(0..n)` holding `elements` elements in all — or `None` when the
-/// cascade runs without them: with early exit off (the baseline counts
+/// cascade runs without them: with the filter off (the baseline counts
 /// every candidate), when [`filter_bits`] gives no width, or when the
 /// filters would take more words than the lists they summarize.
 fn join_filters<'a>(
@@ -560,8 +560,7 @@ fn join_filters<'a>(
     threads: usize,
     list: impl Fn(usize) -> &'a [u32] + Sync,
 ) -> Option<XorFilters> {
-    let bits =
-        filter_bits(threshold, len_sum).filter(|&b| sp.early_exit && n * b / 32 <= elements)?;
+    let bits = filter_bits(threshold, len_sum).filter(|&b| sp.filter && n * b / 32 <= elements)?;
     Some(XorFilters::build(n, bits, threads, list))
 }
 
@@ -576,15 +575,15 @@ fn join_filters<'a>(
 enum Verdict {
     /// The XOR filter's bound fell below the pair's `t_pair`.
     FilterRejected,
-    /// The count rejected it.
-    EarlyExited,
+    /// The exact count fell short.
+    CountRejected,
     /// A completed exact count confirmed it.
     Verified,
 }
 
 /// Decide one candidate: the XOR filter's bound first, when the join
 /// built filters (`filters` holds the pair's two, in either order),
-/// then the count.
+/// then the planned exact count.
 fn evaluate_pair(
     a: &SegmentedSet,
     b: &SegmentedSet,
@@ -592,7 +591,6 @@ fn evaluate_pair(
     threshold: Threshold,
     table: &KernelTable,
     planner: &IntersectPlanner,
-    sp: &SimjoinParams,
 ) -> Verdict {
     let t = threshold.t_pair(a.len(), b.len());
     if let Some((fa, fb)) = filters {
@@ -604,22 +602,10 @@ fn evaluate_pair(
             return Verdict::FilterRejected;
         }
     }
-    let verified = if sp.early_exit {
-        // Early-exit sweep. Survivors complete the sweep, so the
-        // verify is an exact count, not a probabilistic accept.
-        let c = intersect_count_bounded_planned(a, b, table, planner, t);
-        debug_assert!(c.is_none_or(|c| threshold.qualifies(c, a.len(), b.len())));
-        c.is_some()
-    } else {
-        // Baseline: full exact count (the prefix-filter-only
-        // driver the cascade is measured against).
-        let c = auto_count_planned(a, b, table, planner);
-        threshold.qualifies(c, a.len(), b.len())
-    };
-    if verified {
+    if threshold.qualifies(auto_count_planned(a, b, table, planner), a.len(), b.len()) {
         Verdict::Verified
     } else {
-        Verdict::EarlyExited
+        Verdict::CountRejected
     }
 }
 
@@ -636,7 +622,7 @@ impl Partial {
         self.stats.candidates += 1;
         match verdict {
             Verdict::FilterRejected => self.stats.bitmap_rejected += 1,
-            Verdict::EarlyExited => self.stats.early_exited += 1,
+            Verdict::CountRejected => self.stats.early_exited += 1,
             Verdict::Verified => {
                 self.stats.verified += 1;
                 self.pairs.push(pair);
@@ -727,10 +713,7 @@ pub fn self_join_with<S: Borrow<SegmentedSet> + Sync>(
             let (i, j) = index.self_pair(k, s);
             let (a, b) = (sets[i as usize].borrow(), sets[j as usize].borrow());
             let f = filters.as_ref().map(|f| (f.get(k), f.get(s as usize)));
-            part.record(
-                (i, j),
-                evaluate_pair(a, b, f, threshold, table, planner, sp),
-            );
+            part.record((i, j), evaluate_pair(a, b, f, threshold, table, planner));
         });
     })
 }
@@ -799,7 +782,7 @@ pub fn join_with<S: Borrow<SegmentedSet> + Sync>(
             let f = filters.as_ref().map(|f| (f.get(i), f.get(na + s as usize)));
             part.record(
                 (i as u32, j),
-                evaluate_pair(a, b, f, threshold, table, planner, sp),
+                evaluate_pair(a, b, f, threshold, table, planner),
             );
         });
     })
@@ -964,17 +947,17 @@ mod tests {
         let planner = IntersectPlanner::current();
         let th = Threshold::Overlap(45);
         let want = oracle_self(&lists, th);
-        for early in [false, true] {
-            let sp = SimjoinParams::default().with_early_exit(early);
+        for filter in [false, true] {
+            let sp = SimjoinParams::default().with_filter(filter);
             let r = self_join_with(&sets, &lists, th, default_table(), &planner, &sp, 2);
-            assert_eq!(r.pairs, want, "early={early}");
+            assert_eq!(r.pairs, want, "filter={filter}");
             let s = r.stats;
             assert_eq!(
                 s.candidates,
                 s.bitmap_rejected + s.early_exited + s.verified
             );
             // The baseline builds no filter; the cascade's fires here.
-            assert_eq!(s.bitmap_rejected > 0, early, "early={early}");
+            assert_eq!(s.bitmap_rejected > 0, filter, "filter={filter}");
         }
     }
 
@@ -1164,7 +1147,7 @@ mod tests {
         Threshold::Jaccard(1.0),
     ];
 
-    /// Does a join over these lengths build filters with early exit on?
+    /// Does a join over these lengths build filters with the filter on?
     fn builds_filters(th: Threshold, len_sum: usize, lists: &[&[Vec<u32>]]) -> bool {
         let sp = SimjoinParams::default();
         let n = lists.iter().map(|l| l.len()).sum();
@@ -1183,14 +1166,14 @@ mod tests {
             let want = oracle_self(&lists, th);
             let cands = candidate_pairs_self(&lists, th).len();
             let filtered = builds_filters(th, 2 * len_max, &[&lists]);
-            for early in [true, false] {
-                let sp = SimjoinParams::default().with_early_exit(early);
+            for filter in [true, false] {
+                let sp = SimjoinParams::default().with_filter(filter);
                 for threads in [1, 3] {
                     let r =
                         self_join_with(&sets, &lists, th, default_table(), &planner, &sp, threads);
-                    let what = format!("{th:?} early={early} threads={threads}");
+                    let what = format!("{th:?} filter={filter} threads={threads}");
                     assert_join(&r, &want, cands, &what);
-                    if !(early && filtered) {
+                    if !(filter && filtered) {
                         assert_eq!(r.stats.bitmap_rejected, 0, "{what}: no filter built");
                     }
                     rejected += r.stats.bitmap_rejected;
@@ -1218,8 +1201,8 @@ mod tests {
             let want = oracle_cross(&a, &b, th);
             let cands = candidate_pairs(&a, &b, th).len();
             let filtered = builds_filters(th, len_sum, &[&a, &b]);
-            for early in [true, false] {
-                let sp = SimjoinParams::default().with_early_exit(early);
+            for filter in [true, false] {
+                let sp = SimjoinParams::default().with_filter(filter);
                 for threads in [1, 3] {
                     let r = join_with(
                         &sets_a,
@@ -1232,9 +1215,9 @@ mod tests {
                         &sp,
                         threads,
                     );
-                    let what = format!("{th:?} early={early} threads={threads}");
+                    let what = format!("{th:?} filter={filter} threads={threads}");
                     assert_join(&r, &want, cands, &what);
-                    if !(early && filtered) {
+                    if !(filter && filtered) {
                         assert_eq!(r.stats.bitmap_rejected, 0, "{what}: no filter built");
                     }
                     rejected += r.stats.bitmap_rejected;
@@ -1242,6 +1225,59 @@ mod tests {
             }
         }
         assert!(rejected > 0, "the filter never fired");
+    }
+
+    /// Candidates at overlap `t − 1` whose symmetric differences collide
+    /// in the filter pass its bound, so the exact count must reject
+    /// them. Each group shares a `t − 1`-token core: `A = core + x` and
+    /// its duplicate `C` qualify, `B = core + y` with `y` on `x`'s
+    /// filter bit passes the filter against both and fails the count,
+    /// and `D = core + z` on a third bit fails the filter against all.
+    #[test]
+    fn count_rejects_candidates_the_filter_passes() {
+        const T: usize = 40;
+        const GROUPS: u32 = 6;
+        let th = Threshold::Overlap(T);
+        let bits = filter_bits(th, 2 * T).expect("a non-trivial threshold builds a filter");
+        let bit = |v: u32| position(v, bits.trailing_zeros());
+        let mut lists = Vec::new();
+        for g in 0..GROUPS {
+            let base = g * 10_000;
+            let core: Vec<u32> = (base..base + T as u32 - 1).collect();
+            let x = base + 1_000;
+            let y = (x + 1..).find(|&v| bit(v) == bit(x)).unwrap();
+            let z = (x + 1..)
+                .find(|&v| bit(v) != bit(x) && bit(v) != bit(y))
+                .unwrap();
+            for extra in [x, y, x, z] {
+                let mut l = core.clone();
+                l.push(extra);
+                lists.push(l);
+            }
+        }
+        let sets = build_sets(&lists);
+        let planner = IntersectPlanner::current();
+        assert!(builds_filters(th, 2 * T, &[&lists]));
+        let want = oracle_self(&lists, th);
+        let cands = candidate_pairs_self(&lists, th).len();
+        assert_eq!(
+            cands,
+            6 * GROUPS as usize,
+            "only in-group pairs are candidates"
+        );
+        for filter in [true, false] {
+            let sp = SimjoinParams::default().with_filter(filter);
+            for threads in [1, 3] {
+                let r = self_join_with(&sets, &lists, th, default_table(), &planner, &sp, threads);
+                let what = format!("filter={filter} threads={threads}");
+                assert_join(&r, &want, cands, &what);
+                let g = u64::from(GROUPS);
+                let (filtered, counted) = if filter { (3 * g, 2 * g) } else { (0, 5 * g) };
+                assert_eq!(r.stats.bitmap_rejected, filtered, "{what}");
+                assert_eq!(r.stats.early_exited, counted, "{what}");
+                assert_eq!(r.stats.verified, g, "{what}");
+            }
+        }
     }
 
     /// Past the width ceiling, or where the filters would outweigh the

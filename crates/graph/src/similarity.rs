@@ -112,7 +112,8 @@ pub fn recommend(g: &CsrGraph, u: u32, k: usize, method: &dyn SliceIntersector) 
 /// `threshold` — the whole-graph generalization of [`jaccard`]: instead
 /// of scoring one pair at a time, the threshold-aware filter cascade in
 /// [`fesia_core::simjoin`] prunes the quadratic pair space down to the
-/// qualifying pairs (prefix filter, then early-exit counting kernels).
+/// qualifying pairs (prefix filter, XOR bitmap filter, then the exact
+/// count).
 ///
 /// `threads = 0` uses all available cores. Returns the qualifying pairs
 /// plus per-tier cascade statistics.

@@ -365,10 +365,14 @@ define_metrics! {
     counters {
         intersect_interleaved:
             "Two-phase intersections dispatched in the interleaved form.",
-        survivor_segments:
-            "Segment pairs surviving the phase-1 bitmap filter (threshold sweeps only — the interleaved form never materializes its survivors).",
-        scratch_reused:
-            "Threshold sweeps that reused an already-allocated thread-local survivor buffer.",
+        // These two sit in the slots of two deleted counters, so every
+        // other counter keeps its offset and cache line: perfbench
+        // serve-mixed's setup time and throughput moved with the
+        // placement of the counters.
+        exec_pinned_tasks:
+            "Tasks executed through the executor's shard-pinned task queues.",
+        simjoin_bitmap_rejected:
+            "Candidates rejected by the similarity join's XOR bitmap filter bound, before any count.",
         plan_plain:
             "Planner decisions that selected the plain (interleaved) two-phase form.",
         plan_pipelined:
@@ -448,7 +452,7 @@ define_metrics! {
         simjoin_candidates:
             "Candidate pairs generated by the similarity-join prefix filter.",
         simjoin_early_exited:
-            "Candidates rejected by early-exit counting (incl. trivial length rejects), or by a full count with early exit off.",
+            "Candidates rejected by the exact count: they passed the XOR filter (or the join built none) and fell short of the threshold.",
         simjoin_verified:
             "Candidates verified as join results by an exact threshold count.",
         snapshot_pins:
@@ -465,13 +469,6 @@ define_metrics! {
             "Mutations (ADD/DEL) applied by the serving layer's shard write logs.",
         serve_rebuilds:
             "Off-write-path set rebuilds scheduled by the serving layer when a delta outgrew the rebuild fraction.",
-        exec_pinned_tasks:
-            "Tasks executed through the executor's shard-pinned task queues.",
-        // Declared last, so that every older counter keeps its offset
-        // and cache line: perfbench serve-mixed's setup time moved with
-        // the placement of the snapshot and serve counters.
-        simjoin_bitmap_rejected:
-            "Candidates rejected by the similarity join's XOR bitmap filter bound, before any count.",
     }
     histograms {
         intersect_cycles:

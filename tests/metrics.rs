@@ -7,7 +7,7 @@
 //! with separate registries, so only this file needs the lock.)
 
 use fesia_core::{
-    batch_count, default_table, intersect_count_bounded_planned, FesiaParams, IntersectPlan,
+    batch_count, default_table, intersect_count_breakdown, FesiaParams, IntersectPlan,
     IntersectPlanner, SegmentedSet, SetSummary, Threshold,
 };
 use fesia_exec::Executor;
@@ -34,19 +34,11 @@ fn gen_sorted(n: usize, seed: u64, universe: u32) -> Vec<u32> {
     set.into_iter().collect()
 }
 
-/// The planner, after asserting it sends `a ∩ b` to the plain plan, so
-/// the threshold sweep runs the merge (which buffers its survivors).
-fn plain_planner(a: &SegmentedSet, b: &SegmentedSet) -> IntersectPlanner {
-    let planner = IntersectPlanner::current();
-    let plan = planner.plan_pair(&SetSummary::of(a), &SetSummary::of(b));
-    assert_eq!(plan, IntersectPlan::Plain);
-    planner
-}
-
-/// The survivor-segment counter (published by the threshold sweep,
-/// which buffers its survivors) must equal the offline diagnostic
-/// `stats::survivor_segments`, for both equal-size and folded bitmap
-/// pairs.
+/// The survivors the per-phase breakdown counts (it materializes phase
+/// 1's list, as perfbench's `core.survivor_segments` reads it) must
+/// equal the offline diagnostic `stats::survivor_segments`, for both
+/// equal-size and folded bitmap pairs; the planned count of the same
+/// plain pair publishes one plain decision and one interleaved run.
 #[test]
 fn survivor_counter_matches_offline_diagnostic() {
     let _guard = serialize_tests();
@@ -72,18 +64,16 @@ fn survivor_counter_matches_offline_diagnostic() {
         let a = SegmentedSet::build(av, &p).unwrap();
         let b = SegmentedSet::build(bv, pb).unwrap();
         assert_eq!(a.bitmap_bits() != b.bitmap_bits(), i == 1, "case {i} folds");
-        let planner = plain_planner(&a, &b);
+        let plan = IntersectPlanner::current().plan_pair(&SetSummary::of(&a), &SetSummary::of(&b));
+        assert_eq!(plan, IntersectPlan::Plain, "case {i}");
         let want_survivors = fesia_core::survivor_segments(&a, &b);
-        let count = fesia_core::intersect_count(&a, &b);
-        assert!(count >= 1, "the threshold below must not reject");
-        // Threshold 1: phase 1 collects every survivor before the budget
-        // check, and the sweep runs to completion.
         let before = metrics().snapshot();
-        let got = intersect_count_bounded_planned(&a, &b, default_table(), &planner, 1);
+        let count = fesia_core::auto_count(&a, &b);
         let d = metrics().snapshot().delta(&before);
-        assert_eq!(got, Some(count));
-        assert_eq!(d.plan_plain, 1);
-        assert_eq!(d.survivor_segments as usize, want_survivors);
+        assert_eq!((d.plan_plain, d.intersect_interleaved), (1, 1), "case {i}");
+        let bd = intersect_count_breakdown(&a, &b, default_table());
+        assert_eq!(bd.count, count, "case {i}");
+        assert_eq!(bd.matched_segments, want_survivors, "case {i}");
         // True matches always survive the filter.
         assert!(want_survivors >= count, "{want_survivors} < {count}");
     }
@@ -172,35 +162,6 @@ fn chunk_claims_match_chunks_executed() {
     assert_eq!(d.exec_regions_inline, 1);
     assert_eq!(d.exec_regions, 0);
     assert_eq!(d.exec_chunks_claimed, 0);
-}
-
-/// The threshold sweep reuses this thread's survivor buffer from the
-/// second call on, and the unbounded count's plain dispatch publishes
-/// its interleaved counter instead.
-#[test]
-fn threshold_sweep_reuses_its_scratch_buffer() {
-    let _guard = serialize_tests();
-    let p = FesiaParams::auto();
-    let a = SegmentedSet::build(&gen_sorted(2_000, 31, 40_000), &p).unwrap();
-    let b = SegmentedSet::build(&gen_sorted(2_000, 37, 40_000), &p).unwrap();
-    let planner = plain_planner(&a, &b);
-
-    let before = metrics().snapshot();
-    let want = fesia_core::intersect_count(&a, &b);
-    let d = metrics().snapshot().delta(&before);
-    assert_eq!(d.intersect_interleaved, 1);
-    assert_eq!(d.survivor_segments, 0);
-    assert_eq!(d.scratch_reused, 0);
-
-    // Warm this thread's buffer, then check that the next sweep reuses it.
-    let first = intersect_count_bounded_planned(&a, &b, default_table(), &planner, 1);
-    assert_eq!(first, Some(want));
-    let before = metrics().snapshot();
-    let again = intersect_count_bounded_planned(&a, &b, default_table(), &planner, 1);
-    let d = metrics().snapshot().delta(&before);
-    assert_eq!(again, Some(want));
-    assert_eq!(d.scratch_reused, 1);
-    assert_eq!(d.intersect_interleaved, 0);
 }
 
 /// Every k-way intersection of k >= 3 sets records exactly one strategy
